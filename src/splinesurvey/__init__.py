@@ -8,6 +8,7 @@ influence-function linearization and design-based variance estimation.
 
 from .basis import (
     CovariateScale,
+    CovariateSummary,
     KnotVector,
     SplineSpec,
     basis_matrix,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -81,8 +82,8 @@ class CovariateScale:
         return (v - self.low) / (self.high - self.low)
 
 
-def normalize_covariate(z_values) -> tuple[np.ndarray, CovariateScale]:
-    """Map covariate values affinely onto [0,1]; returns values and the map."""
+def covariate_scale(z_values) -> CovariateScale:
+    """Min-max map of the covariate values onto [0,1]."""
     z = np.asarray(z_values, dtype=float)
     if z.size == 0:
         raise ValueError("empty covariate")
@@ -91,8 +92,13 @@ def normalize_covariate(z_values) -> tuple[np.ndarray, CovariateScale]:
     lo, hi = float(z.min()), float(z.max())
     if lo == hi:
         raise ValueError("degenerate covariate")
-    scale = CovariateScale(lo, hi)
-    return scale.apply(z), scale
+    return CovariateScale(lo, hi)
+
+
+def normalize_covariate(z_values) -> tuple[np.ndarray, CovariateScale]:
+    """Map covariate values affinely onto [0,1]; returns values and the map."""
+    scale = covariate_scale(z_values)
+    return scale.apply(z_values), scale
 
 
 def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
@@ -161,6 +167,107 @@ def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
     return B
 
 
+# Consecutive sorted population units per block of a `CovariateSummary`.
+MOMENT_BLOCK = 128
+
+
+class CovariateSummary:
+    """Population covariate summary giving basis totals at O(N / block) cost.
+
+    Holds the min-max `scale`, the covariate mapped onto [0,1] and sorted
+    (`z01`), and, for each block of MOMENT_BLOCK consecutive sorted units,
+    the power sums of (z - c_b)^r about the block's first value c_b.
+
+    An order-m B-spline is a polynomial of degree m - 1 on each knot
+    interval (de Boor, A Practical Guide to Splines), so its population
+    total is a combination of the interval's power sums about its left
+    end a. Full blocks are shifted from c_b to a binomially, with only
+    nonnegative terms since c_b >= a; the partial blocks at either end of
+    the interval are summed directly. (Prefix sums of raw powers would
+    cancel, with an error growing like eps * N / width^(m-1).)
+    """
+
+    def __init__(self, z_values):
+        self.scale = covariate_scale(z_values)
+        z01 = np.sort(np.asarray(z_values, dtype=float))
+        z01 -= self.scale.low
+        z01 /= self.scale.high - self.scale.low
+        self.z01 = z01
+        self._moments = np.zeros((z01.size // MOMENT_BLOCK, 0))
+
+    def _block_moments(self, m: int) -> np.ndarray:
+        """Sums of (z - c_b)^r for r < m (at least), one row per full block."""
+        if self._moments.shape[1] < m:
+            B, blocks = MOMENT_BLOCK, self._moments.shape[0]
+            moments = np.empty((blocks, m))
+            step = 64  # blocks per pass, bounding the temporaries
+            for b in range(0, blocks, step):
+                chunk = self.z01[b * B:min(b + step, blocks) * B].reshape(-1, B)
+                offset = chunk - chunk[:, :1]
+                power = np.ones_like(offset)
+                for r in range(m):
+                    moments[b:b + chunk.shape[0], r] = power.sum(axis=1)
+                    power *= offset
+            self._moments = moments
+        return self._moments
+
+    def _power_sums(self, lo: int, hi: int, a: float, h: float,
+                    m: int) -> np.ndarray:
+        """Sums of ((z - a) / h)^r for r < m over sorted units lo..hi-1."""
+        B = MOMENT_BLOCK
+        powers = np.arange(m)
+        first = -(-lo // B)
+        stop = max(first, hi // B)  # the full blocks inside: first..stop-1
+        ends = np.concatenate((self.z01[lo:min(first * B, hi)],
+                               self.z01[stop * B:hi]))
+        sums = (((ends - a) / h)[:, None] ** powers).sum(axis=0)
+        shift = ((self.z01[first * B:stop * B:B] - a) / h)[:, None] ** powers
+        local = self._block_moments(m)[first:stop, :m] / h ** powers
+        cross = shift.T @ local  # [k, p]: sum_b ((c_b - a)/h)^k ((z - c_b)/h)^p
+        for r in range(m):
+            sums[r] += sum(comb(r, p) * cross[r - p, p] for p in range(r + 1))
+        return sums
+
+    def basis_totals(self, knots: KnotVector, m: int) -> np.ndarray:
+        """Population totals of the q = K + m order-m basis functions.
+
+        Equals `basis_matrix(knots, m, z01).sum(axis=0)` up to rounding.
+        Intervals follow `basis_matrix`: [t_j, t_{j+1}), so a unit at an
+        interior knot counts in the interval to its right, and z = 1 in
+        the last one. On each interval the m nonzero basis functions are
+        recovered as polynomials in t = (z - a) / h from m evaluations.
+        """
+        bp = knots.breakpoints()
+        left, width = bp[:-1], np.diff(bp)
+        cuts = np.concatenate(([0], np.searchsorted(self.z01, bp[1:-1]),
+                               [self.z01.size]))
+        # each interval's left end and m - 1 Chebyshev points inside it
+        inner = (np.arange(m - 1) + 0.5) * np.pi / max(m - 1, 1)
+        nodes = np.concatenate(([0.0], 0.5 - 0.5 * np.cos(inner)))
+        points = left[:, None] + width[:, None] * nodes
+        values = basis_matrix(knots, m, points.ravel()).reshape(left.size, m, -1)
+        # intervals too narrow to hold m distinct points in floating point
+        narrow = (np.diff(points, axis=1) <= 0).any(axis=1) | (points[:, -1] >= bp[1:])
+        powers = np.arange(1, m)
+        totals = np.zeros(knots.num_interior + m)
+        for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if lo == hi:
+                continue
+            if narrow[j]:
+                # sum the basis values over the distinct units instead
+                distinct, counts = np.unique(self.z01[lo:hi], return_counts=True)
+                totals[j:j + m] += counts @ basis_matrix(knots, m, distinct)[:, j:j + m]
+                continue
+            # piece coefficients of t^r; the constant term is the value at a
+            at = values[j][:, j:j + m]
+            t = (points[j, 1:] - left[j]) / width[j]
+            pieces = np.vstack((at[0], np.linalg.solve(t[:, None] ** powers,
+                                                       at[1:] - at[0])))
+            sums = self._power_sums(lo, hi, left[j], width[j], m)
+            totals[j:j + m] += sums @ pieces
+        return totals
+
+
 def basis_row(knots: KnotVector, m: int, z: float) -> np.ndarray:
     """Single basis evaluation; see `basis_matrix`."""
     return basis_matrix(knots, m, [z])[0]
@@ -172,13 +279,18 @@ def difference_operator(p: int, q: int) -> np.ndarray:
 
 
 def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:
-    """Roughness penalty for the p-th derivative of the spline.
+    """Difference-type roughness penalty K^(2p) * D_p' R D_p.
 
-    Built as scale * D_p' R D_p with R the Gram matrix of the order (m-p)
-    basis on the same interior knots, integrated exactly by per-interval
-    Gauss-Legendre quadrature. The scale K^(2p) assumes equidistant knots;
-    it is kept as-is for quantile knots (documented approximation) and
-    replaced by 1 when K = 0.
+    D_p is the p-th order forward difference operator on the q = K + m
+    coefficients and R the Gram matrix of the order (m-p) basis on the same
+    interior knots (its entries integrated exactly by per-interval
+    Gauss-Legendre quadrature). The scale K^(2p), replaced by 1 when
+    K = 0, stands in for the knot spacing of equidistant knots and is kept
+    as-is for quantile knots. This is a difference-penalty construction,
+    not the integrated squared p-th derivative of the spline, nor a fixed
+    multiple of it: with m = 3, p = 1 and three equidistant knots it gives
+    0.445 for f(z) = z and 0.539 for f(z) = z^2, where the integrals of
+    (f')^2 are 1 and 4/3.
     """
     m, p, K = spec.order, spec.penalty_order, knots.num_interior
     if not 1 <= p <= m - 1:

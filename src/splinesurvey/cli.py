@@ -13,6 +13,7 @@ import numpy as np
 from .basis import SplineSpec, basis_matrix, build_knots, normalize_covariate
 from .designs import Population, Srswor, StratifiedSrswor, draw
 from .functionals import WeightedMeasure
+from .linearize import variance_fit
 from .simulate import (
     EstimatorSpec,
     ParameterSpec,
@@ -167,7 +168,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
             from .functionals import poverty_rate as _pr
             point = _pr(m, pspec.fraction, pspec.level, strict=True)
         u = pspec.linearized(values, ht)
-        resid, fitted = _residuals_for(sample, family, spec, u)
+        fitted = variance_fit(sample, ws, u)
+        resid = u - fitted
         if variance_method == "double_sum":
             v = ht_variance_double_sum(sample, resid)
         else:
@@ -193,9 +195,9 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
             report["metadata"]["linearization_source"] = (
                 "external literature (kernel-density threshold adjustment)")
         reports.append(report)
-        for idx, uk, gk in zip(sample.indices, u, fitted):
+        for idx, uk, gk, ek in zip(sample.indices, u, fitted, resid):
             audit_rows.append([pop.ids[idx], pspec.label, f"{uk:.12g}",
-                               f"{gk:.12g}", f"{uk - gk:.12g}"])
+                               f"{gk:.12g}", f"{ek:.12g}"])
     text = json.dumps(reports, indent=2)
     if output == "-":
         click.echo(text)
@@ -204,22 +206,6 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
             fh.write(text + "\n")
     if emit_linearized:
         _write_csv(emit_linearized, audit_rows)
-
-
-def _residuals_for(sample, family, spec, u):
-    from .linearize import residual_fit
-    from .simulate import _greg_residuals
-
-    if family == "ht":
-        return u, np.zeros_like(u)
-    if family == "greg":
-        resid = _greg_residuals(sample, u)
-        return resid, u - resid
-    if family == "post":
-        spec = SplineSpec(order=1, interior_knots=spec.interior_knots,
-                          knot_rule="sample_quantile", lam=0.0)
-    fit = residual_fit(sample, spec, u)
-    return fit.residuals, fit.fitted
 
 
 def _parse_parameter(token: str) -> ParameterSpec:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
+
+from .basis import CovariateSummary
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,11 @@ class Population:
     @property
     def size(self) -> int:
         return self.z.size
+
+    @cached_property
+    def covariate_summary(self) -> CovariateSummary:
+        """Scaled, sorted covariate with block power sums, built on first use."""
+        return CovariateSummary(self.z)
 
     def stratum_indices(self) -> dict:
         """Map stratum label -> array of unit indices."""

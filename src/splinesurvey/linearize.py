@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import SplineSpec
 from .functionals import WeightedMeasure, gini, quantile, total
-from .weights import SplineSystem
+from .weights import SplineSystem, WeightSet
 
 
 @dataclass
@@ -173,3 +173,22 @@ def residual_fit(draw, spec: SplineSpec, u_on_sample) -> ResidualFit:
     system = SplineSystem(draw, spec)
     fitted = system.fitted(u)
     return ResidualFit(fitted=fitted, residuals=u - fitted, spec=spec)
+
+
+def variance_fit(draw, weights: WeightSet, u_on_sample) -> np.ndarray:
+    """Fit of linearized variables whose residuals enter an estimator's
+    variance: the weights' own spline system (B-spline and POST weights,
+    the same fit as `residual_fit` with their spec), the weighted linear
+    fit on (1, z) for GREG, and zero for HT.
+    """
+    u = np.asarray(u_on_sample, dtype=float)
+    if weights.system is not None:
+        return weights.system.fitted(u)
+    if weights.family == "GREG":
+        z = draw.sample_z
+        X = np.column_stack((np.ones(z.size), z))
+        d = 1.0 / draw.pi
+        return X @ np.linalg.solve(X.T @ (X * d[:, None]), X.T @ (d * u))
+    if weights.family == "HT":
+        return np.zeros_like(u)
+    raise ValueError(f"no variance fit for weight family {weights.family!r}")

@@ -25,7 +25,8 @@ from .linearize import (
     linearized_poverty_rate,
     linearized_ratio,
     linearized_total,
-    residual_fit,
+    residual_fit,  # noqa: F401 - kept importable from this module
+    variance_fit,
 )
 from .variance import (
     closed_form_variance,
@@ -251,23 +252,6 @@ class MetricsTable:
                              r.negative_variances, r.mean_runtime])
 
 
-def _greg_residuals(sample: SampleDraw, u: np.ndarray) -> np.ndarray:
-    z = sample.sample_z
-    X = np.column_stack((np.ones(z.size), z))
-    d = 1.0 / sample.pi
-    beta = np.linalg.solve(X.T @ (X * d[:, None]), X.T @ (d * u))
-    return u - X @ beta
-
-
-def _variance_residuals(sample: SampleDraw, est: EstimatorSpec,
-                        u: np.ndarray) -> np.ndarray:
-    if est.family == "HT":
-        return u
-    if est.family == "GREG":
-        return _greg_residuals(sample, u)
-    return residual_fit(sample, est.spline_spec(), u).residuals
-
-
 def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTable:
     """Run the full replication protocol and aggregate the metric table.
 
@@ -295,7 +279,8 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
                 key = (p.label, est.label)
                 value = p.evaluate(values, ws.weights)
                 estimates[key].append(value)
-                resid = _variance_residuals(sample, est, linearized[p.label])
+                u = linearized[p.label]
+                resid = u - variance_fit(sample, ws, u)
                 if plan.variance_method == "double_sum":
                     v = ht_variance_double_sum(sample, resid)
                 else:
@@ -322,7 +307,7 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
             else:
                 rb = float(np.mean(vals - theta))
                 abs_flag = True
-            rrmse = 100.0 * _rmse(vals, theta) / rmse_ht if rmse_ht > 0 else np.nan
+            rrmse = 100.0 * (_rmse(vals, theta) / rmse_ht) if rmse_ht > 0 else np.nan
             cov = 100.0 * covered[key] / valid[key] if valid[key] else np.nan
             rows[key] = MetricRow(
                 rb_percent=rb,

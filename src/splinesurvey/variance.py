@@ -35,10 +35,13 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     pkl = draw.joint_matrix()
     if np.any(pkl <= 0):
         raise ValueError("zero joint inclusion probability encountered")
-    delta = pkl - np.outer(pi, pi)
-    np.fill_diagonal(delta, pi * (1.0 - pi))
+    # Delta_kl / pi_kl in one work array, so at most two n x n arrays live
+    work = np.outer(pi, pi)
+    np.subtract(pkl, work, out=work)
+    np.fill_diagonal(work, pi * (1.0 - pi))
+    np.divide(work, pkl, out=work)
     t = e / pi
-    value = float(t @ (delta / pkl) @ t)
+    value = float(t @ work @ t)
     return VarianceEstimate(value, "double_sum")
 
 

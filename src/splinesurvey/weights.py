@@ -15,7 +15,7 @@ from .basis import (
     SplineSpec,
     basis_matrix,
     build_knots,
-    normalize_covariate,
+    normalize_covariate,  # noqa: F401 - kept importable from this module
     penalty_matrix,
 )
 
@@ -24,13 +24,20 @@ RCOND_SINGULAR = 1e-12
 
 @dataclass
 class WeightSet:
-    """Weights w_ks for the sampled units, with provenance and diagnostics."""
+    """Weights w_ks for the sampled units, with provenance and diagnostics.
+
+    `system` is the spline system the weights were built from (None for HT
+    and GREG). It also serves the variance residual fits of every
+    parameter estimated with these weights, so a sample's system is built
+    once per estimator.
+    """
 
     indices: np.ndarray
     weights: np.ndarray
     family: str
     coefficients: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    system: SplineSystem | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
@@ -62,22 +69,27 @@ class SplineSystem:
     """Sample spline system shared by weight building and coefficient fits.
 
     Holds the knots, the sample and population basis summaries, and the
-    factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p.
+    factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p. The system
+    behind a sample's weights also gives the fits of the linearized
+    variables whose residuals enter the variance (`WeightSet.system`).
+    The population side comes from the population's cached
+    `covariate_summary`, so a build costs O(K m^2 + N / block) there
+    instead of O(N m q).
     """
 
     def __init__(self, draw, spec: SplineSpec):
         self.spec = spec
-        z01, scale = normalize_covariate(draw.population.z)
-        self.scale = scale
-        z_s = z01[draw.indices]
+        covariate = draw.population.covariate_summary
+        self.scale = covariate.scale
+        z_s = self.scale.apply(draw.sample_z)
         if spec.knot_rule == "sample_quantile":
             reference = z_s
         else:
-            reference = z01
+            reference = covariate.z01
         self.knots = build_knots(spec, reference)
         m = spec.order
         self.basis_sample = basis_matrix(self.knots, m, z_s)
-        self.basis_pop_total = basis_matrix(self.knots, m, z01).sum(axis=0)
+        self.basis_pop_total = covariate.basis_totals(self.knots, m)
         self.inv_pi = 1.0 / draw.pi
         bw = self.basis_sample * self.inv_pi[:, None]
         A = self.basis_sample.T @ bw
@@ -132,7 +144,7 @@ def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightS
     else:
         raise ValueError(f"unknown weight form {form!r}")
     tag = f"BS(m={spec.order},K={system.knots.num_interior},lam={spec.lam:g})"
-    ws = WeightSet(draw.indices, w, tag)
+    ws = WeightSet(draw.indices, w, tag, system=system)
     ws.diagnostics = _spline_diagnostics(system, w)
     return ws
 
@@ -157,7 +169,8 @@ def post_weights(draw, K: int) -> WeightSet:
     if np.any(occupancy == 0):
         raise ValueError("empty poststratum")
     w = system.weight_vector()
-    ws = WeightSet(draw.indices, w, f"POST(K={system.knots.num_interior})")
+    ws = WeightSet(draw.indices, w, f"POST(K={system.knots.num_interior})",
+                   system=system)
     ws.diagnostics = _spline_diagnostics(system, w)
     return ws
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    CovariateSummary,
     KnotVector,
+    Population,
     SplineSpec,
     basis_matrix,
     basis_row,
@@ -12,6 +14,9 @@ from splinesurvey import (
     truncated_power_matrix,
     truncated_power_row,
 )
+from splinesurvey.basis import KNOT_RULES
+from splinesurvey.designs import draw_srswor
+from splinesurvey.weights import SplineSystem
 
 
 class TestNormalizeCovariate:
@@ -167,3 +172,91 @@ class TestTruncatedPower:
         fit_b = B @ np.linalg.lstsq(B, y, rcond=None)[0]
         fit_c = C @ np.linalg.lstsq(C, y, rcond=None)[0]
         assert np.max(np.abs(fit_b - fit_c)) <= 1e-8 * max(1, np.max(np.abs(fit_b)))
+
+
+def _direct_totals(knots, m, z01):
+    """Population basis totals by evaluating every unit, summed pairwise
+    (contiguous rows) so the reference's own rounding stays near eps."""
+    return np.ascontiguousarray(basis_matrix(knots, m, z01).T).sum(axis=1)
+
+
+def _relative_gap(new, direct):
+    scale = np.where(direct == 0, 1.0, np.abs(direct))
+    return float(np.max(np.abs(new - direct) / scale))
+
+
+class TestCovariateSummary:
+    @pytest.fixture(scope="class")
+    def populations(self):
+        rng = np.random.default_rng(2012)
+        z = rng.lognormal(7.3, 0.5, 200_000)
+        rounded = np.round(z, -3)  # register-style covariate with many ties
+        # the minimum and maximum put units at exactly 0 and 1
+        return CovariateSummary(z), CovariateSummary(rounded)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_totals_match_direct_sum(self, populations, m):
+        smooth, rounded = populations
+        assert smooth.z01[0] == 0.0 and smooth.z01[-1] == 1.0
+        sample = smooth.z01[::397]
+        cases = [build_knots(SplineSpec(m, 0))]
+        for K in (2, 4, 10):
+            for rule in KNOT_RULES:
+                cases.append(build_knots(SplineSpec(m, K, rule),
+                                         sample if rule == "sample_quantile"
+                                         else smooth.z01))
+        # knots 1e-9 apart
+        base = cases[-1].interior
+        cases.append(KnotVector(tuple(sorted(base + (base[3] + 1e-9,
+                                                     base[6] + 1e-9)))))
+        worst = max(_relative_gap(smooth.basis_totals(kv, m),
+                                  _direct_totals(kv, m, smooth.z01))
+                    for kv in cases)
+        # quantile knots that coincide with many tied population values
+        for rule, reference in (("sample_quantile", rounded.z01[::397]),
+                                ("population_quantile", rounded.z01)):
+            kv = build_knots(SplineSpec(m, 4, rule), reference)
+            assert np.isin(kv.interior, rounded.z01).all()
+            worst = max(worst, _relative_gap(rounded.basis_totals(kv, m),
+                                             _direct_totals(kv, m, rounded.z01)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_knots_one_ulp_apart(self, m):
+        z01 = np.linspace(0.0, 1.0, 5001)
+        cs = CovariateSummary(z01)
+        k = cs.z01[1000]
+        kv = KnotVector((k, np.nextafter(k, 1.0), 0.7))
+        assert _relative_gap(cs.basis_totals(kv, m),
+                             _direct_totals(kv, m, cs.z01)) <= 1e-12
+
+    def test_sorted_scaled_covariate(self):
+        z = np.random.default_rng(3).lognormal(7.0, 0.4, 1000)
+        cs = CovariateSummary(z)
+        z01, scale = normalize_covariate(z)
+        assert cs.scale == scale
+        assert np.array_equal(cs.z01, np.sort(z01))
+
+
+class TestSystemUsesSummary:
+    def _population(self, z):
+        return Population(ids=tuple(map(str, range(len(z)))), z=z,
+                          variables={"y": np.asarray(z) * 2.0})
+
+    def test_sample_covariate_and_knots_unchanged(self):
+        z = np.random.default_rng(4).lognormal(7.0, 0.4, 3000)
+        pop = self._population(z)
+        d = draw_srswor(pop, 200, 5)
+        z01, _ = normalize_covariate(z)
+        system = SplineSystem(d, SplineSpec(3, 4, "population_quantile"))
+        assert np.array_equal(system.basis_sample,
+                              basis_matrix(system.knots, 3, z01[d.indices]))
+        assert system.knots == build_knots(SplineSpec(3, 4, "population_quantile"),
+                                           z01)
+        assert pop.covariate_summary is pop.covariate_summary
+
+    def test_degenerate_covariate_raised_at_system_build(self):
+        pop = self._population(np.full(50, 4.0))
+        d = draw_srswor(pop, 10, 0)
+        with pytest.raises(ValueError, match="degenerate covariate"):
+            SplineSystem(d, SplineSpec(2, 1))

@@ -5,6 +5,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from splinesurvey import (
+    ParameterSpec,
+    Population,
+    SplineSpec,
+    Srswor,
+    closed_form_variance,
+    draw,
+    residual_fit,
+)
+from splinesurvey import cli
 from splinesurvey.cli import main
 
 
@@ -71,6 +81,48 @@ def test_estimate_json_report(runner, population_csv, tmp_path):
     lines = audit.read_text().strip().splitlines()
     assert lines[0] == "id,parameter,u,fitted,residual"
     assert len(lines) == 1 + 2 * 80
+
+
+@pytest.mark.parametrize("family,options,spec", [
+    ("bs", ["-m", "3", "-K", "3", "--lam", "0.5"],
+     SplineSpec(order=3, interior_knots=3, lam=0.5)),
+    ("post", ["-K", "2"], SplineSpec(order=1, interior_knots=2)),
+])
+def test_estimate_residuals_match_residual_fit(runner, population_csv, tmp_path,
+                                               monkeypatch, family, options, spec):
+    """The residuals entering the variance, and the emitted audit columns,
+    equal a fresh `residual_fit` with the weights' spec."""
+    seen = []
+
+    def recording(sample, residuals):
+        seen.append(np.array(residuals))
+        return closed_form_variance(sample, residuals)
+
+    monkeypatch.setattr(cli, "closed_form_variance", recording)
+    pop = Population.from_csv(population_csv)
+    params = (ParameterSpec("mean", "y"), ParameterSpec("gini", "y"))
+    for seed in (1, 2, 3):
+        audit = tmp_path / f"lin-{family}-{seed}.csv"
+        seen.clear()
+        res = runner.invoke(main, [
+            "estimate", "--population", str(population_csv), "--family", family,
+            "--n", "80", "--seed", str(seed), *options,
+            "--parameter", "mean:y", "--parameter", "gini:y",
+            "--emit-linearized", str(audit),
+        ])
+        assert res.exit_code == 0, res.output
+        sample = draw(pop, Srswor(80), seed)
+        values = {name: v[sample.indices] for name, v in pop.variables.items()}
+        rows = list(csv.DictReader(open(audit)))
+        for k, p in enumerate(params):
+            u = p.linearized(values, 1.0 / sample.pi)
+            want = residual_fit(sample, spec, u).residuals
+            assert np.max(np.abs(seen[k] - want)) <= 1e-12 * np.max(np.abs(u))
+            emitted = np.array([float(r["residual"]) for r in rows
+                                if r["parameter"] == p.label])
+            # the audit file prints 12 significant digits
+            assert emitted == pytest.approx(want, rel=1e-11,
+                                            abs=1e-11 * np.max(np.abs(u)))
 
 
 def test_estimate_double_sum_variance(runner, population_csv):
