@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable
 
@@ -106,24 +107,31 @@ def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
 
     `reference` holds values in [0,1] used by the quantile rules: sampled
     covariates for `sample_quantile`, population covariates for
-    `population_quantile`. Quantiles are type-1 (inverted CDF, no
-    interpolation) at levels i/(K+1). Duplicate or boundary-touching knots
-    are collapsed with a warning, reducing the effective knot count.
+    `population_quantile`. A `CovariateSummary` may stand for the
+    population; its sorted values and distinct count are then used as they
+    are, so a build does no O(N) work. Quantiles are type-1 (inverted CDF,
+    no interpolation, as numpy's `method="inverted_cdf"`) at levels
+    i/(K+1). Duplicate or boundary-touching knots are collapsed with a
+    warning, reducing the effective knot count.
     """
     K = spec.interior_knots
     if K == 0:
         return KnotVector(())
     if spec.knot_rule == "equidistant":
         return KnotVector(tuple((np.arange(1, K + 1) / (K + 1)).tolist()))
-    ref = np.asarray(reference, dtype=float)
-    if ref.size == 0:
+    if isinstance(reference, CovariateSummary):
+        ordered, distinct = reference.z01, reference.distinct_count
+    else:
+        ordered = np.sort(np.asarray(reference, dtype=float), axis=None)
+        distinct = _distinct_count(ordered)
+    if ordered.size == 0:
         raise ValueError("quantile knot rule needs a nonempty reference")
-    distinct = np.unique(ref)
-    if distinct.size < K + 1:
+    if distinct < K + 1:
         raise ValueError("insufficient support for K knots")
     levels = np.arange(1, K + 1) / (K + 1)
-    knots = np.quantile(ref, levels, method="inverted_cdf")
-    knots = np.unique(knots)
+    # the smallest order statistic whose rank is at least n * level
+    index = np.ceil(ordered.size * levels - 1).astype(np.intp)
+    knots = np.unique(ordered[index])
     keep = knots[(knots > 0.0) & (knots < 1.0)]
     if keep.size < K:
         logger.warning(
@@ -132,6 +140,11 @@ def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
             keep.size,
         )
     return KnotVector(tuple(keep.tolist()))
+
+
+def _distinct_count(ordered: np.ndarray) -> int:
+    """Number of distinct values in a sorted array."""
+    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
@@ -194,6 +207,11 @@ class CovariateSummary:
         z01 /= self.scale.high - self.scale.low
         self.z01 = z01
         self._moments = np.zeros((z01.size // MOMENT_BLOCK, 0))
+
+    @cached_property
+    def distinct_count(self) -> int:
+        """Number of distinct values of the covariate."""
+        return _distinct_count(self.z01)
 
     def _block_moments(self, m: int) -> np.ndarray:
         """Sums of (z - c_b)^r for r < m (at least), one row per full block."""

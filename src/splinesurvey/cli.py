@@ -9,6 +9,7 @@ import json
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .basis import SplineSpec, basis_matrix, build_knots, normalize_covariate
 from .designs import Population, Srswor, StratifiedSrswor, draw
@@ -67,6 +68,23 @@ def _make_design(design, n, allocation):
     return StratifiedSrswor(allocs)
 
 
+# Spline options that poststratification (order 1, unpenalized, sample
+# quantile cut points) has no use for.
+POST_IGNORES = ("order", "knot_rule", "lam", "penalty_order")
+
+
+def _reject_ignored_options(family) -> None:
+    """Refuse spline options given explicitly that `family` would ignore."""
+    if family != "post":
+        return
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if (param.name in POST_IGNORES and ctx.get_parameter_source(param.name)
+                not in (ParameterSource.DEFAULT, ParameterSource.DEFAULT_MAP)):
+            raise click.UsageError(
+                f"{'/'.join(param.opts)} has no effect with --family post", ctx)
+
+
 def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
     return SplineSpec(order=order, interior_knots=knots, knot_rule=knot_rule,
                       lam=lam, penalty_order=penalty_order)
@@ -107,6 +125,7 @@ def basis(order, knots, knot_rule, lam, penalty_order, grid, output):
 def weights(pop_path, family, design, n, allocation, seed, order, knots,
             knot_rule, lam, penalty_order, output, diagnostics):
     """Draw a sample and emit the weight vector as CSV."""
+    _reject_ignored_options(family)
     pop = Population.from_csv(pop_path)
     sample = draw(pop, _make_design(design, n, allocation), seed)
     ws = _build_weights(sample, family,
@@ -151,6 +170,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              knots, knot_rule, lam, penalty_order, level, variance_method,
              strict_poverty, emit_linearized, output):
     """Estimate parameters with variance and confidence interval (JSON)."""
+    _reject_ignored_options(family)
     pop = Population.from_csv(pop_path)
     sample = draw(pop, _make_design(design, n, allocation), seed)
     spec = _make_spec(order, knots, knot_rule, lam, penalty_order)

@@ -49,14 +49,17 @@ class Population:
         """Scaled, sorted covariate with block power sums, built on first use."""
         return CovariateSummary(self.z)
 
-    def stratum_indices(self) -> dict:
-        """Map stratum label -> array of unit indices."""
+    @cached_property
+    def stratum_codes(self) -> StratumCodes:
+        """Stratum labels as integer codes, built on first use."""
         if self.strata is None:
             raise ValueError("population has no stratum labels")
-        out: dict = {}
-        for i, h in enumerate(self.strata):
-            out.setdefault(h, []).append(i)
-        return {h: np.asarray(ix, dtype=int) for h, ix in out.items()}
+        return StratumCodes(self.strata)
+
+    def stratum_indices(self) -> dict:
+        """Map stratum label -> read-only array of its unit indices, ascending."""
+        codes = self.stratum_codes
+        return dict(zip(codes.labels, codes.members))
 
     @classmethod
     def from_csv(cls, path) -> "Population":
@@ -86,6 +89,43 @@ class Population:
             variables={k: np.asarray(v) for k, v in variables.items()},
             strata=tuple(strata) if has_stratum else None,
         )
+
+
+class StratumCodes:
+    """A population's stratum labels as integer codes.
+
+    `labels` lists the distinct labels in order of first appearance; a
+    stratum's code is its position there. `codes` holds every unit's code,
+    `sizes` the stratum sizes N_h, and `members` each stratum's unit
+    indices in ascending order. The arrays are read-only, so every caller
+    can share them.
+    """
+
+    def __init__(self, strata):
+        code = {h: j for j, h in enumerate(dict.fromkeys(strata))}
+        self.labels = tuple(code)
+        self.codes = np.fromiter(map(code.__getitem__, strata), dtype=np.intp,
+                                 count=len(strata))
+        self.sizes = np.bincount(self.codes, minlength=len(self.labels))
+        order = np.argsort(self.codes, kind="stable")
+        for a in (self.codes, self.sizes, order):
+            a.flags.writeable = False
+        self.members = tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
+
+    def allocation(self, allocations: Mapping) -> list:
+        """The sample size n_h of each stratum, in code order.
+
+        Every stratum needs an allocation with 1 <= n_h <= N_h; labels of
+        strata the population does not have are ignored.
+        """
+        for h in self.labels:
+            if h not in allocations:
+                raise ValueError(f"missing stratum allocation for {h!r}")
+        out = [allocations[h] for h in self.labels]
+        for h, nh, Nh in zip(self.labels, out, self.sizes.tolist()):
+            if not 1 <= nh <= Nh:
+                raise ValueError(f"allocation {nh} out of range for stratum {h!r}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -149,6 +189,31 @@ class SampleDraw:
     def sample_z(self) -> np.ndarray:
         return self.population.z[self.indices]
 
+    def joint_groups(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
+        """The design's second-order inclusion probabilities, by group.
+
+        Returns `(group, within)`: the group code of each unit in `indices`
+        (default: the sample), and per code the pi_kl of two distinct units
+        of that group. Units in different groups are selected
+        independently, so pi_kl = pi_k pi_l between groups, and all units
+        of a group share one pi_k. SRSWOR is one group; stratified SRSWOR
+        has one group per stratum, with pi_kl = 0 where n_h = 1; with
+        `GivenProbabilities` every unit is a group of its own.
+        """
+        idx = self.indices if indices is None else np.asarray(indices, dtype=int)
+        d = self.design
+        if isinstance(d, Srswor):
+            within = [_srswor_joint(d.n, self.population.size)]
+            return np.zeros(idx.size, dtype=np.intp), np.array(within)
+        if isinstance(d, StratifiedSrswor):
+            strata = self.population.stratum_codes
+            within = [_srswor_joint(nh, Nh) for nh, Nh in
+                      zip(strata.allocation(d.allocations), strata.sizes.tolist())]
+            return strata.codes[idx], np.array(within)
+        if isinstance(d, GivenProbabilities):
+            return np.arange(idx.size), np.zeros(idx.size)
+        raise TypeError(f"unsupported design {type(d).__name__}")
+
     def joint_prob(self, k: int, l: int) -> float:
         """Second-order inclusion probability pi_kl; pi_k on the diagonal."""
         N = self.population.size
@@ -156,45 +221,25 @@ class SampleDraw:
             raise ValueError("unknown unit")
         if k == l:
             return self.pi_of(k)
-        d = self.design
-        if isinstance(d, Srswor):
-            return d.n * (d.n - 1) / (N * (N - 1))
-        if isinstance(d, StratifiedSrswor):
-            strata = self.population.strata
-            if strata[k] == strata[l]:
-                h = strata[k]
-                Nh = sum(1 for s in strata if s == h)
-                nh = self.design.allocations[h]
-                return nh * (nh - 1) / (Nh * (Nh - 1))
-            return self.pi_of(k) * self.pi_of(l)
-        if isinstance(d, GivenProbabilities):
-            return self.pi_of(k) * self.pi_of(l)
-        raise TypeError(f"unsupported design {type(d).__name__}")
+        group, within = self.joint_groups([k, l])
+        if group[0] == group[1]:
+            return float(within[group[0]])
+        return self.pi_of(k) * self.pi_of(l)
 
     def joint_matrix(self, indices=None) -> np.ndarray:
         """Matrix of pi_kl over the given unit indices (default: the sample)."""
         idx = self.indices if indices is None else np.asarray(indices, dtype=int)
-        N = self.population.size
         pi = self._pi_full[idx]
-        d = self.design
-        if isinstance(d, Srswor):
-            M = np.full((idx.size, idx.size), d.n * (d.n - 1) / (N * (N - 1)))
-        elif isinstance(d, StratifiedSrswor):
-            strata = np.asarray(self.population.strata, dtype=object)
-            labels = strata[idx]
-            M = np.outer(pi, pi)
-            for h, nh in d.allocations.items():
-                Nh = int(np.sum(strata == h))
-                mask = labels == h
-                if nh > 1:
-                    within = nh * (nh - 1) / (Nh * (Nh - 1))
-                else:
-                    within = 0.0
-                M[np.ix_(mask, mask)] = within
-        else:
-            M = np.outer(pi, pi)
+        group, within = self.joint_groups(idx)
+        M = np.where(group[:, None] == group, within[group][:, None],
+                     np.outer(pi, pi))
         np.fill_diagonal(M, pi)
         return M
+
+
+def _srswor_joint(n: int, N: int) -> float:
+    """pi_kl of two distinct units under SRSWOR of n from N (0 when n = 1)."""
+    return n * (n - 1) / (N * (N - 1)) if n > 1 else 0.0
 
 
 def _rng(seed) -> np.random.Generator:
@@ -222,24 +267,18 @@ def draw_stratified(population: Population, allocations: Mapping,
     """Independent SRSWOR inside each stratum; pi_k = n_h / N_h."""
     if population.strata is None:
         raise ValueError("unit without stratum label")
-    groups = population.stratum_indices()
-    for h in groups:
-        if h not in allocations:
-            raise ValueError(f"missing stratum allocation for {h!r}")
+    strata = population.stratum_codes
+    allocated = strata.allocation(allocations)
     rng = _rng(rng_seed)
-    N = population.size
-    pi_full = np.empty(N)
     chosen = []
-    for h, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        nh = allocations[h]
-        Nh = members.size
-        if not 1 <= nh <= Nh:
-            raise ValueError(f"allocation {nh} out of range for stratum {h!r}")
-        pi_full[members] = nh / Nh
-        chosen.append(members[rng.choice(Nh, size=nh, replace=False)])
+    for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j])):
+        members = strata.members[j]
+        chosen.append(members[rng.choice(members.size, size=allocated[j],
+                                         replace=False)])
     indices = np.sort(np.concatenate(chosen))
+    rates = np.array([nh / m.size for nh, m in zip(allocated, strata.members)])
     return SampleDraw(population, StratifiedSrswor(dict(allocations)), indices,
-                      pi_full)
+                      rates[strata.codes])
 
 
 def draw(population: Population, design, rng_seed) -> SampleDraw:

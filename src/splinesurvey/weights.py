@@ -82,10 +82,7 @@ class SplineSystem:
         covariate = draw.population.covariate_summary
         self.scale = covariate.scale
         z_s = self.scale.apply(draw.sample_z)
-        if spec.knot_rule == "sample_quantile":
-            reference = z_s
-        else:
-            reference = covariate.z01
+        reference = z_s if spec.knot_rule == "sample_quantile" else covariate
         self.knots = build_knots(spec, reference)
         m = spec.order
         self.basis_sample = basis_matrix(self.knots, m, z_s)

@@ -67,6 +67,30 @@ class TestBuildKnots:
         assert kv.num_interior < 4
         assert np.all(np.diff(kv.interior) > 0) if kv.num_interior > 1 else True
 
+    @pytest.mark.parametrize("N", [2, 7, 100, 1001, 20_000])
+    @pytest.mark.parametrize("step", [None, 0.5, 0.05])
+    def test_quantile_knots_equal_numpy_inverted_cdf(self, N, step):
+        """Index lookups on sorted values give numpy's type-1 quantiles,
+        for a `CovariateSummary` and for unsorted values alike."""
+        z = np.random.default_rng(N).lognormal(0.0, 1.0, N)
+        if step is not None:
+            z = np.round(z / step) * step  # tied (rounded) covariate
+        summary = CovariateSummary(z)
+        shuffled = np.random.default_rng(0).permutation(summary.z01)
+        for K in range(1, 13):
+            levels = np.arange(1, K + 1) / (K + 1)
+            for rule, reference in (("population_quantile", summary),
+                                    ("sample_quantile", shuffled)):
+                spec = SplineSpec(2, K, rule)
+                if np.unique(summary.z01).size < K + 1:
+                    with pytest.raises(ValueError, match="insufficient support"):
+                        build_knots(spec, reference)
+                    continue
+                knots = np.unique(np.quantile(summary.z01, levels,
+                                              method="inverted_cdf"))
+                want = tuple(knots[(knots > 0.0) & (knots < 1.0)].tolist())
+                assert build_knots(spec, reference).interior == want
+
 
 class TestBasisRow:
     def test_linear_hat_midleft(self):

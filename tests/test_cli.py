@@ -57,7 +57,8 @@ def test_weights_csv_and_diagnostics(runner, population_csv, tmp_path):
         "--diagnostics", str(diag),
     ])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 60
     total = sum(float(r["weight"]) for r in rows)
     assert total == pytest.approx(300.0, rel=1e-8)
@@ -113,7 +114,8 @@ def test_estimate_residuals_match_residual_fit(runner, population_csv, tmp_path,
         assert res.exit_code == 0, res.output
         sample = draw(pop, Srswor(80), seed)
         values = {name: v[sample.indices] for name, v in pop.variables.items()}
-        rows = list(csv.DictReader(open(audit)))
+        with open(audit, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         for k, p in enumerate(params):
             u = p.linearized(values, 1.0 / sample.pi)
             want = residual_fit(sample, spec, u).residuals
@@ -136,6 +138,25 @@ def test_estimate_double_sum_variance(runner, population_csv):
     assert report["variance_method"] == "double_sum"
 
 
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("option,flag", [
+    (["--knot-rule", "equidistant"], "--knot-rule"),
+    (["--lam", "5"], "--lam/--lambda"),
+    (["-m", "4"], "--order/-m"),
+    (["-p", "1"], "--penalty-order/-p"),
+])
+def test_post_rejects_spline_options_it_ignores(runner, population_csv, command,
+                                                option, flag):
+    args = [command, "--population", str(population_csv), "--family", "post",
+            "--n", "80", "-K", "3"]
+    if command == "estimate":
+        args += ["--parameter", "mean:y"]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, args + option)
+    assert res.exit_code == 2
+    assert f"{flag} has no effect with --family post" in res.output
+
+
 def test_simulate_plan(runner, tmp_path):
     plan = {
         "population": {"generator": {"size": 800, "seed": 5}},
@@ -152,5 +173,6 @@ def test_simulate_plan(runner, tmp_path):
                                "--out-csv", str(out)])
     assert res.exit_code == 0, res.output
     assert "RRMSE (RB)" in res.output
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert {r["estimator"] for r in rows} == {"HT", "BS(2,K=2)"}

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    GivenProbabilities,
     Population,
+    draw,
     draw_srswor,
     draw_stratified,
     replicate_seed,
@@ -102,13 +104,62 @@ class TestStratified:
         assert d.pi_full.sum() == pytest.approx(13.0)
 
     def test_joint_matrix_matches_pointwise(self):
-        strata = tuple("a" * 8 + "b" * 8)
-        pop = _toy_population(16, strata)
-        d = draw_stratified(pop, {"a": 3, "b": 4}, 5)
+        cases = (("ab", 8, {"a": 3, "b": 4}),
+                 # an n_h = 1 stratum and a census one
+                 ((7, 30, 4), 5, {7: 1, 30: 5, 4: 2}))
+        for labels, size, allocation in cases:
+            strata = tuple(np.repeat(list(labels), size).tolist())
+            pop = _toy_population(len(strata), strata)
+            d = draw_stratified(pop, allocation, 5)
+            M = d.joint_matrix()
+            for i, k in enumerate(d.indices):
+                for j, l in enumerate(d.indices):
+                    assert M[i, j] == d.joint_prob(k, l)
+                    h, g = strata[k], strata[l]
+                    nh, Nh = allocation[h], strata.count(h)
+                    if k == l:
+                        want = nh / Nh
+                    elif h == g:
+                        want = nh * (nh - 1) / (Nh * (Nh - 1))
+                    else:
+                        want = d.pi_of(k) * d.pi_of(l)
+                    assert M[i, j] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("labels", [(9, 10, 2), ("h9", "h10", "h2")])
+    def test_draw_is_unchanged_for_a_fixed_seed(self, labels):
+        # strata are drawn in the order of str(label), one RNG stream
+        pick = np.random.default_rng(7).integers(0, 3, 45)
+        pop = _toy_population(45, tuple(labels[j] for j in pick))
+        d = draw_stratified(pop, dict(zip(labels, (3, 1, 5))), 2024)
+        assert d.indices.tolist() == [2, 5, 7, 8, 11, 19, 24, 41, 44]
+        assert np.array_equal(d.pi_full, np.array([3 / 12, 1 / 14, 5 / 19])[pick])
+
+    def test_stratum_indices_are_shared_read_only(self):
+        strata = tuple("ba" * 5)
+        pop = _toy_population(10, strata)
+        got = pop.stratum_indices()
+        assert list(got) == ["b", "a"]
+        assert got["a"].tolist() == [1, 3, 5, 7, 9]
+        got["a"] = np.arange(3)
+        del got["b"]
+        with pytest.raises(ValueError):
+            pop.stratum_indices()["b"][0] = 4
+        again = pop.stratum_indices()
+        assert again["a"].tolist() == [1, 3, 5, 7, 9]
+        assert again["b"].tolist() == [0, 2, 4, 6, 8]
+        assert pop.stratum_codes.codes.tolist() == [0, 1] * 5
+
+
+class TestGivenProbabilities:
+    def test_joint_probabilities_are_independent(self):
+        pop = _toy_population(30)
+        pi = np.linspace(0.2, 0.9, 30)
+        d = draw(pop, GivenProbabilities(pi), 1)
         M = d.joint_matrix()
-        for i, k in enumerate(d.indices):
-            for j, l in enumerate(d.indices):
-                assert M[i, j] == pytest.approx(d.joint_prob(k, l))
+        assert np.array_equal(np.diag(M), d.pi)
+        off = ~np.eye(d.size, dtype=bool)
+        assert np.array_equal(M[off], np.outer(d.pi, d.pi)[off])
+        assert d.joint_prob(0, 29) == pi[0] * pi[29]
 
 
 class TestPopulationCsv:

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    GivenProbabilities,
     Population,
+    SampleDraw,
     SplineSpec,
     Srswor,
+    StratifiedSrswor,
     VarianceEstimate,
     closed_form_variance,
     confidence_interval,
+    draw,
     draw_srswor,
     draw_stratified,
     ht_variance_double_sum,
@@ -82,6 +86,79 @@ class TestDoubleSum:
         assert a == pytest.approx(b, rel=1e-10)
 
 
+def _dense_double_sum(pi, pkl, e):
+    """The n x n double sum, with pi_kl given in full."""
+    delta = pkl - np.outer(pi, pi)
+    np.fill_diagonal(delta, pi * (1.0 - pi))
+    t = e / pi
+    return float(t @ (delta / pkl) @ t)
+
+
+def _stratified_joint(strata, allocations, indices, pi):
+    """pi_kl of stratified SRSWOR written out from the labels."""
+    pkl = np.outer(pi, pi)
+    for i, k in enumerate(indices):
+        for j, l in enumerate(indices):
+            h = strata[k]
+            if i != j and h == strata[l]:
+                nh, Nh = allocations[h], strata.count(h)
+                pkl[i, j] = nh * (nh - 1) / (Nh * (Nh - 1))
+    np.fill_diagonal(pkl, pi)
+    return pkl
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, 3.0])
+class TestDoubleSumAgainstDense:
+    """The O(n) group evaluation against the n x n sum, residuals shifted
+    by `offset` standard deviations."""
+
+    @pytest.mark.parametrize("n", [2, 5, 500])
+    def test_srswor(self, n, offset, rng):
+        N = 2000
+        d = draw_srswor(_pop(N, seed=n), n, 11)
+        e = offset + rng.standard_normal(n)
+        pkl = np.full((n, n), n * (n - 1) / (N * (N - 1)))
+        np.fill_diagonal(pkl, n / N)
+        want = _dense_double_sum(d.pi, pkl, e)
+        assert ht_variance_double_sum(d, e).value == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("labels", [("a", "b", "c", "d"), (3, 1, 20, 2)])
+    def test_stratified(self, labels, offset, rng):
+        # strata of n_h = 1, n_h = N_h (census) and two ordinary ones
+        sizes = (40, 6, 50, 30)
+        strata = tuple(np.repeat(list(labels), sizes).tolist())
+        allocations = dict(zip(labels, (1, 6, 12, 7)))
+        d = draw_stratified(_pop(len(strata), seed=2, strata=strata), allocations, 4)
+        e = offset + rng.standard_normal(d.size)
+        pkl = _stratified_joint(strata, allocations, d.indices, d.pi)
+        want = _dense_double_sum(d.pi, pkl, e)
+        assert ht_variance_double_sum(d, e).value == pytest.approx(want, rel=1e-10)
+
+    def test_given_probabilities(self, offset, rng):
+        pi = np.linspace(0.05, 1.0, 300)
+        d = draw(_pop(300), GivenProbabilities(pi), 8)
+        e = offset + rng.standard_normal(d.size)
+        pkl = np.outer(d.pi, d.pi)
+        np.fill_diagonal(pkl, d.pi)
+        want = _dense_double_sum(d.pi, pkl, e)
+        assert ht_variance_double_sum(d, e).value == pytest.approx(want, rel=1e-10)
+
+
+class TestDoubleSumInputs:
+    def test_zero_joint_probability(self):
+        # two sampled units of a group whose pi_kl is 0 (SRSWOR with n = 1)
+        pop = _pop(10)
+        d = SampleDraw(pop, Srswor(1), [2, 5], np.full(10, 0.1))
+        with pytest.raises(ValueError, match="zero joint inclusion probability"):
+            ht_variance_double_sum(d, np.ones(2))
+
+    def test_unequal_probabilities_inside_a_group(self):
+        pop = _pop(4)
+        d = SampleDraw(pop, Srswor(2), [0, 1], [0.5, 0.4, 0.5, 0.6])
+        with pytest.raises(ValueError, match="differ inside a joint group"):
+            ht_variance_double_sum(d, np.ones(2))
+
+
 class TestPopulationAsymptoticVariance:
     def test_zero_when_u_in_span(self):
         pop = _pop(200, seed=2)
@@ -107,6 +184,18 @@ class TestPopulationAsymptoticVariance:
         resid = u - u.mean()  # K=0, m=1 census fit is the mean
         expected = 40**2 * (1 - 0.25) * np.var(resid, ddof=1) / 10
         assert v == pytest.approx(expected, rel=1e-10)
+
+    def test_stratified_closed_form(self, rng):
+        strata = tuple("ba"[i % 2] for i in range(60))
+        pop = _pop(60, seed=5, strata=strata)
+        spec = SplineSpec(order=1, interior_knots=0, lam=0.0)
+        u = rng.standard_normal(60)
+        v = population_asymptotic_variance(pop, StratifiedSrswor({"a": 5, "b": 30}),
+                                           u, spec)
+        resid = u - u.mean()
+        a = resid[1::2]  # stratum "b" is a census and adds nothing
+        assert v == pytest.approx(30**2 * (1 - 5 / 30) * np.var(a, ddof=1) / 5,
+                                  rel=1e-10)
 
 
 class TestVarianceCalibration:
