@@ -13,7 +13,7 @@ from click.core import ParameterSource
 
 from .basis import SplineSpec, basis_matrix, build_knots, normalize_covariate
 from .designs import Population, Srswor, StratifiedSrswor, draw
-from .functionals import WeightedMeasure
+from .functionals import WeightedMeasure  # noqa: F401 - kept importable from this module
 from .linearize import variance_fit
 from .simulate import (
     EstimatorSpec,
@@ -68,21 +68,25 @@ def _make_design(design, n, allocation):
     return StratifiedSrswor(allocs)
 
 
-# Spline options that poststratification (order 1, unpenalized, sample
-# quantile cut points) has no use for.
-POST_IGNORES = ("order", "knot_rule", "lam", "penalty_order")
+# Spline options each family has no use for: HT and GREG take no spline
+# options at all, and poststratification (order 1, unpenalized, sample
+# quantile cut points) uses only the knot count.
+IGNORED_OPTIONS = {
+    "ht": ("order", "knots", "knot_rule", "lam", "penalty_order"),
+    "greg": ("order", "knots", "knot_rule", "lam", "penalty_order"),
+    "post": ("order", "knot_rule", "lam", "penalty_order"),
+}
 
 
 def _reject_ignored_options(family) -> None:
     """Refuse spline options given explicitly that `family` would ignore."""
-    if family != "post":
-        return
+    ignored = IGNORED_OPTIONS.get(family, ())
     ctx = click.get_current_context()
     for param in ctx.command.params:
-        if (param.name in POST_IGNORES and ctx.get_parameter_source(param.name)
+        if (param.name in ignored and ctx.get_parameter_source(param.name)
                 not in (ParameterSource.DEFAULT, ParameterSource.DEFAULT_MAP)):
             raise click.UsageError(
-                f"{'/'.join(param.opts)} has no effect with --family post", ctx)
+                f"{'/'.join(param.opts)} has no effect with --family {family}", ctx)
 
 
 def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
@@ -181,12 +185,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
     for token in parameters:
-        pspec = _parse_parameter(token)
+        pspec = _parse_parameter(token, strict_poverty)
         point = pspec.evaluate(values, ws.weights)
-        if pspec.kind == "poverty_rate" and strict_poverty:
-            m = WeightedMeasure(values[pspec.variable], ws.weights)
-            from .functionals import poverty_rate as _pr
-            point = _pr(m, pspec.fraction, pspec.level, strict=True)
         u = pspec.linearized(values, ht)
         fitted = variance_fit(sample, ws, u)
         resid = u - fitted
@@ -228,12 +228,13 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
         _write_csv(emit_linearized, audit_rows)
 
 
-def _parse_parameter(token: str) -> ParameterSpec:
+def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
     kind, _, var = token.partition(":")
     if kind == "ratio":
         num, _, den = (var or "y/x").partition("/")
         return ParameterSpec("ratio", num or "y", den or "x")
-    return ParameterSpec(kind, var or "y")
+    return ParameterSpec(kind, var or "y",
+                         strict=strict_poverty and kind == "poverty_rate")
 
 
 @main.command()

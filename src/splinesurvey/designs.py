@@ -14,7 +14,14 @@ from .basis import CovariateSummary
 
 @dataclass(frozen=True)
 class Population:
-    """Immutable finite universe: ids, auxiliary covariate z, study variables."""
+    """Immutable finite universe: ids, auxiliary covariate z, study variables.
+
+    `z` and each study variable are kept as read-only views of the
+    caller's arrays, not copies. The Population cannot write into them, but
+    the caller still can through the original arrays; doing so after
+    construction is unsupported, because the cached `covariate_summary`
+    would no longer describe `z`.
+    """
 
     ids: tuple
     z: np.ndarray
@@ -22,7 +29,7 @@ class Population:
     strata: tuple | None = None
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        z = _read_only(self.z)
         object.__setattr__(self, "z", z)
         if z.size < 1:
             raise ValueError("population must contain at least one unit")
@@ -32,9 +39,11 @@ class Population:
             raise ValueError("auxiliary covariate must be finite everywhere")
         clean = {}
         for name, vals in self.variables.items():
-            v = np.asarray(vals, dtype=float)
+            v = _read_only(vals)
             if v.size != z.size:
                 raise ValueError(f"study variable {name!r} length mismatch")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"study variable {name!r} must be finite everywhere")
             clean[name] = v
         object.__setattr__(self, "variables", clean)
         if self.strata is not None and len(self.strata) != z.size:
@@ -89,6 +98,13 @@ class Population:
             variables={k: np.asarray(v) for k, v in variables.items()},
             strata=tuple(strata) if has_stratum else None,
         )
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float view of `values` (no copy when already float)."""
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 class StratumCodes:

@@ -9,14 +9,20 @@ the corresponding functional evaluated at this measure, with a single weak
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 
 class WeightedMeasure:
-    """Point masses (y_k, w_k) with cached sorted summaries."""
+    """Point masses (y_k, w_k).
+
+    The sorted summaries (sort order, sorted values and the cumulative
+    masses and mass-weighted values) are built on first use by
+    `mass_at_most`, `weighted_sum_below` or `quantile` and then cached;
+    totals, means and ratios never sort.
+    """
 
     def __init__(self, values, masses=None):
         y = np.asarray(values, dtype=float)
@@ -27,10 +33,22 @@ class WeightedMeasure:
             raise ValueError("measure entries must be finite")
         self.values = y
         self.masses = w
-        order = np.argsort(y, kind="stable")
-        self._sorted_y = y[order]
-        self._cum_w = np.cumsum(w[order])
-        self._cum_wy = np.cumsum(w[order] * y[order])
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return np.argsort(self.values, kind="stable")
+
+    @cached_property
+    def _sorted_y(self) -> np.ndarray:
+        return self.values[self._order]
+
+    @cached_property
+    def _cum_w(self) -> np.ndarray:
+        return np.cumsum(self.masses[self._order])
+
+    @cached_property
+    def _cum_wy(self) -> np.ndarray:
+        return np.cumsum(self.masses[self._order] * self._sorted_y)
 
     @property
     def size(self) -> int:

@@ -42,8 +42,8 @@ class SynthConfig:
 
     The auxiliary variable is a truncated lognormal "last year's wage"; the
     study variables follow it near-linearly with heteroscedastic noise.
-    All downstream truths are recomputed from the generated population,
-    never hard-coded.
+    Truths are computed from the generated population at the start of each
+    `run_monte_carlo` call, never hard-coded.
     """
 
     size: int = 19378
@@ -130,6 +130,10 @@ class ParameterSpec:
     denominator: str = "x"
     fraction: float = 0.6
     level: float = 0.5
+    # poverty_rate: < instead of <= at the threshold. The label does not
+    # show it, and the linearization (hence variances and coverage) keeps
+    # the weak indicator, which differs only by mass exactly at the threshold.
+    strict: bool = False
 
     @property
     def label(self) -> str:
@@ -148,7 +152,7 @@ class ParameterSpec:
         if self.kind == "gini":
             return gini(m)
         if self.kind == "poverty_rate":
-            return poverty_rate(m, self.fraction, self.level)
+            return poverty_rate(m, self.fraction, self.level, self.strict)
         raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     def truth(self, population: Population) -> float:
@@ -192,6 +196,10 @@ class SimulationPlan:
             raise ValueError("estimator roster must be nonempty")
         if not any(e.family == "HT" for e in self.estimators):
             raise ValueError("roster must include HT (RRMSE reference)")
+        labels = [p.label for p in self.parameters]
+        if len(set(labels)) != len(labels):
+            # results are keyed by label, so a repeat would merge two cells
+            raise ValueError(f"parameter labels must be distinct: {labels}")
 
 
 @dataclass

@@ -138,13 +138,17 @@ def test_estimate_double_sum_variance(runner, population_csv):
     assert report["variance_method"] == "double_sum"
 
 
-@pytest.mark.parametrize("command", ["estimate", "weights"])
-@pytest.mark.parametrize("option,flag", [
+# Spline options POST ignores; HT and GREG also ignore -K.
+SPLINE_OPTIONS = [
     (["--knot-rule", "equidistant"], "--knot-rule"),
     (["--lam", "5"], "--lam/--lambda"),
     (["-m", "4"], "--order/-m"),
     (["-p", "1"], "--penalty-order/-p"),
-])
+]
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("option,flag", SPLINE_OPTIONS)
 def test_post_rejects_spline_options_it_ignores(runner, population_csv, command,
                                                 option, flag):
     args = [command, "--population", str(population_csv), "--family", "post",
@@ -155,6 +159,54 @@ def test_post_rejects_spline_options_it_ignores(runner, population_csv, command,
     res = runner.invoke(main, args + option)
     assert res.exit_code == 2
     assert f"{flag} has no effect with --family post" in res.output
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("family", ["ht", "greg"])
+@pytest.mark.parametrize("option,flag",
+                         SPLINE_OPTIONS + [(["-K", "3"], "--knots/-K")])
+def test_ht_and_greg_reject_spline_options(runner, population_csv, command,
+                                           family, option, flag):
+    args = [command, "--population", str(population_csv), "--family", family,
+            "--n", "80"]
+    if command == "estimate":
+        args += ["--parameter", "mean:y"]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, args + option)
+    assert res.exit_code == 2
+    assert f"{flag} has no effect with --family {family}" in res.output
+
+
+def test_estimate_strict_poverty(runner, tmp_path):
+    # the median is 20, so the threshold 0.6 * 20 = 12 carries whole units
+    rng = np.random.default_rng(8)
+    N = 400
+    z = rng.uniform(1.0, 10.0, N)
+    y = rng.choice([6.0, 10.0, 12.0, 18.0, 20.0, 30.0, 40.0], N,
+                   p=[0.1, 0.1, 0.15, 0.1, 0.15, 0.2, 0.2])
+    path = tmp_path / "ties.csv"
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["id", "z", "y"])
+        wr.writerows(zip(range(N), z, y))
+    args = ["estimate", "--population", str(path), "--family", "ht",
+            "--n", "100", "--seed", "4", "--parameter", "poverty_rate:y"]
+    weak = json.loads(runner.invoke(main, args).output)[0]
+    strict = json.loads(runner.invoke(main, args + ["--strict-poverty"]).output)[0]
+    assert weak["parameter"] == strict["parameter"] == "poverty_rate(y)"
+    assert strict["estimate"] < weak["estimate"]
+
+    pop = Population.from_csv(path)
+    sample = draw(pop, Srswor(100), 4)
+    values = {"y": pop.variables["y"][sample.indices]}
+    spec = ParameterSpec("poverty_rate", strict=True)
+    assert strict["estimate"] == spec.evaluate(values, 1.0 / sample.pi)
+
+
+def test_strict_poverty_marks_only_poverty_rate():
+    assert cli._parse_parameter("poverty_rate:y", True).strict
+    for token in ("mean:y", "gini:y", "total:y", "ratio:y/x"):
+        assert cli._parse_parameter(token, True) == cli._parse_parameter(token, False)
 
 
 def test_simulate_plan(runner, tmp_path):
@@ -176,3 +228,20 @@ def test_simulate_plan(runner, tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["estimator"] for r in rows} == {"HT", "BS(2,K=2)"}
+
+
+def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "poverty_rate"},
+                       {"kind": "poverty_rate", "strict": True}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert res.exit_code != 0
+    assert isinstance(res.exception, ValueError)
+    assert "labels must be distinct" in str(res.exception)

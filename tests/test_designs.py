@@ -171,8 +171,36 @@ class TestPopulationCsv:
         assert pop.strata == ("a", "b")
         assert np.allclose(pop.variables["x"], [3.0, 5.0])
 
+    def test_non_finite_study_value(self, tmp_path):
+        p = tmp_path / "pop.csv"
+        p.write_text("id,z,y,x\nu1,1.5,2.0,3.0\nu2,2.5,4.0,nan\n")
+        with pytest.raises(ValueError, match="study variable 'x' must be finite"):
+            Population.from_csv(p)
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "pop.csv"
         p.write_text("1.5,2.0\n")
         with pytest.raises(ValueError):
             Population.from_csv(p)
+
+
+class TestPopulationArrays:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_study_value_rejected(self, bad):
+        y = np.arange(1.0, 6.0)
+        y[3] = bad
+        with pytest.raises(ValueError, match="study variable 'y' must be finite"):
+            Population(ids=tuple("abcde"), z=np.arange(5.0),
+                       variables={"x": np.ones(5), "y": y})
+
+    def test_arrays_are_read_only_views(self):
+        z, y = np.arange(1.0, 6.0), np.arange(5.0, 10.0)
+        pop = Population(ids=tuple("abcde"), z=z, variables={"y": y})
+        with pytest.raises(ValueError, match="read-only"):
+            pop.variables["y"][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            pop.z[0] = 1.0
+        # views of the caller's arrays, which stay writable
+        assert np.shares_memory(pop.variables["y"], y)
+        assert np.shares_memory(pop.z, z)
+        assert y.flags.writeable and z.flags.writeable

@@ -172,3 +172,60 @@ class TestCensusConsistency:
         assert mean(m) == pytest.approx(y.mean())
         med = np.sort(y)[int(np.ceil(0.5 * 80)) - 1]
         assert quantile(m, 0.5) == pytest.approx(med)
+
+
+class EagerMeasure(WeightedMeasure):
+    """A measure that builds its sorted summaries at construction."""
+
+    def __init__(self, values, masses=None):
+        super().__init__(values, masses)
+        self._sorted_y, self._cum_w, self._cum_wy  # noqa: B018 - build now
+
+
+class TestLazySort:
+    CASES = [
+        # tied values with signed masses
+        ([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 5.0], [1.0, -0.5, 2.0, 1.5, 0.25, -1.0, 3.0]),
+        # all tied
+        ([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]),
+        # unsorted continuous values with positive masses
+        (list(np.random.default_rng(5).lognormal(3.0, 1.0, 200)),
+         list(np.random.default_rng(6).uniform(0.5, 3.0, 200))),
+    ]
+
+    @pytest.mark.parametrize("values,masses", CASES)
+    def test_same_as_sorting_first(self, values, masses):
+        points = np.concatenate((values, [0.0, 2.5, 3.0, 1e9]))
+        eager = EagerMeasure(values, masses)
+        for first in ("mass", "below", "functionals"):
+            lazy = WeightedMeasure(values, masses)
+            if first == "below":
+                lazy.weighted_sum_below(points)
+            if first == "functionals":
+                assert gini(lazy) == gini(eager)
+            assert np.array_equal(lazy.mass_at_most(points),
+                                  eager.mass_at_most(points))
+            assert np.array_equal(lazy.weighted_sum_below(points),
+                                  eager.weighted_sum_below(points))
+            assert gini(lazy) == gini(eager)
+            for alpha in (0.1, 0.5, 0.9):
+                assert quantile(lazy, alpha) == quantile(eager, alpha)
+            for strict in (False, True):
+                assert (poverty_rate(lazy, strict=strict)
+                        == poverty_rate(eager, strict=strict))
+
+    def test_matches_brute_force(self):
+        values, masses = map(np.asarray, self.CASES[0])
+        m = WeightedMeasure(values, masses)
+        for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
+            assert m.mass_at_most(t) == masses[values <= t].sum()
+            assert m.weighted_sum_below(t) == (masses * values)[values < t].sum()
+
+    def test_sums_do_not_sort(self):
+        y = WeightedMeasure([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        x = WeightedMeasure([1.0, 1.0, 4.0], [1.0, 2.0, 3.0])
+        assert (total(y), mean(y), ratio(y, x)) == (11.0, 11.0 / 6.0, 11.0 / 15.0)
+        sorted_summaries = {"_order", "_sorted_y", "_cum_w", "_cum_wy"}
+        assert not sorted_summaries & (vars(y).keys() | vars(x).keys())
+        y.mass_at_most(2.0)
+        assert {"_order", "_sorted_y", "_cum_w"} <= vars(y).keys()

@@ -1,0 +1,93 @@
+"""Property tests of the plug-in functionals: a measure is a set of point
+masses, so every functional is invariant under permuting the units, and
+the normalized ones are invariant under rescaling the masses.
+
+Values and masses are small integers (ties are common) and scale factors
+are powers of two, so every sum is exact and the checks are equalities.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from splinesurvey import (  # noqa: E402
+    WeightedMeasure,
+    gini,
+    mean,
+    poverty_rate,
+    quantile,
+    ratio,
+    total,
+)
+
+
+@st.composite
+def measures(draw, signed=False):
+    """(values, masses, permutation) with at least two units."""
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    low = -4 if signed else 1
+    masses = draw(st.lists(st.integers(low, 6), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return (np.asarray(values, dtype=float), np.asarray(masses, dtype=float),
+            np.asarray(perm))
+
+
+POWERS_OF_TWO = st.sampled_from([0.25, 0.5, 2.0, 8.0, 1024.0])
+POINTS = np.arange(0.0, 14.0, 0.5)
+LEVELS = (0.1, 0.5, 0.9)
+
+
+def positive_functionals(m):
+    out = [total(m), mean(m), gini(m), poverty_rate(m),
+           poverty_rate(m, strict=True)]
+    return out + [quantile(m, a) for a in LEVELS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(signed=True))
+def test_distribution_sums_are_permutation_invariant(case):
+    y, w, perm = case
+    a, b = WeightedMeasure(y, w), WeightedMeasure(y[perm], w[perm])
+    assert total(a) == total(b)
+    assert np.array_equal(a.mass_at_most(POINTS), b.mass_at_most(POINTS))
+    assert np.array_equal(a.weighted_sum_below(POINTS),
+                          b.weighted_sum_below(POINTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures())
+def test_functionals_are_permutation_invariant(case):
+    y, w, perm = case
+    a, b = WeightedMeasure(y, w), WeightedMeasure(y[perm], w[perm])
+    got, want = positive_functionals(b), positive_functionals(a)
+    # gini's final dot product runs in unit order, so it may round differently
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
+    del got[2], want[2]
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(), POWERS_OF_TWO)
+def test_normalized_functionals_ignore_mass_scale(case, c):
+    y, w, _ = case
+    a, b = WeightedMeasure(y, w), WeightedMeasure(y, c * w)
+    assert total(b) == c * total(a)
+    assert positive_functionals(b)[1:] == positive_functionals(a)[1:]
+    x = WeightedMeasure(y + 1.0, w)
+    assert ratio(b, WeightedMeasure(y + 1.0, c * w)) == ratio(a, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(), POWERS_OF_TWO)
+def test_value_scale_equivariance(case, c):
+    y, w, _ = case
+    a, b = WeightedMeasure(y, w), WeightedMeasure(c * y, w)
+    assert mean(b) == c * mean(a)
+    assert gini(b) == gini(a)
+    assert poverty_rate(b) == poverty_rate(a)
+    for alpha in LEVELS:
+        assert quantile(b, alpha) == c * quantile(a, alpha)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from splinesurvey import (
     EstimatorSpec,
     ParameterSpec,
+    Population,
     SimulationPlan,
     SplineSpec,
     Srswor,
@@ -86,6 +89,17 @@ class TestRunMonteCarlo:
             assert again.rows[key].rb_percent == row.rb_percent
             assert again.rows[key].coverage_percent == row.coverage_percent
 
+    def test_second_run_same_table(self, result):
+        pop, plan, table = result
+        for p in plan.parameters:
+            assert table.truths[p.label] == p.evaluate(pop.variables,
+                                                       np.ones(pop.size))
+        again = run_monte_carlo(plan, pop)
+        assert again.truths == table.truths
+        for key, row in table.rows.items():
+            assert replace(again.rows[key], mean_runtime=0.0) == replace(
+                row, mean_runtime=0.0)
+
     def test_coverage_in_range(self, result):
         _, _, table = result
         for row in table.rows.values():
@@ -144,6 +158,31 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
                 gap = np.max(np.abs(next(got) - want))
                 assert gap <= 1e-12 * np.max(np.abs(u)), (i, est.label, p.label)
     assert next(got, None) is None
+
+
+class TestParameterTruth:
+    def test_strict_poverty_rate_at_threshold(self):
+        # the median is 4, so the threshold 0.5 * 4 = 2 carries two units
+        y = np.array([4.0, 2.0, 5.0, 3.0, 4.0, 2.0, 4.0])
+        pop = Population(ids=tuple("abcdefg"), z=np.arange(7.0),
+                         variables={"y": y})
+        weak = ParameterSpec("poverty_rate", fraction=0.5)
+        strict = ParameterSpec("poverty_rate", fraction=0.5, strict=True)
+        assert strict.label == weak.label == "poverty_rate(y)"
+        assert weak.truth(pop) == 2.0 / 7.0
+        assert strict.truth(pop) == 0.0
+        masses = np.array([1.0, 0.5, 1.0, 1.0, 1.0, 1.5, 1.0])
+        assert strict.evaluate(pop.variables, masses) == 0.0
+        assert weak.evaluate(pop.variables, masses) == 2.0 / 7.0
+
+    def test_plan_rejects_repeated_labels(self):
+        # weak and strict poverty rates share a label, and the table is
+        # keyed by label, so one plan cannot hold both
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            SimulationPlan(design=Srswor(10), estimators=(EstimatorSpec("HT"),),
+                           parameters=(ParameterSpec("poverty_rate"),
+                                       ParameterSpec("poverty_rate", strict=True)),
+                           replicates=1)
 
 
 class TestTvProxyDistance:
