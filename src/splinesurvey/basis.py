@@ -207,6 +207,7 @@ class CovariateSummary:
         z01 /= self.scale.high - self.scale.low
         self.z01 = z01
         self._moments = np.zeros((z01.size // MOMENT_BLOCK, 0))
+        self._fixed: dict = {}
 
     @cached_property
     def distinct_count(self) -> int:
@@ -284,6 +285,20 @@ class CovariateSummary:
             sums = self._power_sums(lo, hi, left[j], width[j], m)
             totals[j:j + m] += sums @ pieces
         return totals
+
+    def fixed_knot_totals(self, spec: SplineSpec) -> tuple[KnotVector, np.ndarray] | None:
+        """Knots and read-only basis totals, built once per (order, K, rule),
+        of a spec whose knots do not depend on the sample (K = 0,
+        `equidistant`, `population_quantile`); None for sample quantiles."""
+        if spec.interior_knots > 0 and spec.knot_rule == "sample_quantile":
+            return None
+        key = (spec.order, spec.interior_knots, spec.knot_rule)
+        if key not in self._fixed:
+            knots = build_knots(spec, self)
+            totals = self.basis_totals(knots, spec.order)
+            totals.flags.writeable = False
+            self._fixed[key] = knots, totals
+        return self._fixed[key]
 
 
 def basis_row(knots: KnotVector, m: int, z: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from .simulate import (
     ParameterSpec,
     SimulationPlan,
     SynthConfig,
+    family_weights,
     run_monte_carlo,
     synth_population,
 )
@@ -28,7 +29,8 @@ from .variance import (
     confidence_interval,
     ht_variance_double_sum,
 )
-from .weights import bspline_weights, greg_weights, ht_weights, post_weights
+# the weight builders stay importable from this module
+from .weights import bspline_weights, greg_weights, ht_weights, post_weights  # noqa: F401
 
 
 def _spline_options(f):
@@ -132,7 +134,7 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
     _reject_ignored_options(family)
     pop = Population.from_csv(pop_path)
     sample = draw(pop, _make_design(design, n, allocation), seed)
-    ws = _build_weights(sample, family,
+    ws = family_weights(sample, family.upper(),
                         _make_spec(order, knots, knot_rule, lam, penalty_order))
     rows = [["id", "pi", "weight", "family"]]
     for idx, w in zip(ws.indices, ws.weights):
@@ -142,16 +144,6 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
     if diagnostics:
         with open(diagnostics, "w", encoding="utf-8") as fh:
             json.dump(ws.diagnostics, fh, indent=2)
-
-
-def _build_weights(sample, family, spec):
-    if family == "ht":
-        return ht_weights(sample)
-    if family == "greg":
-        return greg_weights(sample)
-    if family == "post":
-        return post_weights(sample, spec.interior_knots)
-    return bspline_weights(sample, spec)
 
 
 @main.command()
@@ -175,20 +167,27 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              strict_poverty, emit_linearized, output):
     """Estimate parameters with variance and confidence interval (JSON)."""
     _reject_ignored_options(family)
+    pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
     pop = Population.from_csv(pop_path)
+    for token, pspec in zip(parameters, pspecs):
+        needed = ((pspec.variable, pspec.denominator) if pspec.kind == "ratio"
+                  else (pspec.variable,))
+        for name in needed:
+            if name not in pop.variables:
+                raise click.UsageError(
+                    f"--parameter {token}: the population has no variable {name!r}")
     sample = draw(pop, _make_design(design, n, allocation), seed)
     spec = _make_spec(order, knots, knot_rule, lam, penalty_order)
-    ws = _build_weights(sample, family, spec)
+    ws = family_weights(sample, family.upper(), spec)
     values = {name: vals[sample.indices]
               for name, vals in pop.variables.items()}
     ht = 1.0 / sample.pi
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
-    for token in parameters:
-        pspec = _parse_parameter(token, strict_poverty)
+    for pspec in pspecs:
         point = pspec.evaluate(values, ws.weights)
         u = pspec.linearized(values, ht)
-        fitted = variance_fit(sample, ws, u)
+        fitted = variance_fit(ws, u)
         resid = u - fitted
         if variance_method == "double_sum":
             v = ht_variance_double_sum(sample, resid)
@@ -230,11 +229,14 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
 
 def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
     kind, _, var = token.partition(":")
-    if kind == "ratio":
-        num, _, den = (var or "y/x").partition("/")
-        return ParameterSpec("ratio", num or "y", den or "x")
-    return ParameterSpec(kind, var or "y",
-                         strict=strict_poverty and kind == "poverty_rate")
+    try:
+        if kind == "ratio":
+            num, _, den = (var or "y/x").partition("/")
+            return ParameterSpec("ratio", num or "y", den or "x")
+        return ParameterSpec(kind, var or "y",
+                             strict=strict_poverty and kind == "poverty_rate")
+    except ValueError as err:
+        raise click.UsageError(f"--parameter {token}: {err}") from err
 
 
 @main.command()

@@ -307,5 +307,7 @@ def draw(population: Population, design, rng_seed) -> SampleDraw:
         rng = _rng(rng_seed)
         pi = np.asarray(design.pi, dtype=float)
         indices = np.flatnonzero(rng.random(pi.size) < pi)
+        if indices.size == 0:
+            raise ValueError("empty sample: the Poisson draw selected no unit")
         return SampleDraw(population, design, indices, pi)
     raise TypeError(f"unsupported design {type(design).__name__}")

@@ -23,7 +23,6 @@ class LinearizedVariables:
 
     values: np.ndarray
     functional: str
-    weight_family: str = "HT"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -113,9 +112,7 @@ def weighted_gaussian_density(y_points, y, weights, bandwidth) -> np.ndarray:
 
 
 def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
-                            level: float = 0.5,
-                            bandwidth_rule: Callable = silverman_bandwidth,
-                            ) -> LinearizedVariables:
+                            level: float = 0.5) -> LinearizedVariables:
     """Influence values of the low-income proportion.
 
     Accounts for the estimated threshold through a kernel density at the
@@ -133,7 +130,7 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     q = quantile(measure, level)
     t = fraction * q
     P = float(measure.mass_at_most(t)) / nhat
-    h = bandwidth_rule(y, w)
+    h = silverman_bandwidth(y, w)
     f_t, f_q = weighted_gaussian_density([t, q], y, w, h)
     if f_q < 1e-12:
         raise ValueError("density too small at the quantile")
@@ -162,11 +159,6 @@ def influence_oracle(functional: Callable[[WeightedMeasure], float],
     return diff(eps)
 
 
-def default_oracle_eps(measure: WeightedMeasure) -> float:
-    """Perturbation scaled to the measure's total mass."""
-    return 1e-6 * max(1.0, abs(measure.total_mass))
-
-
 def residual_fit(draw, spec: SplineSpec, u_on_sample) -> ResidualFit:
     """Spline fit of linearized variables on the sampled covariates."""
     u = np.asarray(u_on_sample, dtype=float)
@@ -175,20 +167,15 @@ def residual_fit(draw, spec: SplineSpec, u_on_sample) -> ResidualFit:
     return ResidualFit(fitted=fitted, residuals=u - fitted, spec=spec)
 
 
-def variance_fit(draw, weights: WeightSet, u_on_sample) -> np.ndarray:
+def variance_fit(weights: WeightSet, u_on_sample) -> np.ndarray:
     """Fit of linearized variables whose residuals enter an estimator's
-    variance: the weights' own spline system (B-spline and POST weights,
-    the same fit as `residual_fit` with their spec), the weighted linear
-    fit on (1, z) for GREG, and zero for HT.
+    variance: the fit on the weights' own spline system (the same fit as
+    `residual_fit` with its spec; for GREG the order-2 spline without
+    interior knots, which spans {1, z}), and zero for HT.
     """
     u = np.asarray(u_on_sample, dtype=float)
     if weights.system is not None:
         return weights.system.fitted(u)
-    if weights.family == "GREG":
-        z = draw.sample_z
-        X = np.column_stack((np.ones(z.size), z))
-        d = 1.0 / draw.pi
-        return X @ np.linalg.solve(X.T @ (X * d[:, None]), X.T @ (d * u))
     if weights.family == "HT":
         return np.zeros_like(u)
     raise ValueError(f"no variance fit for weight family {weights.family!r}")

@@ -110,15 +110,21 @@ class EstimatorSpec:
                           penalty_order=self.penalty_order)
 
     def build_weights(self, sample: SampleDraw) -> WeightSet:
-        if self.family == "HT":
-            return ht_weights(sample)
-        if self.family == "GREG":
-            return greg_weights(sample)
-        if self.family == "POST":
-            return post_weights(sample, self.knots)
-        if self.family == "BS":
-            return bspline_weights(sample, self.spline_spec())
-        raise ValueError(f"unknown estimator family {self.family!r}")
+        return family_weights(sample, self.family, self.spline_spec())
+
+
+def family_weights(sample: SampleDraw, family: str, spec: SplineSpec) -> WeightSet:
+    """Weights of an estimator family (HT, GREG, POST or BS) on a sample.
+    Only BS reads the whole spec, POST its knot count, HT and GREG none."""
+    if family == "HT":
+        return ht_weights(sample)
+    if family == "GREG":
+        return greg_weights(sample)
+    if family == "POST":
+        return post_weights(sample, spec.interior_knots)
+    if family == "BS":
+        return bspline_weights(sample, spec)
+    raise ValueError(f"unknown estimator family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,10 @@ class ParameterSpec:
     # show it, and the linearization (hence variances and coverage) keeps
     # the weak indicator, which differs only by mass exactly at the threshold.
     strict: bool = False
+
+    def __post_init__(self):
+        if self.kind not in ("total", "mean", "ratio", "gini", "poverty_rate"):
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     @property
     def label(self) -> str:
@@ -151,13 +161,10 @@ class ParameterSpec:
             return ratio(m, WeightedMeasure(values[self.denominator], masses))
         if self.kind == "gini":
             return gini(m)
-        if self.kind == "poverty_rate":
-            return poverty_rate(m, self.fraction, self.level, self.strict)
-        raise ValueError(f"unknown parameter kind {self.kind!r}")
+        return poverty_rate(m, self.fraction, self.level, self.strict)
 
     def truth(self, population: Population) -> float:
-        masses = np.ones(population.size)
-        return self.evaluate(population.variables, masses)
+        return self.evaluate(population.variables, np.ones(population.size))
 
     def linearized(self, values: dict, weights: np.ndarray) -> np.ndarray:
         y = np.asarray(values[self.variable], dtype=float)
@@ -171,10 +178,8 @@ class ParameterSpec:
             return linearized_ratio(y, x, weights).values
         if self.kind == "gini":
             return linearized_gini(y, weights).values
-        if self.kind == "poverty_rate":
-            return linearized_poverty_rate(y, weights, self.fraction,
-                                           self.level).values
-        raise ValueError(f"unknown parameter kind {self.kind!r}")
+        return linearized_poverty_rate(y, weights, self.fraction,
+                                       self.level).values
 
 
 @dataclass(frozen=True)
@@ -288,7 +293,7 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
                 value = p.evaluate(values, ws.weights)
                 estimates[key].append(value)
                 u = linearized[p.label]
-                resid = u - variance_fit(sample, ws, u)
+                resid = u - variance_fit(ws, u)
                 if plan.variance_method == "double_sum":
                     v = ht_variance_double_sum(sample, resid)
                 else:

@@ -8,6 +8,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .designs import SampleDraw, Srswor, StratifiedSrswor
+from .weights import SplineSystem
 
 
 @dataclass
@@ -120,24 +121,19 @@ def population_asymptotic_variance(population, design, u_values, spec) -> float:
     """Simulation-truth variance: census spline fit of u, then the HT
     design variance of the total of the population residuals.
 
-    The design variance is the SRSWOR (per stratum, for stratified SRSWOR)
-    closed form with the population dispersion of the residuals.
+    The census fit is the `SplineSystem` fit of a draw holding every unit
+    with pi_k = 1. The design variance is the SRSWOR (per stratum, for
+    stratified SRSWOR) closed form with the population dispersion of the
+    residuals.
     """
-    from .basis import basis_matrix, build_knots, normalize_covariate, penalty_matrix
-
     u = np.asarray(u_values, dtype=float)
-    if u.size != population.size:
+    N = population.size
+    if u.size != N:
         raise ValueError("needs one linearized value per population unit")
-    z01, _ = normalize_covariate(population.z)
-    knots = build_knots(spec, z01)
-    B = basis_matrix(knots, spec.order, z01)
-    A = B.T @ B
-    if spec.lam > 0:
-        A = A + spec.lam * penalty_matrix(spec, knots)
-    theta = np.linalg.solve(A, B.T @ u)
-    residuals = u - B @ theta
+    census = SampleDraw(population, Srswor(N), np.arange(N), np.ones(N))
+    residuals = u - SplineSystem(census, spec).fitted(u)
     if isinstance(design, Srswor):
-        return _population_closed_form(population.size, design.n, residuals)
+        return _population_closed_form(N, design.n, residuals)
     if isinstance(design, StratifiedSrswor):
         strata = population.stratum_codes
         return sum(_population_closed_form(members.size, nh, residuals[members])

@@ -1,7 +1,8 @@
 """Survey weight families: Horvitz-Thompson, poststratified, GREG, B-spline.
 
 Each family produces a single weight vector per sample that is reused for
-every study variable and every parameter estimated from that sample.
+every study variable and every parameter estimated from that sample. All
+but HT calibrate on a spline system (`SplineSystem`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    KnotVector,
     SplineSpec,
     basis_matrix,
     build_knots,
@@ -26,16 +26,15 @@ RCOND_SINGULAR = 1e-12
 class WeightSet:
     """Weights w_ks for the sampled units, with provenance and diagnostics.
 
-    `system` is the spline system the weights were built from (None for HT
-    and GREG). It also serves the variance residual fits of every
-    parameter estimated with these weights, so a sample's system is built
-    once per estimator.
+    `system` is the spline system the weights were built from (None for
+    HT). It also serves the variance residual fits of every parameter
+    estimated with these weights, so a sample's system is built once per
+    estimator.
     """
 
     indices: np.ndarray
     weights: np.ndarray
     family: str
-    coefficients: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
     system: SplineSystem | None = field(default=None, repr=False, compare=False)
 
@@ -74,7 +73,8 @@ class SplineSystem:
     variables whose residuals enter the variance (`WeightSet.system`).
     The population side comes from the population's cached
     `covariate_summary`, so a build costs O(K m^2 + N / block) there
-    instead of O(N m q).
+    instead of O(N m q), and nothing when the knots do not depend on the
+    sample (`CovariateSummary.fixed_knot_totals`).
     """
 
     def __init__(self, draw, spec: SplineSpec):
@@ -82,11 +82,14 @@ class SplineSystem:
         covariate = draw.population.covariate_summary
         self.scale = covariate.scale
         z_s = self.scale.apply(draw.sample_z)
-        reference = z_s if spec.knot_rule == "sample_quantile" else covariate
-        self.knots = build_knots(spec, reference)
         m = spec.order
+        fixed = covariate.fixed_knot_totals(spec)
+        if fixed is None:
+            self.knots = build_knots(spec, z_s)
+            self.basis_pop_total = covariate.basis_totals(self.knots, m)
+        else:
+            self.knots, self.basis_pop_total = fixed
         self.basis_sample = basis_matrix(self.knots, m, z_s)
-        self.basis_pop_total = covariate.basis_totals(self.knots, m)
         self.inv_pi = 1.0 / draw.pi
         bw = self.basis_sample * self.inv_pi[:, None]
         A = self.basis_sample.T @ bw
@@ -98,10 +101,6 @@ class SplineSystem:
         if self.rcond < RCOND_SINGULAR:
             raise ValueError("singular basis system: reduce K or set lambda>0")
         self._weighted_basis = bw
-
-    @property
-    def dimension(self) -> int:
-        return self.basis_sample.shape[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.normal_matrix, rhs)
@@ -141,20 +140,7 @@ def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightS
     else:
         raise ValueError(f"unknown weight form {form!r}")
     tag = f"BS(m={spec.order},K={system.knots.num_interior},lam={spec.lam:g})"
-    ws = WeightSet(draw.indices, w, tag, system=system)
-    ws.diagnostics = _spline_diagnostics(system, w)
-    return ws
-
-
-def _spline_diagnostics(system: SplineSystem, w: np.ndarray) -> dict:
-    resid = system.basis_sample.T @ w - system.basis_pop_total
-    scale = 1.0 + np.abs(system.basis_pop_total)
-    return {
-        "calibration_residuals": (resid / scale).tolist(),
-        "negative_weight_count": int(np.sum(w < 0)),
-        "min_weight": float(w.min()),
-        "rcond": system.rcond,
-    }
+    return _calibrated(draw, system, tag, w)
 
 
 def post_weights(draw, K: int) -> WeightSet:
@@ -165,32 +151,36 @@ def post_weights(draw, K: int) -> WeightSet:
     occupancy = (system.basis_sample > 0).sum(axis=0)
     if np.any(occupancy == 0):
         raise ValueError("empty poststratum")
-    w = system.weight_vector()
-    ws = WeightSet(draw.indices, w, f"POST(K={system.knots.num_interior})",
-                   system=system)
-    ws.diagnostics = _spline_diagnostics(system, w)
-    return ws
+    return _calibrated(draw, system, f"POST(K={system.knots.num_interior})",
+                       system.weight_vector())
 
 
 def greg_weights(draw) -> WeightSet:
-    """Linear-model calibration on (1, z): Sum w = N and Sum w z = Sum_U z."""
-    z_pop = draw.population.z
-    z_s = draw.sample_z
-    if np.ptp(z_s) == 0:
+    """Linear-model calibration on (1, z): Sum w = N and Sum w z = Sum_U z,
+    on the order-2 spline system without interior knots (it spans {1, z})."""
+    if np.ptp(draw.sample_z) == 0:
         raise ValueError("collinear design: sample covariate is constant")
-    d = 1.0 / draw.pi
-    X = np.column_stack((np.ones(z_s.size), z_s))
-    T = X.T @ (X * d[:, None])
-    cond = np.linalg.cond(T)
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
-        raise ValueError("collinear design")
-    totals = np.array([z_pop.size, z_pop.sum()])
-    gap = totals - X.T @ d
-    w = d * (1.0 + X @ np.linalg.solve(T, gap))
-    ws = WeightSet(draw.indices, w, "GREG")
-    ws.diagnostics = {"negative_weight_count": int(np.sum(w < 0)),
-                      "min_weight": float(w.min())}
-    return ws
+    try:
+        system = SplineSystem(draw, SplineSpec(order=2, interior_knots=0))
+    except ValueError as err:  # with a nonconstant covariate: singular
+        raise ValueError("collinear design") from err
+    return _calibrated(draw, system, "GREG", system.weight_vector())
+
+
+def _calibrated(draw, system: SplineSystem, family: str,
+                w: np.ndarray) -> WeightSet:
+    """The weight set of weights `w` built from a spline system, with the
+    calibration diagnostics."""
+    resid = system.basis_sample.T @ w - system.basis_pop_total
+    scale = 1.0 + np.abs(system.basis_pop_total)
+    diagnostics = {
+        "calibration_residuals": (resid / scale).tolist(),
+        "negative_weight_count": int(np.sum(w < 0)),
+        "min_weight": float(w.min()),
+        "rcond": system.rcond,
+    }
+    return WeightSet(draw.indices, w, family, diagnostics=diagnostics,
+                     system=system)
 
 
 def fit_coefficients(draw, spec: SplineSpec, values_on_sample) -> np.ndarray:

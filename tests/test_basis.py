@@ -284,3 +284,51 @@ class TestSystemUsesSummary:
         d = draw_srswor(pop, 10, 0)
         with pytest.raises(ValueError, match="degenerate covariate"):
             SplineSystem(d, SplineSpec(2, 1))
+
+
+class TestFixedKnotTotals:
+    FIXED = [SplineSpec(2, 0), SplineSpec(3, 0, "population_quantile"),
+             SplineSpec(3, 4, "equidistant", lam=1.0),
+             SplineSpec(1, 3, "population_quantile"),
+             SplineSpec(4, 5, "population_quantile")]
+
+    def _population(self, seed=6):
+        z = np.random.default_rng(seed).lognormal(7.0, 0.4, 3000)
+        return Population(ids=tuple(map(str, range(z.size))), z=z,
+                          variables={"y": z})
+
+    @pytest.mark.parametrize("spec", FIXED)
+    def test_cached_totals_equal_fresh_totals(self, spec):
+        summary = self._population().covariate_summary
+        knots, totals = summary.fixed_knot_totals(spec)
+        assert knots == build_knots(spec, summary)
+        assert np.array_equal(totals, summary.basis_totals(knots, spec.order))
+
+    @pytest.mark.parametrize("spec", FIXED)
+    def test_systems_share_one_read_only_vector(self, spec):
+        pop = self._population()
+        a = SplineSystem(draw_srswor(pop, 200, 1), spec)
+        b = SplineSystem(draw_srswor(pop, 200, 2), spec)
+        assert a.basis_pop_total is b.basis_pop_total
+        assert not a.basis_pop_total.flags.writeable
+        assert a.knots == b.knots
+
+    def test_sample_quantile_knots_stay_out_of_the_cache(self):
+        pop = self._population()
+        summary = pop.covariate_summary
+        spec = SplineSpec(3, 4, "sample_quantile")
+        assert summary.fixed_knot_totals(spec) is None
+        system = SplineSystem(draw_srswor(pop, 200, 1), spec)
+        assert summary._fixed == {}
+        assert system.basis_pop_total.flags.writeable
+
+    def test_collapse_logged_once(self, caplog):
+        # both population quantiles fall on the smallest value, the boundary
+        z = np.repeat(np.arange(1.0, 4.0), [2800, 100, 100])
+        pop = Population(ids=tuple(map(str, range(z.size))), z=z,
+                         variables={"y": z})
+        spec = SplineSpec(1, 2, "population_quantile")
+        with caplog.at_level("WARNING", logger="splinesurvey.basis"):
+            for seed in range(3):
+                SplineSystem(draw_srswor(pop, 300, seed), spec)
+        assert [r.message.startswith("collapsed") for r in caplog.records] == [True]

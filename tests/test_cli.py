@@ -230,6 +230,63 @@ def test_simulate_plan(runner, tmp_path):
     assert {r["estimator"] for r in rows} == {"HT", "BS(2,K=2)"}
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("reached after a bad --parameter")
+
+
+def test_estimate_rejects_unknown_kind_before_loading(runner, population_csv,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli.Population, "from_csv", _fail)
+    res = runner.invoke(main, ["estimate", "--population", str(population_csv),
+                               "--parameter", "mean:y", "--parameter", "median:y"])
+    assert res.exit_code == 2
+    assert "Usage:" in res.output
+    assert "--parameter median:y: unknown parameter kind 'median'" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_estimate_rejects_missing_variable_before_drawing(runner, population_csv,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "draw", _fail)
+    res = runner.invoke(main, ["estimate", "--population", str(population_csv),
+                               "--parameter", "ratio:y/w"])
+    assert res.exit_code == 2
+    assert "Usage:" in res.output
+    assert "--parameter ratio:y/w: the population has no variable 'w'" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_greg_weights_diagnostics(runner, population_csv, tmp_path):
+    diag = tmp_path / "diag.json"
+    res = runner.invoke(main, [
+        "weights", "--population", str(population_csv), "--family", "greg",
+        "--n", "60", "--seed", "4", "-o", str(tmp_path / "w.csv"),
+        "--diagnostics", str(diag),
+    ])
+    assert res.exit_code == 0, res.output
+    with open(diag) as fh:
+        info = json.load(fh)
+    assert info["rcond"] > 0
+    assert len(info["calibration_residuals"]) == 2
+    assert max(map(abs, info["calibration_residuals"])) <= 1e-10
+
+
+def test_simulate_plan_with_unknown_parameter_kind(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "median"}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert isinstance(res.exception, ValueError)
+    assert "unknown parameter kind 'median'" in str(res.exception)
+
+
 def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
     plan = {
         "population": {"generator": {"size": 300, "seed": 5}},

@@ -161,6 +161,11 @@ class TestGivenProbabilities:
         assert np.array_equal(M[off], np.outer(d.pi, d.pi)[off])
         assert d.joint_prob(0, 29) == pi[0] * pi[29]
 
+    def test_empty_draw_rejected(self):
+        pop = _toy_population(50)
+        with pytest.raises(ValueError, match="empty sample"):
+            draw(pop, GivenProbabilities(np.full(50, 1e-9)), 0)
+
 
 class TestPopulationCsv:
     def test_round_trip(self, tmp_path):

@@ -5,7 +5,10 @@ from splinesurvey import (
     SplineSpec,
     WeightedMeasure,
     draw_srswor,
+    draw_stratified,
     gini,
+    greg_weights,
+    ht_weights,
     influence_oracle,
     linearized_gini,
     linearized_poverty_rate,
@@ -16,13 +19,16 @@ from splinesurvey import (
     srswor_variance,
 )
 from splinesurvey.designs import Population
+from splinesurvey.linearize import variance_fit
+from splinesurvey.weights import WeightSet
 
 
-def _pop(N, seed):
+def _pop(N, seed, strata=None):
     rng = np.random.default_rng(seed)
     z = rng.lognormal(7.0, 0.4, N)
     y = z + 5.0 * np.sqrt(z) * rng.standard_normal(N)
-    return Population(ids=tuple(map(str, range(N))), z=z, variables={"y": y})
+    return Population(ids=tuple(map(str, range(N))), z=z, variables={"y": y},
+                      strata=strata)
 
 
 class TestLinearizedTotal:
@@ -180,3 +186,30 @@ class TestResidualFit:
                               knot_rule="equidistant", lam=lam, penalty_order=1)
             variances.append(float(np.var(residual_fit(d, spec, u).residuals)))
         assert all(a <= b + 1e-12 for a, b in zip(variances, variances[1:]))
+
+
+class TestVarianceFit:
+    def _draws(self):
+        pop = _pop(900, 4, strata=tuple("abc"[i % 3] for i in range(900)))
+        return [draw_srswor(pop, 120, 3),
+                draw_stratified(pop, {"a": 10, "b": 40, "c": 150}, 4)]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_greg_is_weighted_least_squares_on_one_and_z(self, which):
+        d = self._draws()[which]
+        u = d.sample_values("y") ** 1.5
+        z, dk = d.sample_z, 1.0 / d.pi
+        X = np.column_stack((np.ones(z.size), z))
+        want = X @ np.linalg.solve(X.T @ (X * dk[:, None]), X.T @ (dk * u))
+        got = variance_fit(greg_weights(d), u)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_ht_fit_is_zero(self):
+        d = self._draws()[0]
+        assert np.array_equal(variance_fit(ht_weights(d), np.ones(d.size)),
+                              np.zeros(d.size))
+
+    def test_unknown_family_without_system(self):
+        ws = WeightSet([0, 1], [2.0, 2.0], "CUSTOM")
+        with pytest.raises(ValueError, match="no variance fit"):
+            variance_fit(ws, np.ones(2))

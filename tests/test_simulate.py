@@ -175,6 +175,10 @@ class TestParameterTruth:
         assert strict.evaluate(pop.variables, masses) == 0.0
         assert weak.evaluate(pop.variables, masses) == 2.0 / 7.0
 
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown parameter kind 'median'"):
+            ParameterSpec("median")
+
     def test_plan_rejects_repeated_labels(self):
         # weak and strict poverty rates share a label, and the table is
         # keyed by label, so one plan cannot hold both

@@ -9,6 +9,8 @@ from splinesurvey import (
     Srswor,
     StratifiedSrswor,
     VarianceEstimate,
+    basis_matrix,
+    build_knots,
     closed_form_variance,
     confidence_interval,
     draw,
@@ -16,6 +18,7 @@ from splinesurvey import (
     draw_stratified,
     ht_variance_double_sum,
     normal_quantile,
+    penalty_matrix,
     population_asymptotic_variance,
     replicate_seed,
     srswor_variance,
@@ -196,6 +199,31 @@ class TestPopulationAsymptoticVariance:
         a = resid[1::2]  # stratum "b" is a census and adds nothing
         assert v == pytest.approx(30**2 * (1 - 5 / 30) * np.var(a, ddof=1) / 5,
                                   rel=1e-10)
+
+    @pytest.mark.parametrize("m,lam", [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0),
+                                       (2, 1.0), (3, 1.0), (4, 1.0)])
+    @pytest.mark.parametrize("K", [0, 3])
+    @pytest.mark.parametrize("rule", ["equidistant", "sample_quantile",
+                                      "population_quantile"])
+    def test_matches_census_formula(self, m, lam, K, rule):
+        strata = tuple("ab"[i % 2] for i in range(700))
+        pop = _pop(700, seed=m + K, strata=strata)
+        spec = SplineSpec(order=m, interior_knots=K, knot_rule=rule, lam=lam)
+        u = pop.variables["y"] * np.log(pop.z)
+        # the census fit written out: unweighted penalized least squares
+        z01 = (pop.z - pop.z.min()) / (pop.z.max() - pop.z.min())
+        knots = build_knots(spec, z01)
+        B = basis_matrix(knots, m, z01)
+        A = B.T @ B + (lam * penalty_matrix(spec, knots) if lam else 0.0)
+        e = u - B @ np.linalg.solve(A, B.T @ u)
+        srs = 700**2 * (1 - 60 / 700) * np.var(e, ddof=1) / 60
+        strat = sum(350**2 * (1 - nh / 350) * np.var(e[h::2], ddof=1) / nh
+                    for h, nh in ((0, 20), (1, 40)))
+        got_srs = population_asymptotic_variance(pop, Srswor(60), u, spec)
+        got_strat = population_asymptotic_variance(
+            pop, StratifiedSrswor({"a": 20, "b": 40}), u, spec)
+        assert got_srs == pytest.approx(srs, rel=1e-12, abs=0)
+        assert got_strat == pytest.approx(strat, rel=1e-12, abs=0)
 
 
 class TestVarianceCalibration:

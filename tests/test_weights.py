@@ -7,6 +7,7 @@ from splinesurvey import (
     basis_matrix,
     bspline_weights,
     draw_srswor,
+    draw_stratified,
     fit_coefficients,
     greg_weights,
     ht_weights,
@@ -17,11 +18,30 @@ from splinesurvey import (
 from splinesurvey.weights import SplineSystem
 
 
-def _population(N, seed=0):
+def _population(N, seed=0, strata=None):
     rng = np.random.default_rng(seed)
     z = rng.lognormal(7.0, 0.4, N)
     y = z + 5.0 * np.sqrt(z) * rng.standard_normal(N)
-    return Population(ids=tuple(map(str, range(N))), z=z, variables={"y": y})
+    return Population(ids=tuple(map(str, range(N))), z=z, variables={"y": y},
+                      strata=strata)
+
+
+def _greg_draws():
+    """An SRSWOR and a stratified draw with unequal pi_k across strata."""
+    pop = _population(900, seed=21, strata=tuple("abc"[i % 3] for i in range(900)))
+    return [draw_srswor(pop, 120, 3),
+            draw_stratified(pop, {"a": 10, "b": 40, "c": 150}, 4)]
+
+
+def _wls_greg_weights(d):
+    """GREG weights from the weighted least-squares normal equations on
+    (1, z): w = d (1 + x' T^-1 (t_x - sum_s d x))."""
+    z = d.sample_z
+    dk = 1.0 / d.pi
+    X = np.column_stack((np.ones(z.size), z))
+    T = X.T @ (X * dk[:, None])
+    gap = np.array([d.population.size, d.population.z.sum()]) - X.T @ dk
+    return dk * (1.0 + X @ np.linalg.solve(T, gap))
 
 
 class TestHtWeights:
@@ -185,6 +205,39 @@ class TestGregWeights:
         target = np.array([4.0, 10.0])
         expected = np.linalg.solve(A.T, target)
         assert np.allclose(ws.weights, expected)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_matches_weighted_least_squares(self, which):
+        d = _greg_draws()[which]
+        w = greg_weights(d).weights
+        want = _wls_greg_weights(d)
+        assert np.max(np.abs(w - want) / np.abs(want)) <= 1e-12
+
+    def test_weights_carry_the_order_two_system(self):
+        d = draw_srswor(_population(500, seed=6), 80, 9)
+        ws = greg_weights(d)
+        assert ws.family == "GREG"
+        assert ws.system is not None
+        assert ws.system.spec == SplineSpec(order=2, interior_knots=0)
+        diag = ws.diagnostics
+        assert np.max(np.abs(diag["calibration_residuals"])) <= 1e-10
+        assert diag["rcond"] == ws.system.rcond
+        assert diag["min_weight"] == ws.weights.min()
+        assert diag["negative_weight_count"] == 0
+
+    def test_singular_system_is_collinear(self):
+        # two sampled covariates one ulp apart: not constant, but singular
+        z = np.array([1.0, 2.0, np.nextafter(2.0, 3.0), 3.0])
+        pop = Population(ids=tuple("abcd"), z=z, variables={"y": z})
+        d = None
+        for seed in range(200):
+            cand = draw_srswor(pop, 2, seed)
+            if np.array_equal(cand.indices, [1, 2]):
+                d = cand
+                break
+        assert d is not None
+        with pytest.raises(ValueError, match="^collinear design$"):
+            greg_weights(d)
 
     def test_constant_covariate_rejected(self):
         z = np.full(10, 5.0)
