@@ -31,6 +31,7 @@ from .designs import (
     replicate_seed,
 )
 from .functionals import (
+    Ordering,
     WeightedMeasure,
     cdf_value,
     gini,

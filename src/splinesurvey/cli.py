@@ -13,6 +13,7 @@ from click.core import ParameterSource
 
 from .basis import SplineSpec, basis_matrix, build_knots, normalize_covariate
 from .designs import Population, Srswor, StratifiedSrswor, draw
+from .functionals import Ordering
 from .functionals import WeightedMeasure  # noqa: F401 - kept importable from this module
 from .linearize import variance_fit
 from .simulate import (
@@ -181,12 +182,14 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     ws = family_weights(sample, family.upper(), spec)
     values = {name: vals[sample.indices]
               for name, vals in pop.variables.items()}
+    # one sort per variable, shared by every point estimate and linearization
+    orderings = {name: Ordering(vals) for name, vals in values.items()}
     ht = 1.0 / sample.pi
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
     for pspec in pspecs:
-        point = pspec.evaluate(values, ws.weights)
-        u = pspec.linearized(values, ht)
+        point = pspec.evaluate(values, ws.weights, orderings)
+        u = pspec.linearized(values, ht, orderings)
         fitted = variance_fit(ws, u)
         resid = u - fitted
         if variance_method == "double_sum":

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import SplineSpec
-from .functionals import WeightedMeasure, gini, quantile, total
+from .functionals import Ordering, WeightedMeasure, gini, quantile, total
 from .weights import SplineSystem, WeightSet
 
 
@@ -60,27 +60,29 @@ def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
     return LinearizedVariables((y - R * x) / tx, "ratio")
 
 
-def linearized_gini(y, weights=None) -> LinearizedVariables:
+def linearized_gini(y, weights=None,
+                    ordering: Ordering | None = None) -> LinearizedVariables:
     """Influence values of the Gini index under the weak-CDF convention.
 
     u_k = 2 F(y_k) (y_k - ybar_k) / t_y - y_k (1 + G) / t_y + (1 - G) / N
     with ybar_k the mass-weighted sum of values strictly below y_k divided
     by the mass weakly at or below y_k. That pairing (strict numerator,
     weak denominator) is the one validated against the finite-difference
-    influence oracle; see `influence_oracle`.
+    influence oracle; see `influence_oracle`. `ordering`, an `Ordering`
+    built on the array `y`, shares its sort with other measures on `y`.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 2:
         raise ValueError("Gini undefined for a single atom")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    measure = WeightedMeasure(y, w)
+    measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     ty = total(measure)
     if ty == 0 or nhat == 0:
         raise ValueError("Gini linearization undefined: zero total")
     G = gini(measure)
-    F = measure.mass_at_most(y) / nhat
-    below = measure.weighted_sum_below(y) / nhat
+    F = measure.mass_at_most_own() / nhat
+    below = measure.weighted_sum_below_own() / nhat
     u = (2.0 * (F * y - below) / ty
          - y * (1.0 + G) / ty
          + (1.0 - G) / nhat)
@@ -112,20 +114,21 @@ def weighted_gaussian_density(y_points, y, weights, bandwidth) -> np.ndarray:
 
 
 def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
-                            level: float = 0.5) -> LinearizedVariables:
+                            level: float = 0.5,
+                            ordering: Ordering | None = None) -> LinearizedVariables:
     """Influence values of the low-income proportion.
 
     Accounts for the estimated threshold through a kernel density at the
     threshold and at the quantile. The formula follows the standard
     linearization from the poverty-measurement literature, not a display
     in the source material for the rest of this package; reports flag it
-    accordingly.
+    accordingly. `ordering` is as in `linearized_gini`.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 10:
         raise ValueError("poverty-rate linearization needs n >= 10")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    measure = WeightedMeasure(y, w)
+    measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     q = quantile(measure, level)
     t = fraction * q

@@ -13,6 +13,7 @@ import numpy as np
 from .basis import SplineSpec
 from .designs import Population, SampleDraw, draw, replicate_seed
 from .functionals import (
+    Ordering,
     WeightedMeasure,
     gini,
     mean,
@@ -84,6 +85,9 @@ def synth_population(config: SynthConfig, seed) -> Population:
     return Population(ids=ids, z=z, variables=variables, strata=strata)
 
 
+FAMILIES = ("HT", "GREG", "POST", "BS")
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One entry of the estimator roster."""
@@ -94,6 +98,11 @@ class EstimatorSpec:
     lam: float = 0.0
     penalty_order: int = 1
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown estimator family {self.family!r}; "
+                             f"choose from {', '.join(FAMILIES)}")
+
     @property
     def label(self) -> str:
         if self.family == "HT" or self.family == "GREG":
@@ -101,6 +110,8 @@ class EstimatorSpec:
         if self.family == "POST":
             return f"POST(K={self.knots})"
         lam = f",lam={self.lam:g}" if self.lam else ""
+        if self.lam and self.penalty_order != 1:
+            lam += f",p={self.penalty_order}"
         return f"BS({self.order},K={self.knots}{lam})"
 
     def spline_spec(self) -> SplineSpec:
@@ -151,8 +162,14 @@ class ParameterSpec:
             return f"ratio({self.variable}/{self.denominator})"
         return f"{self.kind}({self.variable})"
 
-    def evaluate(self, values: dict, masses: np.ndarray) -> float:
-        m = WeightedMeasure(values[self.variable], masses)
+    def evaluate(self, values: dict, masses: np.ndarray,
+                 orderings: dict | None = None) -> float:
+        """The parameter at the measure with `masses` on the sample `values`
+        (variable name -> array). `orderings` maps variable names to an
+        `Ordering` built on the same arrays, so that every estimator on one
+        sample shares one sort of each variable."""
+        ordering = orderings.get(self.variable) if orderings else None
+        m = WeightedMeasure(values[self.variable], masses, ordering)
         if self.kind == "total":
             return total(m)
         if self.kind == "mean":
@@ -163,11 +180,15 @@ class ParameterSpec:
             return gini(m)
         return poverty_rate(m, self.fraction, self.level, self.strict)
 
-    def truth(self, population: Population) -> float:
-        return self.evaluate(population.variables, np.ones(population.size))
+    def truth(self, population: Population, orderings: dict | None = None) -> float:
+        return self.evaluate(population.variables, np.ones(population.size),
+                             orderings)
 
-    def linearized(self, values: dict, weights: np.ndarray) -> np.ndarray:
+    def linearized(self, values: dict, weights: np.ndarray,
+                   orderings: dict | None = None) -> np.ndarray:
+        """Linearized variable on the sample; `orderings` as in `evaluate`."""
         y = np.asarray(values[self.variable], dtype=float)
+        ordering = orderings.get(self.variable) if orderings else None
         if self.kind == "total":
             return linearized_total(y).values
         if self.kind == "mean":
@@ -177,9 +198,9 @@ class ParameterSpec:
             x = np.asarray(values[self.denominator], dtype=float)
             return linearized_ratio(y, x, weights).values
         if self.kind == "gini":
-            return linearized_gini(y, weights).values
+            return linearized_gini(y, weights, ordering).values
         return linearized_poverty_rate(y, weights, self.fraction,
-                                       self.level).values
+                                       self.level, ordering).values
 
 
 @dataclass(frozen=True)
@@ -197,14 +218,21 @@ class SimulationPlan:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
+        if not 0 < self.level < 1:
+            raise ValueError(f"confidence level must lie in (0,1), got {self.level!r}")
+        if self.variance_method not in ("closed", "double_sum"):
+            raise ValueError(f"unknown variance method {self.variance_method!r}; "
+                             "choose closed or double_sum")
         if not self.estimators:
             raise ValueError("estimator roster must be nonempty")
         if not any(e.family == "HT" for e in self.estimators):
             raise ValueError("roster must include HT (RRMSE reference)")
-        labels = [p.label for p in self.parameters]
-        if len(set(labels)) != len(labels):
-            # results are keyed by label, so a repeat would merge two cells
-            raise ValueError(f"parameter labels must be distinct: {labels}")
+        # results are keyed by label, so a repeat would merge two cells
+        for kind, specs in (("parameter", self.parameters),
+                            ("estimator", self.estimators)):
+            labels = [spec.label for spec in specs]
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{kind} labels must be distinct: {labels}")
 
 
 @dataclass
@@ -269,9 +297,14 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     """Run the full replication protocol and aggregate the metric table.
 
     Replicates are driven by seeds derived from the master seed and the
-    replicate index, so results do not depend on execution order.
+    replicate index, so results do not depend on execution order. Each
+    variable is sorted at most once for the truths and once per replicate:
+    the truths share one `Ordering` per variable, and so do every
+    estimator's measure and the linearization on a sample.
     """
-    truths = {p.label: p.truth(population) for p in plan.parameters}
+    census = {name: Ordering(vals) for name, vals in population.variables.items()}
+    truths = {p.label: p.truth(population, census) for p in plan.parameters}
+    del census  # the population-sized sort is not needed past the truths
     est_labels = [e.label for e in plan.estimators]
     estimates: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
     covered: dict = {k: 0 for k in estimates}
@@ -283,14 +316,16 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
         sample = draw(population, plan.design, replicate_seed(plan.master_seed, i))
         values = {name: vals[sample.indices]
                   for name, vals in population.variables.items()}
+        orderings = {name: Ordering(vals) for name, vals in values.items()}
         ht = 1.0 / sample.pi
-        linearized = {p.label: p.linearized(values, ht) for p in plan.parameters}
+        linearized = {p.label: p.linearized(values, ht, orderings)
+                      for p in plan.parameters}
         for est in plan.estimators:
             tic = time.perf_counter()
             ws = est.build_weights(sample)
             for p in plan.parameters:
                 key = (p.label, est.label)
-                value = p.evaluate(values, ws.weights)
+                value = p.evaluate(values, ws.weights, orderings)
                 estimates[key].append(value)
                 u = linearized[p.label]
                 resid = u - variance_fit(ws, u)

@@ -14,7 +14,7 @@ from splinesurvey import (
     draw,
     residual_fit,
 )
-from splinesurvey import cli
+from splinesurvey import cli, functionals
 from splinesurvey.cli import main
 
 
@@ -302,3 +302,55 @@ def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
     assert res.exit_code != 0
     assert isinstance(res.exception, ValueError)
     assert "labels must be distinct" in str(res.exception)
+
+
+@pytest.mark.parametrize("plan_change,message", [
+    ({"variance_method": "double-sum"}, "unknown variance method 'double-sum'"),
+    ({"estimators": [{"family": "HT"}, {"family": "bs"}]},
+     "unknown estimator family 'bs'"),
+    ({"level": 1.5}, "confidence level must lie in"),
+    ({"estimators": [{"family": "HT"},
+                     {"family": "BS", "order": 3, "knots": 3},
+                     {"family": "BS", "order": 3, "knots": 3, "penalty_order": 2}]},
+     "estimator labels must be distinct"),
+])
+def test_simulate_plan_fails_before_any_replicate(runner, tmp_path, monkeypatch,
+                                                  plan_change, message):
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 3,
+        **plan_change,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert isinstance(res.exception, ValueError)
+    assert message in str(res.exception)
+
+
+@pytest.mark.parametrize("tokens,sorts", [
+    (("mean:y", "ratio:y/x", "total:y"), []),
+    (("gini:y",), [80]),
+    (("gini:y", "poverty_rate:y", "mean:y"), [80]),
+    (("gini:y", "gini:x"), [80, 80]),
+])
+def test_estimate_sorts_each_variable_once(runner, population_csv, monkeypatch,
+                                           tokens, sorts):
+    """The point estimates and the linearizations share one sort per
+    variable, and totals, means and ratios never sort."""
+    sizes = []
+    sort_runs = functionals._sort_runs
+    monkeypatch.setattr(functionals, "_sort_runs",
+                        lambda v: sizes.append(v.size) or sort_runs(v))
+    args = ["estimate", "--population", str(population_csv), "--family", "bs",
+            "--n", "80", "--seed", "3"]
+    for token in tokens:
+        args += ["--parameter", token]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)) == len(tokens)
+    assert sizes == sorts

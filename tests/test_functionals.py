@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    Ordering,
     WeightedMeasure,
     cdf_value,
     gini,
     implicit_solve,
+    linearized_gini,
+    linearized_poverty_rate,
     mean,
     poverty_rate,
     quantile,
     ratio,
     total,
 )
+from splinesurvey import functionals
+from splinesurvey.linearize import silverman_bandwidth, weighted_gaussian_density
 
 
 def unit_measure(values):
@@ -229,3 +234,129 @@ class TestLazySort:
         assert not sorted_summaries & (vars(y).keys() | vars(x).keys())
         y.mass_at_most(2.0)
         assert {"_order", "_sorted_y", "_cum_w"} <= vars(y).keys()
+
+
+class SearchsortedReference:
+    """The order functionals written out with a stable sort and a
+    `searchsorted` of every point, as the library computed them before it
+    read run ends."""
+
+    def __init__(self, y, w):
+        self.y, self.w = y, w
+        order = np.argsort(y, kind="stable")
+        self.s = y[order]
+        self.cum_w = np.concatenate(([0.0], np.cumsum(w[order])))
+        self.cum_wy = np.concatenate(([0.0], np.cumsum(w[order] * self.s)))
+        self.nhat = float(w.sum())
+        self.ty = float(w @ y)
+
+    def at_most(self, t):
+        return self.cum_w[np.searchsorted(self.s, t, side="right")]
+
+    def below(self, t):
+        return self.cum_wy[np.searchsorted(self.s, t, side="left")]
+
+    def gini(self):
+        F = self.at_most(self.y) / self.nhat
+        return float(self.w @ ((2.0 * F - 1.0) * self.y)) / self.ty
+
+    def quantile(self, alpha):
+        # one support point per run of ties: its first unit in stable order
+        first = np.searchsorted(self.s, self.s, side="left") == np.arange(self.s.size)
+        support = self.s[first]
+        crossed = np.flatnonzero(self.at_most(support) / self.nhat >= alpha)
+        if crossed.size == 0:
+            raise ValueError("quantile undefined for this signed measure")
+        return float(support[crossed[0]])
+
+    def poverty_rate(self, strict):
+        threshold = 0.6 * self.quantile(0.5)
+        below = self.at_most(threshold)
+        if strict:
+            below = below - self.w[self.y == threshold].sum()
+        return float(below) / self.nhat
+
+    def linearized_gini(self):
+        G = self.gini()
+        F = self.at_most(self.y) / self.nhat
+        below = self.below(self.y) / self.nhat
+        return (2.0 * (F * self.y - below) / self.ty
+                - self.y * (1.0 + G) / self.ty + (1.0 - G) / self.nhat)
+
+    def linearized_poverty_rate(self):
+        y, w, nhat = self.y, self.w, self.nhat
+        q = self.quantile(0.5)
+        t = 0.6 * q
+        P = float(self.at_most(t)) / nhat
+        h = silverman_bandwidth(y, w)
+        f_t, f_q = weighted_gaussian_density([t, q], y, w, h)
+        if f_q < 1e-12:
+            raise ValueError("density too small at the quantile")
+        adj = 0.6 * f_t / f_q
+        return ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - 0.5)) / nhat
+
+
+def _outcome(f):
+    """The bytes of f's result, or its error message."""
+    try:
+        return np.asarray(f(), dtype=float).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+class TestRunEndReads:
+    """Order functionals read the distribution function at run ends; they
+    must match the searchsorted reference bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            n = int(rng.integers(10, 300))
+            y = [np.round(rng.lognormal(2.0, 1.0, n), 1),        # ties
+                 rng.lognormal(2.0, 1.0, n),                     # no ties
+                 rng.choice([-0.0, 0.0, 1.5, 4.0], n),           # signed zeros
+                 np.full(n, 3.0)][i % 4]
+            w = rng.uniform(0.5, 3.0, n) if i % 2 else rng.normal(1.0, 1.5, n)
+            yield y, w
+
+    def test_matches_searchsorted_reference(self):
+        for y, w in self.cases():
+            ref = SearchsortedReference(y, w)
+            m = WeightedMeasure(y, w)
+            pairs = [(lambda: gini(m), ref.gini),
+                     (lambda: linearized_gini(y, w).values, ref.linearized_gini),
+                     (lambda: linearized_poverty_rate(y, w).values,
+                      ref.linearized_poverty_rate)]
+            pairs += [(lambda a=a: quantile(m, a), lambda a=a: ref.quantile(a))
+                      for a in (0.1, 0.5, 0.9)]
+            pairs += [(lambda s=s: poverty_rate(m, strict=s),
+                       lambda s=s: ref.poverty_rate(s)) for s in (False, True)]
+            points = np.concatenate((y, [-1.0, 0.0, 2.0, 1e9]))
+            pairs += [(lambda: m.mass_at_most(points), lambda: ref.at_most(points)),
+                      (lambda: m.weighted_sum_below(points),
+                       lambda: ref.below(points)),
+                      (m.mass_at_most_own, lambda: ref.at_most(y)),
+                      (m.weighted_sum_below_own, lambda: ref.below(y))]
+            for got, want in pairs:
+                assert _outcome(got) == _outcome(want)
+
+    def test_shared_ordering_sorts_once(self, monkeypatch):
+        calls = []
+        sort_runs = functionals._sort_runs
+        monkeypatch.setattr(functionals, "_sort_runs",
+                            lambda v: calls.append(v.size) or sort_runs(v))
+        y = np.round(np.random.default_rng(4).lognormal(2.0, 1.0, 50), 1)
+        ordering = Ordering(y)
+        assert calls == []  # built on first use only
+        for w in (np.ones(50), np.full(50, 2.5), np.linspace(-1.0, 3.0, 50)):
+            m = WeightedMeasure(y, w, ordering)
+            assert gini(m) == gini(WeightedMeasure(y, w))
+        linearized_gini(y, np.ones(50), ordering)
+        linearized_poverty_rate(y, np.ones(50), ordering=ordering)
+        assert calls.count(50) == 1 + 3  # the shared sort, and one per unshared measure
+
+    def test_ordering_of_other_values_is_refused(self):
+        y = np.array([3.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="ordering must be built"):
+            WeightedMeasure(y.copy(), None, Ordering(y))

@@ -14,6 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from splinesurvey import (  # noqa: E402
+    Ordering,
     WeightedMeasure,
     gini,
     mean,
@@ -91,3 +92,34 @@ def test_value_scale_equivariance(case, c):
     assert poverty_rate(b) == poverty_rate(a)
     for alpha in LEVELS:
         assert quantile(b, alpha) == c * quantile(a, alpha)
+
+
+# Few distinct values, both signed zeros among them, and sizes past the
+# small-array cutoffs of numpy's sorts.
+TIED_VALUES = st.one_of(
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]), max_size=200),
+    st.lists(st.floats(-1e3, 1e3), max_size=200),
+    st.builds(lambda v, n: [v] * n, st.sampled_from([-0.0, 0.0, 7.5]),
+              st.integers(0, 200)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIED_VALUES)
+def test_ordering_is_the_stable_argsort(values):
+    y = np.asarray(values, dtype=float)
+    ordering = Ordering(y)
+    stable = np.argsort(y, kind="stable")
+    assert np.array_equal(ordering.order, stable)
+    assert ordering.sorted_values.tobytes() == y[stable].tobytes()
+    # runs tile the sorted positions, one run per distinct value
+    starts, ends = ordering.run_starts, ordering.run_ends
+    assert starts.size == ends.size == np.unique(y).size
+    assert np.array_equal(starts[1:], ends[:-1])
+    if y.size:
+        assert (starts[0], ends[-1]) == (0, y.size)
+    s = ordering.sorted_values
+    assert np.array_equal(ordering.run_end_at,
+                          np.searchsorted(s, s, side="right"))
+    assert np.array_equal(ordering.run_start_at,
+                          np.searchsorted(s, s, side="left"))

@@ -20,7 +20,7 @@ from splinesurvey import (
     synth_population,
     tv_proxy_distance,
 )
-from splinesurvey import simulate
+from splinesurvey import functionals, simulate
 
 
 class TestSynthPopulation:
@@ -59,6 +59,56 @@ class TestSimulationPlan:
                            estimators=(EstimatorSpec("HT"),),
                            parameters=(ParameterSpec("mean"),),
                            replicates=0)
+
+    # each bad setting fails at construction, before any replicate is drawn
+    @pytest.mark.parametrize("setting,message", [
+        ({"variance_method": "double-sum"}, "unknown variance method 'double-sum'"),
+        ({"level": 1.5}, "confidence level must lie in"),
+        ({"level": 0.0}, "confidence level must lie in"),
+    ])
+    def test_rejects_bad_settings(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationPlan(design=Srswor(10), estimators=(EstimatorSpec("HT"),),
+                           parameters=(ParameterSpec("mean"),), replicates=3,
+                           **setting)
+
+    def test_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown estimator family 'bs'"):
+            EstimatorSpec("bs")
+
+    def test_rejects_repeated_estimator_labels(self):
+        # without a penalty the penalty order changes nothing, so the two
+        # entries are one estimator and would share a table row
+        with pytest.raises(ValueError, match="estimator labels must be distinct"):
+            SimulationPlan(design=Srswor(10),
+                           estimators=(EstimatorSpec("HT"),
+                                       EstimatorSpec("BS", order=3, knots=3),
+                                       EstimatorSpec("BS", order=3, knots=3,
+                                                     penalty_order=2)),
+                           parameters=(ParameterSpec("mean"),), replicates=3)
+
+
+class TestEstimatorLabels:
+    def test_defaults_unchanged(self):
+        assert [e.label for e in (EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                                  EstimatorSpec("POST", knots=2),
+                                  EstimatorSpec("BS", order=2, knots=2),
+                                  EstimatorSpec("BS", order=3, knots=4, lam=1.0),
+                                  EstimatorSpec("BS", order=3, knots=3, lam=0.5,
+                                                penalty_order=1))] == [
+            "HT", "GREG", "POST(K=2)", "BS(2,K=2)", "BS(3,K=4,lam=1)",
+            "BS(3,K=3,lam=0.5)"]
+
+    def test_penalty_order_keeps_cells_apart(self):
+        pop = synth_population(SynthConfig(size=600), 2)
+        roster = (EstimatorSpec("HT"),
+                  EstimatorSpec("BS", order=3, knots=3, lam=1.0, penalty_order=1),
+                  EstimatorSpec("BS", order=3, knots=3, lam=1.0, penalty_order=2))
+        assert roster[2].label == "BS(3,K=3,lam=1,p=2)"
+        plan = SimulationPlan(design=Srswor(60), estimators=roster,
+                              parameters=(ParameterSpec("mean"),), replicates=3)
+        table = run_monte_carlo(plan, pop)
+        assert {e for _, e in table.rows} == {e.label for e in roster}
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +237,28 @@ class TestParameterTruth:
                            parameters=(ParameterSpec("poverty_rate"),
                                        ParameterSpec("poverty_rate", strict=True)),
                            replicates=1)
+
+
+@pytest.mark.parametrize("kinds", [("mean", "gini"),
+                                   ("mean", "gini", "poverty_rate", "ratio", "total")])
+def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
+    """On the criterion-10 plan, y is sorted once for the truths and once
+    per replicate: every estimator's measure and the HT linearization share
+    the sort, and totals, means and ratios never sort."""
+    sizes = []
+    sort_runs = functionals._sort_runs
+    monkeypatch.setattr(functionals, "_sort_runs",
+                        lambda v: sizes.append(v.size) or sort_runs(v))
+    pop = synth_population(SynthConfig(size=19378), 3)
+    plan = SimulationPlan(
+        design=Srswor(500),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                    EstimatorSpec("POST", knots=2),
+                    EstimatorSpec("BS", order=2, knots=2)),
+        parameters=tuple(ParameterSpec(k) for k in kinds),
+        replicates=3, master_seed=5)
+    run_monte_carlo(plan, pop)
+    assert sizes == [19378, 500, 500, 500]
 
 
 class TestTvProxyDistance:
