@@ -53,9 +53,11 @@ from .linearize import (
     residual_fit,
 )
 from .simulate import (
+    Estimate,
     EstimatorSpec,
     MetricsTable,
     ParameterSpec,
+    SampleData,
     SimulationPlan,
     SynthConfig,
     run_monte_carlo,

@@ -6,31 +6,33 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import click
 import numpy as np
 from click.core import ParameterSource
 
-from .basis import SplineSpec, basis_matrix, build_knots, normalize_covariate
+from .basis import SplineSpec, basis_matrix, build_knots
 from .designs import Population, Srswor, StratifiedSrswor, draw
-from .functionals import Ordering
-from .functionals import WeightedMeasure  # noqa: F401 - kept importable from this module
-from .linearize import variance_fit
 from .simulate import (
     EstimatorSpec,
     ParameterSpec,
+    SampleData,
     SimulationPlan,
     SynthConfig,
     family_weights,
     run_monte_carlo,
     synth_population,
 )
-from .variance import (
+
+# Kept only because bench/spans.py hooks them on this module, as it hooks
+# `draw`; ROADMAP item 1 re-points or drops those hooks.
+from .functionals import WeightedMeasure  # noqa: F401
+from .variance import (  # noqa: F401
     closed_form_variance,
     confidence_interval,
     ht_variance_double_sum,
 )
-# the weight builders stay importable from this module
 from .weights import bspline_weights, greg_weights, ht_weights, post_weights  # noqa: F401
 
 
@@ -59,16 +61,54 @@ def _design_options(f):
     return f
 
 
-def _make_design(design, n, allocation):
-    if design == "srswor":
-        return Srswor(n)
-    if not allocation:
-        raise click.UsageError("stratified design needs --allocation entries")
-    allocs = {}
-    for item in allocation:
-        label, _, count = item.partition("=")
-        allocs[label] = int(count)
-    return StratifiedSrswor(allocs)
+# The setting each design kind needs: its plan key and command-line option.
+DESIGN_SETTINGS = {"srswor": ("n", "--n"),
+                   "stratified": ("allocations", "--allocation label=n")}
+
+
+def _make_design(config):
+    """The design a plan's "design" object describes. The --design, --n and
+    --allocation options reach it as the same object."""
+    kind = config.get("kind")
+    if kind not in DESIGN_SETTINGS:
+        raise click.UsageError(f"unknown design kind {kind!r}; choose from "
+                               f"{', '.join(DESIGN_SETTINGS)}")
+    key, option = DESIGN_SETTINGS[kind]
+    if key not in config:
+        raise click.UsageError(f"a {kind} design needs {key!r} in a plan, "
+                               f"{option} on the command line")
+    if kind == "srswor":
+        return Srswor(config["n"])
+    return StratifiedSrswor(config["allocations"])
+
+
+def _option_design(design, n, allocation):
+    """The design of the --design, --n and --allocation options. Each
+    --allocation token reads label=n, and names a stratum at most once."""
+    config = {"kind": design, "n": n}
+    if allocation:
+        allocations = config["allocations"] = {}
+        for token in allocation:
+            match = re.fullmatch(r"([^=]+)=(\d+)", token)
+            if match is None:
+                raise click.UsageError(f"--allocation {token}: expected label=n "
+                                       "with a whole number n")
+            label, count = match.groups()
+            if label in allocations:
+                raise click.UsageError(f"--allocation {token}: stratum {label!r} "
+                                       "is allocated twice")
+            allocations[label] = int(count)
+    return _make_design(config)
+
+
+def _draw(population, design, seed):
+    """Draw a sample; a design the population cannot support (a sample
+    size outside 1..N, a stratum without allocation, no strata) is a
+    usage error with the library's message."""
+    try:
+        return draw(population, design, seed)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from err
 
 
 # Spline options each family has no use for: HT and GREG take no spline
@@ -133,8 +173,9 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
             knot_rule, lam, penalty_order, output, diagnostics):
     """Draw a sample and emit the weight vector as CSV."""
     _reject_ignored_options(family)
+    sampling = _option_design(design, n, allocation)
     pop = Population.from_csv(pop_path)
-    sample = draw(pop, _make_design(design, n, allocation), seed)
+    sample = _draw(pop, sampling, seed)
     ws = family_weights(sample, family.upper(),
                         _make_spec(order, knots, knot_rule, lam, penalty_order))
     rows = [["id", "pi", "weight", "family"]]
@@ -169,6 +210,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     """Estimate parameters with variance and confidence interval (JSON)."""
     _reject_ignored_options(family)
     pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
+    sampling = _option_design(design, n, allocation)
     pop = Population.from_csv(pop_path)
     for token, pspec in zip(parameters, pspecs):
         needed = ((pspec.variable, pspec.denominator) if pspec.kind == "ratio"
@@ -177,31 +219,20 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
             if name not in pop.variables:
                 raise click.UsageError(
                     f"--parameter {token}: the population has no variable {name!r}")
-    sample = draw(pop, _make_design(design, n, allocation), seed)
+    sample = _draw(pop, sampling, seed)
     spec = _make_spec(order, knots, knot_rule, lam, penalty_order)
     ws = family_weights(sample, family.upper(), spec)
-    values = {name: vals[sample.indices]
-              for name, vals in pop.variables.items()}
-    # one sort per variable, shared by every point estimate and linearization
-    orderings = {name: Ordering(vals) for name, vals in values.items()}
-    ht = 1.0 / sample.pi
+    data = SampleData(sample, pspecs)
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
     for pspec in pspecs:
-        point = pspec.evaluate(values, ws.weights, orderings)
-        u = pspec.linearized(values, ht, orderings)
-        fitted = variance_fit(ws, u)
-        resid = u - fitted
-        if variance_method == "double_sum":
-            v = ht_variance_double_sum(sample, resid)
-        else:
-            v = closed_form_variance(sample, resid)
+        est = data.estimate(ws, pspec, variance_method, level)
         report = {
             "parameter": pspec.label,
-            "estimate": point,
-            "variance": v.value,
-            "variance_method": v.method,
-            "negative_variance": v.negative,
+            "estimate": est.point,
+            "variance": est.variance.value,
+            "variance_method": est.variance.method,
+            "negative_variance": est.variance.negative,
             "level": level,
             "metadata": {
                 "design": type(sample.design).__name__,
@@ -210,14 +241,13 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
                 "population_size": pop.size,
             },
         }
-        if not v.negative:
-            lo, hi = confidence_interval(point, v, level)
-            report["ci"] = [lo, hi]
+        if est.interval is not None:
+            report["ci"] = list(est.interval)
         if pspec.kind == "poverty_rate":
             report["metadata"]["linearization_source"] = (
                 "external literature (kernel-density threshold adjustment)")
         reports.append(report)
-        for idx, uk, gk, ek in zip(sample.indices, u, fitted, resid):
+        for idx, uk, gk, ek in zip(sample.indices, est.u, est.fitted, est.residuals):
             audit_rows.append([pop.ids[idx], pspec.label, f"{uk:.12g}",
                                f"{gk:.12g}", f"{ek:.12g}"])
     text = json.dumps(reports, indent=2)
@@ -251,14 +281,8 @@ def simulate(plan_path, out_csv):
     """Run the Monte Carlo protocol described by a plan file."""
     with open(plan_path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    design = _make_design(cfg["design"])
     pop = _plan_population(cfg["population"])
-    dcfg = cfg["design"]
-    if dcfg["kind"] == "srswor":
-        design = Srswor(dcfg["n"])
-    elif dcfg["kind"] == "stratified":
-        design = StratifiedSrswor(dcfg["allocations"])
-    else:
-        raise click.UsageError(f"unknown design kind {dcfg['kind']!r}")
     estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
     parameters = tuple(ParameterSpec(**p) for p in cfg["parameters"])
     plan = SimulationPlan(

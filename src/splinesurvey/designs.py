@@ -281,8 +281,6 @@ def draw_srswor(population: Population, n: int, rng_seed) -> SampleDraw:
 def draw_stratified(population: Population, allocations: Mapping,
                     rng_seed) -> SampleDraw:
     """Independent SRSWOR inside each stratum; pi_k = n_h / N_h."""
-    if population.strata is None:
-        raise ValueError("unit without stratum label")
     strata = population.stratum_codes
     allocated = strata.allocation(allocations)
     rng = _rng(rng_seed)

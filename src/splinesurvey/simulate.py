@@ -30,6 +30,7 @@ from .linearize import (
     variance_fit,
 )
 from .variance import (
+    VarianceEstimate,
     closed_form_variance,
     confidence_interval,
     ht_variance_double_sum,
@@ -293,62 +294,95 @@ class MetricsTable:
                              r.negative_variances, r.mean_runtime])
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """One parameter estimated with one weight set on one sample.
+
+    `u` is the parameter's linearized variable at the HT weights and
+    `fitted` its fit on the weights' spline system; the variance is that
+    of the residuals `u - fitted`. `interval` is None when the variance
+    is negative.
+    """
+
+    point: float
+    u: np.ndarray
+    fitted: np.ndarray
+    variance: VarianceEstimate
+    interval: tuple | None
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self.u - self.fitted
+
+
+class SampleData:
+    """What every estimator on one sample shares: the sample values, one
+    `Ordering` per variable (one sort of each, built on first use) and
+    each parameter's linearized variable at the HT weights."""
+
+    def __init__(self, sample: SampleDraw, parameters: Sequence):
+        self.sample = sample
+        self.values = {name: vals[sample.indices]
+                       for name, vals in sample.population.variables.items()}
+        self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
+        ht = 1.0 / sample.pi
+        self.linearized = {p.label: p.linearized(self.values, ht, self.orderings)
+                           for p in parameters}
+
+    def estimate(self, ws: WeightSet, parameter: ParameterSpec,
+                 variance_method: str, level: float) -> Estimate:
+        """Point estimate with weights `ws`, variance of the residuals of the
+        linearized variable on the weights' own fit by `variance_method`
+        ("closed" or "double_sum"), and the normal interval at `level`."""
+        point = parameter.evaluate(self.values, ws.weights, self.orderings)
+        u = self.linearized[parameter.label]
+        fitted = variance_fit(ws, u)
+        resid = u - fitted
+        if variance_method == "double_sum":
+            v = ht_variance_double_sum(self.sample, resid)
+        else:
+            v = closed_form_variance(self.sample, resid)
+        interval = None if v.negative else confidence_interval(point, v, level)
+        return Estimate(point, u, fitted, v, interval)
+
+
 def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTable:
     """Run the full replication protocol and aggregate the metric table.
 
     Replicates are driven by seeds derived from the master seed and the
     replicate index, so results do not depend on execution order. Each
     variable is sorted at most once for the truths and once per replicate:
-    the truths share one `Ordering` per variable, and so do every
-    estimator's measure and the linearization on a sample.
+    the truths share one `Ordering` per variable, and every estimator on a
+    sample shares its `SampleData`. Each cell keeps only (point, interval)
+    per replicate.
     """
     census = {name: Ordering(vals) for name, vals in population.variables.items()}
     truths = {p.label: p.truth(population, census) for p in plan.parameters}
     del census  # the population-sized sort is not needed past the truths
     est_labels = [e.label for e in plan.estimators]
-    estimates: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
-    covered: dict = {k: 0 for k in estimates}
-    valid: dict = {k: 0 for k in estimates}
-    negvar: dict = {k: 0 for k in estimates}
+    outcomes: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
     runtime: dict = {e: 0.0 for e in est_labels}
 
     for i in range(plan.replicates):
         sample = draw(population, plan.design, replicate_seed(plan.master_seed, i))
-        values = {name: vals[sample.indices]
-                  for name, vals in population.variables.items()}
-        orderings = {name: Ordering(vals) for name, vals in values.items()}
-        ht = 1.0 / sample.pi
-        linearized = {p.label: p.linearized(values, ht, orderings)
-                      for p in plan.parameters}
+        data = SampleData(sample, plan.parameters)
         for est in plan.estimators:
             tic = time.perf_counter()
             ws = est.build_weights(sample)
             for p in plan.parameters:
-                key = (p.label, est.label)
-                value = p.evaluate(values, ws.weights, orderings)
-                estimates[key].append(value)
-                u = linearized[p.label]
-                resid = u - variance_fit(ws, u)
-                if plan.variance_method == "double_sum":
-                    v = ht_variance_double_sum(sample, resid)
-                else:
-                    v = closed_form_variance(sample, resid)
-                if v.negative:
-                    negvar[key] += 1
-                    continue
-                lo, hi = confidence_interval(value, v, plan.level)
-                valid[key] += 1
-                if lo <= truths[p.label] <= hi:
-                    covered[key] += 1
+                e = data.estimate(ws, p, plan.variance_method, plan.level)
+                outcomes[(p.label, est.label)].append((e.point, e.interval))
             runtime[est.label] += time.perf_counter() - tic
 
     rows: dict = {}
     for p in plan.parameters:
         theta = truths[p.label]
-        rmse_ht = _rmse(estimates[(p.label, "HT")], theta)
+        rmse_ht = _rmse([point for point, _ in outcomes[(p.label, "HT")]], theta)
         for e in est_labels:
             key = (p.label, e)
-            vals = np.asarray(estimates[key])
+            vals = np.asarray([point for point, _ in outcomes[key]])
+            intervals = [ci for _, ci in outcomes[key] if ci is not None]
+            covered = sum(1 for lo, hi in intervals if lo <= theta <= hi)
             if theta != 0:
                 rb = 100.0 * float(np.mean(vals - theta)) / theta
                 abs_flag = False
@@ -356,12 +390,12 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
                 rb = float(np.mean(vals - theta))
                 abs_flag = True
             rrmse = 100.0 * (_rmse(vals, theta) / rmse_ht) if rmse_ht > 0 else np.nan
-            cov = 100.0 * covered[key] / valid[key] if valid[key] else np.nan
+            cov = 100.0 * covered / len(intervals) if intervals else np.nan
             rows[key] = MetricRow(
                 rb_percent=rb,
                 rrmse_percent=float(rrmse),
                 coverage_percent=float(cov),
-                negative_variances=negvar[key],
+                negative_variances=len(outcomes[key]) - len(intervals),
                 mean_runtime=runtime[e] / plan.replicates,
                 absolute_bias_flag=abs_flag,
             )

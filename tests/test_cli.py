@@ -1,5 +1,8 @@
 import csv
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from splinesurvey import (
     draw,
     residual_fit,
 )
-from splinesurvey import cli, functionals
+from splinesurvey import cli, functionals, simulate
 from splinesurvey.cli import main
 
 
@@ -35,6 +38,21 @@ def population_csv(tmp_path, rng):
         wr.writerow(["id", "z", "y", "x"])
         for i in range(N):
             wr.writerow([f"u{i}", z[i], y[i], x[i]])
+    return path
+
+
+@pytest.fixture
+def stratified_csv(tmp_path, rng):
+    N = 300
+    z = rng.lognormal(7.0, 0.4, N)
+    y = z + 5.0 * np.sqrt(z) * rng.standard_normal(N)
+    x = z + 2.0 * np.sqrt(z) * rng.standard_normal(N)
+    path = tmp_path / "strata.csv"
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["id", "stratum", "z", "y", "x"])
+        for i in range(N):
+            wr.writerow([f"u{i}", f"h{i % 3}", z[i], y[i], x[i]])
     return path
 
 
@@ -99,7 +117,7 @@ def test_estimate_residuals_match_residual_fit(runner, population_csv, tmp_path,
         seen.append(np.array(residuals))
         return closed_form_variance(sample, residuals)
 
-    monkeypatch.setattr(cli, "closed_form_variance", recording)
+    monkeypatch.setattr(simulate, "closed_form_variance", recording)
     pop = Population.from_csv(population_csv)
     params = (ParameterSpec("mean", "y"), ParameterSpec("gini", "y"))
     for seed in (1, 2, 3):
@@ -354,3 +372,137 @@ def test_estimate_sorts_each_variable_once(runner, population_csv, monkeypatch,
     assert res.exit_code == 0, res.output
     assert len(json.loads(res.output)) == len(tokens)
     assert sizes == sorts
+
+
+def _usage_error(res, message):
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+def _command_args(command, population):
+    args = [command, "--population", str(population), "--family", "ht"]
+    if command == "estimate":
+        args += ["--parameter", "mean:y"]
+    return args
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("tokens,message", [
+    (("h0",), "--allocation h0: expected label=n with a whole number n"),
+    (("h0=x",), "--allocation h0=x: expected label=n with a whole number n"),
+    (("=4",), "--allocation =4: expected label=n"),
+    (("h0=4", "h1=5", "h0=6"), "--allocation h0=6: stratum 'h0' is allocated twice"),
+])
+def test_malformed_allocation_is_a_usage_error_before_loading(
+        runner, stratified_csv, monkeypatch, command, tokens, message):
+    monkeypatch.setattr(cli.Population, "from_csv", _fail)
+    args = _command_args(command, stratified_csv) + ["--design", "stratified"]
+    for token in tokens:
+        args += ["--allocation", token]
+    _usage_error(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("n", ["0", "301"])
+def test_sample_size_outside_population_is_a_usage_error(runner, population_csv,
+                                                         command, n):
+    res = runner.invoke(main, _command_args(command, population_csv) + ["--n", n])
+    _usage_error(res, f"sample size {n} out of range for N=300")
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("allocation,message", [
+    (("h0=40",), "missing stratum allocation for 'h1'"),
+    (("h0=40", "h1=40", "h2=101"), "allocation 101 out of range for stratum 'h2'"),
+])
+def test_stratum_allocation_mismatch_is_a_usage_error(runner, stratified_csv,
+                                                      command, allocation, message):
+    args = _command_args(command, stratified_csv) + ["--design", "stratified"]
+    for token in allocation:
+        args += ["--allocation", token]
+    _usage_error(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+def test_stratified_design_without_strata_is_a_usage_error(runner, population_csv,
+                                                           command):
+    args = _command_args(command, population_csv) + [
+        "--design", "stratified", "--allocation", "h0=10"]
+    _usage_error(runner.invoke(main, args), "population has no stratum labels")
+
+
+@pytest.mark.parametrize("design,message", [
+    ({"kind": "srswor"}, "a srswor design needs 'n'"),
+    ({"kind": "stratified", "n": 30}, "a stratified design needs 'allocations'"),
+    ({"kind": "cluster", "n": 30}, "unknown design kind 'cluster'"),
+])
+def test_simulate_plan_design_without_its_setting(runner, tmp_path, monkeypatch,
+                                                  design, message):
+    monkeypatch.setattr(cli, "_plan_population", _fail)
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": design,
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    _usage_error(runner.invoke(main, ["simulate", "--plan", str(plan_path)]), message)
+
+
+@pytest.mark.parametrize("family", ["ht", "bs"])
+def test_estimate_stratified_closed_matches_double_sum(runner, stratified_csv,
+                                                       family):
+    """Under stratified SRSWOR the double-sum variance is the stratified
+    closed form, term for term."""
+    args = ["estimate", "--population", str(stratified_csv), "--family", family,
+            "--design", "stratified", "--allocation", "h0=30", "--allocation",
+            "h1=25", "--allocation", "h2=35", "--seed", "6",
+            "--parameter", "mean:y", "--parameter", "gini:y",
+            "--parameter", "ratio:y/x"]
+    reports = {}
+    for method in ("closed", "double_sum"):
+        res = runner.invoke(main, args + ["--variance-method", method])
+        assert res.exit_code == 0, res.output
+        reports[method] = json.loads(res.output)
+    for closed, double in zip(reports["closed"], reports["double_sum"]):
+        assert closed["metadata"]["design"] == "StratifiedSrswor"
+        assert closed["metadata"]["sample_size"] == 90
+        assert closed["variance_method"] == "stsi_closed"
+        assert double["variance_method"] == "double_sum"
+        assert closed["estimate"] == double["estimate"]
+        assert closed["variance"] > 0
+        assert double["variance"] == pytest.approx(closed["variance"], rel=1e-9)
+
+
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_hooks_resolve_and_restore():
+    """Every name the benchmark's tracer hooks exists where it looks it up
+    (on this module among others), is wrapped inside `installed()` and is
+    put back on exit."""
+    spans = _bench_module("spans")
+
+    def current(module_name, path):
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    originals = [current(module, path) for module, path, _ in spans.HOOKS]
+    with spans.Tracer(population_rows=300, replicate_boundaries=True).installed():
+        for (module, path, _), original in zip(spans.HOOKS, originals):
+            assert current(module, path) is not original, (module, path)
+    for (module, path, _), original in zip(spans.HOOKS, originals):
+        assert current(module, path) is original, (module, path)

@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    Estimate,
     EstimatorSpec,
     ParameterSpec,
     Population,
+    SampleData,
     SimulationPlan,
     SplineSpec,
     Srswor,
+    StratifiedSrswor,
     SynthConfig,
+    VarianceEstimate,
     WeightedMeasure,
+    bspline_weights,
     closed_form_variance,
+    confidence_interval,
     draw,
+    ht_weights,
     replicate_seed,
     residual_fit,
     run_monte_carlo,
@@ -208,6 +215,75 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
                 gap = np.max(np.abs(next(got) - want))
                 assert gap <= 1e-12 * np.max(np.abs(u)), (i, est.label, p.label)
     assert next(got, None) is None
+
+
+class TestSampleData:
+    PARAMETERS = (ParameterSpec("mean"), ParameterSpec("gini"),
+                  ParameterSpec("ratio"), ParameterSpec("poverty_rate"))
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        pop = synth_population(SynthConfig(size=3000, strata_count=3), 4)
+        return draw(pop, StratifiedSrswor({"h0": 60, "h1": 70, "h2": 80}), 9)
+
+    def test_estimate_is_the_sum_of_its_parts(self, sample):
+        """Point, linearized variable, residual fit, variance and interval
+        equal the library functions called one by one."""
+        spec = SplineSpec(order=3, interior_knots=3, lam=0.5)
+        ws = bspline_weights(sample, spec)
+        data = SampleData(sample, self.PARAMETERS)
+        values = {name: v[sample.indices]
+                  for name, v in sample.population.variables.items()}
+        for p in self.PARAMETERS:
+            est = data.estimate(ws, p, "closed", 0.9)
+            assert isinstance(est, Estimate)
+            assert est.point == p.evaluate(values, ws.weights)
+            u = p.linearized(values, 1.0 / sample.pi)
+            assert np.array_equal(est.u, u)
+            want = residual_fit(sample, spec, u).residuals
+            assert np.max(np.abs(est.residuals - want)) <= 1e-12 * np.max(np.abs(u))
+            v = closed_form_variance(sample, est.residuals)
+            assert est.variance == v
+            assert est.interval == confidence_interval(est.point, v, 0.9)
+            # stratified SRSWOR: the double sum is the closed form
+            ds = data.estimate(ws, p, "double_sum", 0.9)
+            assert ds.variance.method == "double_sum"
+            assert ds.variance.value == pytest.approx(v.value, rel=1e-9)
+            assert ds.point == est.point
+
+    def test_negative_variance_has_no_interval(self, sample, monkeypatch):
+        monkeypatch.setattr(simulate, "closed_form_variance",
+                            lambda sample, residuals: VarianceEstimate(-1.0, "closed"))
+        data = SampleData(sample, self.PARAMETERS)
+        est = data.estimate(ht_weights(sample), self.PARAMETERS[0],
+                            "closed", 0.95)
+        assert est.variance.negative
+        assert est.interval is None
+
+    def test_monte_carlo_counts_negative_variances(self, monkeypatch):
+        """A replicate whose variance is negative counts in the negative
+        variances and leaves the coverage; with none left it is NaN."""
+        calls = []
+
+        def every_other(sample, residuals):
+            calls.append(None)
+            v = closed_form_variance(sample, residuals)
+            return VarianceEstimate(-v.value if len(calls) % 2 else v.value, v.method)
+
+        monkeypatch.setattr(simulate, "closed_form_variance", every_other)
+        pop = synth_population(SynthConfig(size=1000), 2)
+        plan = SimulationPlan(design=Srswor(100),
+                              estimators=(EstimatorSpec("HT"),),
+                              parameters=(ParameterSpec("mean"),
+                                          ParameterSpec("total")),
+                              replicates=4, master_seed=3)
+        table = run_monte_carlo(plan, pop)
+        # calls alternate mean, total, so every mean variance is negated
+        mean_row, total_row = table.row("mean(y)", "HT"), table.row("total(y)", "HT")
+        assert mean_row.negative_variances == 4
+        assert np.isnan(mean_row.coverage_percent)
+        assert total_row.negative_variances == 0
+        assert 0.0 <= total_row.coverage_percent <= 100.0
 
 
 class TestParameterTruth:
