@@ -68,7 +68,8 @@ DESIGN_SETTINGS = {"srswor": ("n", "--n"),
 
 def _make_design(config):
     """The design a plan's "design" object describes. The --design, --n and
-    --allocation options reach it as the same object."""
+    --allocation options reach it as the same object. A size that is not a
+    whole number is a usage error."""
     kind = config.get("kind")
     if kind not in DESIGN_SETTINGS:
         raise click.UsageError(f"unknown design kind {kind!r}; choose from "
@@ -77,9 +78,12 @@ def _make_design(config):
     if key not in config:
         raise click.UsageError(f"a {kind} design needs {key!r} in a plan, "
                                f"{option} on the command line")
-    if kind == "srswor":
-        return Srswor(config["n"])
-    return StratifiedSrswor(config["allocations"])
+    try:
+        if kind == "srswor":
+            return Srswor(config["n"])
+        return StratifiedSrswor(config["allocations"])
+    except ValueError as err:
+        raise click.UsageError(str(err)) from err
 
 
 def _option_design(design, n, allocation):
@@ -111,25 +115,31 @@ def _draw(population, design, seed):
         raise click.UsageError(str(err)) from err
 
 
-# Spline options each family has no use for: HT and GREG take no spline
-# options at all, and poststratification (order 1, unpenalized, sample
-# quantile cut points) uses only the knot count.
+# Options each --family or --design value has no use for: HT and GREG take
+# no spline options at all, poststratification (order 1, unpenalized, sample
+# quantile cut points) uses only the knot count, SRSWOR takes no
+# --allocation and stratified SRSWOR no --n.
 IGNORED_OPTIONS = {
     "ht": ("order", "knots", "knot_rule", "lam", "penalty_order"),
     "greg": ("order", "knots", "knot_rule", "lam", "penalty_order"),
     "post": ("order", "knot_rule", "lam", "penalty_order"),
+    "srswor": ("allocation",),
+    "stratified": ("n",),
 }
 
 
-def _reject_ignored_options(family) -> None:
-    """Refuse spline options given explicitly that `family` would ignore."""
-    ignored = IGNORED_OPTIONS.get(family, ())
+def _reject_ignored_options() -> None:
+    """Refuse options given explicitly that the chosen --family or --design
+    would ignore."""
     ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if (param.name in ignored and ctx.get_parameter_source(param.name)
-                not in (ParameterSource.DEFAULT, ParameterSource.DEFAULT_MAP)):
-            raise click.UsageError(
-                f"{'/'.join(param.opts)} has no effect with --family {family}", ctx)
+    for choice in ("family", "design"):
+        value = ctx.params[choice]
+        ignored = IGNORED_OPTIONS.get(value, ())
+        for param in ctx.command.params:
+            if (param.name in ignored and ctx.get_parameter_source(param.name)
+                    not in (ParameterSource.DEFAULT, ParameterSource.DEFAULT_MAP)):
+                raise click.UsageError(f"{'/'.join(param.opts)} has no effect "
+                                       f"with --{choice} {value}", ctx)
 
 
 def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
@@ -172,7 +182,7 @@ def basis(order, knots, knot_rule, lam, penalty_order, grid, output):
 def weights(pop_path, family, design, n, allocation, seed, order, knots,
             knot_rule, lam, penalty_order, output, diagnostics):
     """Draw a sample and emit the weight vector as CSV."""
-    _reject_ignored_options(family)
+    _reject_ignored_options()
     sampling = _option_design(design, n, allocation)
     pop = Population.from_csv(pop_path)
     sample = _draw(pop, sampling, seed)
@@ -208,7 +218,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              knots, knot_rule, lam, penalty_order, level, variance_method,
              strict_poverty, emit_linearized, output):
     """Estimate parameters with variance and confidence interval (JSON)."""
-    _reject_ignored_options(family)
+    _reject_ignored_options()
     pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
     sampling = _option_design(design, n, allocation)
     pop = Population.from_csv(pop_path)
@@ -247,9 +257,11 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
             report["metadata"]["linearization_source"] = (
                 "external literature (kernel-density threshold adjustment)")
         reports.append(report)
-        for idx, uk, gk, ek in zip(sample.indices, est.u, est.fitted, est.residuals):
-            audit_rows.append([pop.ids[idx], pspec.label, f"{uk:.12g}",
-                               f"{gk:.12g}", f"{ek:.12g}"])
+        if emit_linearized:
+            for idx, uk, gk, ek in zip(sample.indices, est.u, est.fitted,
+                                       est.residuals):
+                audit_rows.append([pop.ids[idx], pspec.label, f"{uk:.12g}",
+                                   f"{gk:.12g}", f"{ek:.12g}"])
     text = json.dumps(reports, indent=2)
     if output == "-":
         click.echo(text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -60,10 +61,17 @@ class Population:
 
     @cached_property
     def stratum_codes(self) -> StratumCodes:
-        """Stratum labels as integer codes, built on first use."""
+        """Stratum labels as codes, in order of first appearance; built on first use."""
         if self.strata is None:
             raise ValueError("population has no stratum labels")
-        return StratumCodes(self.strata)
+        code = {h: j for j, h in enumerate(dict.fromkeys(self.strata))}
+        return StratumCodes(tuple(code), np.fromiter(
+            map(code.__getitem__, self.strata), dtype=np.intp, count=self.size))
+
+    @cached_property
+    def one_stratum(self) -> StratumCodes:
+        """The whole population as a single stratum, built on first use."""
+        return StratumCodes((None,), np.zeros(self.size, dtype=np.intp))
 
     def stratum_indices(self) -> dict:
         """Map stratum label -> read-only array of its unit indices, ascending."""
@@ -108,22 +116,20 @@ def _read_only(values) -> np.ndarray:
 
 
 class StratumCodes:
-    """A population's stratum labels as integer codes.
+    """A partition of a population into strata, as integer codes.
 
-    `labels` lists the distinct labels in order of first appearance; a
-    stratum's code is its position there. `codes` holds every unit's code,
-    `sizes` the stratum sizes N_h, and `members` each stratum's unit
-    indices in ascending order. The arrays are read-only, so every caller
-    can share them.
+    `labels` lists the stratum labels (`None` for the one-stratum
+    partition); a stratum's code is its position there. `codes` holds every
+    unit's code, `sizes` the stratum sizes N_h, and `members` each stratum's
+    unit indices in ascending order. The arrays are read-only, so every
+    caller can share them.
     """
 
-    def __init__(self, strata):
-        code = {h: j for j, h in enumerate(dict.fromkeys(strata))}
-        self.labels = tuple(code)
-        self.codes = np.fromiter(map(code.__getitem__, strata), dtype=np.intp,
-                                 count=len(strata))
-        self.sizes = np.bincount(self.codes, minlength=len(self.labels))
-        order = np.argsort(self.codes, kind="stable")
+    def __init__(self, labels: tuple, codes: np.ndarray):
+        self.labels = labels
+        self.codes = codes
+        self.sizes = np.bincount(codes, minlength=len(labels))
+        order = np.argsort(codes, kind="stable")
         for a in (self.codes, self.sizes, order):
             a.flags.writeable = False
         self.members = tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
@@ -144,27 +150,60 @@ class StratumCodes:
         return out
 
 
+# Srswor and StratifiedSrswor state their strata once, in `strata(population)`: the
+# partition and each stratum's sample size; `closed_form` names their closed form.
+
 @dataclass(frozen=True)
 class Srswor:
-    """Simple random sampling without replacement, fixed size n."""
+    """Simple random sampling without replacement, fixed size n: stratified
+    SRSWOR with the whole population as its one stratum."""
 
     n: int
+    closed_form = "srswor_closed"
+
+    def __post_init__(self):
+        _check_whole("sample size", self.n)
+
+    def strata(self, population: Population) -> tuple[StratumCodes, list]:
+        N = population.size
+        if not 1 <= self.n <= N:
+            raise ValueError(f"sample size {self.n} out of range for N={N}")
+        return population.one_stratum, [self.n]
 
 
 @dataclass(frozen=True)
 class StratifiedSrswor:
-    """Independent SRSWOR inside each stratum; allocations keyed by label."""
+    """Independent SRSWOR inside each stratum; allocations keyed by label,
+    kept as a read-only copy."""
 
     allocations: Mapping
+    closed_form = "stsi_closed"
+
+    def __post_init__(self):
+        if not isinstance(self.allocations, Mapping):
+            raise ValueError(f"allocations must map stratum labels to sample sizes: "
+                             f"{self.allocations!r}")
+        allocations = MappingProxyType(dict(self.allocations))
+        for h, nh in allocations.items():
+            _check_whole(f"allocation of stratum {h!r}", nh)
+        object.__setattr__(self, "allocations", allocations)
+
+    def strata(self, population: Population) -> tuple[StratumCodes, list]:
+        codes = population.stratum_codes
+        return codes, codes.allocation(self.allocations)
+
+
+def _check_whole(what: str, size) -> None:
+    """Refuse a design size that is not an int or a numpy integer (or is a bool).
+    Whether it fits the population is checked at draw time."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"{what} is not a whole number: {size!r}")
 
 
 @dataclass(frozen=True)
 class GivenProbabilities:
-    """Arbitrary first-order probabilities with Poisson-style joints.
-
-    The joint rule pi_kl = pi_k * pi_l is exact only for Poisson sampling;
-    flagged as approximate for anything else. Provided for extensibility.
-    """
+    """Poisson sampling: unit k enters independently with probability pi_k,
+    so pi_kl = pi_k * pi_l. Provided for extensibility."""
 
     pi: np.ndarray
 
@@ -205,6 +244,17 @@ class SampleDraw:
     def sample_z(self) -> np.ndarray:
         return self.population.z[self.indices]
 
+    @cached_property
+    def sample_strata(self) -> list:
+        """(label, N_h, sample positions of its units) for each stratum the
+        design states (`design.strata`), in code order."""
+        strata = self.design.strata(self.population)[0]
+        codes = strata.codes[self.indices]
+        ends = np.cumsum(np.bincount(codes, minlength=len(strata.labels))).tolist()
+        order = np.argsort(codes, kind="stable")
+        return [(h, Nh, order[a:b]) for h, Nh, a, b in
+                zip(strata.labels, strata.sizes.tolist(), [0, *ends], ends)]
+
     def joint_groups(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
         """The design's second-order inclusion probabilities, by group.
 
@@ -212,23 +262,16 @@ class SampleDraw:
         (default: the sample), and per code the pi_kl of two distinct units
         of that group. Units in different groups are selected
         independently, so pi_kl = pi_k pi_l between groups, and all units
-        of a group share one pi_k. SRSWOR is one group; stratified SRSWOR
-        has one group per stratum, with pi_kl = 0 where n_h = 1; with
+        of a group share one pi_k. Each stratum the design states is a
+        group (SRSWOR states one), with pi_kl = 0 where n_h = 1; with
         `GivenProbabilities` every unit is a group of its own.
         """
         idx = self.indices if indices is None else np.asarray(indices, dtype=int)
-        d = self.design
-        if isinstance(d, Srswor):
-            within = [_srswor_joint(d.n, self.population.size)]
-            return np.zeros(idx.size, dtype=np.intp), np.array(within)
-        if isinstance(d, StratifiedSrswor):
-            strata = self.population.stratum_codes
-            within = [_srswor_joint(nh, Nh) for nh, Nh in
-                      zip(strata.allocation(d.allocations), strata.sizes.tolist())]
-            return strata.codes[idx], np.array(within)
-        if isinstance(d, GivenProbabilities):
+        if isinstance(self.design, GivenProbabilities):
             return np.arange(idx.size), np.zeros(idx.size)
-        raise TypeError(f"unsupported design {type(d).__name__}")
+        strata, sizes = self.design.strata(self.population)
+        within = [_srswor_joint(nh, Nh) for nh, Nh in zip(sizes, strata.sizes.tolist())]
+        return strata.codes[idx], np.array(within)
 
     def joint_prob(self, k: int, l: int) -> float:
         """Second-order inclusion probability pi_kl; pi_k on the diagonal."""
@@ -258,10 +301,6 @@ def _srswor_joint(n: int, N: int) -> float:
     return n * (n - 1) / (N * (N - 1)) if n > 1 else 0.0
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def replicate_seed(master_seed: int, replicate: int):
     """Derived per-replicate seed; deterministic regardless of scheduling."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
@@ -269,43 +308,31 @@ def replicate_seed(master_seed: int, replicate: int):
 
 def draw_srswor(population: Population, n: int, rng_seed) -> SampleDraw:
     """Uniform n-subset of U; pi_k = n/N."""
-    N = population.size
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size {n} out of range for N={N}")
-    rng = _rng(rng_seed)
-    indices = np.sort(rng.choice(N, size=n, replace=False))
-    pi_full = np.full(N, n / N)
-    return SampleDraw(population, Srswor(n), indices, pi_full)
+    return draw(population, Srswor(n), rng_seed)
 
 
 def draw_stratified(population: Population, allocations: Mapping,
                     rng_seed) -> SampleDraw:
     """Independent SRSWOR inside each stratum; pi_k = n_h / N_h."""
-    strata = population.stratum_codes
-    allocated = strata.allocation(allocations)
-    rng = _rng(rng_seed)
-    chosen = []
-    for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j])):
-        members = strata.members[j]
-        chosen.append(members[rng.choice(members.size, size=allocated[j],
-                                         replace=False)])
-    indices = np.sort(np.concatenate(chosen))
-    rates = np.array([nh / m.size for nh, m in zip(allocated, strata.members)])
-    return SampleDraw(population, StratifiedSrswor(dict(allocations)), indices,
-                      rates[strata.codes])
+    return draw(population, StratifiedSrswor(allocations), rng_seed)
 
 
 def draw(population: Population, design, rng_seed) -> SampleDraw:
-    """Dispatch on the design variant."""
-    if isinstance(design, Srswor):
-        return draw_srswor(population, design.n, rng_seed)
-    if isinstance(design, StratifiedSrswor):
-        return draw_stratified(population, design.allocations, rng_seed)
+    """Draw a sample under `design` from one RNG stream: SRSWOR of n_h inside
+    each stratum the design states (`design.strata`), strata in the order of
+    str(label), pi_k = n_h / N_h; a Poisson draw for `GivenProbabilities`."""
+    rng = np.random.default_rng(rng_seed)
     if isinstance(design, GivenProbabilities):
-        rng = _rng(rng_seed)
         pi = np.asarray(design.pi, dtype=float)
         indices = np.flatnonzero(rng.random(pi.size) < pi)
         if indices.size == 0:
             raise ValueError("empty sample: the Poisson draw selected no unit")
         return SampleDraw(population, design, indices, pi)
-    raise TypeError(f"unsupported design {type(design).__name__}")
+    strata, sizes = design.strata(population)
+    chosen = []
+    for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j])):
+        members = strata.members[j]
+        chosen.append(members[rng.choice(members.size, size=sizes[j], replace=False)])
+    indices = np.sort(np.concatenate(chosen))
+    rates = np.array([nh / m.size for nh, m in zip(sizes, strata.members)])
+    return SampleDraw(population, design, indices, rates[strata.codes])

@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import SampleDraw, Srswor, StratifiedSrswor
+from .designs import GivenProbabilities, SampleDraw, Srswor
 from .weights import SplineSystem
 
 
@@ -102,19 +102,18 @@ def stsi_variance(per_stratum) -> VarianceEstimate:
 
 
 def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
-    """Design-matched closed form dispatcher for SRSWOR and stratified SRSWOR."""
+    """The SRSWOR closed form summed over the strata the draw's design states
+    (`design.strata`; SRSWOR is one stratum), labelled `design.closed_form`."""
     e = np.asarray(residuals, dtype=float)
     d = draw.design
-    if isinstance(d, Srswor):
-        return srswor_variance(draw.population.size, d.n, e)
-    if isinstance(d, StratifiedSrswor):
-        strata = draw.population.stratum_codes
-        codes = strata.codes[draw.indices]
-        counts = np.bincount(codes, minlength=len(strata.labels))
-        parts = np.split(e[np.argsort(codes, kind="stable")], np.cumsum(counts)[:-1])
-        return stsi_variance({h: (Nh, e_h) for h, Nh, e_h in
-                              zip(strata.labels, strata.sizes.tolist(), parts)})
-    raise TypeError("no closed form for this design; use the double sum")
+    if isinstance(d, GivenProbabilities):
+        raise TypeError("no closed form for this design; use the double sum")
+    if draw.size < 2:  # checked here: the per-stratum message names a stratum
+        raise ValueError("variance needs n >= 2")
+    if e.size != draw.size:
+        raise ValueError("residuals length must equal n")
+    value = stsi_variance({h: (Nh, e[at]) for h, Nh, at in draw.sample_strata}).value
+    return VarianceEstimate(value, d.closed_form)
 
 
 def population_asymptotic_variance(population, design, u_values, spec) -> float:
@@ -122,33 +121,26 @@ def population_asymptotic_variance(population, design, u_values, spec) -> float:
     design variance of the total of the population residuals.
 
     The census fit is the `SplineSystem` fit of a draw holding every unit
-    with pi_k = 1. The design variance is the SRSWOR (per stratum, for
-    stratified SRSWOR) closed form with the population dispersion of the
-    residuals.
+    with pi_k = 1. The design variance is the SRSWOR closed form with the
+    population dispersion of the residuals, summed over the strata the
+    design states (`design.strata`; SRSWOR is one stratum).
     """
+    if isinstance(design, GivenProbabilities):
+        raise TypeError("no closed form for this design")
     u = np.asarray(u_values, dtype=float)
     N = population.size
     if u.size != N:
         raise ValueError("needs one linearized value per population unit")
+    strata, sizes = design.strata(population)
     census = SampleDraw(population, Srswor(N), np.arange(N), np.ones(N))
     residuals = u - SplineSystem(census, spec).fitted(u)
-    if isinstance(design, Srswor):
-        return _population_closed_form(N, design.n, residuals)
-    if isinstance(design, StratifiedSrswor):
-        strata = population.stratum_codes
-        return sum(_population_closed_form(members.size, nh, residuals[members])
-                   for members, nh in zip(strata.members,
-                                          strata.allocation(design.allocations)))
-    raise TypeError("no closed form for this design")
+    return sum(_population_closed_form(members.size, nh, residuals[members])
+               for members, nh in zip(strata.members, sizes))
 
 
 def _population_closed_form(N: int, n: int, e: np.ndarray) -> float:
     """N^2 (1 - n/N) S^2 / n with the population dispersion S^2 of e."""
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size {n} out of range for N={N}")
-    if n == N:
-        return 0.0
-    return N**2 * (1.0 - n / N) * float(np.var(e, ddof=1)) / n
+    return 0.0 if n == N else N**2 * (1.0 - n / N) * float(np.var(e, ddof=1)) / n
 
 
 def normal_quantile(prob: float) -> float:

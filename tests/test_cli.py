@@ -454,6 +454,72 @@ def test_simulate_plan_design_without_its_setting(runner, tmp_path, monkeypatch,
     _usage_error(runner.invoke(main, ["simulate", "--plan", str(plan_path)]), message)
 
 
+@pytest.mark.parametrize("design,message", [
+    ({"kind": "srswor", "n": "50"}, "sample size is not a whole number: '50'"),
+    ({"kind": "srswor", "n": 50.0}, "sample size is not a whole number: 50.0"),
+    ({"kind": "stratified", "allocations": {"h0": "40", "h1": 30}},
+     "allocation of stratum 'h0' is not a whole number: '40'"),
+    ({"kind": "stratified", "allocations": {"h1": 30, "h0": 40.0}},
+     "allocation of stratum 'h0' is not a whole number: 40.0"),
+    ({"kind": "stratified", "allocations": {"h0": True, "h1": 30}},
+     "allocation of stratum 'h0' is not a whole number: True"),
+    ({"kind": "stratified", "allocations": [40, 30]},
+     "allocations must map stratum labels to sample sizes: [40, 30]"),
+])
+def test_simulate_plan_design_sizes_must_be_whole_numbers(runner, tmp_path,
+                                                          monkeypatch, design,
+                                                          message):
+    monkeypatch.setattr(cli, "_plan_population", _fail)
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": design,
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    _usage_error(runner.invoke(main, ["simulate", "--plan", str(plan_path)]), message)
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("options,message", [
+    (["--design", "srswor", "--n", "50", "--allocation", "h0=5"],
+     "--allocation has no effect with --design srswor"),
+    (["--allocation", "h0=5"], "--allocation has no effect with --design srswor"),
+    (["--design", "stratified", "--n", "200", "--allocation", "h0=30",
+      "--allocation", "h1=30", "--allocation", "h2=30"],
+     "--n has no effect with --design stratified"),
+])
+def test_design_options_the_design_ignores_are_usage_errors(
+        runner, stratified_csv, monkeypatch, command, options, message):
+    monkeypatch.setattr(cli.Population, "from_csv", _fail)
+    res = runner.invoke(main, _command_args(command, stratified_csv) + options)
+    _usage_error(res, message)
+
+
+def test_estimate_builds_audit_rows_only_for_emit_linearized(
+        runner, population_csv, tmp_path, monkeypatch):
+    """Without --emit-linearized no per-unit audit row is formatted: the
+    parameter labels are read a fixed number of times, not once per unit."""
+    calls = []
+    label = simulate.ParameterSpec.label
+    monkeypatch.setattr(simulate.ParameterSpec, "label",
+                        property(lambda self: calls.append(1) or label.fget(self)))
+    args = ["estimate", "--population", str(population_csv), "--family", "ht",
+            "--n", "120", "--parameter", "mean:y", "--parameter", "gini:y"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(calls) < 120
+    calls.clear()
+    audit = tmp_path / "audit.csv"
+    res = runner.invoke(main, args + ["--emit-linearized", str(audit)])
+    assert res.exit_code == 0, res.output
+    assert len(calls) >= 2 * 120
+    assert len(audit.read_text().splitlines()) == 1 + 2 * 120
+
+
 @pytest.mark.parametrize("family", ["ht", "bs"])
 def test_estimate_stratified_closed_matches_double_sum(runner, stratified_csv,
                                                        family):

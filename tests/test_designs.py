@@ -4,6 +4,8 @@ import pytest
 from splinesurvey import (
     GivenProbabilities,
     Population,
+    Srswor,
+    StratifiedSrswor,
     draw,
     draw_srswor,
     draw_stratified,
@@ -54,6 +56,18 @@ class TestSrswor:
         k = 3
         total = sum(d.joint_prob(k, l) for l in range(N))
         assert total == pytest.approx(n * d.pi_of(k))
+
+    @pytest.mark.parametrize("N,n,seed,indices", [
+        (10, 3, 0, [5, 6, 9]),
+        (45, 9, 2024, [3, 8, 12, 13, 25, 35, 39, 41, 42]),
+        (200, 12, 7, [10, 44, 56, 59, 111, 118, 130, 150, 162, 172, 174, 178]),
+        (7, 7, 1, [0, 1, 2, 3, 4, 5, 6]),
+        (1000, 1, 99, [958]),
+    ])
+    def test_draw_is_unchanged_for_a_fixed_seed(self, N, n, seed, indices):
+        d = draw_srswor(_toy_population(N), n, seed)
+        assert d.indices.tolist() == indices
+        assert np.array_equal(d.pi_full, np.full(N, n / N))
 
     def test_inclusion_frequencies(self):
         N, n, reps = 50, 10, 10000
@@ -148,6 +162,45 @@ class TestStratified:
         assert again["a"].tolist() == [1, 3, 5, 7, 9]
         assert again["b"].tolist() == [0, 2, 4, 6, 8]
         assert pop.stratum_codes.codes.tolist() == [0, 1] * 5
+
+
+class TestDesignSizes:
+    @pytest.mark.parametrize("n", ["50", 50.0, True, None])
+    def test_sample_size_must_be_whole(self, n):
+        with pytest.raises(ValueError,
+                           match=f"sample size is not a whole number: {n!r}"):
+            Srswor(n)
+
+    @pytest.mark.parametrize("nh", ["40", 40.0, True, np.bool_(True)])
+    def test_allocation_must_be_whole(self, nh):
+        with pytest.raises(ValueError, match=r"allocation of stratum 'h0' is not "
+                                             rf"a whole number: {nh!r}"):
+            StratifiedSrswor({"h1": 30, "h0": nh})
+
+    def test_allocations_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="allocations must map stratum labels"):
+            StratifiedSrswor([40, 30])
+
+    def test_numpy_integers_accepted(self):
+        pop = _toy_population(12, tuple("ab" * 6))
+        a = draw(pop, Srswor(np.int64(4)), 3)
+        b = draw(pop, StratifiedSrswor({"a": np.int32(2), "b": np.uint8(3)}), 3)
+        assert (a.size, b.size) == (4, 5)
+
+    def test_allocations_are_a_read_only_copy(self):
+        allocations = {"a": 2, "b": 3}
+        design = StratifiedSrswor(allocations)
+        allocations["a"] = 5
+        assert dict(design.allocations) == {"a": 2, "b": 3}
+        with pytest.raises(TypeError):
+            design.allocations["a"] = 5
+
+    def test_range_is_checked_at_draw_time(self):
+        pop = _toy_population(6, tuple("aabbbb"))
+        with pytest.raises(ValueError, match="allocation 3 out of range for stratum"):
+            draw(pop, StratifiedSrswor({"a": 3, "b": 2}), 0)
+        with pytest.raises(ValueError, match="sample size 7 out of range for N=6"):
+            draw(pop, Srswor(7), 0)
 
 
 class TestGivenProbabilities:

@@ -226,6 +226,71 @@ class TestPopulationAsymptoticVariance:
         assert got_strat == pytest.approx(strat, rel=1e-12, abs=0)
 
 
+class TestOneStratum:
+    """SRSWOR is stratified SRSWOR with a single stratum: on a population
+    whose units all carry one label the two designs give the same numbers."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (17, 5), (60, 11), (80, 3)])
+    def test_same_numbers_as_stratified(self, n, seed):
+        pop = _pop(80, seed=seed, strata=("only",) * 80)
+        spec = SplineSpec(order=2, interior_knots=2, lam=0.5)
+        u = pop.variables["y"] * np.log(pop.z)
+        srs = draw(pop, Srswor(n), seed)
+        sts = draw(pop, StratifiedSrswor({"only": n}), seed)
+        assert srs.indices.tolist() == sts.indices.tolist()
+        assert np.array_equal(srs.pi_full, sts.pi_full)
+        for got, want in zip(srs.joint_groups(), sts.joint_groups()):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        e = np.random.default_rng(seed).standard_normal(n) + 2.0
+        assert (ht_variance_double_sum(srs, e).value
+                == ht_variance_double_sum(sts, e).value)
+        a, b = closed_form_variance(srs, e), closed_form_variance(sts, e)
+        assert a.value == b.value
+        assert (a.method, b.method) == ("srswor_closed", "stsi_closed")
+        assert (population_asymptotic_variance(pop, Srswor(n), u, spec)
+                == population_asymptotic_variance(
+                    pop, StratifiedSrswor({"only": n}), u, spec))
+
+    def test_messages_name_no_placeholder_stratum(self):
+        pop = _pop(30, strata=tuple("ab" * 15))
+        d = draw(pop, Srswor(1), 0)
+        with pytest.raises(ValueError, match=r"^variance needs n >= 2$"):
+            closed_form_variance(d, np.ones(1))
+        d = draw(pop, StratifiedSrswor({"a": 1, "b": 4}), 0)
+        with pytest.raises(ValueError, match="variance needs n_h >= 2 in stratum 'a'"):
+            closed_form_variance(d, np.ones(5))
+        with pytest.raises(ValueError, match=r"^sample size 31 out of range for N=30$"):
+            population_asymptotic_variance(pop, Srswor(31), pop.variables["y"],
+                                           SplineSpec(order=1, interior_knots=0))
+
+    def test_given_probabilities_have_no_closed_form(self):
+        pop = _pop(40)
+        d = draw(pop, GivenProbabilities(np.full(40, 0.5)), 2)
+        with pytest.raises(TypeError, match="use the double sum"):
+            closed_form_variance(d, np.ones(d.size))
+        with pytest.raises(TypeError, match="no closed form"):
+            population_asymptotic_variance(pop, GivenProbabilities(np.full(40, 0.5)),
+                                           pop.variables["y"],
+                                           SplineSpec(order=1, interior_knots=0))
+
+
+def test_editing_the_allocation_after_a_draw_leaves_the_sample_unchanged():
+    strata = tuple("ab"[i % 2] for i in range(100))
+    pop = _pop(100, seed=5, strata=strata)
+    e = np.random.default_rng(1).standard_normal(25)
+    for make in (lambda a: draw(pop, StratifiedSrswor(a), 7),
+                 lambda a: draw_stratified(pop, a, 7)):
+        allocations = {"a": 10, "b": 15}
+        d = make(allocations)
+        groups = d.joint_groups()
+        closed = closed_form_variance(d, e).value
+        double = ht_variance_double_sum(d, e).value
+        allocations.update(a=20, b=2)
+        assert all(np.array_equal(x, y) for x, y in zip(d.joint_groups(), groups))
+        assert closed_form_variance(d, e).value == closed
+        assert ht_variance_double_sum(d, e).value == double
+
+
 class TestVarianceCalibration:
     def test_unbiased_for_linear_total(self):
         # mean of the closed-form estimator tracks the Monte Carlo variance
