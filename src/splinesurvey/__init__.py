@@ -14,6 +14,7 @@ from .basis import (
     basis_matrix,
     basis_row,
     build_knots,
+    knot_groups,
     normalize_covariate,
     penalty_matrix,
     truncated_power_matrix,

@@ -45,30 +45,43 @@ class SplineSpec:
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Interior knots strictly inside (0,1); boundaries at 0 and 1."""
+    """Interior knots strictly inside (0,1); boundaries at 0 and 1.
 
-    interior: tuple[float, ...]
+    `interior` is a tuple for one knot vector, or an (R, K) array for a
+    stack of R knot vectors with K knots each, one per sample of a stack;
+    the arrays the methods return then have a leading axis of R.
+    """
+
+    interior: tuple[float, ...] | np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.interior, dtype=float)
         if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
             raise ValueError("interior knots must lie strictly inside (0,1)")
-        if arr.size > 1 and np.any(np.diff(arr) <= 0):
+        if arr.shape[-1] > 1 and np.any(np.diff(arr, axis=-1) <= 0):
             raise ValueError("interior knots must be strictly increasing")
 
     @property
     def num_interior(self) -> int:
-        return len(self.interior)
+        return np.shape(self.interior)[-1]
 
     def breakpoints(self) -> np.ndarray:
         """Distinct knots including the boundaries: 0, interior..., 1."""
-        return np.concatenate(([0.0], np.asarray(self.interior, dtype=float), [1.0]))
+        return self._padded(1)
 
     def extended(self, order: int) -> np.ndarray:
         """Knot vector with boundary knots repeated to multiplicity `order`."""
-        return np.concatenate(
-            (np.zeros(order), np.asarray(self.interior, dtype=float), np.ones(order))
-        )
+        return self._padded(order)
+
+    def _padded(self, count: int) -> np.ndarray:
+        arr = np.asarray(self.interior, dtype=float)
+        lead = arr.shape[:-1]
+        return np.concatenate((np.zeros(lead + (count,)), arr,
+                               np.ones(lead + (count,))), axis=-1)
+
+    def row(self, r: int) -> "KnotVector":
+        """Knot vector `r` of a stack."""
+        return KnotVector(tuple(self.interior[r].tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,39 +125,80 @@ def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
     are, so a build does no O(N) work. Quantiles are type-1 (inverted CDF,
     no interpolation, as numpy's `method="inverted_cdf"`) at levels
     i/(K+1). Duplicate or boundary-touching knots are collapsed with a
-    warning, reducing the effective knot count.
+    warning, reducing the effective knot count. This is the one-sample
+    case of `knot_groups`.
+    """
+    ((_, knots),) = knot_groups(spec, reference)
+    return knots
+
+
+def knot_groups(spec: SplineSpec, reference=None) -> list:
+    """Knots per the spec's rule (see `build_knots`) for one reference or,
+    row by row, for an (R, n) stack of sample references.
+
+    Returns [(rows, KnotVector)]: one group, with `rows` an Ellipsis, for a
+    single reference or knots that do not depend on it; for a stack, the
+    rows whose knots all stay distinct and interior share one stacked
+    KnotVector, and rows whose knots collapse are grouped by their
+    reduced count, so that every group has one shape.
     """
     K = spec.interior_knots
     if K == 0:
-        return KnotVector(())
+        return [(..., KnotVector(()))]
     if spec.knot_rule == "equidistant":
-        return KnotVector(tuple((np.arange(1, K + 1) / (K + 1)).tolist()))
+        return [(..., KnotVector(tuple((np.arange(1, K + 1) / (K + 1)).tolist())))]
     if isinstance(reference, CovariateSummary):
         ordered, distinct = reference.z01, reference.distinct_count
     else:
-        ordered = np.sort(np.asarray(reference, dtype=float), axis=None)
+        ordered = np.sort(np.asarray(reference, dtype=float), axis=-1)
         distinct = _distinct_count(ordered)
-    if ordered.size == 0:
+    if ordered.shape[-1] == 0:
         raise ValueError("quantile knot rule needs a nonempty reference")
-    if distinct < K + 1:
+    if np.any(distinct < K + 1):
         raise ValueError("insufficient support for K knots")
     levels = np.arange(1, K + 1) / (K + 1)
     # the smallest order statistic whose rank is at least n * level
-    index = np.ceil(ordered.size * levels - 1).astype(np.intp)
-    knots = np.unique(ordered[index])
+    index = np.ceil(ordered.shape[-1] * levels - 1).astype(np.intp)
+    candidates = ordered[..., index]
+    full = (np.all(np.diff(candidates, axis=-1) > 0, axis=-1)
+            & (candidates[..., 0] > 0.0) & (candidates[..., -1] < 1.0))
+    if candidates.ndim == 1:
+        kept = candidates if full else _collapse(candidates, K)
+        return [(..., KnotVector(tuple(kept.tolist())))]
+    if full.all():
+        return [(slice(None), KnotVector(_read_only(candidates)))]
+    groups = [(np.flatnonzero(full), KnotVector(_read_only(candidates[full])))]
+    collapsed = {}
+    for r in np.flatnonzero(~full).tolist():
+        kept = _collapse(candidates[r], K)
+        collapsed.setdefault(kept.size, []).append((r, kept))
+    for entries in collapsed.values():
+        rows = np.array([r for r, _ in entries])
+        groups.append((rows, KnotVector(_read_only(np.stack([k for _, k in entries])))))
+    return [(rows, knots) for rows, knots in groups if len(rows)]
+
+
+def _collapse(candidates: np.ndarray, K: int) -> np.ndarray:
+    """The distinct candidate knots strictly inside (0,1), with a warning."""
+    knots = np.unique(candidates)
     keep = knots[(knots > 0.0) & (knots < 1.0)]
-    if keep.size < K:
-        logger.warning(
-            "collapsed %d duplicate/boundary quantile knots; K reduced to %d",
-            K - keep.size,
-            keep.size,
-        )
-    return KnotVector(tuple(keep.tolist()))
+    logger.warning(
+        "collapsed %d duplicate/boundary quantile knots; K reduced to %d",
+        K - keep.size,
+        keep.size,
+    )
+    return keep
 
 
-def _distinct_count(ordered: np.ndarray) -> int:
-    """Number of distinct values in a sorted array."""
-    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _distinct_count(ordered: np.ndarray):
+    """Number of distinct values in a sorted array, or in each sorted row."""
+    steps = np.count_nonzero(ordered[..., 1:] != ordered[..., :-1], axis=-1)
+    return int(ordered.shape[-1] > 0) + steps
 
 
 def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
@@ -152,32 +206,41 @@ def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
 
     Rows are nonnegative, sum to one, and have at most m nonzero entries.
     Uses the stable order-recursion starting from interval indicators, with
-    the final interval closed on the right so z = 1 is handled.
+    the final interval closed on the right so z = 1 is handled. For a
+    stack of knot vectors, z has one row per knot vector, (R, n), and the
+    result is (R, n, q).
     """
-    z = np.atleast_1d(np.asarray(z_values, dtype=float))
+    z = np.asarray(z_values, dtype=float)
+    if z.ndim == 0:
+        z = z[None]
     if z.size and (z.min() < 0.0 or z.max() > 1.0):
         raise ValueError("covariate out of range")
-    t = knots.extended(m)
-    n_intervals = len(t) - 1
-    B = np.zeros((z.size, n_intervals))
-    nonempty = [j for j in range(n_intervals) if t[j] < t[j + 1]]
-    for j in nonempty:
-        B[:, j] = (z >= t[j]) & (z < t[j + 1])
-    B[z == 1.0, nonempty[-1]] = 1.0
+    # intervals along the second-last axis, units along the last; interval
+    # j = [t_j, t_{j+1}) is nonempty for m - 1 <= j <= K + m - 1, and the
+    # last of these is closed on the right, so z = 1 falls in it
+    K = knots.num_interior
+    t = knots.extended(m)[..., :, None]
+    zz = z[..., None, :]
+    above = zz >= t[..., m - 1:K + m, :]
+    B = np.zeros(above.shape[:-2] + (K + 2 * m - 1, z.shape[-1]))
+    B[..., m - 1:K + m - 1, :] = above[..., :-1, :] & ~above[..., 1:, :]
+    B[..., K + m - 1, :] = above[..., -1, :]
     for order in range(2, m + 1):
-        nb = len(t) - order
-        Bn = np.zeros((z.size, nb))
-        for j in range(nb):
-            left = t[j + order - 1] - t[j]
-            right = t[j + order] - t[j + 1]
-            acc = np.zeros(z.size)
-            if left > 0:
-                acc += (z - t[j]) / left * B[:, j]
-            if right > 0:
-                acc += (t[j + order] - z) / right * B[:, j + 1]
-            Bn[:, j] = acc
+        # t_{j+order-1} > t_j exactly for m - order < j < K + m, and
+        # t_{j+order} > t_{j+1} for m - order - 1 < j < K + m - 1
+        Bn = np.zeros(B.shape[:-2] + (K + 2 * m - order, z.shape[-1]))
+        a, b = m - order + 1, K + m
+        term = zz - t[..., a:b, :]
+        term /= t[..., a + order - 1:b + order - 1, :] - t[..., a:b, :]
+        term *= B[..., a:b, :]
+        Bn[..., a:b, :] += term
+        a, b = m - order, K + m - 1
+        np.subtract(t[..., a + order:b + order, :], zz, out=term)
+        term /= t[..., a + order:b + order, :] - t[..., a + 1:b + 1, :]
+        term *= B[..., a + 1:b + 1, :]
+        Bn[..., a:b, :] += term
         B = Bn
-    return B
+    return np.ascontiguousarray(B.swapaxes(-1, -2))
 
 
 # Consecutive sorted population units per block of a `CovariateSummary`.
@@ -230,21 +293,39 @@ class CovariateSummary:
             self._moments = moments
         return self._moments
 
-    def _power_sums(self, lo: int, hi: int, a: float, h: float,
-                    m: int) -> np.ndarray:
-        """Sums of ((z - a) / h)^r for r < m over sorted units lo..hi-1."""
+    def _power_sums(self, lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
+                    h: np.ndarray, m: int) -> np.ndarray:
+        """Sums of ((z - a) / h)^r for r < m over sorted units lo..hi-1, one
+        row per (lo, hi, a, h)."""
         B = MOMENT_BLOCK
         powers = np.arange(m)
         first = -(-lo // B)
-        stop = max(first, hi // B)  # the full blocks inside: first..stop-1
-        ends = np.concatenate((self.z01[lo:min(first * B, hi)],
-                               self.z01[stop * B:hi]))
-        sums = (((ends - a) / h)[:, None] ** powers).sum(axis=0)
-        shift = ((self.z01[first * B:stop * B:B] - a) / h)[:, None] ** powers
-        local = self._block_moments(m)[first:stop, :m] / h ** powers
-        cross = shift.T @ local  # [k, p]: sum_b ((c_b - a)/h)^k ((z - c_b)/h)^p
+        stop = np.maximum(first, hi // B)  # the full blocks inside: first..stop-1
+        # the partial blocks at either end, low then high, zero-padded;
+        # powers along the units (as numpy's pow loop reads an exponent
+        # array), summed one unit after another as a column sum is
+        n_low = np.minimum(first * B, hi) - lo
+        n_end = n_low + np.maximum(hi - stop * B, 0)
+        at = np.arange(n_end.max(initial=0))
+        units = np.where(at < n_low[:, None], lo[:, None] + at,
+                         (stop * B - n_low)[:, None] + at)
+        valid = at < n_end[:, None]
+        units[~valid] = 0
+        ends = _powers((self.z01[units] - a[:, None]) / h[:, None], m)
+        ends *= valid[:, None, :]
+        sums = np.zeros((lo.size, m)) if not at.size else np.cumsum(ends, axis=-1)[..., -1]
+        blocks = stop - first
+        if not blocks.any():
+            return sums
+        at = np.arange(blocks.max())
+        index = np.where(at < blocks[:, None], first[:, None] + at, 0)
+        shift = _powers((self.z01[index * B] - a[:, None]) / h[:, None], m)
+        shift = np.ascontiguousarray(shift.swapaxes(-1, -2))
+        local = self._block_moments(m)[index, :m] / (h[:, None] ** powers)[:, None, :]
+        # [k, p]: sum_b ((c_b - a)/h)^k ((z - c_b)/h)^p, one product per row
+        cross = np.stack([s[:b].T @ l[:b] for s, l, b in zip(shift, local, blocks)])
         for r in range(m):
-            sums[r] += sum(comb(r, p) * cross[r - p, p] for p in range(r + 1))
+            sums[:, r] += sum(comb(r, p) * cross[:, r - p, p] for p in range(r + 1))
         return sums
 
     def basis_totals(self, knots: KnotVector, m: int) -> np.ndarray:
@@ -255,36 +336,47 @@ class CovariateSummary:
         interior knot counts in the interval to its right, and z = 1 in
         the last one. On each interval the m nonzero basis functions are
         recovered as polynomials in t = (z - a) / h from m evaluations.
+        A stack of R knot vectors gives (R, q) totals in one pass, with one
+        search of all their breakpoints.
         """
-        bp = knots.breakpoints()
-        left, width = bp[:-1], np.diff(bp)
-        cuts = np.concatenate(([0], np.searchsorted(self.z01, bp[1:-1]),
-                               [self.z01.size]))
+        lead = knots.breakpoints().shape[:-1]
+        bp = knots.breakpoints().reshape(-1, knots.num_interior + 2)
+        left, width = bp[:, :-1], np.diff(bp, axis=-1)
+        J = left.shape[1]
+        cuts = np.zeros(bp.shape, dtype=np.intp)
+        cuts[:, 1:-1] = np.searchsorted(self.z01, bp[:, 1:-1])
+        cuts[:, -1] = self.z01.size
         # each interval's left end and m - 1 Chebyshev points inside it
         inner = (np.arange(m - 1) + 0.5) * np.pi / max(m - 1, 1)
         nodes = np.concatenate(([0.0], 0.5 - 0.5 * np.cos(inner)))
-        points = left[:, None] + width[:, None] * nodes
-        values = basis_matrix(knots, m, points.ravel()).reshape(left.size, m, -1)
+        points = left[..., None] + width[..., None] * nodes
+        values = basis_matrix(knots, m, points.reshape(lead + (J * m,)))
+        values = values.reshape(bp.shape[0], J, m, -1)
         # intervals too narrow to hold m distinct points in floating point
-        narrow = (np.diff(points, axis=1) <= 0).any(axis=1) | (points[:, -1] >= bp[1:])
-        powers = np.arange(1, m)
-        totals = np.zeros(knots.num_interior + m)
-        for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            if lo == hi:
-                continue
-            if narrow[j]:
+        narrow = (np.diff(points, axis=-1) <= 0).any(axis=-1) | (points[..., -1] >= bp[:, 1:])
+        # piece coefficients of t^r on every interval; the constant term is
+        # the value at a
+        at = np.stack([values[:, j, :, j:j + m] for j in range(J)], axis=1)
+        t = (points[..., 1:] - left[..., None]) / width[..., None]
+        vandermonde = t[..., None] ** np.arange(1, m)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        skip = (lo == hi) | narrow
+        vandermonde[skip] = np.eye(m - 1)  # unused; kept regular
+        pieces = np.concatenate((at[..., :1, :], np.linalg.solve(
+            vandermonde, at[..., 1:, :] - at[..., :1, :])), axis=-2)
+        sums = self._power_sums(lo.ravel(), hi.ravel(), left.ravel(), width.ravel(), m)
+        parts = (sums.reshape(lo.shape + (1, m)) @ pieces)[..., 0, :]
+        parts[skip] = 0.0
+        totals = np.zeros((bp.shape[0], knots.num_interior + m))
+        for j in range(J):
+            totals[:, j:j + m] += parts[:, j]
+            for r in np.flatnonzero(narrow[:, j] & (lo[:, j] < hi[:, j])).tolist():
                 # sum the basis values over the distinct units instead
-                distinct, counts = np.unique(self.z01[lo:hi], return_counts=True)
-                totals[j:j + m] += counts @ basis_matrix(knots, m, distinct)[:, j:j + m]
-                continue
-            # piece coefficients of t^r; the constant term is the value at a
-            at = values[j][:, j:j + m]
-            t = (points[j, 1:] - left[j]) / width[j]
-            pieces = np.vstack((at[0], np.linalg.solve(t[:, None] ** powers,
-                                                       at[1:] - at[0])))
-            sums = self._power_sums(lo, hi, left[j], width[j], m)
-            totals[j:j + m] += sums @ pieces
-        return totals
+                distinct, counts = np.unique(self.z01[lo[r, j]:hi[r, j]],
+                                             return_counts=True)
+                row = knots if not lead else knots.row(r)
+                totals[r, j:j + m] += counts @ basis_matrix(row, m, distinct)[:, j:j + m]
+        return totals.reshape(lead + totals.shape[1:])
 
     def fixed_knot_totals(self, spec: SplineSpec) -> tuple[KnotVector, np.ndarray] | None:
         """Knots and read-only basis totals, built once per (order, K, rule),
@@ -299,6 +391,21 @@ class CovariateSummary:
             totals.flags.writeable = False
             self._fixed[key] = knots, totals
         return self._fixed[key]
+
+
+def _powers(x: np.ndarray, m: int) -> np.ndarray:
+    """x^r for r < m, with r on the second-last axis: (..., m, n) for x of
+    shape (..., n). x^0 = 1 and x^1 = x exactly; higher powers come from
+    numpy's general pow loop, given a full exponent array (a scalar
+    exponent 2 would take its square shortcut, which can differ from pow
+    in the last place)."""
+    out = np.empty(x.shape[:-1] + (m, x.shape[-1]))
+    out[..., 0, :] = 1.0
+    out[..., 1:2, :] = x[..., None, :]
+    if m > 2:
+        exponents = np.repeat(np.arange(2, m)[:, None], x.shape[-1], axis=1)
+        out[..., 2:, :] = x[..., None, :] ** exponents
+    return out
 
 
 def basis_row(knots: KnotVector, m: int, z: float) -> np.ndarray:
@@ -334,21 +441,23 @@ def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:
     diff = difference_operator(p, q)
     scale = float(K) ** (2 * p) if K > 0 else 1.0
     D = scale * diff.T @ gram @ diff
-    return 0.5 * (D + D.T)
+    return 0.5 * (D + D.swapaxes(-1, -2))
 
 
 def _gram_matrix(knots: KnotVector, order: int) -> np.ndarray:
-    """Gram matrix of the order-`order` basis, exact piecewise quadrature."""
+    """Gram matrix of the order-`order` basis, exact piecewise quadrature;
+    one per knot vector of a stack."""
     q = knots.num_interior + order
     nodes_per_interval = max(order, 1)
     xg, wg = np.polynomial.legendre.leggauss(nodes_per_interval)
     bp = knots.breakpoints()
-    R = np.zeros((q, q))
-    for a, b in zip(bp[:-1], bp[1:]):
+    R = np.zeros(bp.shape[:-1] + (q, q))
+    for j in range(bp.shape[-1] - 1):
+        a, b = bp[..., j], bp[..., j + 1]
         half = 0.5 * (b - a)
-        pts = a + half * (xg + 1.0)
+        pts = a[..., None] + half[..., None] * (xg + 1.0)
         vals = basis_matrix(knots, order, pts)
-        R += (vals * (wg * half)[:, None]).T @ vals
+        R += (vals * (wg * half[..., None])[..., :, None]).swapaxes(-1, -2) @ vals
     return R
 
 

@@ -223,9 +223,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     sampling = _option_design(design, n, allocation)
     pop = Population.from_csv(pop_path)
     for token, pspec in zip(parameters, pspecs):
-        needed = ((pspec.variable, pspec.denominator) if pspec.kind == "ratio"
-                  else (pspec.variable,))
-        for name in needed:
+        for name in pspec.variables:
             if name not in pop.variables:
                 raise click.UsageError(
                     f"--parameter {token}: the population has no variable {name!r}")

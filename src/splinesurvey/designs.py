@@ -203,39 +203,80 @@ def _check_whole(what: str, size) -> None:
 @dataclass(frozen=True)
 class GivenProbabilities:
     """Poisson sampling: unit k enters independently with probability pi_k,
-    so pi_kl = pi_k * pi_l. Provided for extensibility."""
+    so pi_kl = pi_k * pi_l. The probabilities are checked once, here, and
+    kept as a read-only copy."""
 
     pi: np.ndarray
 
+    def __post_init__(self):
+        pi = np.array(self.pi, dtype=float)
+        _check_probabilities(pi)
+        pi.flags.writeable = False
+        object.__setattr__(self, "pi", pi)
+
+
+def _check_probabilities(pi: np.ndarray) -> None:
+    """Refuse probabilities outside (0,1], NaN included."""
+    if not np.all((pi > 0) & (pi <= 1)):
+        raise ValueError("inclusion probabilities must lie in (0,1]")
+
 
 class SampleDraw:
-    """A realized sample with inclusion-probability accessors."""
+    """A realized sample, or a stack of samples, with inclusion-probability
+    accessors.
 
-    def __init__(self, population: Population, design, indices: np.ndarray,
-                 pi_full: np.ndarray):
+    `indices` holds the sampled units: shape (n,) for one sample, (R, n)
+    for a stack of R samples of one design, one per row. `pi` has the same
+    shape. Either the caller gives `pi_full` over the whole universe, which
+    is checked whole, or `pi` at the sampled units (as `draw` does), which
+    is checked there; `pi_full` is then built from the design on first use,
+    so a draw does O(n) work past its random choice.
+    """
+
+    def __init__(self, population: Population, design, indices,
+                 pi_full=None, *, pi=None):
         self.population = population
         self.design = design
         self.indices = np.asarray(indices, dtype=int)
-        self._pi_full = np.asarray(pi_full, dtype=float)
-        if np.any(self._pi_full <= 0) or np.any(self._pi_full > 1):
-            raise ValueError("inclusion probabilities must lie in (0,1]")
+        if pi is None:
+            pi_full = np.asarray(pi_full, dtype=float)
+            _check_probabilities(pi_full)
+            self.__dict__["pi_full"] = pi_full
+            pi = pi_full[self.indices]
+        else:
+            pi = np.asarray(pi, dtype=float)
+            if pi.shape != self.indices.shape:
+                raise ValueError("indices and pi shape mismatch")
+            _check_probabilities(pi)
+        self.pi = pi
 
     @property
     def size(self) -> int:
-        return self.indices.size
+        """Sample size n (of each sample of a stack)."""
+        return self.indices.shape[-1]
 
     @property
-    def pi(self) -> np.ndarray:
-        """First-order probabilities of the sampled units, sample order."""
-        return self._pi_full[self.indices]
+    def replicates(self) -> tuple:
+        """Leading shape: () for one sample, (R,) for a stack."""
+        return self.indices.shape[:-1]
 
     def pi_of(self, k) -> float:
-        return float(self._pi_full[k])
+        return float(self.pi_full[k])
 
-    @property
+    @cached_property
+    def strata(self) -> tuple[StratumCodes, list]:
+        """The design's strata on the population (`design.strata`)."""
+        return self.design.strata(self.population)
+
+    @cached_property
     def pi_full(self) -> np.ndarray:
-        """First-order probabilities over the whole universe."""
-        return self._pi_full
+        """First-order probabilities over the whole universe, built on first
+        use: n_h / N_h over each stratum the design states, or the given
+        probabilities of a Poisson design."""
+        if isinstance(self.design, GivenProbabilities):
+            return self.design.pi
+        strata, sizes = self.strata
+        return _stratum_rates(strata, sizes)[strata.codes]
 
     def sample_values(self, name: str) -> np.ndarray:
         return self.population.variables[name][self.indices]
@@ -247,20 +288,29 @@ class SampleDraw:
     @cached_property
     def sample_strata(self) -> list:
         """(label, N_h, sample positions of its units) for each stratum the
-        design states (`design.strata`), in code order."""
-        strata = self.design.strata(self.population)[0]
+        design states (`design.strata`), in code order. In a stack the
+        positions have one row per sample, and every sample must hold the
+        same number of units of each stratum."""
+        strata = self.strata[0]
+        H, n = len(strata.labels), self.size
         codes = strata.codes[self.indices]
-        ends = np.cumsum(np.bincount(codes, minlength=len(strata.labels))).tolist()
-        order = np.argsort(codes, kind="stable")
-        return [(h, Nh, order[a:b]) for h, Nh, a, b in
+        rows = codes.reshape(-1, n)
+        offsets = (H * np.arange(rows.shape[0]))[:, None]
+        counts = np.bincount((rows + offsets).ravel(),
+                             minlength=H * rows.shape[0]).reshape(-1, H)
+        if np.any(counts != counts[0]):
+            raise ValueError("stacked samples differ in their stratum sizes")
+        ends = np.cumsum(counts[0]).tolist()
+        order = np.argsort(codes, axis=-1, kind="stable")
+        return [(h, Nh, order[..., a:b]) for h, Nh, a, b in
                 zip(strata.labels, strata.sizes.tolist(), [0, *ends], ends)]
 
     def joint_groups(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
         """The design's second-order inclusion probabilities, by group.
 
         Returns `(group, within)`: the group code of each unit in `indices`
-        (default: the sample), and per code the pi_kl of two distinct units
-        of that group. Units in different groups are selected
+        (default: the sample, in its shape), and per code the pi_kl of two
+        distinct units of that group. Units in different groups are selected
         independently, so pi_kl = pi_k pi_l between groups, and all units
         of a group share one pi_k. Each stratum the design states is a
         group (SRSWOR states one), with pi_kl = 0 where n_h = 1; with
@@ -268,8 +318,9 @@ class SampleDraw:
         """
         idx = self.indices if indices is None else np.asarray(indices, dtype=int)
         if isinstance(self.design, GivenProbabilities):
-            return np.arange(idx.size), np.zeros(idx.size)
-        strata, sizes = self.design.strata(self.population)
+            n = idx.shape[-1]
+            return np.broadcast_to(np.arange(n), idx.shape), np.zeros(n)
+        strata, sizes = self.strata
         within = [_srswor_joint(nh, Nh) for nh, Nh in zip(sizes, strata.sizes.tolist())]
         return strata.codes[idx], np.array(within)
 
@@ -286,9 +337,10 @@ class SampleDraw:
         return self.pi_of(k) * self.pi_of(l)
 
     def joint_matrix(self, indices=None) -> np.ndarray:
-        """Matrix of pi_kl over the given unit indices (default: the sample)."""
+        """Matrix of pi_kl over the given unit indices (default: the sample,
+        which must be one sample, not a stack)."""
         idx = self.indices if indices is None else np.asarray(indices, dtype=int)
-        pi = self._pi_full[idx]
+        pi = self.pi_full[idx]
         group, within = self.joint_groups(idx)
         M = np.where(group[:, None] == group, within[group][:, None],
                      np.outer(pi, pi))
@@ -320,19 +372,40 @@ def draw_stratified(population: Population, allocations: Mapping,
 def draw(population: Population, design, rng_seed) -> SampleDraw:
     """Draw a sample under `design` from one RNG stream: SRSWOR of n_h inside
     each stratum the design states (`design.strata`), strata in the order of
-    str(label), pi_k = n_h / N_h; a Poisson draw for `GivenProbabilities`."""
+    str(label), pi_k = n_h / N_h; a Poisson draw for `GivenProbabilities`.
+
+    A list of seeds draws a stack: row r is the sample drawn from its own
+    stream `rng_seed[r]`, unit for unit the sample `draw` gives that seed
+    alone. Poisson samples vary in size and are drawn one at a time.
+    """
+    if isinstance(rng_seed, list):
+        if isinstance(design, GivenProbabilities):
+            raise ValueError("Poisson samples vary in size and cannot be stacked")
+        rows = [_draw_units(population, design, seed) for seed in rng_seed]
+        indices = np.stack([units for units, _ in rows])
+        return SampleDraw(population, design, indices,
+                          pi=np.stack([pi for _, pi in rows]))
+    indices, pi = _draw_units(population, design, rng_seed)
+    return SampleDraw(population, design, indices, pi=pi)
+
+
+def _draw_units(population: Population, design, rng_seed) -> tuple:
+    """The sampled units of one draw, ascending, and their pi_k."""
     rng = np.random.default_rng(rng_seed)
     if isinstance(design, GivenProbabilities):
-        pi = np.asarray(design.pi, dtype=float)
-        indices = np.flatnonzero(rng.random(pi.size) < pi)
+        indices = np.flatnonzero(rng.random(design.pi.size) < design.pi)
         if indices.size == 0:
             raise ValueError("empty sample: the Poisson draw selected no unit")
-        return SampleDraw(population, design, indices, pi)
+        return indices, design.pi[indices]
     strata, sizes = design.strata(population)
     chosen = []
     for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j])):
         members = strata.members[j]
         chosen.append(members[rng.choice(members.size, size=sizes[j], replace=False)])
     indices = np.sort(np.concatenate(chosen))
-    rates = np.array([nh / m.size for nh, m in zip(sizes, strata.members)])
-    return SampleDraw(population, design, indices, rates[strata.codes])
+    return indices, _stratum_rates(strata, sizes)[strata.codes[indices]]
+
+
+def _stratum_rates(strata: StratumCodes, sizes: list) -> np.ndarray:
+    """The sampling rate n_h / N_h of each stratum, in code order."""
+    return np.array([nh / m.size for nh, m in zip(sizes, strata.members)])

@@ -13,6 +13,11 @@ on the values alone, so the measures of every weight system on one sample
 can share one, and the values are sorted once. At the units' own values
 and on the support, the distribution function is read at the run ends; only
 arbitrary points are searched. Totals, means and ratios never sort.
+
+A measure holds one sample, (n,), or a stack of R samples, (R, n); the
+functionals then give one value per row, each computed as that sample's
+alone would be. The row-wise helpers below (`row_dot`, `matvec`,
+`take_rows`, ...) serve the other modules' stacked arrays too.
 """
 
 from __future__ import annotations
@@ -23,36 +28,67 @@ from typing import Callable
 import numpy as np
 
 
-def _sort_runs(values: np.ndarray) -> tuple:
-    """(order, sorted values, run starts, run ends) of a 1-d float array.
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each the BLAS dot `a @ b` of 1-d rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    `order` is exactly `np.argsort(values, kind="stable")`. It is found with
-    numpy's default (SIMD) argsort and one `!=` pass for the runs of tied
-    values; only when values tie is each run put back in unit order, by one
-    sort of the integer keys run * n + position. Run j covers the sorted
-    positions `starts[j]:ends[j]`.
+
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products of matching stacks, each the BLAS `M @ v`."""
+    return (M @ v[..., None])[..., 0]
+
+
+def as_scalar(x):
+    """A Python float for a 0-d result (one sample), the array otherwise."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def any_sample(mask) -> bool:
+    """Whether a per-sample condition holds for any sample."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def as_column(x) -> np.ndarray:
+    """Per-sample values as a column against the units of each sample."""
+    return np.asarray(x)[..., None]
+
+
+def _sort_runs(values: np.ndarray) -> tuple:
+    """(order, sorted values, run start, run end) of float values, row by row.
+
+    `order` is exactly `np.argsort(values, axis=-1, kind="stable")`. It is
+    found with numpy's default (SIMD) argsort and one `!=` pass for the runs
+    of tied values; only when values tie are the runs put back in unit
+    order, by one sort of the integer keys run start * n + position. The
+    run start and end are given per sorted position: the number of units in
+    the row below, and at or below, the value there.
     """
-    n = values.size
-    order = np.argsort(values)
-    sorted_y = values[order]
-    new_run = sorted_y[1:] != sorted_y[:-1]
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1)
+    sorted_y = take_rows(values, order)
+    new_run = sorted_y[..., 1:] != sorted_y[..., :-1]
+    position = np.arange(n)
     if new_run.all():  # no ties: the order is unique, every run one unit
-        starts = np.arange(n)
-        return order, sorted_y, starts, starts + 1
-    breaks = np.flatnonzero(new_run) + 1
-    run_key = np.zeros(n, dtype=np.int64)
-    run_key[breaks] = n
-    np.cumsum(run_key, out=run_key)
-    order = np.sort(run_key + order) - run_key
-    sorted_y = values[order]  # a run may hold both -0.0 and 0.0
-    return order, sorted_y, np.append(0, breaks), np.append(breaks, n)
+        return order, sorted_y, position, position + 1
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = new_run
+    run_start = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
+    ends = np.ones(values.shape, dtype=bool)
+    ends[..., :-1] = new_run
+    run_end = np.minimum.accumulate(np.where(ends, position + 1, n)[..., ::-1],
+                                    axis=-1)[..., ::-1]
+    run_key = run_start.astype(np.int64) * n
+    order = np.sort(run_key + order, axis=-1) - run_key
+    sorted_y = take_rows(values, order)  # a run may hold -0.0 and 0.0
+    return order, sorted_y, run_start, run_end
 
 
 class Ordering:
     """Stable sort order of one value array and its runs of tied values.
 
-    Nothing is sorted until an order functional first asks; the result is
-    then kept, and every `WeightedMeasure` built on the same array with
+    The values are one sample's, (n,), or a stack's, (R, n), sorted row by
+    row. Nothing is sorted until an order functional first asks; the result
+    is then kept, and every `WeightedMeasure` built on the same array with
     this ordering reads it.
     """
 
@@ -65,7 +101,7 @@ class Ordering:
 
     @property
     def order(self) -> np.ndarray:
-        """`np.argsort(values, kind="stable")`."""
+        """`np.argsort(values, axis=-1, kind="stable")`."""
         return self._runs[0]
 
     @property
@@ -73,43 +109,64 @@ class Ordering:
         return self._runs[1]
 
     @property
-    def run_starts(self) -> np.ndarray:
-        """Sorted position of the first unit of each run of tied values."""
+    def run_start_at(self) -> np.ndarray:
+        """Per sorted position, the start of its run: the number of units
+        whose value is < the value there (broadcast over the rows)."""
         return self._runs[2]
 
     @property
-    def run_ends(self) -> np.ndarray:
-        """Sorted position one past the last unit of each run."""
-        return self._runs[3]
-
-    @cached_property
     def run_end_at(self) -> np.ndarray:
         """Per sorted position, the end of its run: the number of units
-        whose value is <= the value there."""
-        return self._per_position(self.run_ends)
+        whose value is <= the value there (broadcast over the rows)."""
+        return self._runs[3]
 
-    @cached_property
-    def run_start_at(self) -> np.ndarray:
-        """Per sorted position, the start of its run: the number of units
-        whose value is < the value there."""
-        return self._per_position(self.run_starts)
+    @property
+    def run_starts(self) -> np.ndarray:
+        """Sorted position of the first unit of each run of tied values
+        (one sample)."""
+        return np.flatnonzero(self.run_start_at == np.arange(self.values.size))
 
-    def _per_position(self, run_bounds: np.ndarray) -> np.ndarray:
-        if run_bounds.size == self.values.size:  # no ties
-            return run_bounds
-        return np.repeat(run_bounds, self.run_ends - self.run_starts)
+    @property
+    def run_ends(self) -> np.ndarray:
+        """Sorted position one past the last unit of each run (one sample)."""
+        return np.broadcast_to(self.run_end_at, self.values.shape)[self.run_starts]
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
-    """Cumulative sums led by a zero: entry i is the sum of the first i."""
-    out = np.empty(x.size + 1)
-    out[0] = 0.0
-    np.cumsum(x, out=out[1:])
+    """Cumulative sums along the rows, led by a zero: entry i is the sum of
+    the first i."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(x, axis=-1, out=out[..., 1:])
     return out
 
 
+def take_rows(a: np.ndarray, index) -> np.ndarray:
+    """`a[index]` along the last axis, row by row for an (R, n) stack."""
+    if a.ndim == 1:
+        return a[index]
+    return a.reshape(-1)[_flat(a, index)]
+
+
+def _flat(a: np.ndarray, index) -> np.ndarray:
+    """Positions in `a.ravel()` of the per-row positions `index`."""
+    return index + (a.shape[-1] * np.arange(a.shape[0]))[:, None]
+
+
+def _rank(sorted_y: np.ndarray, points, side: str) -> np.ndarray:
+    """`np.searchsorted(sorted_y, points, side)` row by row; a stack takes
+    one point, or one row of points, per sample."""
+    points = np.asarray(points, dtype=float)
+    if sorted_y.ndim == 1:
+        return np.searchsorted(sorted_y, points, side=side)
+    p = points.reshape(sorted_y.shape[:-1] + (-1, 1))
+    below = (sorted_y[..., None, :] < p) if side == "left" else (sorted_y[..., None, :] <= p)
+    return below.sum(axis=-1).reshape(points.shape)
+
+
 class WeightedMeasure:
-    """Point masses (y_k, w_k).
+    """Point masses (y_k, w_k), of one sample (n,) or of a stack (R, n),
+    one measure per row; the functionals then give one value per row.
 
     The sorted summaries (sort order, sorted values and the cumulative
     masses and mass-weighted values in sorted order, each led by a zero)
@@ -123,8 +180,9 @@ class WeightedMeasure:
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
         y = np.asarray(values, dtype=float)
         w = np.ones_like(y) if masses is None else np.asarray(masses, dtype=float)
-        if y.shape != w.shape or y.ndim != 1:
-            raise ValueError("values and masses must be matching 1-d arrays")
+        if y.shape != w.shape or y.ndim not in (1, 2):
+            raise ValueError("values and masses must be matching 1-d arrays, "
+                             "or (R, n) arrays for a stack")
         if y.size and not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
             raise ValueError("measure entries must be finite")
         if ordering is None:
@@ -145,45 +203,48 @@ class WeightedMeasure:
 
     @cached_property
     def _cum_w(self) -> np.ndarray:
-        return _cumsum0(self.masses[self._order])
+        return _cumsum0(take_rows(self.masses, self._order))
 
     @cached_property
     def _cum_wy(self) -> np.ndarray:
-        return _cumsum0(self.masses[self._order] * self._sorted_y)
+        return _cumsum0(take_rows(self.masses, self._order) * self._sorted_y)
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
-    def total_mass(self) -> float:
+    def total_mass(self):
         """Estimated population size N-hat."""
-        return float(self.masses.sum())
+        return as_scalar(self.masses.sum(axis=-1))
 
     def mass_at_most(self, y) -> np.ndarray:
         """Unnormalized CDF: total mass on {y_k <= y}."""
-        idx = np.searchsorted(self._sorted_y, np.asarray(y, dtype=float),
-                              side="right")
-        return self._cum_w[idx]
+        return self._at(self._cum_w, _rank(self._sorted_y, y, "right"))
 
     def weighted_sum_below(self, y) -> np.ndarray:
         """Sum of w_k y_k over the strictly smaller support {y_k < y}."""
-        idx = np.searchsorted(self._sorted_y, np.asarray(y, dtype=float),
-                              side="left")
-        return self._cum_wy[idx]
+        return self._at(self._cum_wy, _rank(self._sorted_y, y, "left"))
+
+    def _at(self, cumulative: np.ndarray, index: np.ndarray) -> np.ndarray:
+        rows = index.reshape(cumulative.shape[:-1] + (-1,))
+        return take_rows(cumulative, rows).reshape(index.shape)
 
     def mass_at_most_own(self) -> np.ndarray:
         """`mass_at_most` at each unit's own value, in unit order: the
         cumulative mass at the end of the unit's run, without a search."""
-        return self._unsort(self._cum_w[self.ordering.run_end_at])
+        return self._unsort(take_rows(self._cum_w, self.ordering.run_end_at))
 
     def weighted_sum_below_own(self) -> np.ndarray:
         """`weighted_sum_below` at each unit's own value, in unit order."""
-        return self._unsort(self._cum_wy[self.ordering.run_start_at])
+        return self._unsort(take_rows(self._cum_wy, self.ordering.run_start_at))
 
     def _unsort(self, in_sorted_order: np.ndarray) -> np.ndarray:
         out = np.empty_like(in_sorted_order)
-        out[self._order] = in_sorted_order
+        if out.ndim == 1:
+            out[self._order] = in_sorted_order
+        else:
+            out.reshape(-1)[_flat(out, self._order)] = in_sorted_order
         return out
 
     def with_extra_mass(self, y: float, eps: float) -> "WeightedMeasure":
@@ -192,41 +253,42 @@ class WeightedMeasure:
                                np.append(self.masses, eps))
 
 
-def total(measure: WeightedMeasure) -> float:
+def total(measure: WeightedMeasure):
     """Sum of w_k y_k."""
-    return float(measure.masses @ measure.values)
+    return as_scalar(row_dot(measure.masses, measure.values))
 
 
-def mean(measure: WeightedMeasure) -> float:
+def mean(measure: WeightedMeasure):
     """Total divided by the estimated population size."""
     nhat = measure.total_mass
-    if nhat == 0:
+    if any_sample(nhat == 0):
         raise ValueError("mean undefined: total mass is zero")
     return total(measure) / nhat
 
 
-def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure) -> float:
+def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
     """Ratio of two weighted totals sharing one weight system."""
     if not np.array_equal(measure_y.masses, measure_x.masses):
         raise ValueError("ratio requires a common weight system")
     denom = total(measure_x)
-    if denom == 0:
+    if any_sample(denom == 0):
         raise ValueError("ratio undefined: zero denominator total")
     return total(measure_y) / denom
 
 
-def cdf_value(measure: WeightedMeasure, y: float) -> float:
-    """Weighted distribution function at y (weak inequality).
+def cdf_value(measure: WeightedMeasure, y):
+    """Weighted distribution function at y (weak inequality); a stack takes
+    one point per sample.
 
     With signed masses the value can leave [0,1]; it is reported as-is.
     """
     nhat = measure.total_mass
-    if nhat == 0:
+    if any_sample(nhat == 0):
         raise ValueError("cdf undefined: total mass is zero")
-    return float(measure.mass_at_most(y)) / nhat
+    return as_scalar(measure.mass_at_most(y) / nhat)
 
 
-def quantile(measure: WeightedMeasure, alpha: float) -> float:
+def quantile(measure: WeightedMeasure, alpha: float):
     """Left-continuous generalized inverse of the weighted CDF.
 
     Scans the support upward and returns the first point whose CDF reaches
@@ -235,30 +297,30 @@ def quantile(measure: WeightedMeasure, alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
     nhat = measure.total_mass
-    if nhat <= 0:
+    if any_sample(nhat <= 0):
         raise ValueError("quantile requires positive total mass")
-    # the support is one point per run of tied values, and the CDF there is
-    # the cumulative mass at the run's end
+    # every sorted position reads the CDF at its run's end; the first
+    # position that reaches alpha starts the first crossing run
     ordering = measure.ordering
-    cdf = measure._cum_w[ordering.run_ends] / nhat
-    crossed = np.flatnonzero(cdf >= alpha)
-    if crossed.size == 0:
+    crossed = take_rows(measure._cum_w, ordering.run_end_at) / as_column(nhat) >= alpha
+    first = crossed.argmax(axis=-1)[..., None]
+    if not take_rows(crossed, first).all():
         raise ValueError("quantile undefined for this signed measure")
-    return float(measure._sorted_y[ordering.run_starts[crossed[0]]])
+    return as_scalar(take_rows(measure._sorted_y, take_rows(ordering.run_start_at, first))[..., 0])
 
 
-def gini(measure: WeightedMeasure) -> float:
+def gini(measure: WeightedMeasure):
     """Gini index of the weighted measure via the weak-CDF formula."""
     nhat = measure.total_mass
     ty = total(measure)
-    if nhat == 0 or ty == 0:
+    if any_sample(nhat == 0) or any_sample(ty == 0):
         raise ValueError("Gini undefined: zero mass or zero total")
-    F = measure.mass_at_most_own() / nhat
-    return float(measure.masses @ ((2.0 * F - 1.0) * measure.values)) / ty
+    F = measure.mass_at_most_own() / as_column(nhat)
+    return as_scalar(row_dot(measure.masses, (2.0 * F - 1.0) * measure.values)) / ty
 
 
 def poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
-                 level: float = 0.5, strict: bool = False) -> float:
+                 level: float = 0.5, strict: bool = False):
     """Share of mass at or below `fraction` times the `level`-quantile.
 
     `strict` switches the threshold comparison from <= to <.
@@ -267,8 +329,11 @@ def poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
     if strict:
         nhat = measure.total_mass
         below = measure.mass_at_most(threshold)
-        at = measure.masses[measure.values == threshold].sum()
-        return float(below - at) / nhat
+        hit = measure.values == as_column(threshold)
+        n = measure.size
+        at = np.array([m[h].sum() for m, h in
+                       zip(measure.masses.reshape(-1, n), hit.reshape(-1, n))])
+        return as_scalar((below - at.reshape(hit.shape[:-1])) / nhat)
     return cdf_value(measure, threshold)
 
 

@@ -2,7 +2,8 @@
 
 Nonlinear parameters are reduced to surrogate totals of per-unit linearized
 variables u_k; variance estimation then treats the residuals of u_k against
-a spline fit on the covariate as if they were the study variable.
+a spline fit on the covariate as if they were the study variable. Every
+function takes one sample's values, (n,), or a stack's, (R, n), row by row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ from typing import Callable
 import numpy as np
 
 from .basis import SplineSpec
-from .functionals import Ordering, WeightedMeasure, gini, quantile, total
+from .functionals import (
+    Ordering,
+    WeightedMeasure,
+    any_sample,
+    as_column,
+    as_scalar,
+    gini,
+    matvec,
+    quantile,
+    row_dot,
+    take_rows,
+    total,
+)
 from .weights import SplineSystem, WeightSet
 
 
@@ -53,11 +66,11 @@ def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    tx = float(w @ x)
-    if tx == 0:
+    tx = as_scalar(row_dot(w, x))
+    if any_sample(tx == 0):
         raise ValueError("ratio linearization undefined: zero denominator")
-    R = float(w @ y) / tx
-    return LinearizedVariables((y - R * x) / tx, "ratio")
+    R = as_scalar(row_dot(w, y)) / tx
+    return LinearizedVariables((y - as_column(R) * x) / as_column(tx), "ratio")
 
 
 def linearized_gini(y, weights=None,
@@ -72,15 +85,16 @@ def linearized_gini(y, weights=None,
     built on the array `y`, shares its sort with other measures on `y`.
     """
     y = np.asarray(y, dtype=float)
-    if y.size < 2:
+    if y.shape[-1] < 2:
         raise ValueError("Gini undefined for a single atom")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     ty = total(measure)
-    if ty == 0 or nhat == 0:
+    if any_sample(ty == 0) or any_sample(nhat == 0):
         raise ValueError("Gini linearization undefined: zero total")
-    G = gini(measure)
+    G = as_column(gini(measure))
+    nhat, ty = as_column(nhat), as_column(ty)
     F = measure.mass_at_most_own() / nhat
     below = measure.weighted_sum_below_own() / nhat
     u = (2.0 * (F * y - below) / ty
@@ -89,28 +103,33 @@ def linearized_gini(y, weights=None,
     return LinearizedVariables(u, "gini")
 
 
-def silverman_bandwidth(y, weights) -> float:
-    """Rule-of-thumb kernel bandwidth for a weighted sample."""
-    w = weights / weights.sum()
-    mu = float(w @ y)
-    sd = float(np.sqrt(max(w @ (y - mu) ** 2, 0.0)))
-    order = np.argsort(y)
-    cum = np.cumsum(w[order])
-    q25 = y[order][np.searchsorted(cum, 0.25)]
-    q75 = y[order][np.searchsorted(cum, 0.75)]
-    spread = min(sd, (q75 - q25) / 1.349) if q75 > q25 else sd
-    n_eff = float(weights.sum() ** 2 / (weights**2).sum())
-    if spread <= 0 or n_eff <= 0:
+def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
+    """Rule-of-thumb kernel bandwidth for a weighted sample (for positive
+    weights). The quartiles are read in the stable order of `ordering`, an
+    `Ordering` of `y` shared with the sample's other order functionals."""
+    y = np.asarray(y, dtype=float)
+    ordering = Ordering(y) if ordering is None else ordering
+    total_w = weights.sum(axis=-1)
+    w = weights / as_column(total_w)
+    mu = as_scalar(row_dot(w, y))
+    sd = np.sqrt(np.maximum(row_dot(w, (y - as_column(mu)) ** 2), 0.0))
+    cum = np.cumsum(take_rows(w, ordering.order), axis=-1)
+    q25, q75 = (take_rows(ordering.sorted_values, (cum < level).sum(axis=-1)[..., None])[..., 0]
+                for level in (0.25, 0.75))
+    spread = as_scalar(np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.349), sd))
+    n_eff = as_scalar(total_w ** 2 / (weights**2).sum(axis=-1))
+    if any_sample(spread <= 0) or any_sample(n_eff <= 0):
         raise ValueError("degenerate sample for bandwidth selection")
     return 0.9 * spread * n_eff ** (-0.2)
 
 
 def weighted_gaussian_density(y_points, y, weights, bandwidth) -> np.ndarray:
-    """Weighted Gaussian kernel density estimate at the given points."""
+    """Weighted Gaussian kernel density estimate at the given points (a
+    stack takes a row of points and a bandwidth per sample)."""
     pts = np.atleast_1d(np.asarray(y_points, dtype=float))
-    u = (pts[:, None] - y[None, :]) / bandwidth
+    u = (pts[..., :, None] - y[..., None, :]) / as_column(as_column(bandwidth))
     kern = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    return (kern @ weights) / (weights.sum() * bandwidth)
+    return matvec(kern, weights) / as_column(weights.sum(axis=-1) * bandwidth)
 
 
 def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
@@ -122,23 +141,26 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     threshold and at the quantile. The formula follows the standard
     linearization from the poverty-measurement literature, not a display
     in the source material for the rest of this package; reports flag it
-    accordingly. `ordering` is as in `linearized_gini`.
+    accordingly. `ordering` is as in `linearized_gini`; the bandwidth's
+    quartiles read it too.
     """
     y = np.asarray(y, dtype=float)
-    if y.size < 10:
+    if y.shape[-1] < 10:
         raise ValueError("poverty-rate linearization needs n >= 10")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     q = quantile(measure, level)
     t = fraction * q
-    P = float(measure.mass_at_most(t)) / nhat
-    h = silverman_bandwidth(y, w)
-    f_t, f_q = weighted_gaussian_density([t, q], y, w, h)
-    if f_q < 1e-12:
+    P = measure.mass_at_most(t) / nhat
+    h = silverman_bandwidth(y, w, measure.ordering)
+    density = weighted_gaussian_density(np.stack([t, q], axis=-1), y, w, h)
+    f_t, f_q = density[..., 0], density[..., 1]
+    if any_sample(f_q < 1e-12):
         raise ValueError("density too small at the quantile")
     adj = fraction * f_t / f_q
-    u = ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - level)) / nhat
+    t, q, P, adj = map(as_column, (t, q, P, adj))
+    u = ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - level)) / as_column(nhat)
     return LinearizedVariables(u, "poverty_rate")
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import SplineSpec
-from .designs import Population, SampleDraw, draw, replicate_seed
+from .designs import GivenProbabilities, Population, SampleDraw, draw, replicate_seed
 from .functionals import (
     Ordering,
     WeightedMeasure,
@@ -163,10 +163,17 @@ class ParameterSpec:
             return f"ratio({self.variable}/{self.denominator})"
         return f"{self.kind}({self.variable})"
 
+    @property
+    def variables(self) -> tuple:
+        """The study variables the parameter reads."""
+        return ((self.variable, self.denominator) if self.kind == "ratio"
+                else (self.variable,))
+
     def evaluate(self, values: dict, masses: np.ndarray,
                  orderings: dict | None = None) -> float:
         """The parameter at the measure with `masses` on the sample `values`
-        (variable name -> array). `orderings` maps variable names to an
+        (variable name -> array): a float for one sample, one value per row
+        for an (R, n) stack. `orderings` maps variable names to an
         `Ordering` built on the same arrays, so that every estimator on one
         sample shares one sort of each variable."""
         ordering = orderings.get(self.variable) if orderings else None
@@ -224,6 +231,9 @@ class SimulationPlan:
         if self.variance_method not in ("closed", "double_sum"):
             raise ValueError(f"unknown variance method {self.variance_method!r}; "
                              "choose closed or double_sum")
+        if isinstance(self.design, GivenProbabilities) and self.variance_method == "closed":
+            raise ValueError("Poisson sampling (GivenProbabilities) has no closed-form "
+                             "variance; use variance_method='double_sum'")
         if not self.estimators:
             raise ValueError("estimator roster must be nonempty")
         if not any(e.family == "HT" for e in self.estimators):
@@ -296,15 +306,17 @@ class MetricsTable:
 
 @dataclass(frozen=True)
 class Estimate:
-    """One parameter estimated with one weight set on one sample.
+    """One parameter estimated with one weight set on one sample, or on
+    each sample of a stack (then every field has a leading replicate axis).
 
     `u` is the parameter's linearized variable at the HT weights and
     `fitted` its fit on the weights' spline system; the variance is that
     of the residuals `u - fitted`. `interval` is None when the variance
-    is negative.
+    is negative; for a stack it holds arrays of lower and upper ends, NaN
+    where the variance is negative.
     """
 
-    point: float
+    point: float | np.ndarray
     u: np.ndarray
     fitted: np.ndarray
     variance: VarianceEstimate
@@ -316,14 +328,16 @@ class Estimate:
 
 
 class SampleData:
-    """What every estimator on one sample shares: the sample values, one
-    `Ordering` per variable (one sort of each, built on first use) and
-    each parameter's linearized variable at the HT weights."""
+    """What every estimator on one sample, or on each sample of a stack,
+    shares: the sample values of the variables the parameters read, one
+    `Ordering` per variable (one sort of each, built on first use) and each
+    parameter's linearized variable at the HT weights."""
 
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
-        self.values = {name: vals[sample.indices]
-                       for name, vals in sample.population.variables.items()}
+        names = dict.fromkeys(name for p in parameters for name in p.variables)
+        self.values = {name: sample.population.variables[name][sample.indices]
+                       for name in names}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
         ht = 1.0 / sample.pi
         self.linearized = {p.label: p.linearized(self.values, ht, self.orderings)
@@ -342,19 +356,39 @@ class SampleData:
             v = ht_variance_double_sum(self.sample, resid)
         else:
             v = closed_form_variance(self.sample, resid)
-        interval = None if v.negative else confidence_interval(point, v, level)
+        if not getattr(v.value, "ndim", 0):
+            interval = None if v.negative else confidence_interval(point, v, level)
+        else:
+            interval = confidence_interval(point, np.where(v.negative, np.nan, v.value),
+                                           level)
         return Estimate(point, u, fitted, v, interval)
+
+
+# Bound on the units of one stacked chunk of replicates (R * n): 16
+# replicates at n = 500, so a short batch is one chunk and the memory a
+# chunk holds stays small.
+CHUNK_UNITS = 8192
 
 
 def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTable:
     """Run the full replication protocol and aggregate the metric table.
 
-    Replicates are driven by seeds derived from the master seed and the
-    replicate index, so results do not depend on execution order. Each
-    variable is sorted at most once for the truths and once per replicate:
-    the truths share one `Ordering` per variable, and every estimator on a
-    sample shares its `SampleData`. Each cell keeps only (point, interval)
-    per replicate.
+    Replicate i is drawn from its own seed, derived from the master seed
+    and i (`replicate_seed`), so results do not depend on execution order.
+    Replicates are stacked: a chunk of R of them is drawn as one (R, n)
+    sample (`draw` with a list of seeds) and carried through the weights,
+    functionals, linearizations, variances and intervals as arrays with a
+    leading replicate axis, one pass per layer. CHUNK_UNITS bounds R * n;
+    Poisson samples, which vary in size, go one at a time. The numbers do
+    not depend on the chunking: each row is computed as that sample alone
+    is, to rounding. A chunk in which some sample fails is rerun one
+    sample at a time, so a run raises what the first failing replicate
+    raises alone.
+
+    Each variable is sorted once for the truths and once per chunk, row by
+    row: every estimator on a chunk shares its `SampleData`. Each cell
+    keeps only (point, interval) per replicate; `mean_runtime` is each
+    estimator's time per replicate, timed per chunk.
     """
     census = {name: Ordering(vals) for name, vals in population.variables.items()}
     truths = {p.label: p.truth(population, census) for p in plan.parameters}
@@ -363,16 +397,24 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     outcomes: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
     runtime: dict = {e: 0.0 for e in est_labels}
 
-    for i in range(plan.replicates):
-        sample = draw(population, plan.design, replicate_seed(plan.master_seed, i))
-        data = SampleData(sample, plan.parameters)
-        for est in plan.estimators:
-            tic = time.perf_counter()
-            ws = est.build_weights(sample)
-            for p in plan.parameters:
-                e = data.estimate(ws, p, plan.variance_method, plan.level)
-                outcomes[(p.label, est.label)].append((e.point, e.interval))
-            runtime[est.label] += time.perf_counter() - tic
+    if isinstance(plan.design, GivenProbabilities):
+        per_chunk = 1
+    else:
+        per_chunk = max(1, CHUNK_UNITS // sum(plan.design.strata(population)[1]))
+    for start in range(0, plan.replicates, per_chunk):
+        seeds = [replicate_seed(plan.master_seed, i)
+                 for i in range(start, min(start + per_chunk, plan.replicates))]
+        try:
+            chunks = [_estimate_chunk(plan, population, seeds)]
+        except Exception:
+            if len(seeds) == 1:
+                raise
+            chunks = [_estimate_chunk(plan, population, [seed]) for seed in seeds]
+        for cells, times in chunks:
+            for key, values in cells.items():
+                outcomes[key] += values
+            for label, seconds in times.items():
+                runtime[label] += seconds
 
     rows: dict = {}
     for p in plan.parameters:
@@ -400,6 +442,33 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
                 absolute_bias_flag=abs_flag,
             )
     return MetricsTable(rows, truths, plan.replicates)
+
+
+def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -> tuple:
+    """Draw the samples of `seeds` (one sample for one seed, else a stack)
+    and estimate every cell: ({(parameter, estimator): [(point, interval)]
+    per replicate}, {estimator: seconds})."""
+    sample = draw(population, plan.design, seeds if len(seeds) > 1 else seeds[0])
+    data = SampleData(sample, plan.parameters)
+    cells, times = {}, {}
+    for est in plan.estimators:
+        tic = time.perf_counter()
+        ws = est.build_weights(sample)
+        for p in plan.parameters:
+            cells[(p.label, est.label)] = _per_replicate(
+                data.estimate(ws, p, plan.variance_method, plan.level))
+        del ws  # free this system before the next one is built
+        times[est.label] = time.perf_counter() - tic
+    return cells, times
+
+
+def _per_replicate(e: Estimate) -> list:
+    """[(point, interval or None)], one entry per sample of the estimate."""
+    if not getattr(e.point, "ndim", 0):
+        return [(e.point, e.interval)]
+    lo, hi = e.interval
+    return [(point, None if negative else (low, high)) for point, negative, low, high
+            in zip(e.point.tolist(), e.variance.negative.tolist(), lo.tolist(), hi.tolist())]
 
 
 def _rmse(values, theta: float) -> float:

@@ -1,4 +1,8 @@
-"""Design-based variance estimation and normal-approximation intervals."""
+"""Design-based variance estimation and normal-approximation intervals.
+
+Residuals come as one sample's, (n,), or a stack's, (R, n); the estimates
+are then one float, or one value per sample.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +12,18 @@ from statistics import NormalDist
 import numpy as np
 
 from .designs import GivenProbabilities, SampleDraw, Srswor
+from .functionals import any_sample, as_scalar, take_rows
 from .weights import SplineSystem
 
 
 @dataclass
 class VarianceEstimate:
-    """A variance value with its computation route and sign flag."""
+    """A variance value with its computation route and sign flag (arrays,
+    one entry per sample, for a stack)."""
 
-    value: float
+    value: float | np.ndarray
     method: str
-    negative: bool = False
+    negative: bool | np.ndarray = False
 
     def __post_init__(self):
         self.negative = self.value < 0
@@ -50,29 +56,36 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     flagged, never clipped.
     """
     e = np.asarray(residuals, dtype=float)
-    if e.size != draw.size:
+    if e.shape != draw.indices.shape:
         raise ValueError("residuals length must match the sample size")
-    pi = draw.pi
+    pi = draw.pi.reshape(-1)
     group, within = draw.joint_groups()
-    p = np.ones(within.size)
-    p[group] = pi
-    if np.any(p[group] != pi):
+    # one code per (sample, group) of a stack
+    G = within.size
+    rows = group.reshape(-1, draw.size)
+    code = (rows + G * np.arange(rows.shape[0])[:, None]).reshape(-1)
+    cells = G * rows.shape[0]
+    within = np.tile(within, rows.shape[0])
+    p = np.ones(cells)
+    p[code] = pi
+    if (p[code] != pi).any():
         raise ValueError("inclusion probabilities differ inside a joint group")
-    count = np.bincount(group, minlength=within.size)
+    count = np.bincount(code, minlength=cells)
     pairs = count > 1
-    if np.any(within[pairs] <= 0):
+    if (within[pairs] <= 0).any():
         raise ValueError("zero joint inclusion probability encountered")
-    t = e / pi
-    tbar = np.bincount(group, weights=t, minlength=within.size)
+    t = e.reshape(-1) / pi
+    tbar = np.bincount(code, weights=t, minlength=cells)
     np.divide(tbar, count, out=tbar, where=count > 0)
-    r = t - tbar[group]
-    spread = np.bincount(group, weights=r * r, minlength=within.size)
-    a = np.zeros(within.size)
+    r = t - tbar[code]
+    spread = np.bincount(code, weights=r * r, minlength=cells)
+    a = np.zeros(cells)
     c = within[pairs]
     a[pairs] = (c - p[pairs] * p[pairs]) / c
     d = 1.0 - p
     terms = (d - a) * spread + count * tbar * tbar * (d + (count - 1) * a)
-    return VarianceEstimate(float(terms.sum()), "double_sum")
+    value = terms.reshape(draw.replicates + (G,)).sum(axis=-1)
+    return VarianceEstimate(as_scalar(value), "double_sum")
 
 
 def srswor_variance(N: int, n: int, residuals) -> VarianceEstimate:
@@ -80,9 +93,9 @@ def srswor_variance(N: int, n: int, residuals) -> VarianceEstimate:
     e = np.asarray(residuals, dtype=float)
     if n < 2:
         raise ValueError("variance needs n >= 2")
-    if e.size != n:
+    if e.shape[-1] != n:
         raise ValueError("residuals length must equal n")
-    s2 = float(np.var(e, ddof=1))
+    s2 = as_scalar(np.var(e, axis=-1, ddof=1))
     return VarianceEstimate(N**2 * (1.0 - n / N) * s2 / n, "srswor_closed")
 
 
@@ -94,7 +107,7 @@ def stsi_variance(per_stratum) -> VarianceEstimate:
     value = 0.0
     for h, (Nh, e_h) in per_stratum.items():
         e_h = np.asarray(e_h, dtype=float)
-        nh = e_h.size
+        nh = e_h.shape[-1]
         if nh < 2:
             raise ValueError(f"variance needs n_h >= 2 in stratum {h!r}")
         value += srswor_variance(Nh, nh, e_h).value
@@ -110,9 +123,10 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
         raise TypeError("no closed form for this design; use the double sum")
     if draw.size < 2:  # checked here: the per-stratum message names a stratum
         raise ValueError("variance needs n >= 2")
-    if e.size != draw.size:
+    if e.shape != draw.indices.shape:
         raise ValueError("residuals length must equal n")
-    value = stsi_variance({h: (Nh, e[at]) for h, Nh, at in draw.sample_strata}).value
+    value = stsi_variance({h: (Nh, take_rows(e, at))
+                           for h, Nh, at in draw.sample_strata}).value
     return VarianceEstimate(value, d.closed_form)
 
 
@@ -150,11 +164,11 @@ def normal_quantile(prob: float) -> float:
     return NormalDist().inv_cdf(prob)
 
 
-def confidence_interval(estimate: float, variance: float | VarianceEstimate,
-                        level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval: estimate +/- z * sqrt(variance)."""
+def confidence_interval(estimate, variance, level: float = 0.95) -> tuple:
+    """Normal-approximation interval: estimate +/- z * sqrt(variance); for a
+    stack, arrays of lower and upper ends."""
     v = variance.value if isinstance(variance, VarianceEstimate) else variance
-    if v < 0:
+    if any_sample(v < 0):
         raise ValueError("negative variance estimate; interval undefined")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(v)

@@ -14,10 +14,13 @@ import numpy as np
 from .basis import (
     SplineSpec,
     basis_matrix,
-    build_knots,
+    build_knots,  # noqa: F401 - kept importable from this module
+    knot_groups,
     normalize_covariate,  # noqa: F401 - kept importable from this module
     penalty_matrix,
 )
+
+from .functionals import as_scalar, matvec, row_dot
 
 RCOND_SINGULAR = 1e-12
 
@@ -26,10 +29,11 @@ RCOND_SINGULAR = 1e-12
 class WeightSet:
     """Weights w_ks for the sampled units, with provenance and diagnostics.
 
-    `system` is the spline system the weights were built from (None for
-    HT). It also serves the variance residual fits of every parameter
-    estimated with these weights, so a sample's system is built once per
-    estimator.
+    `indices` and `weights` have the shape of the draw's indices: (n,) for
+    one sample, (R, n) for a stack. `system` is the spline system the
+    weights were built from (None for HT). It also serves the variance
+    residual fits of every parameter estimated with these weights, so a
+    sample's system is built once per estimator.
     """
 
     indices: np.ndarray
@@ -41,14 +45,15 @@ class WeightSet:
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.indices.size != self.weights.size:
+        if self.indices.shape != self.weights.shape:
             raise ValueError("indices and weights length mismatch")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
     @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
+    def total_mass(self):
+        """Sum of the weights (of each sample of a stack)."""
+        return as_scalar(self.weights.sum(axis=-1))
 
 
 def ht_weights(draw) -> WeightSet:
@@ -56,12 +61,12 @@ def ht_weights(draw) -> WeightSet:
     return WeightSet(draw.indices, 1.0 / draw.pi, "HT")
 
 
-def weighted_total(weights: WeightSet, values_on_sample) -> float:
-    """Weighted sum over the sample."""
+def weighted_total(weights: WeightSet, values_on_sample):
+    """Weighted sum over the sample (of each sample of a stack)."""
     v = np.asarray(values_on_sample, dtype=float)
-    if v.size != weights.weights.size:
+    if v.shape != weights.weights.shape:
         raise ValueError("values and weights length mismatch")
-    return float(weights.weights @ v)
+    return as_scalar(row_dot(weights.weights, v))
 
 
 class SplineSystem:
@@ -75,6 +80,13 @@ class SplineSystem:
     `covariate_summary`, so a build costs O(K m^2 + N / block) there
     instead of O(N m q), and nothing when the knots do not depend on the
     sample (`CovariateSummary.fixed_knot_totals`).
+
+    A stack of draws gives one system per sample, every array with a
+    leading replicate axis, factored and solved as one batch. Samples
+    whose quantile knots collapse cannot share that shape; they form
+    groups of their own (`knot_groups`), and `weight_vector`, `fitted`
+    and `rcond` put the groups' rows back in stack order. The knots and
+    basis attributes exist when there is one group.
     """
 
     def __init__(self, draw, spec: SplineSpec):
@@ -82,48 +94,125 @@ class SplineSystem:
         covariate = draw.population.covariate_summary
         self.scale = covariate.scale
         z_s = self.scale.apply(draw.sample_z)
-        m = spec.order
+        inv_pi = 1.0 / draw.pi
         fixed = covariate.fixed_knot_totals(spec)
         if fixed is None:
-            self.knots = build_knots(spec, z_s)
-            self.basis_pop_total = covariate.basis_totals(self.knots, m)
+            groups = [(rows, knots, covariate.basis_totals(knots, spec.order))
+                      for rows, knots in knot_groups(spec, z_s)]
         else:
-            self.knots, self.basis_pop_total = fixed
-        self.basis_sample = basis_matrix(self.knots, m, z_s)
-        self.inv_pi = 1.0 / draw.pi
-        bw = self.basis_sample * self.inv_pi[:, None]
-        A = self.basis_sample.T @ bw
-        if spec.lam > 0:
-            A = A + spec.lam * penalty_matrix(spec, self.knots)
-        self.normal_matrix = A
-        cond = np.linalg.cond(A)
-        self.rcond = 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
-        if self.rcond < RCOND_SINGULAR:
-            raise ValueError("singular basis system: reduce K or set lambda>0")
-        self._weighted_basis = bw
+            groups = [(..., *fixed)]
+        self._shape = inv_pi.shape
+        self._groups = [(rows, _SplineFit(spec, knots, totals, z_s[rows], inv_pi[rows]))
+                        for rows, knots, totals in groups]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.normal_matrix, rhs)
+    @property
+    def _only(self) -> _SplineFit:
+        if len(self._groups) > 1:
+            raise ValueError("the stacked samples' knot counts differ; "
+                             "the system has no single knot vector")
+        return self._groups[0][1]
+
+    knots = property(lambda self: self._only.knots)
+    basis_sample = property(lambda self: self._only.basis_sample)
+    basis_pop_total = property(lambda self: self._only.basis_pop_total)
+
+    @property
+    def rcond(self):
+        """Reciprocal condition number of the normal matrix, per sample."""
+        out = np.empty(self._shape[:-1])
+        for rows, fit in self._groups:
+            out[rows] = fit.rcond
+        return as_scalar(out)
+
+    def knot_counts(self) -> str:
+        """The effective interior knot count, or each group's, as text."""
+        return "|".join(str(fit.knots.num_interior) for _, fit in self._groups)
+
+    def has_empty_cell(self) -> bool:
+        """Whether some sample has a basis function that no sampled unit
+        reaches."""
+        return any(np.any((fit.basis_sample > 0).sum(axis=-2) == 0)
+                   for _, fit in self._groups)
+
+    def _by_rows(self, method, *arrays) -> np.ndarray:
+        if len(self._groups) == 1:
+            return method(self._groups[0][1], *arrays)
+        out = np.empty(self._shape)
+        for rows, fit in self._groups:
+            out[rows] = method(fit, *(a[rows] for a in arrays))
+        return out
 
     def coefficients(self, values_on_sample) -> np.ndarray:
         """Design-based ridge coefficients for the given sample values."""
-        v = np.asarray(values_on_sample, dtype=float)
-        return self.solve(self._weighted_basis.T @ v)
+        return self._only.coefficients(np.asarray(values_on_sample, dtype=float))
 
     def fitted(self, values_on_sample) -> np.ndarray:
         """Fitted values at the sampled covariates."""
-        return self.basis_sample @ self.coefficients(values_on_sample)
+        return self._by_rows(_SplineFit.fitted,
+                             np.asarray(values_on_sample, dtype=float))
 
     def weight_vector(self) -> np.ndarray:
         """Model-assisted weights for the penalized spline fit."""
-        gap = self._weighted_basis.T.sum(axis=1) - self.basis_pop_total
-        return self.inv_pi - self._weighted_basis @ self.solve(gap)
+        return self._by_rows(_SplineFit.weight_vector)
 
     def projection_weight_vector(self) -> np.ndarray:
         """Unpenalized projection form; valid only at lambda = 0."""
         if self.spec.lam != 0:
             raise ValueError("projection weights require lambda = 0")
-        return self._weighted_basis @ self.solve(self.basis_pop_total)
+        return self._by_rows(_SplineFit.projection_weight_vector)
+
+    def calibration_residuals(self, w: np.ndarray) -> list:
+        """B_s' w minus the population totals, over 1 + |totals|, as a list
+        (one list per sample of a stack)."""
+        out = [None] * int(np.prod(self._shape[:-1], dtype=int))
+        for rows, fit in self._groups:
+            totals = fit.basis_pop_total
+            resid = (matvec(fit.basis_sample.swapaxes(-1, -2), w[rows]) - totals)
+            values = (resid / (1.0 + np.abs(totals))).tolist()
+            if rows is ...:
+                return values
+            for r, v in zip(np.arange(len(out))[rows].tolist(), values):
+                out[r] = v
+        return out
+
+
+class _SplineFit:
+    """One group of a `SplineSystem`: knots shared in shape, arrays with the
+    group's leading axes (none for one sample)."""
+
+    def __init__(self, spec: SplineSpec, knots, basis_pop_total, z_s, inv_pi):
+        self.knots = knots
+        self.basis_pop_total = basis_pop_total
+        self.basis_sample = basis_matrix(knots, spec.order, z_s)
+        self.inv_pi = inv_pi
+        bw = self.basis_sample * inv_pi[..., None]
+        A = self.basis_sample.swapaxes(-1, -2) @ bw
+        if spec.lam > 0:
+            A = A + spec.lam * penalty_matrix(spec, knots)
+        self.normal_matrix = A
+        cond = np.linalg.cond(A)
+        self.rcond = np.where(np.isfinite(cond) & (cond > 0), 1.0 / cond, 0.0)
+        if (self.rcond < RCOND_SINGULAR).any():
+            raise ValueError("singular basis system: reduce K or set lambda>0")
+        self._weighted_basis = bw
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.normal_matrix, rhs[..., None])[..., 0]
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        return self.solve(matvec(self._weighted_basis.swapaxes(-1, -2), v))
+
+    def fitted(self, v: np.ndarray) -> np.ndarray:
+        return matvec(self.basis_sample, self.coefficients(v))
+
+    def weight_vector(self) -> np.ndarray:
+        gap = self._weighted_basis.sum(axis=-2) - self.basis_pop_total
+        return self.inv_pi - matvec(self._weighted_basis, self.solve(gap))
+
+    def projection_weight_vector(self) -> np.ndarray:
+        totals = np.broadcast_to(self.basis_pop_total,
+                                 self.normal_matrix.shape[:-1])
+        return matvec(self._weighted_basis, self.solve(totals))
 
 
 def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightSet:
@@ -139,7 +228,7 @@ def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightS
         w = system.projection_weight_vector()
     else:
         raise ValueError(f"unknown weight form {form!r}")
-    tag = f"BS(m={spec.order},K={system.knots.num_interior},lam={spec.lam:g})"
+    tag = f"BS(m={spec.order},K={system.knot_counts()},lam={spec.lam:g})"
     return _calibrated(draw, system, tag, w)
 
 
@@ -148,17 +237,16 @@ def post_weights(draw, K: int) -> WeightSet:
     spec = SplineSpec(order=1, interior_knots=K, knot_rule="sample_quantile",
                       lam=0.0)
     system = SplineSystem(draw, spec)
-    occupancy = (system.basis_sample > 0).sum(axis=0)
-    if np.any(occupancy == 0):
+    if system.has_empty_cell():
         raise ValueError("empty poststratum")
-    return _calibrated(draw, system, f"POST(K={system.knots.num_interior})",
+    return _calibrated(draw, system, f"POST(K={system.knot_counts()})",
                        system.weight_vector())
 
 
 def greg_weights(draw) -> WeightSet:
     """Linear-model calibration on (1, z): Sum w = N and Sum w z = Sum_U z,
     on the order-2 spline system without interior knots (it spans {1, z})."""
-    if np.ptp(draw.sample_z) == 0:
+    if np.any(np.ptp(draw.sample_z, axis=-1) == 0):
         raise ValueError("collinear design: sample covariate is constant")
     try:
         system = SplineSystem(draw, SplineSpec(order=2, interior_knots=0))
@@ -170,14 +258,13 @@ def greg_weights(draw) -> WeightSet:
 def _calibrated(draw, system: SplineSystem, family: str,
                 w: np.ndarray) -> WeightSet:
     """The weight set of weights `w` built from a spline system, with the
-    calibration diagnostics."""
-    resid = system.basis_sample.T @ w - system.basis_pop_total
-    scale = 1.0 + np.abs(system.basis_pop_total)
+    calibration diagnostics (one entry per sample of a stack)."""
+    rcond = system.rcond
     diagnostics = {
-        "calibration_residuals": (resid / scale).tolist(),
-        "negative_weight_count": int(np.sum(w < 0)),
-        "min_weight": float(w.min()),
-        "rcond": system.rcond,
+        "calibration_residuals": system.calibration_residuals(w),
+        "negative_weight_count": np.sum(w < 0, axis=-1).tolist(),
+        "min_weight": w.min(axis=-1).tolist(),
+        "rcond": rcond if isinstance(rcond, float) else rcond.tolist(),
     }
     return WeightSet(draw.indices, w, family, diagnostics=diagnostics,
                      system=system)

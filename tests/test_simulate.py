@@ -179,7 +179,9 @@ class TestRunMonteCarlo:
 def test_variance_residuals_match_residual_fit(monkeypatch):
     """The residuals entering each variance equal a fresh `residual_fit`
     with the estimator's spec (order 2, K = 0 for GREG; u itself for HT),
-    over a few replicates of the criterion-10 plan."""
+    over a few replicates of the criterion-10 plan. The replicates are
+    stacked: each variance call covers the whole chunk, one row per
+    replicate, and each row is checked against that replicate drawn alone."""
     pop = synth_population(SynthConfig(), 10)
     plan = SimulationPlan(
         design=Srswor(500),
@@ -193,18 +195,22 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
     seen = []
 
     def recording(sample, residuals):
-        seen.append(np.array(residuals))
+        seen.append((sample.indices.copy(), np.array(residuals)))
         return closed_form_variance(sample, residuals)
 
     monkeypatch.setattr(simulate, "closed_form_variance", recording)
     run_monte_carlo(plan, pop)
 
+    samples = [draw(pop, plan.design, replicate_seed(plan.master_seed, i))
+               for i in range(plan.replicates)]
     got = iter(seen)
-    for i in range(plan.replicates):
-        sample = draw(pop, plan.design, replicate_seed(plan.master_seed, i))
-        values = {name: v[sample.indices] for name, v in pop.variables.items()}
-        for est in plan.estimators:
-            for p in plan.parameters:
+    for est in plan.estimators:
+        for p in plan.parameters:
+            indices, residuals = next(got)
+            assert residuals.shape == (plan.replicates, 500)
+            for i, sample in enumerate(samples):
+                assert np.array_equal(indices[i], sample.indices)
+                values = {name: v[sample.indices] for name, v in pop.variables.items()}
                 u = p.linearized(values, 1.0 / sample.pi)
                 if est.family == "HT":
                     want = u
@@ -212,7 +218,7 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
                     spec = (SplineSpec(order=2, interior_knots=0)
                             if est.family == "GREG" else est.spline_spec())
                     want = residual_fit(sample, spec, u).residuals
-                gap = np.max(np.abs(next(got) - want))
+                gap = np.max(np.abs(residuals[i] - want))
                 assert gap <= 1e-12 * np.max(np.abs(u)), (i, est.label, p.label)
     assert next(got, None) is None
 
@@ -319,12 +325,13 @@ class TestParameterTruth:
                                    ("mean", "gini", "poverty_rate", "ratio", "total")])
 def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
     """On the criterion-10 plan, y is sorted once for the truths and once
-    per replicate: every estimator's measure and the HT linearization share
-    the sort, and totals, means and ratios never sort."""
-    sizes = []
+    per replicate: the replicates of a chunk are sorted together, row by
+    row, and every estimator's measure and the HT linearization share that
+    sort, and totals, means and ratios never sort."""
+    shapes = []
     sort_runs = functionals._sort_runs
     monkeypatch.setattr(functionals, "_sort_runs",
-                        lambda v: sizes.append(v.size) or sort_runs(v))
+                        lambda v: shapes.append(v.shape) or sort_runs(v))
     pop = synth_population(SynthConfig(size=19378), 3)
     plan = SimulationPlan(
         design=Srswor(500),
@@ -334,7 +341,7 @@ def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
         parameters=tuple(ParameterSpec(k) for k in kinds),
         replicates=3, master_seed=5)
     run_monte_carlo(plan, pop)
-    assert sizes == [19378, 500, 500, 500]
+    assert shapes == [(19378,), (3, 500)]
 
 
 class TestTvProxyDistance:
