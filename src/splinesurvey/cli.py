@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -292,9 +293,9 @@ def simulate(plan_path, out_csv):
     with open(plan_path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     design = _make_design(cfg["design"])
-    pop = _plan_population(cfg["population"])
     estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
-    parameters = tuple(ParameterSpec(**p) for p in cfg["parameters"])
+    parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
+    pop = _plan_population(cfg["population"])
     plan = SimulationPlan(
         design=design,
         estimators=estimators,
@@ -308,6 +309,17 @@ def simulate(plan_path, out_csv):
     click.echo(table.render())
     if out_csv:
         table.to_csv(out_csv)
+
+
+def _plan_parameter(entry: dict) -> ParameterSpec:
+    """The parameter of a plan entry. A level or fraction the spec refuses
+    is a usage error naming the entry."""
+    settings = {key: entry[key] for key in ("fraction", "level") if key in entry}
+    spec = ParameterSpec(**{key: v for key, v in entry.items() if key not in settings})
+    try:
+        return replace(spec, **settings)
+    except ValueError as err:
+        raise click.UsageError(f"plan parameter {json.dumps(entry)}: {err}") from err
 
 
 def _plan_population(cfg) -> Population:

@@ -14,6 +14,11 @@ can share one, and the values are sorted once. At the units' own values
 and on the support, the distribution function is read at the run ends; only
 arbitrary points are searched. Totals, means and ratios never sort.
 
+A measure built without masses (the census) has unit masses: its
+quantiles select the k-th smallest value and its CDF at a point counts,
+so of its order functionals only the Gini sorts. Both give the sorted
+path's results bit for bit, whose cumulative masses are then exact integers.
+
 A measure holds one sample, (n,), or a stack of R samples, (R, n); the
 functionals then give one value per row, each computed as that sample's
 alone would be. The row-wise helpers below (`row_dot`, `matvec`,
@@ -22,6 +27,7 @@ alone would be. The row-wise helpers below (`row_dot`, `matvec`,
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Callable
 
@@ -174,7 +180,9 @@ class WeightedMeasure:
     order functional, and then cached; totals, means and ratios never sort.
     The sort order and the runs of tied values come from `ordering`, which
     a caller may pass in to share one sort between measures on the same
-    values array; by default the measure makes its own.
+    values array; by default the measure makes its own. Without `masses`
+    every unit has mass one (`unit_masses`): the quantile and the CDF at
+    one point per row then select and count instead of sorting.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -192,6 +200,7 @@ class WeightedMeasure:
         self.values = y
         self.masses = w
         self.ordering = ordering
+        self.unit_masses = masses is None
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -219,7 +228,11 @@ class WeightedMeasure:
         return as_scalar(self.masses.sum(axis=-1))
 
     def mass_at_most(self, y) -> np.ndarray:
-        """Unnormalized CDF: total mass on {y_k <= y}."""
+        """Unnormalized CDF: total mass on {y_k <= y}. At unit masses and
+        one point per row it is a count; arrays of points are searched."""
+        if self.unit_masses and np.ndim(y) == self.values.ndim - 1:
+            return np.asarray(np.count_nonzero(self.values <= as_column(y), axis=-1),
+                              dtype=float)
         return self._at(self._cum_w, _rank(self._sorted_y, y, "right"))
 
     def weighted_sum_below(self, y) -> np.ndarray:
@@ -292,13 +305,20 @@ def quantile(measure: WeightedMeasure, alpha: float):
     """Left-continuous generalized inverse of the weighted CDF.
 
     Scans the support upward and returns the first point whose CDF reaches
-    alpha; with signed masses the scan takes the first crossing.
+    alpha; with signed masses the scan takes the first crossing. At unit
+    masses that point is the k-th smallest value, selected without a sort.
     """
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
     nhat = measure.total_mass
     if any_sample(nhat <= 0):
         raise ValueError("quantile requires positive total mass")
+    if measure.unit_masses:
+        # select the k-th smallest value; of tied values take the first
+        # unit's, as the stable sort does (a run may hold -0.0 and 0.0)
+        y, k = measure.values, _unit_rank(alpha, measure.size)
+        kth = np.partition(y, k - 1, axis=-1)[..., k - 1, None]
+        return as_scalar(take_rows(y, (y == kth).argmax(axis=-1)[..., None])[..., 0])
     # every sorted position reads the CDF at its run's end; the first
     # position that reaches alpha starts the first crossing run
     ordering = measure.ordering
@@ -307,6 +327,18 @@ def quantile(measure: WeightedMeasure, alpha: float):
     if not take_rows(crossed, first).all():
         raise ValueError("quantile undefined for this signed measure")
     return as_scalar(take_rows(measure._sorted_y, take_rows(ordering.run_start_at, first))[..., 0])
+
+
+def _unit_rank(alpha: float, n: int) -> int:
+    """The least k with k / n >= alpha: where the CDF of n unit masses
+    first reaches alpha, by the float test the sorted path applies to its
+    cumulative masses, which are then the exact integers k."""
+    k = min(max(math.ceil(alpha * n), 1), n)
+    while k > 1 and (k - 1) / n >= alpha:
+        k -= 1
+    while k / n < alpha:
+        k += 1
+    return k
 
 
 def gini(measure: WeightedMeasure):

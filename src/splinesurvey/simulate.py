@@ -4,6 +4,8 @@ relative bias / RRMSE / coverage tables, and measure-distance diagnostics.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -156,6 +158,11 @@ class ParameterSpec:
     def __post_init__(self):
         if self.kind not in ("total", "mean", "ratio", "gini", "poverty_rate"):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
+        for name, high in (("level", 1), ("fraction", math.inf)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < high):
+                raise ValueError(f"{name} must be a number in (0, {high}), got {value!r}")
 
     @property
     def label(self) -> str:
@@ -169,13 +176,13 @@ class ParameterSpec:
         return ((self.variable, self.denominator) if self.kind == "ratio"
                 else (self.variable,))
 
-    def evaluate(self, values: dict, masses: np.ndarray,
+    def evaluate(self, values: dict, masses: np.ndarray | None,
                  orderings: dict | None = None) -> float:
-        """The parameter at the measure with `masses` on the sample `values`
-        (variable name -> array): a float for one sample, one value per row
-        for an (R, n) stack. `orderings` maps variable names to an
-        `Ordering` built on the same arrays, so that every estimator on one
-        sample shares one sort of each variable."""
+        """The parameter at the measure with `masses` (None: unit masses) on
+        the sample `values` (variable name -> array): a float for one
+        sample, one value per row for an (R, n) stack. `orderings` maps
+        variable names to an `Ordering` built on the same arrays, so that
+        every estimator on one sample shares one sort of each variable."""
         ordering = orderings.get(self.variable) if orderings else None
         m = WeightedMeasure(values[self.variable], masses, ordering)
         if self.kind == "total":
@@ -188,9 +195,10 @@ class ParameterSpec:
             return gini(m)
         return poverty_rate(m, self.fraction, self.level, self.strict)
 
-    def truth(self, population: Population, orderings: dict | None = None) -> float:
-        return self.evaluate(population.variables, np.ones(population.size),
-                             orderings)
+    def truth(self, population: Population) -> float:
+        """The parameter of the census: the measure at unit masses, whose
+        quantiles and CDF values select and count instead of sorting."""
+        return self.evaluate(population.variables, None)
 
     def linearized(self, values: dict, weights: np.ndarray,
                    orderings: dict | None = None) -> np.ndarray:
@@ -385,14 +393,14 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     sample at a time, so a run raises what the first failing replicate
     raises alone.
 
-    Each variable is sorted once for the truths and once per chunk, row by
-    row: every estimator on a chunk shares its `SampleData`. Each cell
+    Each variable is sorted once per chunk, row by row: every estimator on
+    a chunk shares its `SampleData`. The truths sort no census for totals,
+    means, ratios and the poverty rate (unit-mass quantiles select and the
+    CDF at a point counts); a Gini truth sorts its variable once. Each cell
     keeps only (point, interval) per replicate; `mean_runtime` is each
     estimator's time per replicate, timed per chunk.
     """
-    census = {name: Ordering(vals) for name, vals in population.variables.items()}
-    truths = {p.label: p.truth(population, census) for p in plan.parameters}
-    del census  # the population-sized sort is not needed past the truths
+    truths = {p.label: p.truth(population) for p in plan.parameters}
     est_labels = [e.label for e in plan.estimators]
     outcomes: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
     runtime: dict = {e: 0.0 for e in est_labels}

@@ -483,6 +483,31 @@ def test_simulate_plan_design_sizes_must_be_whole_numbers(runner, tmp_path,
     _usage_error(runner.invoke(main, ["simulate", "--plan", str(plan_path)]), message)
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"kind": "poverty_rate", "level": 1.5}, "level must be a number in (0, 1), got 1.5"),
+    ({"kind": "poverty_rate", "fraction": -1},
+     "fraction must be a number in (0, inf), got -1"),
+    ({"kind": "poverty_rate", "fraction": "0.6"},
+     "fraction must be a number in (0, inf), got '0.6'"),
+])
+def test_simulate_plan_parameter_threshold_is_a_usage_error(runner, tmp_path,
+                                                            monkeypatch, entry,
+                                                            message):
+    monkeypatch.setattr(cli, "_plan_population", _fail)
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}, entry],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, f"plan parameter {json.dumps(entry)}: {message}")
+
+
 @pytest.mark.parametrize("command", ["estimate", "weights"])
 @pytest.mark.parametrize("options,message", [
     (["--design", "srswor", "--n", "50", "--allocation", "h0=5"],

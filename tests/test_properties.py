@@ -1,6 +1,8 @@
 """Property tests of the plug-in functionals: a measure is a set of point
 masses, so every functional is invariant under permuting the units, and
-the normalized ones are invariant under rescaling the masses.
+the normalized ones are invariant under rescaling the masses. A measure
+built without masses (the census) selects and counts instead of sorting,
+and must give what the same values with masses of one give.
 
 Values and masses are small integers (ties are common) and scale factors
 are powers of two, so every sum is exact and the checks are equalities.
@@ -16,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from splinesurvey import (  # noqa: E402
     Ordering,
     WeightedMeasure,
+    cdf_value,
     gini,
     mean,
     poverty_rate,
@@ -123,3 +126,49 @@ def test_ordering_is_the_stable_argsort(values):
                           np.searchsorted(s, s, side="right"))
     assert np.array_equal(ordering.run_start_at,
                           np.searchsorted(s, s, side="left"))
+
+
+@st.composite
+def census_values(draw):
+    """Values of one census (n,) or of a stack (R, n): few distinct or
+    rounded values with both signed zeros, constant rows, single units."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    element = draw(st.sampled_from([
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]),
+        st.floats(-50, 50).map(lambda v: round(v, 1)),
+        st.just(7.5),
+    ]))
+    shape = (n,) if rows is None else (rows, n)
+    size = int(np.prod(shape))
+    values = draw(st.lists(element, min_size=size, max_size=size))
+    return np.asarray(values, dtype=float).reshape(shape)
+
+
+def census_levels(n):
+    """Levels in (0, 1): the usual ones, every k/n, and their neighbours."""
+    exact = np.arange(1, n) / n
+    near = np.concatenate((exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)))
+    return np.concatenate((LEVELS, near[(near > 0) & (near < 1)], [0.1 * 3]))
+
+
+def same(a, b) -> bool:
+    """Equal values of one type, down to the sign of zero."""
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(census_values(), st.sampled_from([0.6, 1.0, 0.5]))
+def test_census_measure_equals_masses_of_one(y, fraction):
+    unit, ones = WeightedMeasure(y), WeightedMeasure(y, np.ones_like(y))
+    assert unit.unit_masses and not ones.unit_masses
+    for alpha in census_levels(y.shape[-1]):
+        assert same(quantile(unit, alpha), quantile(ones, alpha))
+        for strict in (False, True):
+            assert same(poverty_rate(unit, fraction, alpha, strict),
+                        poverty_rate(ones, fraction, alpha, strict))
+    # one point per row: each unit's own value, and points between them
+    for t in np.concatenate((y, y + 0.25, y - 0.25, -y), axis=-1).T:
+        point = t if y.ndim == 2 else float(t)
+        assert same(cdf_value(unit, point), cdf_value(ones, point))
+        assert same(unit.mass_at_most(point), ones.mass_at_most(point))

@@ -311,6 +311,22 @@ class TestParameterTruth:
         with pytest.raises(ValueError, match="unknown parameter kind 'median'"):
             ParameterSpec("median")
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan"), "0.5", None])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"level must be a number in \(0, 1\)"):
+            ParameterSpec("poverty_rate", level=level)
+
+    @pytest.mark.parametrize("fraction", [0, -1, 0.0, float("inf"), float("nan"),
+                                          "0.6", True, None])
+    def test_fraction_not_positive_finite_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"fraction must be a number in \(0, inf\)"):
+            ParameterSpec("poverty_rate", fraction=fraction)
+
+    def test_valid_thresholds_accepted(self):
+        spec = ParameterSpec("poverty_rate", fraction=np.float64(2), level=np.float64(0.25))
+        assert (spec.fraction, spec.level) == (2.0, 0.25)
+        assert ParameterSpec("mean", fraction=1, level=0.9).kind == "mean"
+
     def test_plan_rejects_repeated_labels(self):
         # weak and strict poverty rates share a label, and the table is
         # keyed by label, so one plan cannot hold both
@@ -342,6 +358,23 @@ def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
         replicates=3, master_seed=5)
     run_monte_carlo(plan, pop)
     assert shapes == [(19378,), (3, 500)]
+
+
+def test_census_truths_of_sums_and_poverty_rate_do_not_sort(monkeypatch):
+    """A ratio and a poverty rate need no census sort: the truth's median
+    is selected and its CDF counted, so only the (R, n) chunks are sorted."""
+    shapes = []
+    sort_runs = functionals._sort_runs
+    monkeypatch.setattr(functionals, "_sort_runs",
+                        lambda v: shapes.append(v.shape) or sort_runs(v))
+    pop = synth_population(SynthConfig(size=19378), 3)
+    plan = SimulationPlan(
+        design=Srswor(500),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("BS", order=2, knots=2)),
+        parameters=(ParameterSpec("ratio"), ParameterSpec("poverty_rate")),
+        replicates=3, master_seed=5)
+    run_monte_carlo(plan, pop)
+    assert shapes == [(3, 500)]
 
 
 class TestTvProxyDistance:
