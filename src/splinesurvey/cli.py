@@ -106,6 +106,14 @@ def _option_design(design, n, allocation):
     return _make_design(config)
 
 
+def _load_population(path, source: str) -> Population:
+    """`Population.from_csv(path)`; a file it refuses is a usage error."""
+    try:
+        return Population.from_csv(path)
+    except ValueError as err:
+        raise click.UsageError(f"{source} {path}: {err}") from err
+
+
 def _draw(population, design, seed):
     """Draw a sample; a design the population cannot support (a sample
     size outside 1..N, a stratum without allocation, no strata) is a
@@ -185,7 +193,7 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
     """Draw a sample and emit the weight vector as CSV."""
     _reject_ignored_options()
     sampling = _option_design(design, n, allocation)
-    pop = Population.from_csv(pop_path)
+    pop = _load_population(pop_path, "--population")
     sample = _draw(pop, sampling, seed)
     ws = family_weights(sample, family.upper(),
                         _make_spec(order, knots, knot_rule, lam, penalty_order))
@@ -222,7 +230,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     _reject_ignored_options()
     pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
     sampling = _option_design(design, n, allocation)
-    pop = Population.from_csv(pop_path)
+    pop = _load_population(pop_path, "--population")
     for token, pspec in zip(parameters, pspecs):
         for name in pspec.variables:
             if name not in pop.variables:
@@ -324,7 +332,7 @@ def _plan_parameter(entry: dict) -> ParameterSpec:
 
 def _plan_population(cfg) -> Population:
     if "file" in cfg:
-        return Population.from_csv(cfg["file"])
+        return _load_population(cfg["file"], "plan population file")
     gen = dict(cfg["generator"])
     seed = gen.pop("seed", 0)
     return synth_population(SynthConfig(**gen), seed)

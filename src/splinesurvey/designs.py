@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .basis import CovariateSummary
+
+# `Population.from_csv` reads this many rows at a time: it holds one chunk of
+# rows as lists of strings, next to the columns converted so far.
+CSV_CHUNK_ROWS = 4096
+TEXT_COLUMNS = ("id", "stratum")
 
 
 @dataclass(frozen=True)
@@ -80,32 +87,93 @@ class Population:
 
     @classmethod
     def from_csv(cls, path) -> "Population":
-        """Load a population from CSV with columns id, [stratum], z, variables."""
+        """Load a population from a CSV file with columns id, [stratum], z
+        and the study variables, in any order.
+
+        The file is read as UTF-8 by the `csv` module's default dialect, so
+        a quoted cell may hold commas, quotes or line breaks. The first row
+        is the header, and its column names must be unique. Blank lines are
+        skipped; every other row must have as many cells as the header. `id`
+        and `stratum` are kept as strings, and every other cell must be a
+        number as Python's `float` reads it. A row of the wrong width, or a
+        cell that is not a number, raises a ValueError naming its file line.
+        """
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "id" not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or "id" not in header:
                 raise ValueError("population CSV needs a header with an 'id' column")
-            if "z" not in reader.fieldnames:
+            if "z" not in header:
                 raise ValueError("population CSV needs a 'z' column")
-            var_names = [
-                c for c in reader.fieldnames if c not in ("id", "stratum", "z")
-            ]
-            ids, z, strata = [], [], []
-            variables: dict = {name: [] for name in var_names}
-            has_stratum = "stratum" in reader.fieldnames
-            for row in reader:
-                ids.append(row["id"])
-                z.append(float(row["z"]))
-                if has_stratum:
-                    strata.append(row["stratum"])
-                for name in var_names:
-                    variables[name].append(float(row[name]))
+            for name, count in Counter(header).items():
+                if count > 1:
+                    raise ValueError(f"population CSV header names column {name!r} "
+                                     f"{count} times")
+            pieces = [[] for _ in header]
+            first_line = reader.line_num + 1
+            while rows := list(islice(reader, CSV_CHUNK_ROWS)):
+                for piece, column in zip(pieces, _chunk_columns(rows, header, first_line)):
+                    piece.append(column)
+                first_line = reader.line_num + 1
+        # the leading empty array gives a file without rows empty columns
+        columns = {
+            name: (tuple(chain.from_iterable(piece)) if name in TEXT_COLUMNS
+                   else np.concatenate([np.empty(0), *piece]))
+            for name, piece in zip(header, pieces)
+        }
         return cls(
-            ids=tuple(ids),
-            z=np.asarray(z),
-            variables={k: np.asarray(v) for k, v in variables.items()},
-            strata=tuple(strata) if has_stratum else None,
+            ids=columns.pop("id"),
+            z=columns.pop("z"),
+            strata=columns.pop("stratum", None),
+            variables=columns,
         )
+
+
+def _chunk_columns(rows: list, header: list, first_line: int) -> list:
+    """The columns of one chunk of CSV rows: tuples of strings for the text
+    columns and float arrays for the rest. Blank rows are skipped; a row
+    that is not as wide as the header, or a cell that is not a number, is
+    refused with its file line (`first_line` is the line rows[0] starts on).
+    """
+    width = len(header)
+    widths = set(map(len, rows))
+    if widths != {width}:
+        bad = next((i for i, row in enumerate(rows) if row and len(row) != width), None)
+        if bad is not None:
+            raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:bad])}: "
+                             f"{len(rows[bad])} cells, but the header has {width}")
+    cells = list(filter(None, rows)) if 0 in widths else rows
+    columns = list(zip(*cells)) or [()] * width
+    for j, name in enumerate(header):
+        if name in TEXT_COLUMNS:
+            continue
+        try:
+            columns[j] = np.array(columns[j], dtype=float)
+        except ValueError:
+            _refuse_cell(rows, j, name, first_line)
+            raise
+    return columns
+
+
+def _refuse_cell(rows: list, j: int, name: str, first_line: int) -> None:
+    """Raise a ValueError naming the file line, column and text of the
+    first cell of column `j` in `rows` that is not a number."""
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        try:
+            np.array(row[j], dtype=float)
+        except ValueError as err:
+            raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:i])}, "
+                             f"column {name!r}: {err}") from None
+
+
+def _lines_spanned(rows: list) -> int:
+    """File lines the csv reader read to produce `rows`: one per row, plus
+    each line break inside a quoted cell."""
+    breaks = sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n")
+                 for row in rows for cell in row)
+    return len(rows) + breaks
 
 
 def _read_only(values) -> np.ndarray:

@@ -159,15 +159,23 @@ def _flat(a: np.ndarray, index) -> np.ndarray:
     return index + (a.shape[-1] * np.arange(a.shape[0]))[:, None]
 
 
-def _rank(sorted_y: np.ndarray, points, side: str) -> np.ndarray:
+def _rank(sorted_y: np.ndarray, points: np.ndarray, side: str) -> np.ndarray:
     """`np.searchsorted(sorted_y, points, side)` row by row; a stack takes
     one point, or one row of points, per sample."""
-    points = np.asarray(points, dtype=float)
     if sorted_y.ndim == 1:
         return np.searchsorted(sorted_y, points, side=side)
     p = points.reshape(sorted_y.shape[:-1] + (-1, 1))
     below = (sorted_y[..., None, :] < p) if side == "left" else (sorted_y[..., None, :] <= p)
     return below.sum(axis=-1).reshape(points.shape)
+
+
+def _points(y) -> np.ndarray:
+    """`y` as float points to compare values with; NaN, which compares with
+    none of them, is refused."""
+    y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():
+        raise ValueError("a measure cannot be evaluated at a NaN point")
+    return y
 
 
 class WeightedMeasure:
@@ -229,7 +237,9 @@ class WeightedMeasure:
 
     def mass_at_most(self, y) -> np.ndarray:
         """Unnormalized CDF: total mass on {y_k <= y}. At unit masses and
-        one point per row it is a count; arrays of points are searched."""
+        one point per row it is a count; arrays of points are searched.
+        A NaN point is refused on both paths."""
+        y = _points(y)
         if self.unit_masses and np.ndim(y) == self.values.ndim - 1:
             return np.asarray(np.count_nonzero(self.values <= as_column(y), axis=-1),
                               dtype=float)
@@ -237,7 +247,7 @@ class WeightedMeasure:
 
     def weighted_sum_below(self, y) -> np.ndarray:
         """Sum of w_k y_k over the strictly smaller support {y_k < y}."""
-        return self._at(self._cum_wy, _rank(self._sorted_y, y, "left"))
+        return self._at(self._cum_wy, _rank(self._sorted_y, _points(y), "left"))
 
     def _at(self, cumulative: np.ndarray, index: np.ndarray) -> np.ndarray:
         rows = index.reshape(cumulative.shape[:-1] + (-1,))

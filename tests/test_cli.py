@@ -248,6 +248,53 @@ def test_simulate_plan(runner, tmp_path):
     assert {r["estimator"] for r in rows} == {"HT", "BS(2,K=2)"}
 
 
+def _bad_population_csv(population_csv, bad_line):
+    """The population CSV with its fifth data row replaced by `bad_line`,
+    which is line 6 of the file."""
+    lines = population_csv.read_text().splitlines()
+    lines[5] = bad_line
+    population_csv.write_text("\n".join(lines) + "\n")
+    return population_csv
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ("u4,1.5,abc,2.5",
+     "population CSV line 6, column 'y': could not convert string to float: 'abc'"),
+    ("u4,1.5,2.5", "population CSV line 6: 3 cells, but the header has 4"),
+    ("u4,1.5,,2.5", "population CSV line 6, column 'y': could not convert string "
+                    "to float: ''"),
+])
+@pytest.mark.parametrize("command", [
+    ["estimate", "--parameter", "mean:y", "--n", "20"],
+    ["weights", "--n", "20"],
+])
+def test_bad_population_csv_is_usage_error(runner, population_csv, command,
+                                           bad_line, message):
+    path = _bad_population_csv(population_csv, bad_line)
+    res = runner.invoke(main, [*command, "--population", str(path)])
+    assert res.exit_code == 2
+    assert f"Error: --population {path}: {message}" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_bad_plan_population_file_is_usage_error(runner, population_csv, tmp_path):
+    path = _bad_population_csv(population_csv, "u4,1.5,2.5,3.5,4.5")
+    plan = {
+        "population": {"file": str(path)},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 3,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert res.exit_code == 2
+    assert (f"Error: plan population file {path}: population CSV line 6: "
+            "5 cells, but the header has 4") in res.output
+    assert "Traceback" not in res.output
+
+
 def _fail(*args, **kwargs):
     raise AssertionError("reached after a bad --parameter")
 

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from splinesurvey import (
     draw_stratified,
     replicate_seed,
 )
+from splinesurvey.designs import CSV_CHUNK_ROWS, _chunk_columns
 
 
 def _toy_population(N, strata=None):
@@ -240,6 +244,146 @@ class TestPopulationCsv:
         p.write_text("1.5,2.0\n")
         with pytest.raises(ValueError):
             Population.from_csv(p)
+
+
+def _reference_load(path):
+    """The population CSV read one cell at a time: `csv.DictReader` and
+    `float` per numeric cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        names = reader.fieldnames
+    text = ("id", "stratum")
+    return ({name: tuple(row[name] for row in rows) for name in names if name in text},
+            {name: np.array([float(row[name]) for row in rows])
+             for name in names if name not in text})
+
+
+def _assert_same_load(path):
+    text, numbers = _reference_load(path)
+    pop = Population.from_csv(path)
+    assert pop.ids == text["id"]
+    assert pop.strata == text.get("stratum")
+    assert list(pop.variables) == [name for name in numbers if name != "z"]
+    arrays = {"z": pop.z, **pop.variables}
+    for name, expected in numbers.items():
+        assert np.array_equal(arrays[name].view(np.int64), expected.view(np.int64)), name
+
+
+def _many_rows(rng, count):
+    """`count` data lines with quoted ids holding commas and quotes, and a
+    blank line every 1000 rows."""
+    lines = []
+    for i, (z, y) in enumerate(rng.lognormal(7.0, 0.4, (count, 2)).tolist()):
+        lines.append(f'"u{i}, ""{i % 7}""",{z!r},"{y!r}"')
+        if i % 1000 == 999:
+            lines.append("")
+    return lines
+
+
+class TestPopulationCsvColumns:
+    """`from_csv` gives, bit for bit, what a per-cell reader gives."""
+
+    @pytest.mark.parametrize("text", [
+        'id,z,y\n"a,1",1.5,"2.5"\n"b ""q""\nc",2,"3"\n',
+        "id,z,y\r\n\r\nu1,1.25,2\r\n\r\n\r\nu2,3,4\r\nu3,5,6",
+        "z,stratum,y,id,x\n1,h1,2,u1,3\n4,h0,5,u2,6\n7,h1,8,u3,9\n",
+        "id,z,y\nu1, 1.5,1_0\nu2,-0.0,4.9e-324\nu3,0.1000000000000000055511151231257827,"
+        "123456789012345678901234567890\nu4,\uff11\uff12\uff13,1.5 \n",
+    ], ids=["quoted", "crlf-blank-no-final-newline", "stratum", "edge-numbers"])
+    def test_same_as_per_cell_reader(self, tmp_path, text):
+        p = tmp_path / "pop.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _assert_same_load(p)
+
+    def test_same_as_per_cell_reader_over_many_chunks(self, tmp_path, rng):
+        p = tmp_path / "pop.csv"
+        lines = ["id,z,y", *_many_rows(rng, 2 * CSV_CHUNK_ROWS + 1234)]
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _assert_same_load(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "nan", "NaN", "-nan",
+                                      "1e400", "2.4703282292062327e-324"])
+    def test_cell_converts_as_float(self, cell):
+        column = _chunk_columns([["u1", cell]], ["id", "z"], 2)[1]
+        assert column.view(np.int64)[0] == np.float64(float(cell)).view(np.int64)
+
+
+class TestPopulationCsvErrors:
+    """A row or cell the loader refuses is named by its file line, also
+    past the first chunk and after quoted cells spanning several lines."""
+
+    def _write(self, tmp_path, rng, bad_line):
+        # line 1 is the header; one quoted id spanning two lines opens the
+        # first chunk, and another comes before the bad line in the second
+        lines = ["id,z,y", '"multi\nline",1,2', *_many_rows(rng, CSV_CHUNK_ROWS + 500)]
+        lines.insert(CSV_CHUNK_ROWS + 100, '"multi\r\nline",1,2')
+        lines.insert(CSV_CHUNK_ROWS + 200, bad_line)
+        line = 2 + sum(item.count("\n") + 1 for item in lines[1:CSV_CHUNK_ROWS + 200])
+        p = tmp_path / "pop.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return p, line
+
+    def test_bad_cell_names_line_column_and_text(self, tmp_path, rng):
+        p, line = self._write(tmp_path, rng, "v1,3.5,abc")
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == (f"population CSV line {line}, column 'y': "
+                                   "could not convert string to float: 'abc'")
+
+    def test_empty_cell_names_its_line(self, tmp_path, rng):
+        p, line = self._write(tmp_path, rng, "v1,,2")
+        with pytest.raises(ValueError, match=f"line {line}, column 'z': could not "
+                                             "convert string to float: ''"):
+            Population.from_csv(p)
+
+    @pytest.mark.parametrize("bad_line,cells", [("v1,3.5", 2), ("v1,3.5,2,7", 4)])
+    def test_short_or_long_row_names_its_line(self, tmp_path, rng, bad_line, cells):
+        p, line = self._write(tmp_path, rng, bad_line)
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == (f"population CSV line {line}: {cells} cells, "
+                                   "but the header has 3")
+
+    def test_repeated_column_refused(self, tmp_path):
+        p = tmp_path / "pop.csv"
+        p.write_text("id,z,y,y\nu1,1,2,3\n")
+        with pytest.raises(ValueError, match="header names column 'y' 2 times"):
+            Population.from_csv(p)
+
+    @pytest.mark.parametrize("text", ["id,z,y\n", "id,z,y\n\n\n"])
+    def test_header_only_refused(self, tmp_path, text):
+        p = tmp_path / "pop.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="at least one unit"):
+            Population.from_csv(p)
+
+    def test_empty_file_refused(self, tmp_path):
+        p = tmp_path / "pop.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="needs a header with an 'id' column"):
+            Population.from_csv(p)
+
+
+def test_csv_load_peak_memory_is_bounded(tmp_path, rng):
+    """Reading in chunks keeps the load's peak within 3x what the
+    population retains; holding every row of the file at once would not."""
+    p = tmp_path / "pop.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "z", "y", "x"])
+        for i, values in enumerate(rng.lognormal(7.0, 0.4, (20_000, 3))):
+            writer.writerow([f"u{i}", *map(repr, values.tolist())])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pop = Population.from_csv(p)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pop.size == 20_000
+    assert peak - before <= 3 * (retained - before)
 
 
 class TestPopulationArrays:

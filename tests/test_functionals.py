@@ -74,6 +74,26 @@ class TestCdf:
         m = WeightedMeasure([1.0, 2.0], [2.0, -1.0])
         assert cdf_value(m, 1.5) == 2.0  # mass 2 of total 1
 
+    @pytest.mark.parametrize("masses", [None, np.ones(3)], ids=["unit-count", "sorted"])
+    def test_nan_point_refused(self, masses):
+        m = WeightedMeasure(np.array([1.0, 2.0, 3.0]), masses)
+        with pytest.raises(ValueError, match="cannot be evaluated at a NaN point"):
+            cdf_value(m, np.nan)
+        with pytest.raises(ValueError, match="cannot be evaluated at a NaN point"):
+            m.mass_at_most(np.array([1.5, np.nan]))
+
+    @pytest.mark.parametrize("masses", [None, np.ones((2, 3))], ids=["unit-count", "sorted"])
+    def test_nan_point_refused_in_a_stack(self, masses):
+        m = WeightedMeasure(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]), masses)
+        assert np.array_equal(cdf_value(m, np.array([2.0, 2.5])), [2 / 3, 2 / 3])
+        with pytest.raises(ValueError, match="cannot be evaluated at a NaN point"):
+            cdf_value(m, np.array([2.0, np.nan]))
+
+    def test_nan_point_refused_below(self):
+        m = WeightedMeasure([1.0, 2.0, 3.0], np.ones(3))
+        with pytest.raises(ValueError, match="cannot be evaluated at a NaN point"):
+            m.weighted_sum_below(np.nan)
+
 
 class TestQuantile:
     def test_median_convention(self):
