@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Iterable
 
@@ -446,19 +446,31 @@ def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:
 
 def _gram_matrix(knots: KnotVector, order: int) -> np.ndarray:
     """Gram matrix of the order-`order` basis, exact piecewise quadrature;
-    one per knot vector of a stack."""
+    one per knot vector of a stack.
+
+    The basis is evaluated at every interval's nodes in one call, and the
+    intervals' products in one batched matmul; they are added up in
+    interval order."""
     q = knots.num_interior + order
-    nodes_per_interval = max(order, 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_interval)
+    xg, wg = _gauss_legendre(max(order, 1))
     bp = knots.breakpoints()
+    half = 0.5 * (bp[..., 1:] - bp[..., :-1])
+    pts = bp[..., :-1, None] + half[..., None] * (xg + 1.0)
+    vals = basis_matrix(knots, order, pts.reshape(bp.shape[:-1] + (-1,)))
+    vals = vals.reshape(pts.shape + (q,))
+    parts = (vals * (wg * half[..., None])[..., None]).swapaxes(-1, -2) @ vals
     R = np.zeros(bp.shape[:-1] + (q, q))
-    for j in range(bp.shape[-1] - 1):
-        a, b = bp[..., j], bp[..., j + 1]
-        half = 0.5 * (b - a)
-        pts = a[..., None] + half[..., None] * (xg + 1.0)
-        vals = basis_matrix(knots, order, pts)
-        R += (vals * (wg * half[..., None])[..., :, None]).swapaxes(-1, -2) @ vals
+    for j in range(parts.shape[-3]):
+        R += parts[..., j, :, :]
     return R
+
+
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per count."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
 
 
 def truncated_power_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:

@@ -95,8 +95,9 @@ class Population:
         is the header, and its column names must be unique. Blank lines are
         skipped; every other row must have as many cells as the header. `id`
         and `stratum` are kept as strings, and every other cell must be a
-        number as Python's `float` reads it. A row of the wrong width, or a
-        cell that is not a number, raises a ValueError naming its file line.
+        finite number as Python's `float` reads it (so not `nan`, `inf` or
+        `1e400`). A row of the wrong width, or a cell that is not a finite
+        number, raises a ValueError naming its file line.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -112,7 +113,9 @@ class Population:
             pieces = [[] for _ in header]
             first_line = reader.line_num + 1
             while rows := list(islice(reader, CSV_CHUNK_ROWS)):
-                for piece, column in zip(pieces, _chunk_columns(rows, header, first_line)):
+                columns = _chunk_columns(rows, header, first_line)
+                _refuse_non_finite(rows, header, columns, first_line)
+                for piece, column in zip(pieces, columns):
                     piece.append(column)
                 first_line = reader.line_num + 1
         # the leading empty array gives a file without rows empty columns
@@ -155,17 +158,29 @@ def _chunk_columns(rows: list, header: list, first_line: int) -> list:
     return columns
 
 
+def _refuse_non_finite(rows: list, header: list, columns: list, first_line: int) -> None:
+    """Refuse, naming its file line, the first cell of a converted chunk
+    (`_chunk_columns`) that is a number but not a finite one: `nan`, `inf`
+    or an overflow such as `1e400`."""
+    for j, name in enumerate(header):
+        if name not in TEXT_COLUMNS and not np.isfinite(columns[j]).all():
+            _refuse_cell(rows, j, name, first_line)
+
+
 def _refuse_cell(rows: list, j: int, name: str, first_line: int) -> None:
     """Raise a ValueError naming the file line, column and text of the
-    first cell of column `j` in `rows` that is not a number."""
+    first cell of column `j` in `rows` that is not a finite number."""
     for i, row in enumerate(rows):
         if not row:
             continue
         try:
-            np.array(row[j], dtype=float)
+            if np.isfinite(np.array(row[j], dtype=float)):
+                continue
+            problem = f"not a finite number: {row[j]!r}"
         except ValueError as err:
-            raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:i])}, "
-                             f"column {name!r}: {err}") from None
+            problem = str(err)
+        raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:i])}, "
+                         f"column {name!r}: {problem}")
 
 
 def _lines_spanned(rows: list) -> int:
@@ -298,7 +313,10 @@ class SampleDraw:
     shape. Either the caller gives `pi_full` over the whole universe, which
     is checked whole, or `pi` at the sampled units (as `draw` does), which
     is checked there; `pi_full` is then built from the design on first use,
-    so a draw does O(n) work past its random choice.
+    so a draw does O(n) work past its random choice. The double-sum
+    variance's cells (`pair_cells`) depend on the draw alone, so they too
+    are built on first use, once per draw, and every variance of the draw
+    shares them.
     """
 
     def __init__(self, population: Population, design, indices,
@@ -392,6 +410,38 @@ class SampleDraw:
         within = [_srswor_joint(nh, Nh) for nh, Nh in zip(sizes, strata.sizes.tolist())]
         return strata.codes[idx], np.array(within)
 
+    @cached_property
+    def pair_cells(self) -> PairCells:
+        """The double-sum variance's cells, built once per draw from
+        `joint_groups` and `pi`: one cell per (sample, group) of a stack,
+        so every variance of the draw reads the same read-only arrays.
+
+        Refuses inclusion probabilities that differ inside a group, and a
+        zero pi_kl in a group holding two sampled units."""
+        pi = self.pi.reshape(-1)
+        group, within = self.joint_groups()
+        G = within.size
+        rows = group.reshape(-1, self.size)
+        code = (rows + G * np.arange(rows.shape[0])[:, None]).reshape(-1)
+        cells = G * rows.shape[0]
+        within = np.tile(within, rows.shape[0])
+        p = np.ones(cells)
+        p[code] = pi
+        if (p[code] != pi).any():
+            raise ValueError("inclusion probabilities differ inside a joint group")
+        count = np.bincount(code, minlength=cells)
+        pairs = count > 1
+        if (within[pairs] <= 0).any():
+            raise ValueError("zero joint inclusion probability encountered")
+        a = np.zeros(cells)
+        c = within[pairs]
+        a[pairs] = (c - p[pairs] * p[pairs]) / c
+        d = 1.0 - p
+        arrays = (code, count, count > 0, d - a, d + (count - 1) * a)
+        for x in arrays:
+            x.flags.writeable = False
+        return PairCells(*arrays)
+
     def joint_prob(self, k: int, l: int) -> float:
         """Second-order inclusion probability pi_kl; pi_k on the diagonal."""
         N = self.population.size
@@ -414,6 +464,22 @@ class SampleDraw:
                      np.outer(pi, pi))
         np.fill_diagonal(M, pi)
         return M
+
+
+@dataclass(frozen=True)
+class PairCells:
+    """A draw's cells for the double-sum variance (`SampleDraw.pair_cells`):
+    with p the cell's first-order probability, d = 1 - p and a = (pi_kl -
+    p^2) / pi_kl its pair coefficient (0 in a cell of fewer than two units),
+    `code` is each sampled unit's cell (flattened over a stack), `count`
+    the units per cell, `occupied` where count > 0, `spread_coef` d - a and
+    `level_coef` d + (count - 1) a."""
+
+    code: np.ndarray
+    count: np.ndarray
+    occupied: np.ndarray
+    spread_coef: np.ndarray
+    level_coef: np.ndarray
 
 
 def _srswor_joint(n: int, N: int) -> float:

@@ -2,9 +2,12 @@
 
 The estimated measure places mass w_k at each sampled value y_k; masses may
 be negative under calibration weighting. Every parameter (total, mean,
-ratio, Gini, quantile, low-income proportion, implicit-equation roots) is
-the corresponding functional evaluated at this measure, with a single weak
-(<=) inequality convention for the distribution function throughout.
+ratio, Gini, quantile, low-income proportion) is the corresponding
+functional evaluated at this measure, with a single weak (<=) inequality
+convention for the distribution function throughout. `implicit_solve`
+finds the root of a weighted estimating equation, but it is library-only:
+no `ParameterSpec` kind reaches it and it has no linearization, so neither
+the Monte Carlo harness nor the CLI estimates such a parameter.
 
 The order functionals (Gini, quantiles, the low-income proportion) read the
 distribution function through an `Ordering` of the values: their stable
@@ -190,25 +193,33 @@ class WeightedMeasure:
     a caller may pass in to share one sort between measures on the same
     values array; by default the measure makes its own. Without `masses`
     every unit has mass one (`unit_masses`): the quantile and the CDF at
-    one point per row then select and count instead of sorting.
+    one point per row then select and count instead of sorting, N-hat is
+    the unit count, and the array of ones is made on first use, by what
+    reads `masses` (the BLAS dots of `total` and `gini`, a sorted summary).
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
         y = np.asarray(values, dtype=float)
-        w = np.ones_like(y) if masses is None else np.asarray(masses, dtype=float)
-        if y.shape != w.shape or y.ndim not in (1, 2):
+        w = None if masses is None else np.asarray(masses, dtype=float)
+        if (w is not None and y.shape != w.shape) or y.ndim not in (1, 2):
             raise ValueError("values and masses must be matching 1-d arrays, "
                              "or (R, n) arrays for a stack")
-        if y.size and not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        if not (np.all(np.isfinite(y)) and (w is None or np.all(np.isfinite(w)))):
             raise ValueError("measure entries must be finite")
         if ordering is None:
             ordering = Ordering(y)
         elif ordering.values is not y:
             raise ValueError("ordering must be built on the measure's values array")
         self.values = y
-        self.masses = w
         self.ordering = ordering
-        self.unit_masses = masses is None
+        self.unit_masses = w is None
+        if w is not None:
+            self.masses = w
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """The masses; at unit masses an array of ones, made on first use."""
+        return np.ones_like(self.values)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -232,7 +243,10 @@ class WeightedMeasure:
 
     @property
     def total_mass(self):
-        """Estimated population size N-hat."""
+        """Estimated population size N-hat; at unit masses the unit count n
+        per row, which the sum of n ones gives exactly (n < 2^53)."""
+        if self.unit_masses:
+            return as_scalar(np.full(self.values.shape[:-1], float(self.size)))
         return as_scalar(self.masses.sum(axis=-1))
 
     def mass_at_most(self, y) -> np.ndarray:
@@ -291,7 +305,8 @@ def mean(measure: WeightedMeasure):
 
 def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
     """Ratio of two weighted totals sharing one weight system."""
-    if not np.array_equal(measure_y.masses, measure_x.masses):
+    if not (measure_y.unit_masses and measure_x.unit_masses
+            or np.array_equal(measure_y.masses, measure_x.masses)):
         raise ValueError("ratio requires a common weight system")
     denom = total(measure_x)
     if any_sample(denom == 0):
@@ -325,9 +340,12 @@ def quantile(measure: WeightedMeasure, alpha: float):
         raise ValueError("quantile requires positive total mass")
     if measure.unit_masses:
         # select the k-th smallest value; of tied values take the first
-        # unit's, as the stable sort does (a run may hold -0.0 and 0.0)
+        # unit's, as the stable sort does (a run may hold -0.0 and 0.0);
+        # equal nonzero values share one bit pattern, so no scan is needed
         y, k = measure.values, _unit_rank(alpha, measure.size)
         kth = np.partition(y, k - 1, axis=-1)[..., k - 1, None]
+        if kth.all():
+            return as_scalar(kth[..., 0])
         return as_scalar(take_rows(y, (y == kth).argmax(axis=-1)[..., None])[..., 0])
     # every sorted position reads the CDF at its run's end; the first
     # position that reaches alpha starts the first crossing run
@@ -386,7 +404,8 @@ def implicit_solve(measure: WeightedMeasure,
     """Root of the weighted estimating equation Sum w_k phi(y_k, c) = 0.
 
     Bisection (robust to discontinuous phi, e.g. indicators) followed by a
-    secant polish; requires a sign change over the bracket.
+    secant polish; requires a sign change over the bracket. Library-only: no
+    `ParameterSpec` kind calls it.
     """
 
     def g(c: float) -> float:

@@ -52,39 +52,26 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     1e-15 up to 3 sd, 9e-15 at 10, 9e-13 at 100 and 9e-11 at 1000; the
     float64 pairwise sum gave 1e-15, 3e-14, 1e-12 and 2e-10.
 
+    Everything that depends on the draw alone (each unit's group, n_g,
+    d_g - a_g and d_g + (n_g - 1) a_g, and the checks on pi) is built once
+    per draw (`SampleDraw.pair_cells`) and shared by all of its variances;
+    a call computes t, tbar_g, R_g and the terms.
+
     May be negative for pathological joint probabilities; the sign is
     flagged, never clipped.
     """
     e = np.asarray(residuals, dtype=float)
     if e.shape != draw.indices.shape:
         raise ValueError("residuals length must match the sample size")
-    pi = draw.pi.reshape(-1)
-    group, within = draw.joint_groups()
-    # one code per (sample, group) of a stack
-    G = within.size
-    rows = group.reshape(-1, draw.size)
-    code = (rows + G * np.arange(rows.shape[0])[:, None]).reshape(-1)
-    cells = G * rows.shape[0]
-    within = np.tile(within, rows.shape[0])
-    p = np.ones(cells)
-    p[code] = pi
-    if (p[code] != pi).any():
-        raise ValueError("inclusion probabilities differ inside a joint group")
-    count = np.bincount(code, minlength=cells)
-    pairs = count > 1
-    if (within[pairs] <= 0).any():
-        raise ValueError("zero joint inclusion probability encountered")
-    t = e.reshape(-1) / pi
-    tbar = np.bincount(code, weights=t, minlength=cells)
-    np.divide(tbar, count, out=tbar, where=count > 0)
+    cells = draw.pair_cells
+    code, count = cells.code, cells.count
+    t = e.reshape(-1) / draw.pi.reshape(-1)
+    tbar = np.bincount(code, weights=t, minlength=count.size)
+    np.divide(tbar, count, out=tbar, where=cells.occupied)
     r = t - tbar[code]
-    spread = np.bincount(code, weights=r * r, minlength=cells)
-    a = np.zeros(cells)
-    c = within[pairs]
-    a[pairs] = (c - p[pairs] * p[pairs]) / c
-    d = 1.0 - p
-    terms = (d - a) * spread + count * tbar * tbar * (d + (count - 1) * a)
-    value = terms.reshape(draw.replicates + (G,)).sum(axis=-1)
+    spread = np.bincount(code, weights=r * r, minlength=count.size)
+    terms = cells.spread_coef * spread + count * tbar * tbar * cells.level_coef
+    value = terms.reshape(draw.replicates + (-1,)).sum(axis=-1)
     return VarianceEstimate(as_scalar(value), "double_sum")
 
 

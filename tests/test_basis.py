@@ -14,6 +14,7 @@ from splinesurvey import (
     truncated_power_matrix,
     truncated_power_row,
 )
+from splinesurvey import basis
 from splinesurvey.basis import KNOT_RULES
 from splinesurvey.designs import draw_srswor
 from splinesurvey.weights import SplineSystem
@@ -170,6 +171,62 @@ class TestPenaltyMatrix:
     def test_penalty_order_validation(self):
         with pytest.raises(ValueError, match="below spline order"):
             SplineSpec(2, 2, "equidistant", lam=1.0, penalty_order=2)
+
+
+def _gram_by_interval(knots, order):
+    """The Gram matrix written out one knot interval at a time: the basis at
+    that interval's Gauss-Legendre nodes, weighted, and its product added."""
+    q = knots.num_interior + order
+    xg, wg = np.polynomial.legendre.leggauss(max(order, 1))
+    bp = knots.breakpoints()
+    R = np.zeros(bp.shape[:-1] + (q, q))
+    for j in range(bp.shape[-1] - 1):
+        a, b = bp[..., j], bp[..., j + 1]
+        half = 0.5 * (b - a)
+        pts = a[..., None] + half[..., None] * (xg + 1.0)
+        vals = basis_matrix(knots, order, pts)
+        R += (vals * (wg * half[..., None])[..., :, None]).swapaxes(-1, -2) @ vals
+    return R
+
+
+class TestGramMatrix:
+    KNOTS = [KnotVector(()), KnotVector((0.5,)), KnotVector((0.1, 0.15, 0.7)),
+             KnotVector(tuple((np.arange(1, 8) / 8).tolist())),
+             KnotVector(np.array([[0.2, 0.4, 0.6, 0.8], [0.05, 0.3, 0.31, 0.9],
+                                  [0.5, 0.6, 0.7, 0.99]])),
+             KnotVector(np.array([[0.3], [0.7]]))]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("knots", KNOTS)
+    def test_same_bits_as_one_interval_at_a_time(self, knots, order):
+        got = basis._gram_matrix(knots, order)
+        want = _gram_by_interval(knots, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_quadrature_rule_made_once_per_order(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(nodes):
+            calls.append(nodes)
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        basis._gauss_legendre.cache_clear()
+        try:
+            for m in (2, 3, 4):
+                for p in range(1, m):
+                    spec = SplineSpec(m, 4, "equidistant", lam=1.0, penalty_order=p)
+                    for knots in self.KNOTS[2:5]:
+                        for _ in range(3):
+                            penalty_matrix(spec, knots)
+            assert sorted(calls) == [1, 2, 3]
+            for nodes in (1, 2, 3):
+                for rule in basis._gauss_legendre(nodes):
+                    assert not rule.flags.writeable
+        finally:
+            basis._gauss_legendre.cache_clear()
 
 
 class TestTruncatedPower:

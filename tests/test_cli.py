@@ -263,6 +263,10 @@ def _bad_population_csv(population_csv, bad_line):
     ("u4,1.5,2.5", "population CSV line 6: 3 cells, but the header has 4"),
     ("u4,1.5,,2.5", "population CSV line 6, column 'y': could not convert string "
                     "to float: ''"),
+    ("u4,1.5,nan,2.5", "population CSV line 6, column 'y': not a finite number: 'nan'"),
+    ("u4,1e400,2.5,2.5",
+     "population CSV line 6, column 'z': not a finite number: '1e400'"),
+    ("u4,1.5,2.5,-inf", "population CSV line 6, column 'x': not a finite number: '-inf'"),
 ])
 @pytest.mark.parametrize("command", [
     ["estimate", "--parameter", "mean:y", "--n", "20"],
@@ -292,6 +296,25 @@ def test_bad_plan_population_file_is_usage_error(runner, population_csv, tmp_pat
     assert res.exit_code == 2
     assert (f"Error: plan population file {path}: population CSV line 6: "
             "5 cells, but the header has 4") in res.output
+    assert "Traceback" not in res.output
+
+
+def test_non_finite_plan_population_file_is_usage_error(runner, population_csv,
+                                                        tmp_path):
+    path = _bad_population_csv(population_csv, "u4,1.5,inf,3.5")
+    plan = {
+        "population": {"file": str(path)},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 3,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert res.exit_code == 2
+    assert (f"Error: plan population file {path}: population CSV line 6, "
+            "column 'y': not a finite number: 'inf'") in res.output
     assert "Traceback" not in res.output
 
 

@@ -236,7 +236,8 @@ class TestPopulationCsv:
     def test_non_finite_study_value(self, tmp_path):
         p = tmp_path / "pop.csv"
         p.write_text("id,z,y,x\nu1,1.5,2.0,3.0\nu2,2.5,4.0,nan\n")
-        with pytest.raises(ValueError, match="study variable 'x' must be finite"):
+        with pytest.raises(ValueError, match="population CSV line 3, column 'x': "
+                                             "not a finite number: 'nan'"):
             Population.from_csv(p)
 
     def test_missing_header(self, tmp_path):
@@ -335,6 +336,25 @@ class TestPopulationCsvErrors:
         p, line = self._write(tmp_path, rng, "v1,,2")
         with pytest.raises(ValueError, match=f"line {line}, column 'z': could not "
                                              "convert string to float: ''"):
+            Population.from_csv(p)
+
+    @pytest.mark.parametrize("bad_line,column,cell", [
+        ("v1,3.5,nan", "y", "nan"), ("v1,3.5,-inf", "y", "-inf"),
+        ("v1,inf,2", "z", "inf"), ("v1,1e400,2", "z", "1e400")])
+    def test_non_finite_cell_names_line_column_and_text(self, tmp_path, rng,
+                                                        bad_line, column, cell):
+        p, line = self._write(tmp_path, rng, bad_line)
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == (f"population CSV line {line}, column {column!r}: "
+                                   f"not a finite number: {cell!r}")
+
+    def test_first_refused_cell_of_a_column_is_named(self, tmp_path):
+        # a NaN above a cell that is not a number: the NaN's line is named
+        p = tmp_path / "pop.csv"
+        p.write_text("id,z,y\nu1,1,2\nu2,2,NaN\nu3,3,abc\n")
+        with pytest.raises(ValueError, match="line 3, column 'y': not a finite "
+                                             "number: 'NaN'"):
             Population.from_csv(p)
 
     @pytest.mark.parametrize("bad_line,cells", [("v1,3.5", 2), ("v1,3.5,2,7", 4)])

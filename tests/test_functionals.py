@@ -3,6 +3,7 @@ import pytest
 
 from splinesurvey import (
     Ordering,
+    ParameterSpec,
     WeightedMeasure,
     cdf_value,
     gini,
@@ -197,6 +198,72 @@ class TestCensusConsistency:
         assert mean(m) == pytest.approx(y.mean())
         med = np.sort(y)[int(np.ceil(0.5 * 80)) - 1]
         assert quantile(m, 0.5) == pytest.approx(med)
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestUnitMassesOnFirstUse:
+    """A census measure makes its array of ones only for what reads it (the
+    BLAS dots of `total` and `gini`), and every number equals the measure
+    with masses of one bit for bit."""
+
+    TIED = np.round(np.random.default_rng(8).standard_normal(1001) * 3)
+    # the median is a zero: the first unit's, -0.0, in both measures
+    SIGNED_ZERO_MEDIAN = np.array([3.0, -0.0, -1.0, 0.0, -0.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("y", [TIED, SIGNED_ZERO_MEDIAN])
+    def test_quantile_and_cdf_make_no_masses(self, y):
+        m = unit_measure(y)
+        poverty_rate(m)
+        quantile(m, 0.3)
+        cdf_value(m, 0.5)
+        assert m.total_mass == float(y.size)
+        assert "masses" not in vars(m)
+        total(m)
+        assert np.array_equal(m.masses, np.ones(y.size))
+
+    @pytest.mark.parametrize("y", [TIED, SIGNED_ZERO_MEDIAN])
+    def test_truths_equal_masses_of_one(self, y):
+        values = {"y": y, "x": np.abs(y) + 1.0}
+        kinds = [ParameterSpec("total"), ParameterSpec("mean"),
+                 ParameterSpec("ratio", "y", "x"), ParameterSpec("gini", "x"),
+                 ParameterSpec("poverty_rate"), ParameterSpec("poverty_rate", strict=True),
+                 ParameterSpec("poverty_rate", "x", level=0.3, fraction=1.5)]
+        for p in kinds:
+            assert (_hex(p.evaluate(values, None))
+                    == _hex(p.evaluate(values, np.ones(y.size)))), p
+        for alpha in (1 / 7, 0.3, 0.5, 4 / 7, 0.9):
+            assert (_hex(quantile(unit_measure(y), alpha))
+                    == _hex(quantile(WeightedMeasure(y, np.ones(y.size)), alpha)))
+        assert _hex(quantile(unit_measure(self.SIGNED_ZERO_MEDIAN), 0.5)) == ["-0x0.0p+0"]
+
+    def test_stacked_quantiles_with_zero_and_nonzero_rows(self):
+        Y = np.array([[2.0, -0.0, 0.0, 1.0, 0.0],
+                      [5.0, 4.0, 3.0, 3.0, 1.0],
+                      [0.0, -0.0, -0.0, 1.0, 2.0]])
+        for alpha in (0.2, 0.5, 0.7):
+            assert (_hex(quantile(unit_measure(Y), alpha))
+                    == _hex(quantile(WeightedMeasure(Y, np.ones(Y.shape)), alpha)))
+
+    def test_ratio_of_census_measures_skips_the_mass_comparison(self, monkeypatch):
+        monkeypatch.setattr(np, "array_equal", _fail_compare)
+        assert ratio(unit_measure([1.0, 2.0]), unit_measure([2.0, 2.0])) == 0.75
+        with pytest.raises(AssertionError, match="compared"):
+            ratio(unit_measure([1.0, 2.0]), WeightedMeasure([2.0, 2.0], [1.0, 1.0]))
+
+    def test_given_masses_are_still_checked(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            WeightedMeasure([1.0, 2.0], [1.0, np.inf])
+        with pytest.raises(ValueError, match="must be finite"):
+            unit_measure([1.0, np.nan])
+        with pytest.raises(ValueError, match="matching"):
+            WeightedMeasure([1.0, 2.0], [1.0])
+
+
+def _fail_compare(a, b):
+    raise AssertionError("masses compared")
 
 
 class EagerMeasure(WeightedMeasure):

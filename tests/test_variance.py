@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    EstimatorSpec,
     GivenProbabilities,
+    ParameterSpec,
     Population,
     SampleDraw,
+    SimulationPlan,
     SplineSpec,
     Srswor,
     StratifiedSrswor,
@@ -21,9 +24,11 @@ from splinesurvey import (
     penalty_matrix,
     population_asymptotic_variance,
     replicate_seed,
+    run_monte_carlo,
     srswor_variance,
     stsi_variance,
 )
+from splinesurvey import simulate
 
 
 def _pop(N, seed=0, strata=None):
@@ -160,6 +165,66 @@ class TestDoubleSumInputs:
         d = SampleDraw(pop, Srswor(2), [0, 1], [0.5, 0.4, 0.5, 0.6])
         with pytest.raises(ValueError, match="differ inside a joint group"):
             ht_variance_double_sum(d, np.ones(2))
+
+
+class TestPairCellsOncePerDraw:
+    """The double sum's cells depend on the draw alone: every variance of a
+    draw reads one set, built by one `joint_groups` call."""
+
+    @staticmethod
+    def _plan(replicates):
+        return SimulationPlan(
+            design=StratifiedSrswor({"a": 12, "b": 9, "c": 15}),
+            estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                        EstimatorSpec("BS", order=3, knots=2, lam=1.0)),
+            parameters=(ParameterSpec("mean", "y"), ParameterSpec("gini", "y")),
+            replicates=replicates, master_seed=3, variance_method="double_sum")
+
+    @pytest.mark.parametrize("replicates,chunk_units", [(1, 8192), (7, 8192), (7, 72)])
+    def test_joint_groups_once_per_draw(self, monkeypatch, replicates, chunk_units):
+        # one sample, one stack of 7, and stacks of 2, 2, 2 and 1
+        pop = _pop(300, seed=4, strata=tuple("abc"[i % 3] for i in range(300)))
+        grouped, summed = [], []
+        joint_groups = SampleDraw.joint_groups
+
+        def counted_groups(draw, *args):
+            grouped.append(draw)
+            return joint_groups(draw, *args)
+
+        def counted_double_sum(draw, residuals):
+            summed.append(draw)
+            return ht_variance_double_sum(draw, residuals)
+
+        monkeypatch.setattr(SampleDraw, "joint_groups", counted_groups)
+        monkeypatch.setattr(simulate, "ht_variance_double_sum", counted_double_sum)
+        monkeypatch.setattr(simulate, "CHUNK_UNITS", chunk_units)
+        run_monte_carlo(self._plan(replicates), pop)
+        draws = list({id(d): d for d in summed}.values())
+        assert len(draws) == -(-replicates // (chunk_units // 36))
+        assert len(summed) == 6 * len(draws)
+        assert [id(d) for d in grouped] == [id(d) for d in draws]
+
+    def test_cells_are_read_only_and_shared(self):
+        pop = _pop(300, seed=4, strata=tuple("abc"[i % 3] for i in range(300)))
+        for seed in (5, [5, 6, 7]):
+            d = draw(pop, StratifiedSrswor({"a": 12, "b": 9, "c": 15}), seed)
+            cells = d.pair_cells
+            assert d.pair_cells is cells
+            for name, values in vars(cells).items():
+                assert not values.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = values[0]
+
+    def test_refusals_are_raised_on_every_call(self):
+        pop = _pop(10)
+        bad_pi = SampleDraw(pop, Srswor(2), [0, 1], [0.5, 0.4, 0.5, 0.6, 0.5,
+                                                     0.5, 0.5, 0.5, 0.5, 0.5])
+        no_pairs = SampleDraw(pop, Srswor(1), [2, 5], np.full(10, 0.1))
+        for d, message in ((bad_pi, "inclusion probabilities differ inside a joint group"),
+                           (no_pairs, "zero joint inclusion probability encountered")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    ht_variance_double_sum(d, np.ones(2))
 
 
 class TestPopulationAsymptoticVariance:
