@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 import numpy as np
@@ -231,11 +231,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
     sampling = _option_design(design, n, allocation)
     pop = _load_population(pop_path, "--population")
-    for token, pspec in zip(parameters, pspecs):
-        for name in pspec.variables:
-            if name not in pop.variables:
-                raise click.UsageError(
-                    f"--parameter {token}: the population has no variable {name!r}")
+    _require_variables(pop, [(f"--parameter {token}", pspec)
+                             for token, pspec in zip(parameters, pspecs)])
     sample = _draw(pop, sampling, seed)
     spec = _make_spec(order, knots, knot_rule, lam, penalty_order)
     ws = family_weights(sample, family.upper(), spec)
@@ -279,6 +276,15 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
         _write_csv(emit_linearized, audit_rows)
 
 
+def _require_variables(population: Population, sources) -> None:
+    """Refuse, as a usage error naming its source, a parameter that reads a
+    variable the population lacks; `sources` yields (source, spec) pairs."""
+    for source, spec in sources:
+        missing = [name for name in spec.variables if name not in population.variables]
+        if missing:
+            raise click.UsageError(f"{source}: the population has no variable {missing[0]!r}")
+
+
 def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
     kind, _, var = token.partition(":")
     try:
@@ -301,9 +307,17 @@ def simulate(plan_path, out_csv):
     with open(plan_path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     design = _make_design(cfg["design"])
+    for what, spec_type in (("estimator", EstimatorSpec), ("parameter", ParameterSpec)):
+        for entry in cfg[f"{what}s"]:
+            unknown = sorted(entry.keys() - {f.name for f in fields(spec_type)})
+            if unknown:
+                raise click.UsageError(f"plan {what} {json.dumps(entry)}: unknown key "
+                                       f"{unknown[0]!r}")
     estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
     parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
     pop = _plan_population(cfg["population"])
+    _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
+                             for entry, spec in zip(cfg["parameters"], parameters)])
     plan = SimulationPlan(
         design=design,
         estimators=estimators,

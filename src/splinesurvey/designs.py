@@ -508,12 +508,13 @@ def draw(population: Population, design, rng_seed) -> SampleDraw:
     each stratum the design states (`design.strata`), strata in the order of
     str(label), pi_k = n_h / N_h; a Poisson draw for `GivenProbabilities`.
 
-    A list of seeds draws a stack: row r is the sample drawn from its own
-    stream `rng_seed[r]`, unit for unit the sample `draw` gives that seed
-    alone. Poisson samples vary in size and are drawn one at a time.
+    A list of seeds draws an (R, n) stack, R >= 1: row r is the sample
+    drawn from its own stream `rng_seed[r]`, unit for unit the sample
+    `draw` gives that seed alone. Poisson samples vary in size, so a
+    Poisson list holds one seed: a stack of one.
     """
     if isinstance(rng_seed, list):
-        if isinstance(design, GivenProbabilities):
+        if isinstance(design, GivenProbabilities) and len(rng_seed) > 1:
             raise ValueError("Poisson samples vary in size and cannot be stacked")
         rows = [_draw_units(population, design, seed) for seed in rng_seed]
         indices = np.stack([units for units, _ in rows])

@@ -25,7 +25,9 @@ path's results bit for bit, whose cumulative masses are then exact integers.
 A measure holds one sample, (n,), or a stack of R samples, (R, n); the
 functionals then give one value per row, each computed as that sample's
 alone would be. The row-wise helpers below (`row_dot`, `matvec`,
-`take_rows`, ...) serve the other modules' stacked arrays too.
+`take_rows`, `_rank`, ...) have one path: every leading axis indexes
+rows, and one sample is a single row. They serve the other modules'
+stacked arrays too.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def as_scalar(x):
     """A Python float for a 0-d result (one sample), the array otherwise."""
     return x if getattr(x, "ndim", 0) else float(x)
-
-
-def any_sample(mask) -> bool:
-    """Whether a per-sample condition holds for any sample."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 def as_column(x) -> np.ndarray:
@@ -151,25 +148,23 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
 
 
 def take_rows(a: np.ndarray, index) -> np.ndarray:
-    """`a[index]` along the last axis, row by row for an (R, n) stack."""
-    if a.ndim == 1:
-        return a[index]
+    """`a[index]` along the last axis, row by row."""
     return a.reshape(-1)[_flat(a, index)]
 
 
 def _flat(a: np.ndarray, index) -> np.ndarray:
     """Positions in `a.ravel()` of the per-row positions `index`."""
-    return index + (a.shape[-1] * np.arange(a.shape[0]))[:, None]
+    lead = a.shape[:-1]
+    return index + a.shape[-1] * np.arange(math.prod(lead)).reshape(lead + (1,))
 
 
 def _rank(sorted_y: np.ndarray, points: np.ndarray, side: str) -> np.ndarray:
-    """`np.searchsorted(sorted_y, points, side)` row by row; a stack takes
-    one point, or one row of points, per sample."""
-    if sorted_y.ndim == 1:
-        return np.searchsorted(sorted_y, points, side=side)
-    p = points.reshape(sorted_y.shape[:-1] + (-1, 1))
-    below = (sorted_y[..., None, :] < p) if side == "left" else (sorted_y[..., None, :] <= p)
-    return below.sum(axis=-1).reshape(points.shape)
+    """`np.searchsorted(sorted_y, points, side)` row by row: one point, or
+    one row of points, per row of `sorted_y`."""
+    rows = sorted_y.reshape(-1, sorted_y.shape[-1])
+    ranks = [np.searchsorted(row, p, side=side)
+             for row, p in zip(rows, points.reshape(rows.shape[0], -1))]
+    return np.array(ranks).reshape(points.shape)
 
 
 def _points(y) -> np.ndarray:
@@ -278,10 +273,7 @@ class WeightedMeasure:
 
     def _unsort(self, in_sorted_order: np.ndarray) -> np.ndarray:
         out = np.empty_like(in_sorted_order)
-        if out.ndim == 1:
-            out[self._order] = in_sorted_order
-        else:
-            out.reshape(-1)[_flat(out, self._order)] = in_sorted_order
+        out.reshape(-1)[_flat(out, self._order)] = in_sorted_order
         return out
 
     def with_extra_mass(self, y: float, eps: float) -> "WeightedMeasure":
@@ -298,7 +290,7 @@ def total(measure: WeightedMeasure):
 def mean(measure: WeightedMeasure):
     """Total divided by the estimated population size."""
     nhat = measure.total_mass
-    if any_sample(nhat == 0):
+    if np.any(nhat == 0):
         raise ValueError("mean undefined: total mass is zero")
     return total(measure) / nhat
 
@@ -309,7 +301,7 @@ def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
             or np.array_equal(measure_y.masses, measure_x.masses)):
         raise ValueError("ratio requires a common weight system")
     denom = total(measure_x)
-    if any_sample(denom == 0):
+    if np.any(denom == 0):
         raise ValueError("ratio undefined: zero denominator total")
     return total(measure_y) / denom
 
@@ -321,7 +313,7 @@ def cdf_value(measure: WeightedMeasure, y):
     With signed masses the value can leave [0,1]; it is reported as-is.
     """
     nhat = measure.total_mass
-    if any_sample(nhat == 0):
+    if np.any(nhat == 0):
         raise ValueError("cdf undefined: total mass is zero")
     return as_scalar(measure.mass_at_most(y) / nhat)
 
@@ -336,7 +328,7 @@ def quantile(measure: WeightedMeasure, alpha: float):
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
     nhat = measure.total_mass
-    if any_sample(nhat <= 0):
+    if np.any(nhat <= 0):
         raise ValueError("quantile requires positive total mass")
     if measure.unit_masses:
         # select the k-th smallest value; of tied values take the first
@@ -373,7 +365,7 @@ def gini(measure: WeightedMeasure):
     """Gini index of the weighted measure via the weak-CDF formula."""
     nhat = measure.total_mass
     ty = total(measure)
-    if any_sample(nhat == 0) or any_sample(ty == 0):
+    if np.any(nhat == 0) or np.any(ty == 0):
         raise ValueError("Gini undefined: zero mass or zero total")
     F = measure.mass_at_most_own() / as_column(nhat)
     return as_scalar(row_dot(measure.masses, (2.0 * F - 1.0) * measure.values)) / ty

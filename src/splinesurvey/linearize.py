@@ -17,7 +17,6 @@ from .basis import SplineSpec
 from .functionals import (
     Ordering,
     WeightedMeasure,
-    any_sample,
     as_column,
     as_scalar,
     gini,
@@ -67,7 +66,7 @@ def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
     x = np.asarray(x, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     tx = as_scalar(row_dot(w, x))
-    if any_sample(tx == 0):
+    if np.any(tx == 0):
         raise ValueError("ratio linearization undefined: zero denominator")
     R = as_scalar(row_dot(w, y)) / tx
     return LinearizedVariables((y - as_column(R) * x) / as_column(tx), "ratio")
@@ -91,7 +90,7 @@ def linearized_gini(y, weights=None,
     measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     ty = total(measure)
-    if any_sample(ty == 0) or any_sample(nhat == 0):
+    if np.any(ty == 0) or np.any(nhat == 0):
         raise ValueError("Gini linearization undefined: zero total")
     G = as_column(gini(measure))
     nhat, ty = as_column(nhat), as_column(ty)
@@ -118,7 +117,7 @@ def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
                 for level in (0.25, 0.75))
     spread = as_scalar(np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.349), sd))
     n_eff = as_scalar(total_w ** 2 / (weights**2).sum(axis=-1))
-    if any_sample(spread <= 0) or any_sample(n_eff <= 0):
+    if np.any(spread <= 0) or np.any(n_eff <= 0):
         raise ValueError("degenerate sample for bandwidth selection")
     return 0.9 * spread * n_eff ** (-0.2)
 
@@ -156,7 +155,7 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     h = silverman_bandwidth(y, w, measure.ordering)
     density = weighted_gaussian_density(np.stack([t, q], axis=-1), y, w, h)
     f_t, f_q = density[..., 0], density[..., 1]
-    if any_sample(f_q < 1e-12):
+    if np.any(f_q < 1e-12):
         raise ValueError("density too small at the quantile")
     adj = fraction * f_t / f_q
     t, q, P, adj = map(as_column, (t, q, P, adj))

@@ -386,12 +386,13 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     Replicates are stacked: a chunk of R of them is drawn as one (R, n)
     sample (`draw` with a list of seeds) and carried through the weights,
     functionals, linearizations, variances and intervals as arrays with a
-    leading replicate axis, one pass per layer. CHUNK_UNITS bounds R * n;
-    Poisson samples, which vary in size, go one at a time. The numbers do
-    not depend on the chunking: each row is computed as that sample alone
-    is, to rounding. A chunk in which some sample fails is rerun one
-    sample at a time, so a run raises what the first failing replicate
-    raises alone.
+    leading replicate axis, one pass per layer. CHUNK_UNITS bounds R * n.
+    Every chunk is a stack, R = 1 included: a Poisson sample, which varies
+    in size, is a stack of one, and so is a last chunk of one replicate.
+    The numbers do not depend on the chunking: each row is computed as
+    that sample alone is, to rounding. A chunk in which some sample fails
+    is rerun one seed at a time, each a stack of one, so a run raises what
+    the first failing replicate raises alone.
 
     Each variable is sorted once per chunk, row by row: every estimator on
     a chunk shares its `SampleData`. The truths sort no census for totals,
@@ -453,10 +454,10 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
 
 
 def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -> tuple:
-    """Draw the samples of `seeds` (one sample for one seed, else a stack)
+    """Draw the samples of `seeds` as one (R, n) stack, R = len(seeds) >= 1,
     and estimate every cell: ({(parameter, estimator): [(point, interval)]
     per replicate}, {estimator: seconds})."""
-    sample = draw(population, plan.design, seeds if len(seeds) > 1 else seeds[0])
+    sample = draw(population, plan.design, seeds)
     data = SampleData(sample, plan.parameters)
     cells, times = {}, {}
     for est in plan.estimators:
@@ -471,9 +472,7 @@ def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -
 
 
 def _per_replicate(e: Estimate) -> list:
-    """[(point, interval or None)], one entry per sample of the estimate."""
-    if not getattr(e.point, "ndim", 0):
-        return [(e.point, e.interval)]
+    """[(point, interval or None)], one entry per sample of the stack."""
     lo, hi = e.interval
     return [(point, None if negative else (low, high)) for point, negative, low, high
             in zip(e.point.tolist(), e.variance.negative.tolist(), lo.tolist(), hi.tolist())]

@@ -259,12 +259,11 @@ def _calibrated(draw, system: SplineSystem, family: str,
                 w: np.ndarray) -> WeightSet:
     """The weight set of weights `w` built from a spline system, with the
     calibration diagnostics (one entry per sample of a stack)."""
-    rcond = system.rcond
     diagnostics = {
         "calibration_residuals": system.calibration_residuals(w),
         "negative_weight_count": np.sum(w < 0, axis=-1).tolist(),
         "min_weight": w.min(axis=-1).tolist(),
-        "rcond": rcond if isinstance(rcond, float) else rcond.tolist(),
+        "rcond": np.asarray(system.rcond).tolist(),
     }
     return WeightSet(draw.indices, w, family, diagnostics=diagnostics,
                      system=system)

@@ -578,6 +578,35 @@ def test_simulate_plan_parameter_threshold_is_a_usage_error(runner, tmp_path,
     _usage_error(res, f"plan parameter {json.dumps(entry)}: {message}")
 
 
+@pytest.mark.parametrize("what,entry,message", [
+    ("parameter", {"kind": "mean", "variable": "income"},
+     "the population has no variable 'income'"),
+    ("parameter", {"kind": "ratio", "denominator": "wealth"},
+     "the population has no variable 'wealth'"),
+    ("parameter", {"kind": "mean", "varible": "y"},
+     "unknown key 'varible'"),
+    ("estimator", {"family": "HT", "knot": 2},
+     "unknown key 'knot'"),
+])
+def test_simulate_plan_entry_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                              what, entry, message):
+    """A parameter reading a variable the population lacks, and an entry
+    with a key its spec does not take, are refused before any replicate."""
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+    }
+    plan[f"{what}s"].append(entry)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, f"plan {what} {json.dumps(entry)}: {message}")
+
+
 @pytest.mark.parametrize("command", ["estimate", "weights"])
 @pytest.mark.parametrize("options,message", [
     (["--design", "srswor", "--n", "50", "--allocation", "h0=5"],

@@ -15,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from splinesurvey import functionals  # noqa: E402
 from splinesurvey import (  # noqa: E402
     Ordering,
     WeightedMeasure,
@@ -172,3 +173,46 @@ def test_census_measure_equals_masses_of_one(y, fraction):
         point = t if y.ndim == 2 else float(t)
         assert same(cdf_value(unit, point), cdf_value(ones, point))
         assert same(unit.mass_at_most(point), ones.mass_at_most(point))
+
+
+# Points to rank: both signed zeros, values of census_values' pools, and
+# values between or beyond them.
+RANK_POINTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.5, 0.25, -60.0, 60.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_values(), st.lists(RANK_POINTS, min_size=1, max_size=5),
+       st.data())
+def test_rank_is_searchsorted_row_by_row(y, extra, data):
+    """`_rank` on sorted rows, (n,) or (R, n), is `np.searchsorted` of each
+    row, at one point per row and at a row of points: each row's own
+    values, then other points."""
+    s = np.sort(y, axis=-1)
+    rows = s.reshape(-1, s.shape[-1])
+    lead = s.shape[:-1]
+    own = data.draw(st.integers(0, s.shape[-1] - 1))
+    many = np.concatenate((s, np.broadcast_to(extra, lead + (len(extra),))), axis=-1)
+    one = np.where(data.draw(st.booleans()), s[..., own],
+                   np.full(lead, data.draw(RANK_POINTS)))
+    for points in (many, one):
+        for side in ("left", "right"):
+            got = functionals._rank(s, points, side)
+            want = [np.searchsorted(row, p, side=side)
+                    for row, p in zip(rows, points.reshape(rows.shape[0], -1))]
+            assert got.shape == points.shape
+            assert np.array_equal(got.reshape(rows.shape[0], -1), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(signed=True), st.lists(RANK_POINTS, min_size=1, max_size=8))
+def test_mass_at_most_of_one_sample_is_a_masked_sum(case, extra):
+    """A weighted measure of one sample, at an array of points, gives the
+    masses of the values at or below each point (and the mass-weighted
+    values strictly below it)."""
+    y, w, _ = case
+    m = WeightedMeasure(y, w)
+    points = np.concatenate((y, np.asarray(extra, dtype=float), POINTS))
+    assert np.array_equal(m.mass_at_most(points),
+                          [w[y <= p].sum() for p in points])
+    assert np.array_equal(m.weighted_sum_below(points),
+                          [(w * y)[y < p].sum() for p in points])

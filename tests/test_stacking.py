@@ -204,6 +204,68 @@ class TestChunking:
         assert str(alone.value) == outcomes[0][1]
 
 
+class TestEveryDrawIsAStack:
+    """`run_monte_carlo` draws every chunk as an (R, n) stack, R = 1
+    included: a one-replicate plan, a last chunk of one replicate, a
+    Poisson sample and the one-seed reruns after a failing chunk."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = []
+
+        def recording(population, design, seeds):
+            sample = draw(population, design, seeds)
+            seen.append(sample.indices.shape)
+            return sample
+
+        monkeypatch.setattr(simulate, "draw", recording)
+        return seen
+
+    def test_one_replicate_stratified_double_sum(self, shapes):
+        pop = synth_population(SynthConfig(size=5000, strata_count=3), 6)
+        plan = SimulationPlan(
+            design=StratifiedSrswor({"h0": 60, "h1": 70, "h2": 50}),
+            estimators=(EstimatorSpec("HT"),
+                        EstimatorSpec("BS", order=3, knots=4, lam=1.0)),
+            parameters=(ParameterSpec("ratio"), ParameterSpec("poverty_rate")),
+            replicates=1, master_seed=2, variance_method="double_sum")
+        run_monte_carlo(plan, pop)
+        assert shapes == [(1, 180)]
+
+    def test_last_chunk_of_one_replicate(self, shapes):
+        pop = synth_population(SynthConfig(size=3000), 1)
+        plan = SimulationPlan(design=Srswor(500), estimators=(EstimatorSpec("HT"),),
+                              parameters=(ParameterSpec("mean"),), replicates=17)
+        run_monte_carlo(plan, pop)
+        assert shapes == [(16, 500), (1, 500)]
+
+    def test_poisson_samples_are_stacks_of_one(self, shapes):
+        pop = synth_population(SynthConfig(size=600), 3)
+        plan = SimulationPlan(design=GivenProbabilities(np.full(600, 0.1)),
+                              estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG")),
+                              parameters=(ParameterSpec("mean"), ParameterSpec("gini")),
+                              replicates=3, master_seed=5, variance_method="double_sum")
+        run_monte_carlo(plan, pop)
+        assert len(shapes) == 3
+        assert all(len(shape) == 2 and shape[0] == 1 for shape in shapes)
+
+    def test_reruns_after_a_failing_chunk(self, shapes):
+        # the plan of test_failing_replicate_raises_what_it_raises_alone:
+        # its one chunk of 40 fails, and its seeds are rerun one at a time
+        # up to the eighth, which fails alone
+        pop = synth_population(SynthConfig(size=2000), 3)
+        pop = Population(ids=pop.ids, z=np.round(pop.z / 400.0),
+                         variables=pop.variables)
+        plan = SimulationPlan(design=Srswor(60),
+                              estimators=(EstimatorSpec("HT"),
+                                          EstimatorSpec("POST", knots=4)),
+                              parameters=(ParameterSpec("mean"),),
+                              replicates=40, master_seed=1)
+        with pytest.raises(ValueError):
+            run_monte_carlo(plan, pop)
+        assert shapes == [(40, 60)] + [(1, 60)] * 8
+
+
 class TestStackedSystems:
     def test_collapsed_knot_rows_form_their_own_group(self):
         pop = synth_population(SynthConfig(size=3000), 9)
