@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import click
 import numpy as np
@@ -308,11 +308,14 @@ def simulate(plan_path, out_csv):
         cfg = json.load(fh)
     design = _make_design(cfg["design"])
     for what, spec_type in (("estimator", EstimatorSpec), ("parameter", ParameterSpec)):
+        names = {f.name for f in fields(spec_type)}
+        required = {f.name for f in fields(spec_type) if f.default is MISSING}
         for entry in cfg[f"{what}s"]:
-            unknown = sorted(entry.keys() - {f.name for f in fields(spec_type)})
-            if unknown:
-                raise click.UsageError(f"plan {what} {json.dumps(entry)}: unknown key "
-                                       f"{unknown[0]!r}")
+            for problem, keys in (("unknown", entry.keys() - names),
+                                  ("missing", required - entry.keys())):
+                if keys:
+                    raise click.UsageError(f"plan {what} {json.dumps(entry)}: {problem} "
+                                           f"key {min(keys)!r}")
     estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
     parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
     pop = _plan_population(cfg["population"])

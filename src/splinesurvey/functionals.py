@@ -160,11 +160,21 @@ def _flat(a: np.ndarray, index) -> np.ndarray:
 
 def _rank(sorted_y: np.ndarray, points: np.ndarray, side: str) -> np.ndarray:
     """`np.searchsorted(sorted_y, points, side)` row by row: one point, or
-    one row of points, per row of `sorted_y`."""
-    rows = sorted_y.reshape(-1, sorted_y.shape[-1])
-    ranks = [np.searchsorted(row, p, side=side)
-             for row, p in zip(rows, points.reshape(rows.shape[0], -1))]
-    return np.array(ranks).reshape(points.shape)
+    one row of points, per row of `sorted_y`. It is one search for all rows:
+    numpy orders complex numbers by their real, then their imaginary parts,
+    so keying each value by its row's start in `sorted_y.ravel()` (the real
+    part) lays the sorted rows out one after another."""
+    start = _flat(sorted_y, 0)
+    keys = _row_keys(start, sorted_y).reshape(-1)
+    at = np.searchsorted(keys, _row_keys(start, points.reshape(start.shape[:-1] + (-1,))), side)
+    return (at - start).reshape(points.shape)
+
+
+def _row_keys(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`start + 1j * values`, exact for infinite values too."""
+    keys = np.empty(values.shape, complex)
+    keys.real, keys.imag = start, values
+    return keys
 
 
 def _points(y) -> np.ndarray:

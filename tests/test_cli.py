@@ -587,11 +587,14 @@ def test_simulate_plan_parameter_threshold_is_a_usage_error(runner, tmp_path,
      "unknown key 'varible'"),
     ("estimator", {"family": "HT", "knot": 2},
      "unknown key 'knot'"),
+    ("parameter", {"variable": "y"}, "missing key 'kind'"),
+    ("estimator", {"order": 3}, "missing key 'family'"),
 ])
 def test_simulate_plan_entry_is_a_usage_error(runner, tmp_path, monkeypatch,
                                               what, entry, message):
     """A parameter reading a variable the population lacks, and an entry
-    with a key its spec does not take, are refused before any replicate."""
+    with a key its spec does not take or without one it needs, are refused
+    before any replicate."""
     monkeypatch.setattr(cli, "run_monte_carlo", _fail)
     plan = {
         "population": {"generator": {"size": 300, "seed": 5}},

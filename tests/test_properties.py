@@ -176,8 +176,9 @@ def test_census_measure_equals_masses_of_one(y, fraction):
 
 
 # Points to rank: both signed zeros, values of census_values' pools, and
-# values between or beyond them.
-RANK_POINTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.5, 0.25, -60.0, 60.0])
+# values between or beyond them, infinities included.
+RANK_POINTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.5, 0.25, -60.0, 60.0,
+                               -np.inf, np.inf])
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,7 +187,8 @@ RANK_POINTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.5, 0.25, -60.0, 60.0
 def test_rank_is_searchsorted_row_by_row(y, extra, data):
     """`_rank` on sorted rows, (n,) or (R, n), is `np.searchsorted` of each
     row, at one point per row and at a row of points: each row's own
-    values, then other points."""
+    values, then other points. The count of values below (left) or at
+    most (right) each point is the oracle."""
     s = np.sort(y, axis=-1)
     rows = s.reshape(-1, s.shape[-1])
     lead = s.shape[:-1]
@@ -197,7 +199,7 @@ def test_rank_is_searchsorted_row_by_row(y, extra, data):
     for points in (many, one):
         for side in ("left", "right"):
             got = functionals._rank(s, points, side)
-            want = [np.searchsorted(row, p, side=side)
+            want = [[(row < q).sum() if side == "left" else (row <= q).sum() for q in p]
                     for row, p in zip(rows, points.reshape(rows.shape[0], -1))]
             assert got.shape == points.shape
             assert np.array_equal(got.reshape(rows.shape[0], -1), want)
