@@ -308,14 +308,12 @@ def simulate(plan_path, out_csv):
         cfg = json.load(fh)
     design = _make_design(cfg["design"])
     for what, spec_type in (("estimator", EstimatorSpec), ("parameter", ParameterSpec)):
-        names = {f.name for f in fields(spec_type)}
-        required = {f.name for f in fields(spec_type) if f.default is MISSING}
         for entry in cfg[f"{what}s"]:
-            for problem, keys in (("unknown", entry.keys() - names),
-                                  ("missing", required - entry.keys())):
-                if keys:
-                    raise click.UsageError(f"plan {what} {json.dumps(entry)}: {problem} "
-                                           f"key {min(keys)!r}")
+            _check_entry(what, entry, spec_type)
+    replicates = cfg.get("replicates", 1000)
+    if isinstance(replicates, bool) or not isinstance(replicates, int):
+        raise click.UsageError(f"plan replicates {json.dumps(replicates)}: "
+                               "not a whole number")
     estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
     parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
     pop = _plan_population(cfg["population"])
@@ -325,7 +323,7 @@ def simulate(plan_path, out_csv):
         design=design,
         estimators=estimators,
         parameters=parameters,
-        replicates=cfg.get("replicates", 1000),
+        replicates=replicates,
         level=cfg.get("level", 0.95),
         master_seed=cfg.get("master_seed", 0),
         variance_method=cfg.get("variance_method", "closed"),
@@ -334,6 +332,21 @@ def simulate(plan_path, out_csv):
     click.echo(table.render())
     if out_csv:
         table.to_csv(out_csv)
+
+
+def _check_entry(what: str, entry, spec_type, extra=()) -> None:
+    """Refuse, as a usage error naming it, a plan entry that is not a JSON
+    object, or that has a key `spec_type` does not take (besides `extra`)
+    or lacks one it needs."""
+    if not isinstance(entry, dict):
+        raise click.UsageError(f"plan {what} {json.dumps(entry)}: not a JSON object")
+    names = {f.name for f in fields(spec_type)}.union(extra)
+    required = {f.name for f in fields(spec_type) if f.default is MISSING}
+    for problem, keys in (("unknown", entry.keys() - names),
+                          ("missing", required - entry.keys())):
+        if keys:
+            raise click.UsageError(f"plan {what} {json.dumps(entry)}: {problem} "
+                                   f"key {min(keys)!r}")
 
 
 def _plan_parameter(entry: dict) -> ParameterSpec:
@@ -350,6 +363,7 @@ def _plan_parameter(entry: dict) -> ParameterSpec:
 def _plan_population(cfg) -> Population:
     if "file" in cfg:
         return _load_population(cfg["file"], "plan population file")
+    _check_entry("generator", cfg["generator"], SynthConfig, extra=("seed",))
     gen = dict(cfg["generator"])
     seed = gen.pop("seed", 0)
     return synth_population(SynthConfig(**gen), seed)

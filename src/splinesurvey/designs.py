@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -14,10 +16,14 @@ import numpy as np
 
 from .basis import CovariateSummary
 
-# `Population.from_csv` reads this many rows at a time: it holds one chunk of
-# rows as lists of strings, next to the columns converted so far.
+# When numpy's reader refuses a population CSV, `Population.from_csv` reads
+# it again with the `csv` module, this many rows at a time: it holds one
+# chunk of rows as lists of strings, next to the columns converted so far.
 CSV_CHUNK_ROWS = 4096
 TEXT_COLUMNS = ("id", "stratum")
+# ASCII file, group, record and unit separators: numpy strips them around a
+# number as whitespace, while `float` refuses them.
+_ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True)
@@ -98,38 +104,96 @@ class Population:
         finite number as Python's `float` reads it (so not `nan`, `inf` or
         `1e400`). A row of the wrong width, or a cell that is not a finite
         number, raises a ValueError naming its file line.
+
+        The rows are parsed in one pass by numpy's C reader (`np.loadtxt`),
+        which converts a number with the same correctly rounded routine as
+        `float`. When it refuses a row or a cell, or reads a number that is
+        not finite, the `csv` module reads the file again, CSV_CHUNK_ROWS
+        rows at a time: that reader names the refused line, and it accepts
+        the numbers only `float` reads, such as `1_000` or non-ASCII digits.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or "id" not in header:
-                raise ValueError("population CSV needs a header with an 'id' column")
-            if "z" not in header:
-                raise ValueError("population CSV needs a 'z' column")
-            for name, count in Counter(header).items():
-                if count > 1:
-                    raise ValueError(f"population CSV header names column {name!r} "
-                                     f"{count} times")
-            pieces = [[] for _ in header]
-            first_line = reader.line_num + 1
-            while rows := list(islice(reader, CSV_CHUNK_ROWS)):
-                columns = _chunk_columns(rows, header, first_line)
-                _refuse_non_finite(rows, header, columns, first_line)
-                for piece, column in zip(pieces, columns):
-                    piece.append(column)
-                first_line = reader.line_num + 1
-        # the leading empty array gives a file without rows empty columns
-        columns = {
-            name: (tuple(chain.from_iterable(piece)) if name in TEXT_COLUMNS
-                   else np.concatenate([np.empty(0), *piece]))
-            for name, piece in zip(header, pieces)
-        }
+        columns = _one_pass_columns(path)
+        if columns is None:
+            columns = _chunked_columns(path)
         return cls(
             ids=columns.pop("id"),
             z=columns.pop("z"),
             strata=columns.pop("stratum", None),
             variables=columns,
         )
+
+
+def _csv_header(reader) -> list:
+    """The header row of a population CSV `reader`, checked for an `id` and
+    a `z` column and for repeated names."""
+    header = next(reader, None)
+    if header is None or "id" not in header:
+        raise ValueError("population CSV needs a header with an 'id' column")
+    if "z" not in header:
+        raise ValueError("population CSV needs a 'z' column")
+    for name, count in Counter(header).items():
+        if count > 1:
+            raise ValueError(f"population CSV header names column {name!r} "
+                             f"{count} times")
+    return header
+
+
+def _one_pass_columns(path) -> dict | None:
+    """The columns of the population CSV at `path`, its rows parsed by one
+    `np.loadtxt` call; None when that call refuses the file or a numeric
+    column is not all finite. Around a number numpy also strips the ASCII
+    separators that `float` refuses, so a file holding one is left to the
+    `csv` reader as well."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if any(separator in data for separator in _ASCII_SEPARATORS):
+        return None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+        header = _csv_header(csv.reader(fh))
+        dtype = np.dtype([(f"c{j}", object if name in TEXT_COLUMNS else np.float64)
+                          for j, name in enumerate(header)])
+        try:
+            with warnings.catch_warnings():
+                # a header-only file: the population refuses zero units
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1)
+        except ValueError:
+            return None
+    columns = {}
+    for name, field in zip(header, dtype.names):
+        if name in TEXT_COLUMNS:
+            columns[name] = tuple(table[field].tolist())
+        else:
+            columns[name] = table[field].copy()
+            if not np.isfinite(columns[name]).all():
+                return None
+    return columns
+
+
+def _chunked_columns(path) -> dict:
+    """The columns of the population CSV at `path` read by the `csv` module,
+    CSV_CHUNK_ROWS rows at a time, each numeric column converted by
+    `float`'s rules; the first refused row or cell is named by its file
+    line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _csv_header(reader)
+        pieces = [[] for _ in header]
+        first_line = reader.line_num + 1
+        while rows := list(islice(reader, CSV_CHUNK_ROWS)):
+            columns = _chunk_columns(rows, header, first_line)
+            _refuse_non_finite(rows, header, columns, first_line)
+            for piece, column in zip(pieces, columns):
+                piece.append(column)
+            first_line = reader.line_num + 1
+    # the leading empty array gives a file without rows empty columns
+    return {
+        name: (tuple(chain.from_iterable(piece)) if name in TEXT_COLUMNS
+               else np.concatenate([np.empty(0), *piece]))
+        for name, piece in zip(header, pieces)
+    }
 
 
 def _chunk_columns(rows: list, header: list, first_line: int) -> list:

@@ -610,6 +610,37 @@ def test_simulate_plan_entry_is_a_usage_error(runner, tmp_path, monkeypatch,
     _usage_error(res, f"plan {what} {json.dumps(entry)}: {message}")
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"parameters": ["mean"]}, 'plan parameter "mean": not a JSON object'),
+    ({"estimators": [{"family": "HT"}, ["BS"]]},
+     'plan estimator ["BS"]: not a JSON object'),
+    ({"replicates": "3"}, 'plan replicates "3": not a whole number'),
+    ({"replicates": 2.0}, "plan replicates 2.0: not a whole number"),
+    ({"replicates": True}, "plan replicates true: not a whole number"),
+    ({"population": {"generator": {"sise": 300}}},
+     'plan generator {"sise": 300}: unknown key \'sise\''),
+], ids=["parameter-not-an-object", "estimator-not-an-object", "replicates-text",
+        "replicates-float", "replicates-bool", "generator-unknown-key"])
+def test_simulate_malformed_plan_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                                  change, message):
+    """An entry that is not a JSON object, a replicate count that is not a
+    whole number and a generator key `SynthConfig` does not take are
+    refused, naming the entry, before any replicate."""
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+        **change,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, message)
+
+
 @pytest.mark.parametrize("command", ["estimate", "weights"])
 @pytest.mark.parametrize("options,message", [
     (["--design", "srswor", "--n", "50", "--allocation", "h0=5"],

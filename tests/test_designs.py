@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from splinesurvey import (
     draw_stratified,
     replicate_seed,
 )
+from splinesurvey import designs
 from splinesurvey.designs import CSV_CHUNK_ROWS, _chunk_columns
 
 
@@ -308,6 +310,53 @@ class TestPopulationCsvColumns:
     def test_cell_converts_as_float(self, cell):
         column = _chunk_columns([["u1", cell]], ["id", "z"], 2)[1]
         assert column.view(np.int64)[0] == np.float64(float(cell)).view(np.int64)
+
+
+class TestPopulationCsvOnePass:
+    """An ordinary file is parsed by numpy's reader alone; the `csv` reader
+    re-reads only a file numpy's reader refuses."""
+
+    @pytest.fixture
+    def no_csv_reader(self, monkeypatch):
+        def _fail(*args):
+            raise AssertionError("the csv reader read the file again")
+        monkeypatch.setattr(designs, "_chunk_columns", _fail)
+
+    @pytest.mark.parametrize("text", [
+        'id,z,"y\nnew"\nu1,1.5,2.5\n"u\r\n2",2,3\n',
+        'id,z,y\ru1,1.5,2.5\r\ru2,2,3\r',
+        'stratum,z,y,id\r\nh1," 1.5 ","2e-3",""\r\nh2,\xa02\t,-0,"a,""b"""\r\n',
+    ], ids=["two-line-header", "lone-cr", "quoted-and-padded"])
+    def test_same_as_per_cell_reader_without_the_csv_reader(self, tmp_path, text,
+                                                           no_csv_reader):
+        p = tmp_path / "pop.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _assert_same_load(p)
+
+    def test_many_rows_without_the_csv_reader(self, tmp_path, rng, no_csv_reader):
+        p = tmp_path / "pop.csv"
+        lines = ["id,z,y", *_many_rows(rng, 2 * CSV_CHUNK_ROWS + 1234)]
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _assert_same_load(p)
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_around_a_number_is_refused(self, tmp_path, separator):
+        # numpy strips it as whitespace, but `float` refuses it
+        p = tmp_path / "pop.csv"
+        p.write_text(f"id,z,y\nu{separator}1,1,2\nu2,2,3{separator}\n")
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == ("population CSV line 3, column 'y': could not "
+                                   f"convert string to float: {'3' + separator!r}")
+
+    @pytest.mark.parametrize("text", ["id,z,y\n", "id,z,y\n\n\n"])
+    def test_header_only_warns_nothing(self, tmp_path, text):
+        p = tmp_path / "pop.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one unit"):
+                Population.from_csv(p)
 
 
 class TestPopulationCsvErrors:

@@ -8,6 +8,8 @@ Values and masses are small integers (ties are common) and scale factors
 are powers of two, so every sum is exact and the checks are equalities.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from splinesurvey import functionals  # noqa: E402
+from splinesurvey import designs, functionals  # noqa: E402
 from splinesurvey import (  # noqa: E402
     Ordering,
+    Population,
     WeightedMeasure,
     cdf_value,
     gini,
@@ -27,6 +30,7 @@ from splinesurvey import (  # noqa: E402
     ratio,
     total,
 )
+from test_designs import _reference_load  # noqa: E402
 
 
 @st.composite
@@ -218,3 +222,88 @@ def test_mass_at_most_of_one_sample_is_a_masked_sum(case, extra):
                           [w[y <= p].sum() for p in points])
     assert np.array_equal(m.weighted_sum_below(points),
                           [(w * y)[y < p].sum() for p in points])
+
+
+# The population CSV loader: numpy's one-pass reader must agree with the
+# `csv` module and `float`, cell for cell, or leave the file to the `csv`
+# reader, which names the refused line.
+
+TEXT_CHARS = st.sampled_from(list('ab1 ,"\r\n\t#\x00\xe9'))
+WHITESPACE = st.text(st.sampled_from(list(" \t\x0b\x0c\xa0\u2003\x1c\x1f")), max_size=2)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", ".5", "1.", "2.5e-3", "1E5", "+7", "4.9e-324"]),
+)
+# numbers only `float` reads, numbers that are not finite, and no numbers
+ODD_NUMBERS = st.sampled_from(["1_000", "\uff11\uff12", "\u0663.5", "nan", "-inf",
+                               "1e400", "0x1p3", "", "abc", "1e"])
+
+
+@st.composite
+def text_cells(draw):
+    """A text cell as written in the file: quoted, with its quotes doubled,
+    or bare (a quote that does not open a cell stays a quote)."""
+    text = draw(st.text(TEXT_CHARS, max_size=6))
+    if draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text.translate({ord(c): None for c in ',\r\n'}).lstrip('"')
+
+
+@st.composite
+def number_cells(draw):
+    """A numeric cell as written in the file, mostly a finite number, at
+    times padded with whitespace or quoted."""
+    cell = draw(ODD_NUMBERS if draw(st.integers(0, 14)) == 0 else NUMBERS)
+    if draw(st.integers(0, 3)) == 0:
+        cell = draw(WHITESPACE) + cell + draw(WHITESPACE)
+    return f'"{cell}"' if draw(st.integers(0, 3)) == 0 else cell
+
+
+@st.composite
+def csv_texts(draw):
+    """A population CSV text: a header of id, z, y and maybe stratum in any
+    order, rows that are mostly as wide as it, blank lines, and LF, CRLF or
+    lone-CR line ends."""
+    names = draw(st.permutations(["id", "z", "y", *draw(st.sampled_from([[], ["stratum"]]))]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        cells = [draw(text_cells() if name in ("id", "stratum") else number_cells())
+                 for name in names]
+        width = len(names) + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        lines.append(",".join((cells + ["7"])[:width]))
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _load_outcome(path):
+    """`Population.from_csv(path)` as the message it raises, or as its ids,
+    strata and arrays (as int64 views)."""
+    try:
+        pop = Population.from_csv(path)
+    except ValueError as err:
+        return str(err)
+    arrays = {"z": pop.z, **pop.variables}
+    return pop.ids, pop.strata, {name: v.view(np.int64).tolist() for name, v in arrays.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_population_csv_loads_as_the_csv_module_reads_it(tmp_path_factory, text):
+    """`from_csv` gives what a per-cell `csv.DictReader` and `float` reader
+    gives, or raises the message the chunked `csv` reader raises."""
+    path = tmp_path_factory.getbasetemp() / "population.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = _load_outcome(path)
+    with mock.patch.object(designs, "_one_pass_columns", return_value=None):
+        assert outcome == _load_outcome(path)
+    if isinstance(outcome, str):
+        return
+    texts, numbers = _reference_load(path)
+    assert outcome[:2] == (texts["id"], texts.get("stratum"))
+    assert outcome[2] == {name: numbers[name].view(np.int64).tolist()
+                          for name in ("z", "y")}
