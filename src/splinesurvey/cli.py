@@ -16,6 +16,7 @@ from click.core import ParameterSource
 from .basis import SplineSpec, basis_matrix, build_knots
 from .designs import Population, Srswor, StratifiedSrswor, draw
 from .simulate import (
+    KINDS,
     EstimatorSpec,
     ParameterSpec,
     SampleData,
@@ -114,12 +115,15 @@ def _load_population(path, source: str) -> Population:
         raise click.UsageError(f"{source} {path}: {err}") from err
 
 
-def _draw(population, design, seed):
-    """Draw a sample; a design the population cannot support (a sample
-    size outside 1..N, a stratum without allocation, no strata) is a
-    usage error with the library's message."""
+def _sample_and_weights(population, design, seed, family, spec):
+    """Draw a sample and build its `family` weights. What the population or
+    the sample cannot support is a usage error with the library's message:
+    a sample size outside 1..N, a stratum without allocation, no strata,
+    too few distinct covariate values for the knots, an empty poststratum,
+    a singular system or a collinear design."""
     try:
-        return draw(population, design, seed)
+        sample = draw(population, design, seed)
+        return sample, family_weights(sample, family.upper(), spec)
     except ValueError as err:
         raise click.UsageError(str(err)) from err
 
@@ -194,9 +198,8 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
     _reject_ignored_options()
     sampling = _option_design(design, n, allocation)
     pop = _load_population(pop_path, "--population")
-    sample = _draw(pop, sampling, seed)
-    ws = family_weights(sample, family.upper(),
-                        _make_spec(order, knots, knot_rule, lam, penalty_order))
+    sample, ws = _sample_and_weights(pop, sampling, seed, family,
+                                     _make_spec(order, knots, knot_rule, lam, penalty_order))
     rows = [["id", "pi", "weight", "family"]]
     for idx, w in zip(ws.indices, ws.weights):
         rows.append([pop.ids[idx], f"{sample.pi_of(idx):.10g}", f"{w:.12g}",
@@ -233,9 +236,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     pop = _load_population(pop_path, "--population")
     _require_variables(pop, [(f"--parameter {token}", pspec)
                              for token, pspec in zip(parameters, pspecs)])
-    sample = _draw(pop, sampling, seed)
-    spec = _make_spec(order, knots, knot_rule, lam, penalty_order)
-    ws = family_weights(sample, family.upper(), spec)
+    sample, ws = _sample_and_weights(pop, sampling, seed, family,
+                                     _make_spec(order, knots, knot_rule, lam, penalty_order))
     data = SampleData(sample, pspecs)
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
@@ -257,9 +259,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
         }
         if est.interval is not None:
             report["ci"] = list(est.interval)
-        if pspec.kind == "poverty_rate":
-            report["metadata"]["linearization_source"] = (
-                "external literature (kernel-density threshold adjustment)")
+        if KINDS[pspec.kind].source:
+            report["metadata"]["linearization_source"] = KINDS[pspec.kind].source
         reports.append(report)
         if emit_linearized:
             for idx, uk, gk, ek in zip(sample.indices, est.u, est.fitted,
@@ -286,13 +287,15 @@ def _require_variables(population: Population, sources) -> None:
 
 
 def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
+    """The parameter of a `kind[:variable]` token: a kind that reads two
+    variables takes `kind:first/second`, and an omitted name keeps the
+    spec's default (y, then x)."""
     kind, _, var = token.partition(":")
+    reads = KINDS[kind].reads if kind in KINDS else ("variable",)
+    names = {field: name for field, name in zip(reads, var.split("/", len(reads) - 1))
+             if name}
     try:
-        if kind == "ratio":
-            num, _, den = (var or "y/x").partition("/")
-            return ParameterSpec("ratio", num or "y", den or "x")
-        return ParameterSpec(kind, var or "y",
-                             strict=strict_poverty and kind == "poverty_rate")
+        return ParameterSpec(kind, **names, strict=strict_poverty and kind == "poverty_rate")
     except ValueError as err:
         raise click.UsageError(f"--parameter {token}: {err}") from err
 
@@ -350,12 +353,12 @@ def _check_entry(what: str, entry, spec_type, extra=()) -> None:
 
 
 def _plan_parameter(entry: dict) -> ParameterSpec:
-    """The parameter of a plan entry. A level or fraction the spec refuses
-    is a usage error naming the entry."""
-    settings = {key: entry[key] for key in ("fraction", "level") if key in entry}
-    spec = ParameterSpec(**{key: v for key, v in entry.items() if key not in settings})
+    """The parameter of a plan entry. A setting the spec refuses (a level
+    or fraction out of range, a value of the wrong type) is a usage error
+    naming the entry."""
+    spec = ParameterSpec(entry["kind"])
     try:
-        return replace(spec, **settings)
+        return replace(spec, **entry)
     except ValueError as err:
         raise click.UsageError(f"plan parameter {json.dumps(entry)}: {err}") from err
 

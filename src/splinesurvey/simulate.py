@@ -7,8 +7,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +40,23 @@ from .variance import (
 )
 from .weights import WeightSet, bspline_weights, greg_weights, ht_weights, post_weights
 
+# Annotation of a spec field -> (the types its value may have, its name in
+# a message). A bool is neither a whole number nor a number here.
+FIELD_TYPES = {"str": (str, "a string"), "bool": (bool, "a bool"),
+               "int": (numbers.Integral, "a whole number"),
+               "float": (numbers.Real, "a number")}
+
+
+def _check_types(spec) -> None:
+    """Refuse, with a ValueError naming the field and the value, a field of
+    the dataclass `spec` whose value is not of its annotated type."""
+    for f in fields(spec):
+        if f.type in FIELD_TYPES:
+            value = getattr(spec, f.name)
+            kind, name = FIELD_TYPES[f.type]
+            if not isinstance(value, kind) or isinstance(value, bool) != (f.type == "bool"):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -61,6 +79,7 @@ class SynthConfig:
     strata_count: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.size < 1:
             raise ValueError("population size must be >= 1")
         if self.log_sd <= 0 or self.noise_scale < 0:
@@ -102,6 +121,7 @@ class EstimatorSpec:
     penalty_order: int = 1
 
     def __post_init__(self):
+        _check_types(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown estimator family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
@@ -141,11 +161,49 @@ def family_weights(sample: SampleDraw, family: str, spec: SplineSpec) -> WeightS
     raise ValueError(f"unknown estimator family {family!r}")
 
 
+class ParameterKind(NamedTuple):
+    """How a kind of parameter is computed from one weight system.
+
+    `reads` names the `ParameterSpec` fields that hold the variables it
+    reads. `functional(spec, *measures)` is its value at the measures on
+    those variables, and `linearized(spec, w, ordering, *arrays)` its
+    linearized variable at weights `w` on their arrays, given the first
+    variable's `Ordering` (or None). `source` cites a linearization that
+    is taken from the literature rather than derived here.
+    """
+
+    reads: tuple
+    functional: Callable
+    linearized: Callable
+    source: str | None = None
+
+
+# Kind name -> ParameterKind. The entries look `total`, `linearized_gini`
+# and the rest up in this module when called, so that a wrapper put on
+# one of these names (bench/spans.py) sees every call.
+KINDS = {
+    "total": ParameterKind(("variable",), lambda p, m: total(m),
+                           lambda p, w, o, y: linearized_total(y)),
+    # mean = ratio with a unit denominator variable
+    "mean": ParameterKind(("variable",), lambda p, m: mean(m),
+                          lambda p, w, o, y: linearized_ratio(y, np.ones_like(y), w)),
+    "ratio": ParameterKind(("variable", "denominator"), lambda p, my, mx: ratio(my, mx),
+                           lambda p, w, o, y, x: linearized_ratio(y, x, w)),
+    "gini": ParameterKind(("variable",), lambda p, m: gini(m),
+                          lambda p, w, o, y: linearized_gini(y, w, o)),
+    "poverty_rate": ParameterKind(
+        ("variable",),
+        lambda p, m: poverty_rate(m, p.fraction, p.level, p.strict),
+        lambda p, w, o, y: linearized_poverty_rate(y, w, p.fraction, p.level, o),
+        "external literature (kernel-density threshold adjustment)"),
+}
+
+
 @dataclass(frozen=True)
 class ParameterSpec:
     """A finite-population parameter to estimate."""
 
-    kind: str  # total | mean | ratio | gini | poverty_rate
+    kind: str  # a key of KINDS
     variable: str = "y"
     denominator: str = "x"
     fraction: float = 0.6
@@ -156,25 +214,24 @@ class ParameterSpec:
     strict: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("total", "mean", "ratio", "gini", "poverty_rate"):
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
         for name, high in (("level", 1), ("fraction", math.inf)):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                                and 0 < value < high):
                 raise ValueError(f"{name} must be a number in (0, {high}), got {value!r}")
+        _check_types(self)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     @property
     def label(self) -> str:
-        if self.kind == "ratio":
-            return f"ratio({self.variable}/{self.denominator})"
-        return f"{self.kind}({self.variable})"
+        return f"{self.kind}({'/'.join(self.variables)})"
 
-    @property
+    @cached_property
     def variables(self) -> tuple:
-        """The study variables the parameter reads."""
-        return ((self.variable, self.denominator) if self.kind == "ratio"
-                else (self.variable,))
+        """The study variables the parameter reads (cached: every cell of
+        a Monte Carlo run is keyed by the label, which joins them)."""
+        return tuple(getattr(self, name) for name in KINDS[self.kind].reads)
 
     def evaluate(self, values: dict, masses: np.ndarray | None,
                  orderings: dict | None = None) -> float:
@@ -183,17 +240,10 @@ class ParameterSpec:
         sample, one value per row for an (R, n) stack. `orderings` maps
         variable names to an `Ordering` built on the same arrays, so that
         every estimator on one sample shares one sort of each variable."""
-        ordering = orderings.get(self.variable) if orderings else None
-        m = WeightedMeasure(values[self.variable], masses, ordering)
-        if self.kind == "total":
-            return total(m)
-        if self.kind == "mean":
-            return mean(m)
-        if self.kind == "ratio":
-            return ratio(m, WeightedMeasure(values[self.denominator], masses))
-        if self.kind == "gini":
-            return gini(m)
-        return poverty_rate(m, self.fraction, self.level, self.strict)
+        orderings = orderings or {}
+        measures = [WeightedMeasure(values[name], masses, orderings.get(name))
+                    for name in self.variables]
+        return KINDS[self.kind].functional(self, *measures)
 
     def truth(self, population: Population) -> float:
         """The parameter of the census: the measure at unit masses, whose
@@ -203,20 +253,9 @@ class ParameterSpec:
     def linearized(self, values: dict, weights: np.ndarray,
                    orderings: dict | None = None) -> np.ndarray:
         """Linearized variable on the sample; `orderings` as in `evaluate`."""
-        y = np.asarray(values[self.variable], dtype=float)
+        arrays = [np.asarray(values[name], dtype=float) for name in self.variables]
         ordering = orderings.get(self.variable) if orderings else None
-        if self.kind == "total":
-            return linearized_total(y).values
-        if self.kind == "mean":
-            # mean = ratio with a unit denominator variable
-            return linearized_ratio(y, np.ones_like(y), weights).values
-        if self.kind == "ratio":
-            x = np.asarray(values[self.denominator], dtype=float)
-            return linearized_ratio(y, x, weights).values
-        if self.kind == "gini":
-            return linearized_gini(y, weights, ordering).values
-        return linearized_poverty_rate(y, weights, self.fraction,
-                                       self.level, ordering).values
+        return KINDS[self.kind].linearized(self, weights, ordering, *arrays).values
 
 
 @dataclass(frozen=True)
@@ -232,6 +271,7 @@ class SimulationPlan:
     variance_method: str = "closed"  # closed | double_sum
 
     def __post_init__(self):
+        _check_types(self)
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
         if not 0 < self.level < 1:

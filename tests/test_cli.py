@@ -401,6 +401,12 @@ def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
                      {"family": "BS", "order": 3, "knots": 3},
                      {"family": "BS", "order": 3, "knots": 3, "penalty_order": 2}]},
      "estimator labels must be distinct"),
+    ({"level": "0.9"}, "level must be a number, got '0.9'"),
+    ({"master_seed": "x"}, "master_seed must be a whole number, got 'x'"),
+    ({"population": {"generator": {"size": "300"}}},
+     "size must be a whole number, got '300'"),
+    ({"estimators": [{"family": "HT"}, {"family": "BS", "knots": "3"}]},
+     "knots must be a whole number, got '3'"),
 ])
 def test_simulate_plan_fails_before_any_replicate(runner, tmp_path, monkeypatch,
                                                   plan_change, message):
@@ -559,6 +565,11 @@ def test_simulate_plan_design_sizes_must_be_whole_numbers(runner, tmp_path,
      "fraction must be a number in (0, inf), got -1"),
     ({"kind": "poverty_rate", "fraction": "0.6"},
      "fraction must be a number in (0, inf), got '0.6'"),
+    # a non-empty string does not turn on the strict poverty rate
+    ({"kind": "poverty_rate", "strict": "no"}, "strict must be a bool, got 'no'"),
+    ({"kind": "poverty_rate", "strict": 0}, "strict must be a bool, got 0"),
+    ({"kind": "mean", "variable": 3}, "variable must be a string, got 3"),
+    ({"kind": "ratio", "denominator": ["x"]}, "denominator must be a string, got ['x']"),
 ])
 def test_simulate_plan_parameter_threshold_is_a_usage_error(runner, tmp_path,
                                                             monkeypatch, entry,
@@ -639,6 +650,48 @@ def test_simulate_malformed_plan_is_a_usage_error(runner, tmp_path, monkeypatch,
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
     _usage_error(res, message)
+
+
+@pytest.fixture
+def four_unit_csv(tmp_path):
+    path = tmp_path / "four.csv"
+    path.write_text("id,z,y\nu1,1.5,2.5\nu2,2.5,3.5\nu3,3.5,4.5\nu4,4.5,1.5\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("family", ["bs", "post"])
+def test_calibration_the_sample_cannot_support_is_a_usage_error(
+        runner, four_unit_csv, command, family):
+    """Two units cannot place two interior knots: the calibration's
+    ValueError is a usage error with the library's message."""
+    args = [command, "--population", str(four_unit_csv), "--family", family, "--n", "2"]
+    if command == "estimate":
+        args += ["--parameter", "mean:y"]
+    _usage_error(runner.invoke(main, args), "insufficient support for K knots")
+
+
+def test_a_new_kind_needs_only_a_table_entry(runner, population_csv, monkeypatch):
+    """A KINDS entry is enough for the CLI grammar, the label, the estimate
+    and the linearization-source metadata."""
+    kind = simulate.ParameterKind(
+        ("variable", "denominator"),
+        lambda p, my, mx: functionals.total(my) - functionals.total(mx),
+        lambda p, w, o, y, x: simulate.linearized_total(y - x),
+        "a test note")
+    monkeypatch.setitem(simulate.KINDS, "difference", kind)
+    args = ["estimate", "--population", str(population_csv), "--family", "ht",
+            "--n", "60", "--seed", "2"]
+    res = runner.invoke(main, args + ["--parameter", "difference:y/x",
+                                      "--parameter", "total:y", "--parameter", "total:x"])
+    assert res.exit_code == 0, res.output
+    difference, total_y, total_x = json.loads(res.output)
+    assert difference["parameter"] == "difference(y/x)"
+    assert difference["estimate"] == pytest.approx(total_y["estimate"] - total_x["estimate"])
+    assert difference["metadata"]["linearization_source"] == "a test note"
+    assert "linearization_source" not in total_y["metadata"]
+    res = runner.invoke(main, args + ["--parameter", "difference"])
+    assert json.loads(res.output)[0]["parameter"] == "difference(y/x)"
 
 
 @pytest.mark.parametrize("command", ["estimate", "weights"])

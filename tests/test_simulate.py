@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,67 @@ class TestParameterTruth:
                            parameters=(ParameterSpec("poverty_rate"),
                                        ParameterSpec("poverty_rate", strict=True)),
                            replicates=1)
+
+
+def _plan(**changes):
+    return SimulationPlan(design=Srswor(10), estimators=(EstimatorSpec("HT"),),
+                          parameters=(ParameterSpec("mean"),), replicates=1, **changes)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ParameterSpec("poverty_rate", strict="no"), "strict must be a bool, got 'no'"),
+    (lambda: ParameterSpec("poverty_rate", strict=1), "strict must be a bool, got 1"),
+    (lambda: ParameterSpec("mean", variable=3), "variable must be a string, got 3"),
+    (lambda: ParameterSpec("ratio", denominator=None),
+     "denominator must be a string, got None"),
+    (lambda: ParameterSpec(["mean"]), "kind must be a string, got ['mean']"),
+    (lambda: EstimatorSpec("BS", knots="3"), "knots must be a whole number, got '3'"),
+    (lambda: EstimatorSpec("BS", order=3.0), "order must be a whole number, got 3.0"),
+    (lambda: EstimatorSpec("BS", lam=True), "lam must be a number, got True"),
+    (lambda: EstimatorSpec(("BS",)), "family must be a string, got ('BS',)"),
+    (lambda: SynthConfig(size="300"), "size must be a whole number, got '300'"),
+    (lambda: SynthConfig(size=300.0), "size must be a whole number, got 300.0"),
+    (lambda: SynthConfig(log_sd="0.5"), "log_sd must be a number, got '0.5'"),
+    (lambda: _plan(level="0.9"), "level must be a number, got '0.9'"),
+    (lambda: _plan(master_seed="x"), "master_seed must be a whole number, got 'x'"),
+    (lambda: _plan(master_seed=1.5), "master_seed must be a whole number, got 1.5"),
+])
+def test_specs_refuse_values_of_the_wrong_type(make, message):
+    """A spec field whose value is not of its annotated type is refused
+    with a ValueError naming the field and the value; a bool is not a
+    number, and a non-empty string is not a bool."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_specs_accept_numpy_scalars():
+    assert EstimatorSpec("BS", order=np.int64(3), knots=np.int32(4),
+                         lam=np.float64(0.5)).label == "BS(3,K=4,lam=0.5)"
+    assert SynthConfig(size=np.int64(300), slope=2).size == 300
+    assert _plan(level=np.float64(0.9), master_seed=np.uint32(7)).level == 0.9
+    assert ParameterSpec("poverty_rate", strict=False).strict is False
+
+
+def test_kinds_look_their_functions_up_on_the_module(monkeypatch):
+    """Every KINDS entry finds its functional and its linearization on
+    `simulate` when called, so a wrapper put there (the benchmark's span
+    tracer) sees each call."""
+    called = []
+    for name in ("total", "mean", "ratio", "gini", "poverty_rate", "linearized_total",
+                 "linearized_ratio", "linearized_gini", "linearized_poverty_rate"):
+        def wrapper(*args, _fn=getattr(simulate, name), _name=name, **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, wrapper)
+    values = {"y": np.arange(1.0, 13.0) % 5 + 1, "x": np.arange(12.0, 0.0, -1.0)}
+    w = np.linspace(1.0, 2.0, 12)
+    for kind in simulate.KINDS:
+        spec = ParameterSpec(kind)
+        called.clear()
+        spec.evaluate(values, w)
+        spec.linearized(values, w)
+        linearization = "linearized_ratio" if kind == "mean" else f"linearized_{kind}"
+        assert called == [kind, linearization]
 
 
 @pytest.mark.parametrize("kinds", [("mean", "gini"),
