@@ -7,7 +7,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import MISSING, fields, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 
 import click
 import numpy as np
@@ -68,6 +69,16 @@ DESIGN_SETTINGS = {"srswor": ("n", "--n"),
                    "stratified": ("allocations", "--allocation label=n")}
 
 
+@contextmanager
+def _usage_errors(source: str = ""):
+    """Report a ValueError raised in the block as a usage error with its
+    message, after `source` when one is given."""
+    try:
+        yield
+    except ValueError as err:
+        raise click.UsageError(f"{source}: {err}" if source else str(err)) from err
+
+
 def _make_design(config):
     """The design a plan's "design" object describes. The --design, --n and
     --allocation options reach it as the same object. A size that is not a
@@ -80,12 +91,10 @@ def _make_design(config):
     if key not in config:
         raise click.UsageError(f"a {kind} design needs {key!r} in a plan, "
                                f"{option} on the command line")
-    try:
+    with _usage_errors():
         if kind == "srswor":
             return Srswor(config["n"])
         return StratifiedSrswor(config["allocations"])
-    except ValueError as err:
-        raise click.UsageError(str(err)) from err
 
 
 def _option_design(design, n, allocation):
@@ -109,10 +118,8 @@ def _option_design(design, n, allocation):
 
 def _load_population(path, source: str) -> Population:
     """`Population.from_csv(path)`; a file it refuses is a usage error."""
-    try:
+    with _usage_errors(f"{source} {path}"):
         return Population.from_csv(path)
-    except ValueError as err:
-        raise click.UsageError(f"{source} {path}: {err}") from err
 
 
 def _sample_and_weights(population, design, seed, family, spec):
@@ -121,11 +128,9 @@ def _sample_and_weights(population, design, seed, family, spec):
     a sample size outside 1..N, a stratum without allocation, no strata,
     too few distinct covariate values for the knots, an empty poststratum,
     a singular system or a collinear design."""
-    try:
+    with _usage_errors():
         sample = draw(population, design, seed)
         return sample, family_weights(sample, family.upper(), spec)
-    except ValueError as err:
-        raise click.UsageError(str(err)) from err
 
 
 # Options each --family or --design value has no use for: HT and GREG take
@@ -238,11 +243,14 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
                              for token, pspec in zip(parameters, pspecs)])
     sample, ws = _sample_and_weights(pop, sampling, seed, family,
                                      _make_spec(order, knots, knot_rule, lam, penalty_order))
-    data = SampleData(sample, pspecs)
+    # what the sample cannot support (a poverty rate on fewer than 10 units,
+    # a variance on one) is a usage error with the library's message
+    with _usage_errors():
+        data = SampleData(sample, pspecs)
+        estimates = [data.estimate(ws, pspec, variance_method, level) for pspec in pspecs]
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
-    for pspec in pspecs:
-        est = data.estimate(ws, pspec, variance_method, level)
+    for pspec, est in zip(pspecs, estimates):
         report = {
             "parameter": pspec.label,
             "estimate": est.point,
@@ -291,13 +299,13 @@ def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
     variables takes `kind:first/second`, and an omitted name keeps the
     spec's default (y, then x)."""
     kind, _, var = token.partition(":")
-    reads = KINDS[kind].reads if kind in KINDS else ("variable",)
+    known = KINDS.get(kind)
+    reads = known.reads if known else ("variable",)
     names = {field: name for field, name in zip(reads, var.split("/", len(reads) - 1))
              if name}
-    try:
-        return ParameterSpec(kind, **names, strict=strict_poverty and kind == "poverty_rate")
-    except ValueError as err:
-        raise click.UsageError(f"--parameter {token}: {err}") from err
+    strict = strict_poverty and known is not None and "strict" in known.settings
+    with _usage_errors(f"--parameter {token}"):
+        return ParameterSpec(kind, **names, strict=strict)
 
 
 @main.command()
@@ -317,20 +325,22 @@ def simulate(plan_path, out_csv):
     if isinstance(replicates, bool) or not isinstance(replicates, int):
         raise click.UsageError(f"plan replicates {json.dumps(replicates)}: "
                                "not a whole number")
-    estimators = tuple(EstimatorSpec(**e) for e in cfg["estimators"])
+    estimators = tuple(_plan_estimator(e) for e in cfg["estimators"])
     parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
     pop = _plan_population(cfg["population"])
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
-    plan = SimulationPlan(
-        design=design,
-        estimators=estimators,
-        parameters=parameters,
-        replicates=replicates,
-        level=cfg.get("level", 0.95),
-        master_seed=cfg.get("master_seed", 0),
-        variance_method=cfg.get("variance_method", "closed"),
-    )
+    with _usage_errors("plan"):
+        plan = SimulationPlan(
+            design=design,
+            estimators=estimators,
+            parameters=parameters,
+            replicates=replicates,
+            level=cfg.get("level", 0.95),
+            master_seed=cfg.get("master_seed", 0),
+            variance_method=cfg.get("variance_method", "closed"),
+        )
+    # a replicate's failure is not a usage error
     table = run_monte_carlo(plan, pop)
     click.echo(table.render())
     if out_csv:
@@ -352,15 +362,26 @@ def _check_entry(what: str, entry, spec_type, extra=()) -> None:
                                    f"key {min(keys)!r}")
 
 
+def _plan_estimator(entry: dict) -> EstimatorSpec:
+    """The estimator of a plan entry; what the spec refuses (an unknown
+    family, a value of the wrong type) is a usage error naming the entry."""
+    with _usage_errors(f"plan estimator {json.dumps(entry)}"):
+        return EstimatorSpec(**entry)
+
+
 def _plan_parameter(entry: dict) -> ParameterSpec:
-    """The parameter of a plan entry. A setting the spec refuses (a level
-    or fraction out of range, a value of the wrong type) is a usage error
-    naming the entry."""
-    spec = ParameterSpec(entry["kind"])
-    try:
-        return replace(spec, **entry)
-    except ValueError as err:
-        raise click.UsageError(f"plan parameter {json.dumps(entry)}: {err}") from err
+    """The parameter of a plan entry. What the spec refuses (an unknown
+    kind, a level or fraction out of range, a value of the wrong type) and
+    a key the kind ignores are usage errors naming the entry."""
+    source = f"plan parameter {json.dumps(entry)}"
+    with _usage_errors(source):
+        spec = ParameterSpec(**entry)
+    kind = KINDS[spec.kind]
+    ignored = entry.keys() - {"kind", *kind.reads, *kind.settings}
+    if ignored:
+        raise click.UsageError(f"{source}: key {min(ignored)!r} has no effect "
+                               f"on a {spec.kind} parameter")
+    return spec
 
 
 def _plan_population(cfg) -> Population:
@@ -369,7 +390,8 @@ def _plan_population(cfg) -> Population:
     _check_entry("generator", cfg["generator"], SynthConfig, extra=("seed",))
     gen = dict(cfg["generator"])
     seed = gen.pop("seed", 0)
-    return synth_population(SynthConfig(**gen), seed)
+    with _usage_errors(f"plan generator {json.dumps(cfg['generator'])}"):
+        return synth_population(SynthConfig(**gen), seed)
 
 
 def _write_csv(destination, rows) -> None:

@@ -169,13 +169,15 @@ class ParameterKind(NamedTuple):
     those variables, and `linearized(spec, w, ordering, *arrays)` its
     linearized variable at weights `w` on their arrays, given the first
     variable's `Ordering` (or None). `source` cites a linearization that
-    is taken from the literature rather than derived here.
+    is taken from the literature rather than derived here. `settings`
+    names the other `ParameterSpec` fields it reads.
     """
 
     reads: tuple
     functional: Callable
     linearized: Callable
     source: str | None = None
+    settings: tuple = ()
 
 
 # Kind name -> ParameterKind. The entries look `total`, `linearized_gini`
@@ -195,7 +197,8 @@ KINDS = {
         ("variable",),
         lambda p, m: poverty_rate(m, p.fraction, p.level, p.strict),
         lambda p, w, o, y: linearized_poverty_rate(y, w, p.fraction, p.level, o),
-        "external literature (kernel-density threshold adjustment)"),
+        "external literature (kernel-density threshold adjustment)",
+        settings=("fraction", "level", "strict")),
 }
 
 
@@ -438,12 +441,16 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     a chunk shares its `SampleData`. The truths sort no census for totals,
     means, ratios and the poverty rate (unit-mass quantiles select and the
     CDF at a point counts); a Gini truth sorts its variable once. Each cell
-    keeps only (point, interval) per replicate; `mean_runtime` is each
-    estimator's time per replicate, timed per chunk.
+    keeps a (4, replicates) block whose rows are the point, the variance
+    and the interval's lower and upper ends (NaN where the variance is
+    negative), one column per replicate, written chunk by chunk by slice;
+    RB, RRMSE, coverage and the negative-variance count reduce those rows.
+    `mean_runtime` is each estimator's time per replicate, timed per chunk.
     """
     truths = {p.label: p.truth(population) for p in plan.parameters}
     est_labels = [e.label for e in plan.estimators]
-    outcomes: dict = {(p.label, e): [] for p in plan.parameters for e in est_labels}
+    blocks = {(p.label, e): np.empty((4, plan.replicates))
+              for p in plan.parameters for e in est_labels}
     runtime: dict = {e: 0.0 for e in est_labels}
 
     if isinstance(plan.design, GivenProbabilities):
@@ -454,39 +461,40 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
         seeds = [replicate_seed(plan.master_seed, i)
                  for i in range(start, min(start + per_chunk, plan.replicates))]
         try:
-            chunks = [_estimate_chunk(plan, population, seeds)]
+            chunks = [(start, _estimate_chunk(plan, population, seeds))]
         except Exception:
             if len(seeds) == 1:
                 raise
-            chunks = [_estimate_chunk(plan, population, [seed]) for seed in seeds]
-        for cells, times in chunks:
-            for key, values in cells.items():
-                outcomes[key] += values
+            chunks = [(start + r, _estimate_chunk(plan, population, [seed]))
+                      for r, seed in enumerate(seeds)]
+        for at, (cells, times) in chunks:
+            for key, e in cells.items():
+                blocks[key][:, at:at + len(e.point)] = e.point, e.variance.value, *e.interval
             for label, seconds in times.items():
                 runtime[label] += seconds
 
     rows: dict = {}
     for p in plan.parameters:
         theta = truths[p.label]
-        rmse_ht = _rmse([point for point, _ in outcomes[(p.label, "HT")]], theta)
+        rmse_ht = _rmse(blocks[p.label, "HT"][0], theta)
         for e in est_labels:
-            key = (p.label, e)
-            vals = np.asarray([point for point, _ in outcomes[key]])
-            intervals = [ci for _, ci in outcomes[key] if ci is not None]
-            covered = sum(1 for lo, hi in intervals if lo <= theta <= hi)
+            point, variance, lower, upper = blocks[p.label, e]
+            negatives = int(np.count_nonzero(variance < 0))
+            covered = np.count_nonzero((lower <= theta) & (theta <= upper))
             if theta != 0:
-                rb = 100.0 * float(np.mean(vals - theta)) / theta
+                rb = 100.0 * float(np.mean(point - theta)) / theta
                 abs_flag = False
             else:
-                rb = float(np.mean(vals - theta))
+                rb = float(np.mean(point - theta))
                 abs_flag = True
-            rrmse = 100.0 * (_rmse(vals, theta) / rmse_ht) if rmse_ht > 0 else np.nan
-            cov = 100.0 * covered / len(intervals) if intervals else np.nan
-            rows[key] = MetricRow(
+            rrmse = 100.0 * (_rmse(point, theta) / rmse_ht) if rmse_ht > 0 else np.nan
+            intervals = plan.replicates - negatives
+            cov = 100.0 * covered / intervals if intervals else np.nan
+            rows[p.label, e] = MetricRow(
                 rb_percent=rb,
                 rrmse_percent=float(rrmse),
                 coverage_percent=float(cov),
-                negative_variances=len(outcomes[key]) - len(intervals),
+                negative_variances=negatives,
                 mean_runtime=runtime[e] / plan.replicates,
                 absolute_bias_flag=abs_flag,
             )
@@ -495,8 +503,8 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
 
 def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -> tuple:
     """Draw the samples of `seeds` as one (R, n) stack, R = len(seeds) >= 1,
-    and estimate every cell: ({(parameter, estimator): [(point, interval)]
-    per replicate}, {estimator: seconds})."""
+    and estimate every cell: ({(parameter, estimator): stacked Estimate},
+    {estimator: seconds})."""
     sample = draw(population, plan.design, seeds)
     data = SampleData(sample, plan.parameters)
     cells, times = {}, {}
@@ -504,23 +512,15 @@ def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -
         tic = time.perf_counter()
         ws = est.build_weights(sample)
         for p in plan.parameters:
-            cells[(p.label, est.label)] = _per_replicate(
-                data.estimate(ws, p, plan.variance_method, plan.level))
+            cells[(p.label, est.label)] = data.estimate(ws, p, plan.variance_method,
+                                                        plan.level)
         del ws  # free this system before the next one is built
         times[est.label] = time.perf_counter() - tic
     return cells, times
 
 
-def _per_replicate(e: Estimate) -> list:
-    """[(point, interval or None)], one entry per sample of the stack."""
-    lo, hi = e.interval
-    return [(point, None if negative else (low, high)) for point, negative, low, high
-            in zip(e.point.tolist(), e.variance.negative.tolist(), lo.tolist(), hi.tolist())]
-
-
-def _rmse(values, theta: float) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean((v - theta) ** 2)))
+def _rmse(values: np.ndarray, theta: float) -> float:
+    return float(np.sqrt(np.mean((values - theta) ** 2)))
 
 
 def tv_proxy_distance(measure_a: WeightedMeasure, measure_b: WeightedMeasure,

@@ -371,8 +371,7 @@ def test_simulate_plan_with_unknown_parameter_kind(runner, tmp_path, monkeypatch
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
-    assert isinstance(res.exception, ValueError)
-    assert "unknown parameter kind 'median'" in str(res.exception)
+    _usage_error(res, 'plan parameter {"kind": "median"}: unknown parameter kind \'median\'')
 
 
 def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
@@ -387,9 +386,7 @@ def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
-    assert res.exit_code != 0
-    assert isinstance(res.exception, ValueError)
-    assert "labels must be distinct" in str(res.exception)
+    _usage_error(res, "plan: parameter labels must be distinct")
 
 
 @pytest.mark.parametrize("plan_change,message", [
@@ -422,8 +419,7 @@ def test_simulate_plan_fails_before_any_replicate(runner, tmp_path, monkeypatch,
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
-    assert isinstance(res.exception, ValueError)
-    assert message in str(res.exception)
+    _usage_error(res, message)
 
 
 @pytest.mark.parametrize("tokens,sorts", [
@@ -600,6 +596,10 @@ def test_simulate_plan_parameter_threshold_is_a_usage_error(runner, tmp_path,
      "unknown key 'knot'"),
     ("parameter", {"variable": "y"}, "missing key 'kind'"),
     ("estimator", {"order": 3}, "missing key 'family'"),
+    ("parameter", {"kind": "mean", "denominator": "nothere", "fraction": 3.0},
+     "key 'denominator' has no effect on a mean parameter"),
+    ("parameter", {"kind": "gini", "fraction": 0.5},
+     "key 'fraction' has no effect on a gini parameter"),
 ])
 def test_simulate_plan_entry_is_a_usage_error(runner, tmp_path, monkeypatch,
                                               what, entry, message):
@@ -669,6 +669,22 @@ def test_calibration_the_sample_cannot_support_is_a_usage_error(
     if command == "estimate":
         args += ["--parameter", "mean:y"]
     _usage_error(runner.invoke(main, args), "insufficient support for K knots")
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--n", "5", "--parameter", "poverty_rate:y"],
+     "poverty-rate linearization needs n >= 10"),
+    (["--n", "1", "--parameter", "mean:y"], "variance needs n >= 2"),
+])
+def test_estimate_failure_after_the_weights_is_a_usage_error(runner, tmp_path,
+                                                             options, message):
+    """What the sample cannot support after its weights are built is a
+    usage error with the library's message."""
+    path = tmp_path / "forty.csv"
+    path.write_text("id,z,y\n" + "".join(f"u{i},{1.0 + i},{2.0 + (7 * i) % 11}\n"
+                                          for i in range(40)))
+    args = ["estimate", "--population", str(path), "--family", "ht"]
+    _usage_error(runner.invoke(main, args + options), message)
 
 
 def test_a_new_kind_needs_only_a_table_entry(runner, population_csv, monkeypatch):

@@ -2,6 +2,8 @@
 through every layer as arrays with a leading replicate axis give, row for
 row, what each sample gives alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,37 @@ class TestChunking:
         alone = run_monte_carlo(plan, pop)
         assert stacked.truths == alone.truths
         _assert_same_cells(_table_cells(stacked), _table_cells(alone))
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_rerun_of_a_failing_chunk_fills_its_own_columns(self, monkeypatch, failing_call):
+        """A chunk that fails stacked and succeeds seed by seed (the first
+        chunk, or the second, which starts at replicate 3) gives the table
+        of a run in which no chunk fails, bit for bit."""
+        pop = synth_population(SynthConfig(size=5000, strata_count=3), 6)
+        plan = SimulationPlan(
+            design=StratifiedSrswor({"h0": 60, "h1": 70, "h2": 50}),
+            estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                        EstimatorSpec("BS", order=3, knots=4, lam=0.5)),
+            parameters=(ParameterSpec("mean"), ParameterSpec("gini"),
+                        ParameterSpec("poverty_rate")),
+            replicates=8, master_seed=4, variance_method="double_sum")
+        monkeypatch.setattr(simulate, "CHUNK_UNITS", 3 * 180)  # chunks 3, 3, 2
+        want = run_monte_carlo(plan, pop)
+        estimate_chunk, stacked = simulate._estimate_chunk, []
+
+        def failing(plan, population, seeds):
+            if len(seeds) > 1:
+                stacked.append(seeds)
+                if len(stacked) == failing_call:
+                    raise ValueError("a stacked chunk fails")
+            return estimate_chunk(plan, population, seeds)
+
+        monkeypatch.setattr(simulate, "_estimate_chunk", failing)
+        got = run_monte_carlo(plan, pop)
+        assert len(stacked) == 3
+        assert got.truths == want.truths
+        assert ({key: replace(row, mean_runtime=0.0) for key, row in got.rows.items()}
+                == {key: replace(row, mean_runtime=0.0) for key, row in want.rows.items()})
 
     def test_failing_replicate_raises_what_it_raises_alone(self, monkeypatch):
         # a covariate rounded to a few values: POST with four cut points

@@ -75,9 +75,14 @@ def _outcome(run):
         return type(err), str(err)
 
 
+def _row(estimate, r) -> tuple:
+    """Row r of a stacked Estimate: point, variance, lower and upper end."""
+    lower, upper = estimate.interval
+    return tuple(float(a[r]) for a in (estimate.point, estimate.variance.value,
+                                       lower, upper))
+
+
 def _close(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
     if isinstance(a, tuple):
         return all(_close(x, y) for x, y in zip(a, b))
     if math.isnan(a) or math.isnan(b):
@@ -89,10 +94,10 @@ def _close(a, b) -> bool:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(plans())
 def test_stacked_chunk_equals_runs_of_one(monkeypatch, case):
-    """Every point, interval and table cell of a stacked run matches the
-    run with one replicate per chunk to 1e-12 relative, and a failing run
-    raises the same exception class and message. One chunk fails exactly
-    when one of its replicates fails alone."""
+    """Every point, variance, interval and table cell of a stacked run
+    matches the run with one replicate per chunk to 1e-12 relative, and a
+    failing run raises the same exception class and message. One chunk
+    fails exactly when one of its replicates fails alone."""
     pop, plan = case
     logging.disable(logging.WARNING)  # collapsed knots are expected here
     try:
@@ -104,12 +109,10 @@ def test_stacked_chunk_equals_runs_of_one(monkeypatch, case):
             failed = [a for a in alone if not isinstance(a[0], dict)]
             assert (not isinstance(stacked[0], dict)) == bool(failed)
             if not failed:
-                for key, rows in stacked[0].items():
-                    assert len(rows) == plan.replicates
-                    for r, (point, interval) in enumerate(rows):
-                        (want_point, want_interval), = alone[r][0][key]
-                        assert _close(point, want_point), key
-                        assert _close(interval, want_interval), key
+                for key, est in stacked[0].items():
+                    assert est.point.shape == (plan.replicates,)
+                    for r in range(plan.replicates):
+                        assert _close(_row(est, r), _row(alone[r][0][key], 0)), key
         tables = []
         for units in (simulate.CHUNK_UNITS, 1):
             monkeypatch.setattr(simulate, "CHUNK_UNITS", units)
