@@ -56,9 +56,9 @@ class KnotVector:
 
     def __post_init__(self):
         arr = np.asarray(self.interior, dtype=float)
-        if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+        if arr.size and (np.count_nonzero(arr <= 0.0) or np.count_nonzero(arr >= 1.0)):
             raise ValueError("interior knots must lie strictly inside (0,1)")
-        if arr.shape[-1] > 1 and np.any(np.diff(arr, axis=-1) <= 0):
+        if arr.shape[-1] > 1 and np.count_nonzero(np.diff(arr, axis=-1) <= 0):
             raise ValueError("interior knots must be strictly increasing")
 
     @property
@@ -154,7 +154,7 @@ def knot_groups(spec: SplineSpec, reference=None) -> list:
         distinct = _distinct_count(ordered)
     if ordered.shape[-1] == 0:
         raise ValueError("quantile knot rule needs a nonempty reference")
-    if np.any(distinct < K + 1):
+    if np.count_nonzero(distinct < K + 1):
         raise ValueError("insufficient support for K knots")
     levels = np.arange(1, K + 1) / (K + 1)
     # the smallest order statistic whose rank is at least n * level

@@ -330,6 +330,10 @@ def simulate(plan_path, out_csv):
     pop = _plan_population(cfg["population"])
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
+    # a sample size outside 1..N_h, a stratum without allocation or a
+    # population without strata, before the truths and the replicates
+    with _usage_errors(f"plan design {json.dumps(cfg['design'])}"):
+        design.strata(pop)
     with _usage_errors("plan"):
         plan = SimulationPlan(
             design=design,
@@ -364,7 +368,8 @@ def _check_entry(what: str, entry, spec_type, extra=()) -> None:
 
 def _plan_estimator(entry: dict) -> EstimatorSpec:
     """The estimator of a plan entry; what the spec refuses (an unknown
-    family, a value of the wrong type) is a usage error naming the entry."""
+    family, a value of the wrong type, spline settings `SplineSpec`
+    refuses) is a usage error naming the entry."""
     with _usage_errors(f"plan estimator {json.dumps(entry)}"):
         return EstimatorSpec(**entry)
 
@@ -391,6 +396,8 @@ def _plan_population(cfg) -> Population:
     gen = dict(cfg["generator"])
     seed = gen.pop("seed", 0)
     with _usage_errors(f"plan generator {json.dumps(cfg['generator'])}"):
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be a whole number, got {seed!r}")
         return synth_population(SynthConfig(**gen), seed)
 
 

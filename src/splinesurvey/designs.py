@@ -448,7 +448,7 @@ class SampleDraw:
         offsets = (H * np.arange(rows.shape[0]))[:, None]
         counts = np.bincount((rows + offsets).ravel(),
                              minlength=H * rows.shape[0]).reshape(-1, H)
-        if np.any(counts != counts[0]):
+        if np.count_nonzero(counts != counts[0]):
             raise ValueError("stacked samples differ in their stratum sizes")
         ends = np.cumsum(counts[0]).tolist()
         order = np.argsort(codes, axis=-1, kind="stable")

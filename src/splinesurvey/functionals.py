@@ -21,6 +21,9 @@ A measure built without masses (the census) has unit masses: its
 quantiles select the k-th smallest value and its CDF at a point counts,
 so of its order functionals only the Gini sorts. Both give the sorted
 path's results bit for bit, whose cumulative masses are then exact integers.
+Where a functional reads its masses, they are one shared read-only array
+of ones per shape, kept in a small bounded cache; its cumulative masses
+are the counts 0..n, and no ones are gathered.
 
 A measure holds one sample, (n,), or a stack of R samples, (R, n); the
 functionals then give one value per row, each computed as that sample's
@@ -33,7 +36,7 @@ stacked arrays too.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -186,6 +189,15 @@ def _points(y) -> np.ndarray:
     return y
 
 
+@lru_cache(maxsize=4)
+def _ones(shape: tuple) -> np.ndarray:
+    """One read-only array of ones per shape: the masses every unit-mass
+    measure of that shape reads."""
+    ones = np.ones(shape)
+    ones.flags.writeable = False
+    return ones
+
+
 class WeightedMeasure:
     """Point masses (y_k, w_k), of one sample (n,) or of a stack (R, n),
     one measure per row; the functionals then give one value per row.
@@ -199,8 +211,11 @@ class WeightedMeasure:
     values array; by default the measure makes its own. Without `masses`
     every unit has mass one (`unit_masses`): the quantile and the CDF at
     one point per row then select and count instead of sorting, N-hat is
-    the unit count, and the array of ones is made on first use, by what
-    reads `masses` (the BLAS dots of `total` and `gini`, a sorted summary).
+    the unit count, and the cumulative masses are the counts 0..n. What
+    reads `masses` (the BLAS dots of `total` and `gini`, a strict poverty
+    rate, `with_extra_mass`, `implicit_solve`, a `ratio` with a weighted
+    partner) fetches one read-only array of ones, shared by every unit-mass
+    measure of the same shape.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -209,7 +224,7 @@ class WeightedMeasure:
         if (w is not None and y.shape != w.shape) or y.ndim not in (1, 2):
             raise ValueError("values and masses must be matching 1-d arrays, "
                              "or (R, n) arrays for a stack")
-        if not (np.all(np.isfinite(y)) and (w is None or np.all(np.isfinite(w)))):
+        if not (np.isfinite(y).all() and (w is None or np.isfinite(w).all())):
             raise ValueError("measure entries must be finite")
         if ordering is None:
             ordering = Ordering(y)
@@ -223,8 +238,8 @@ class WeightedMeasure:
 
     @cached_property
     def masses(self) -> np.ndarray:
-        """The masses; at unit masses an array of ones, made on first use."""
-        return np.ones_like(self.values)
+        """The masses; at unit masses the shared read-only array of ones."""
+        return _ones(self.values.shape)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -236,10 +251,14 @@ class WeightedMeasure:
 
     @cached_property
     def _cum_w(self) -> np.ndarray:
+        if self.unit_masses:  # the sums of k ones, exact (n < 2^53)
+            return np.zeros(self.values.shape[:-1] + (1,)) + np.arange(self.size + 1.0)
         return _cumsum0(take_rows(self.masses, self._order))
 
     @cached_property
     def _cum_wy(self) -> np.ndarray:
+        if self.unit_masses:  # 1.0 * y is y, down to the sign of zero
+            return _cumsum0(self._sorted_y)
         return _cumsum0(take_rows(self.masses, self._order) * self._sorted_y)
 
     @property
@@ -300,7 +319,7 @@ def total(measure: WeightedMeasure):
 def mean(measure: WeightedMeasure):
     """Total divided by the estimated population size."""
     nhat = measure.total_mass
-    if np.any(nhat == 0):
+    if np.count_nonzero(nhat == 0):
         raise ValueError("mean undefined: total mass is zero")
     return total(measure) / nhat
 
@@ -311,7 +330,7 @@ def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
             or np.array_equal(measure_y.masses, measure_x.masses)):
         raise ValueError("ratio requires a common weight system")
     denom = total(measure_x)
-    if np.any(denom == 0):
+    if np.count_nonzero(denom == 0):
         raise ValueError("ratio undefined: zero denominator total")
     return total(measure_y) / denom
 
@@ -323,7 +342,7 @@ def cdf_value(measure: WeightedMeasure, y):
     With signed masses the value can leave [0,1]; it is reported as-is.
     """
     nhat = measure.total_mass
-    if np.any(nhat == 0):
+    if np.count_nonzero(nhat == 0):
         raise ValueError("cdf undefined: total mass is zero")
     return as_scalar(measure.mass_at_most(y) / nhat)
 
@@ -338,7 +357,7 @@ def quantile(measure: WeightedMeasure, alpha: float):
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
     nhat = measure.total_mass
-    if np.any(nhat <= 0):
+    if np.count_nonzero(nhat <= 0):
         raise ValueError("quantile requires positive total mass")
     if measure.unit_masses:
         # select the k-th smallest value; of tied values take the first
@@ -375,7 +394,7 @@ def gini(measure: WeightedMeasure):
     """Gini index of the weighted measure via the weak-CDF formula."""
     nhat = measure.total_mass
     ty = total(measure)
-    if np.any(nhat == 0) or np.any(ty == 0):
+    if np.count_nonzero(nhat == 0) or np.count_nonzero(ty == 0):
         raise ValueError("Gini undefined: zero mass or zero total")
     F = measure.mass_at_most_own() / as_column(nhat)
     return as_scalar(row_dot(measure.masses, (2.0 * F - 1.0) * measure.values)) / ty

@@ -38,7 +38,7 @@ class LinearizedVariables:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("linearized variables must be finite")
 
 
@@ -66,7 +66,7 @@ def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
     x = np.asarray(x, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     tx = as_scalar(row_dot(w, x))
-    if np.any(tx == 0):
+    if np.count_nonzero(tx == 0):
         raise ValueError("ratio linearization undefined: zero denominator")
     R = as_scalar(row_dot(w, y)) / tx
     return LinearizedVariables((y - as_column(R) * x) / as_column(tx), "ratio")
@@ -90,7 +90,7 @@ def linearized_gini(y, weights=None,
     measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     ty = total(measure)
-    if np.any(ty == 0) or np.any(nhat == 0):
+    if np.count_nonzero(ty == 0) or np.count_nonzero(nhat == 0):
         raise ValueError("Gini linearization undefined: zero total")
     G = as_column(gini(measure))
     nhat, ty = as_column(nhat), as_column(ty)
@@ -117,7 +117,7 @@ def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
                 for level in (0.25, 0.75))
     spread = as_scalar(np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.349), sd))
     n_eff = as_scalar(total_w ** 2 / (weights**2).sum(axis=-1))
-    if np.any(spread <= 0) or np.any(n_eff <= 0):
+    if np.count_nonzero(spread <= 0) or np.count_nonzero(n_eff <= 0):
         raise ValueError("degenerate sample for bandwidth selection")
     return 0.9 * spread * n_eff ** (-0.2)
 
@@ -155,7 +155,7 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     h = silverman_bandwidth(y, w, measure.ordering)
     density = weighted_gaussian_density(np.stack([t, q], axis=-1), y, w, h)
     f_t, f_q = density[..., 0], density[..., 1]
-    if np.any(f_q < 1e-12):
+    if np.count_nonzero(f_q < 1e-12):
         raise ValueError("density too small at the quantile")
     adj = fraction * f_t / f_q
     t, q, P, adj = map(as_column, (t, q, P, adj))

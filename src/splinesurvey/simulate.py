@@ -125,6 +125,7 @@ class EstimatorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown estimator family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
+        self.spline_spec()  # refuse, here, what SplineSpec refuses
 
     @property
     def label(self) -> str:
@@ -447,16 +448,17 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     RB, RRMSE, coverage and the negative-variance count reduce those rows.
     `mean_runtime` is each estimator's time per replicate, timed per chunk.
     """
+    # the design's strata check it against the population before the truths
+    if isinstance(plan.design, GivenProbabilities):
+        per_chunk = 1
+    else:
+        per_chunk = max(1, CHUNK_UNITS // sum(plan.design.strata(population)[1]))
     truths = {p.label: p.truth(population) for p in plan.parameters}
     est_labels = [e.label for e in plan.estimators]
     blocks = {(p.label, e): np.empty((4, plan.replicates))
               for p in plan.parameters for e in est_labels}
     runtime: dict = {e: 0.0 for e in est_labels}
 
-    if isinstance(plan.design, GivenProbabilities):
-        per_chunk = 1
-    else:
-        per_chunk = max(1, CHUNK_UNITS // sum(plan.design.strata(population)[1]))
     for start in range(0, plan.replicates, per_chunk):
         seeds = [replicate_seed(plan.master_seed, i)
                  for i in range(start, min(start + per_chunk, plan.replicates))]

@@ -155,7 +155,7 @@ def confidence_interval(estimate, variance, level: float = 0.95) -> tuple:
     """Normal-approximation interval: estimate +/- z * sqrt(variance); for a
     stack, arrays of lower and upper ends."""
     v = variance.value if isinstance(variance, VarianceEstimate) else variance
-    if np.any(v < 0):
+    if np.count_nonzero(v < 0):
         raise ValueError("negative variance estimate; interval undefined")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(v)

@@ -47,7 +47,7 @@ class WeightSet:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.indices.shape != self.weights.shape:
             raise ValueError("indices and weights length mismatch")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
 
     @property
@@ -131,7 +131,7 @@ class SplineSystem:
     def has_empty_cell(self) -> bool:
         """Whether some sample has a basis function that no sampled unit
         reaches."""
-        return any(np.any((fit.basis_sample > 0).sum(axis=-2) == 0)
+        return any(np.count_nonzero((fit.basis_sample > 0).sum(axis=-2) == 0)
                    for _, fit in self._groups)
 
     def _by_rows(self, method, *arrays) -> np.ndarray:
@@ -246,7 +246,7 @@ def post_weights(draw, K: int) -> WeightSet:
 def greg_weights(draw) -> WeightSet:
     """Linear-model calibration on (1, z): Sum w = N and Sum w z = Sum_U z,
     on the order-2 spline system without interior knots (it spans {1, z})."""
-    if np.any(np.ptp(draw.sample_z, axis=-1) == 0):
+    if np.count_nonzero(np.ptp(draw.sample_z, axis=-1) == 0):
         raise ValueError("collinear design: sample covariate is constant")
     try:
         system = SplineSystem(draw, SplineSpec(order=2, interior_knots=0))

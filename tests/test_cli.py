@@ -404,6 +404,18 @@ def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
      "size must be a whole number, got '300'"),
     ({"estimators": [{"family": "HT"}, {"family": "BS", "knots": "3"}]},
      "knots must be a whole number, got '3'"),
+    # spline settings SplineSpec refuses
+    ({"estimators": [{"family": "HT"}, {"family": "BS", "order": 0}]},
+     'plan estimator {"family": "BS", "order": 0}: spline order must be >= 1'),
+    ({"estimators": [{"family": "HT"}, {"family": "BS", "lam": -1.0}]},
+     'plan estimator {"family": "BS", "lam": -1.0}: penalty weight must be >= 0'),
+    ({"population": {"generator": {"size": 300, "seed": "x"}}},
+     'plan generator {"size": 300, "seed": "x"}: seed must be a whole number, got \'x\''),
+    # a design the population cannot support, checked before the truths
+    ({"design": {"kind": "srswor", "n": 301}},
+     'plan design {"kind": "srswor", "n": 301}: sample size 301 out of range for N=300'),
+    ({"design": {"kind": "stratified", "allocations": {"h0": 5}}},
+     "population has no stratum labels"),
 ])
 def test_simulate_plan_fails_before_any_replicate(runner, tmp_path, monkeypatch,
                                                   plan_change, message):

@@ -84,6 +84,23 @@ class TestSimulationPlan:
         with pytest.raises(ValueError, match="unknown estimator family 'bs'"):
             EstimatorSpec("bs")
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"order": 0}, "spline order must be >= 1"),
+        ({"lam": -1.0}, "penalty weight must be >= 0"),
+        ({"order": 2, "lam": 1.0, "penalty_order": 2},
+         "penalty order must be below spline order"),
+    ])
+    def test_rejects_spline_settings_the_spline_spec_refuses(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            EstimatorSpec("BS", **settings)
+
+    def test_design_is_checked_before_the_truths(self, monkeypatch):
+        monkeypatch.setattr(ParameterSpec, "truth", _no_truth)
+        plan = SimulationPlan(design=Srswor(301), estimators=(EstimatorSpec("HT"),),
+                              parameters=(ParameterSpec("mean"),), replicates=2)
+        with pytest.raises(ValueError, match="sample size 301 out of range for N=300"):
+            run_monte_carlo(plan, synth_population(SynthConfig(size=300), 5))
+
     def test_rejects_repeated_estimator_labels(self):
         # without a penalty the penalty order changes nothing, so the two
         # entries are one estimator and would share a table row
@@ -94,6 +111,10 @@ class TestSimulationPlan:
                                        EstimatorSpec("BS", order=3, knots=3,
                                                      penalty_order=2)),
                            parameters=(ParameterSpec("mean"),), replicates=3)
+
+
+def _no_truth(*args):
+    raise AssertionError("truth computed")
 
 
 class TestEstimatorLabels:
