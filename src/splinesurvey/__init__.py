@@ -73,7 +73,6 @@ from .variance import (
     normal_quantile,
     population_asymptotic_variance,
     srswor_variance,
-    stsi_variance,
 )
 from .weights import (
     SplineSystem,

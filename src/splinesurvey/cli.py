@@ -27,6 +27,7 @@ from .simulate import (
     run_monte_carlo,
     synth_population,
 )
+from .variance import check_level
 
 # Kept only because bench/spans.py hooks them on this module, as it hooks
 # `draw`; ROADMAP item 1 re-points or drops those hooks.
@@ -236,6 +237,8 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              strict_poverty, emit_linearized, output):
     """Estimate parameters with variance and confidence interval (JSON)."""
     _reject_ignored_options()
+    with _usage_errors("--level"):
+        check_level(level)
     pspecs = [_parse_parameter(token, strict_poverty) for token in parameters]
     sampling = _option_design(design, n, allocation)
     pop = _load_population(pop_path, "--population")

@@ -377,10 +377,11 @@ class SampleDraw:
     shape. Either the caller gives `pi_full` over the whole universe, which
     is checked whole, or `pi` at the sampled units (as `draw` does), which
     is checked there; `pi_full` is then built from the design on first use,
-    so a draw does O(n) work past its random choice. The double-sum
-    variance's cells (`pair_cells`) depend on the draw alone, so they too
-    are built on first use, once per draw, and every variance of the draw
-    shares them.
+    so a draw does O(n) work past its random choice. The variances' cells
+    (`pair_cells`: the sampled units grouped by sample and joint group)
+    depend on the draw alone, so they too are built on first use, once per
+    draw, and every variance of the draw, closed form or double sum, shares
+    them.
     """
 
     def __init__(self, population: Population, design, indices,
@@ -435,26 +436,6 @@ class SampleDraw:
     def sample_z(self) -> np.ndarray:
         return self.population.z[self.indices]
 
-    @cached_property
-    def sample_strata(self) -> list:
-        """(label, N_h, sample positions of its units) for each stratum the
-        design states (`design.strata`), in code order. In a stack the
-        positions have one row per sample, and every sample must hold the
-        same number of units of each stratum."""
-        strata = self.strata[0]
-        H, n = len(strata.labels), self.size
-        codes = strata.codes[self.indices]
-        rows = codes.reshape(-1, n)
-        offsets = (H * np.arange(rows.shape[0]))[:, None]
-        counts = np.bincount((rows + offsets).ravel(),
-                             minlength=H * rows.shape[0]).reshape(-1, H)
-        if np.count_nonzero(counts != counts[0]):
-            raise ValueError("stacked samples differ in their stratum sizes")
-        ends = np.cumsum(counts[0]).tolist()
-        order = np.argsort(codes, axis=-1, kind="stable")
-        return [(h, Nh, order[..., a:b]) for h, Nh, a, b in
-                zip(strata.labels, strata.sizes.tolist(), [0, *ends], ends)]
-
     def joint_groups(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
         """The design's second-order inclusion probabilities, by group.
 
@@ -476,9 +457,10 @@ class SampleDraw:
 
     @cached_property
     def pair_cells(self) -> PairCells:
-        """The double-sum variance's cells, built once per draw from
-        `joint_groups` and `pi`: one cell per (sample, group) of a stack,
-        so every variance of the draw reads the same read-only arrays.
+        """The variances' cells, built once per draw from `joint_groups` and
+        `pi`: one cell per (sample, group) of a stack, so every variance of
+        the draw, closed form and double sum, reads the same read-only
+        arrays.
 
         Refuses inclusion probabilities that differ inside a group, and a
         zero pi_kl in a group holding two sampled units."""
@@ -501,7 +483,10 @@ class SampleDraw:
         c = within[pairs]
         a[pairs] = (c - p[pairs] * p[pairs]) / c
         d = 1.0 - p
-        arrays = (code, count, count > 0, d - a, d + (count - 1) * a)
+        occupied = count > 0
+        order = np.argsort(code, kind="stable")
+        starts = np.cumsum(count[occupied]) - count[occupied]
+        arrays = (order, starts, count, occupied, d - a, d + (count - 1) * a)
         for x in arrays:
             x.flags.writeable = False
         return PairCells(*arrays)
@@ -532,14 +517,17 @@ class SampleDraw:
 
 @dataclass(frozen=True)
 class PairCells:
-    """A draw's cells for the double-sum variance (`SampleDraw.pair_cells`):
-    with p the cell's first-order probability, d = 1 - p and a = (pi_kl -
-    p^2) / pi_kl its pair coefficient (0 in a cell of fewer than two units),
-    `code` is each sampled unit's cell (flattened over a stack), `count`
-    the units per cell, `occupied` where count > 0, `spread_coef` d - a and
-    `level_coef` d + (count - 1) a."""
+    """A draw's cells for its variances (`SampleDraw.pair_cells`), one per
+    (sample, group), sample-major. With p the cell's first-order
+    probability, d = 1 - p and a = (pi_kl - p^2) / pi_kl its pair
+    coefficient (0 in a cell of fewer than two units): `order` is the
+    stable sort of the sampled units (flattened over a stack) by cell,
+    `starts` where each nonempty cell's segment begins in that order (an
+    empty cell has no segment), `count` the units per cell, `occupied`
+    where count > 0, `spread_coef` d - a and `level_coef` d + (count - 1) a."""
 
-    code: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
     count: np.ndarray
     occupied: np.ndarray
     spread_coef: np.ndarray

@@ -34,6 +34,7 @@ from .linearize import (
 )
 from .variance import (
     VarianceEstimate,
+    check_level,
     closed_form_variance,
     confidence_interval,
     ht_variance_double_sum,
@@ -278,8 +279,7 @@ class SimulationPlan:
         _check_types(self)
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
-        if not 0 < self.level < 1:
-            raise ValueError(f"confidence level must lie in (0,1), got {self.level!r}")
+        check_level(self.level)
         if self.variance_method not in ("closed", "double_sum"):
             raise ValueError(f"unknown variance method {self.variance_method!r}; "
                              "choose closed or double_sum")
@@ -388,8 +388,7 @@ class SampleData:
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
         names = dict.fromkeys(name for p in parameters for name in p.variables)
-        self.values = {name: sample.population.variables[name][sample.indices]
-                       for name in names}
+        self.values = {name: sample.sample_values(name) for name in names}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
         ht = 1.0 / sample.pi
         self.linearized = {p.label: p.linearized(self.values, ht, self.orderings)

@@ -6,27 +6,45 @@ are then one float, or one value per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from .designs import GivenProbabilities, SampleDraw, Srswor
-from .functionals import as_scalar, take_rows
+from .functionals import as_scalar
 from .weights import SplineSystem
 
 
 @dataclass
 class VarianceEstimate:
     """A variance value with its computation route and sign flag (arrays,
-    one entry per sample, for a stack)."""
+    one entry per sample, for a stack); the flag is derived from the value."""
 
     value: float | np.ndarray
     method: str
-    negative: bool | np.ndarray = False
+    negative: bool | np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.negative = self.value < 0
+
+
+def _cell_spreads(draw: SampleDraw, e: np.ndarray) -> tuple:
+    """The kernel of both variance routes: the draw's cells
+    (`SampleDraw.pair_cells`) and, per cell, the mean tbar of t = e / pi
+    over its units and their spread R = sum (t - tbar)^2, both 0 in an
+    empty cell. Each nonempty cell is one segment of the units sorted by
+    cell, so each sum is one `np.add.reduceat` over the segments."""
+    cells = draw.pair_cells
+    t = (e / draw.pi).reshape(-1)[cells.order]
+    size = cells.count[cells.occupied]
+    mean = np.add.reduceat(t, cells.starts) / size
+    r = t - np.repeat(mean, size)
+    tbar = np.zeros(cells.count.size)
+    spread = np.zeros(cells.count.size)
+    tbar[cells.occupied] = mean
+    spread[cells.occupied] = np.add.reduceat(r * r, cells.starts)
+    return cells, tbar, spread
 
 
 def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
@@ -43,19 +61,21 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
         (d_g - a_g) R_g + n_g tbar_g^2 (d_g + (n_g - 1) a_g),
 
     with d_g = 1 - p_g and a_g = (c_g - p_g^2) / c_g, the same coefficient
-    the pairwise sum uses. The first term carries the spread of t. The
-    bracket of the second cancels exactly for SRSWOR groups, so in floating
-    point that term is of order eps * n_g tbar_g^2 (1 - p_g), and the
-    relative rounding error grows like eps * (tbar / sd(t))^2. Measured
-    against an 80-bit evaluation of the pairwise sum with the same pi_kl
-    (SRSWOR, n = 500 of N = 2000, residual mean in units of their sd):
-    1e-15 up to 3 sd, 9e-15 at 10, 9e-13 at 100 and 9e-11 at 1000; the
-    float64 pairwise sum gave 1e-15, 3e-14, 1e-12 and 2e-10.
+    the pairwise sum uses. The first term, the spread term, is the whole
+    of `closed_form_variance`. The bracket of the second, the level term,
+    cancels exactly for SRSWOR groups, so in floating point that term is of
+    order eps * n_g tbar_g^2 (1 - p_g), and the relative rounding error
+    grows like eps * (tbar / sd(t))^2. Measured against an 80-bit
+    evaluation of the pairwise sum with the same pi_kl (SRSWOR, n = 500 of
+    N = 2000, residual mean in units of their sd): 1e-15 up to 3 sd, 9e-15
+    at 10, 9e-13 at 100 and 9e-11 at 1000; the float64 pairwise sum gave
+    1e-15, 3e-14, 1e-12 and 2e-10.
 
-    Everything that depends on the draw alone (each unit's group, n_g,
-    d_g - a_g and d_g + (n_g - 1) a_g, and the checks on pi) is built once
-    per draw (`SampleDraw.pair_cells`) and shared by all of its variances;
-    a call computes t, tbar_g, R_g and the terms.
+    Everything that depends on the draw alone (the cells, n_g, d_g - a_g
+    and d_g + (n_g - 1) a_g, and the checks on pi) is built once per draw
+    (`SampleDraw.pair_cells`) and shared by all of its variances; a call
+    computes t, tbar_g and R_g over the nonempty cells (`_cell_spreads`,
+    the closed form's kernel too) and the terms.
 
     May be negative for pathological joint probabilities; the sign is
     flagged, never clipped.
@@ -63,21 +83,17 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     e = np.asarray(residuals, dtype=float)
     if e.shape != draw.indices.shape:
         raise ValueError("residuals length must match the sample size")
-    cells = draw.pair_cells
-    code, count = cells.code, cells.count
-    t = e.reshape(-1) / draw.pi.reshape(-1)
-    tbar = np.bincount(code, weights=t, minlength=count.size)
-    np.divide(tbar, count, out=tbar, where=cells.occupied)
-    r = t - tbar[code]
-    spread = np.bincount(code, weights=r * r, minlength=count.size)
-    terms = cells.spread_coef * spread + count * tbar * tbar * cells.level_coef
+    cells, tbar, spread = _cell_spreads(draw, e)
+    terms = cells.spread_coef * spread + cells.count * tbar * tbar * cells.level_coef
     value = terms.reshape(draw.replicates + (-1,)).sum(axis=-1)
     return VarianceEstimate(as_scalar(value), "double_sum")
 
 
 def srswor_variance(N: int, n: int, residuals) -> VarianceEstimate:
-    """Closed form N^2 (1 - n/N) s^2 / n for SRSWOR."""
+    """Closed form N^2 (1 - n/N) s^2 / n for SRSWOR of n from N units."""
     e = np.asarray(residuals, dtype=float)
+    if not 1 <= n <= N:
+        raise ValueError(f"sample size {n} out of range for N={N}")
     if n < 2:
         raise ValueError("variance needs n >= 2")
     if e.shape[-1] != n:
@@ -86,24 +102,18 @@ def srswor_variance(N: int, n: int, residuals) -> VarianceEstimate:
     return VarianceEstimate(N**2 * (1.0 - n / N) * s2 / n, "srswor_closed")
 
 
-def stsi_variance(per_stratum) -> VarianceEstimate:
-    """Sum of per-stratum SRSWOR closed forms.
-
-    `per_stratum` maps stratum label -> (N_h, residual vector on s_h).
-    """
-    value = 0.0
-    for h, (Nh, e_h) in per_stratum.items():
-        e_h = np.asarray(e_h, dtype=float)
-        nh = e_h.shape[-1]
-        if nh < 2:
-            raise ValueError(f"variance needs n_h >= 2 in stratum {h!r}")
-        value += srswor_variance(Nh, nh, e_h).value
-    return VarianceEstimate(value, "stsi_closed")
-
-
 def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
-    """The SRSWOR closed form summed over the strata the draw's design states
-    (`design.strata`; SRSWOR is one stratum), labelled `design.closed_form`."""
+    """The SRSWOR closed form N_h^2 (1 - n_h/N_h) s_h^2 / n_h summed over the
+    strata the draw's design states (`design.strata`; SRSWOR is one
+    stratum), labelled `design.closed_form`.
+
+    It is the SRSWOR case of `ht_variance_double_sum`: each stratum is a
+    joint group whose level coefficient d + (n_h - 1) a is zero, so the
+    closed form is the spread term alone, the sum over the draw's cells of
+    (d - a) R, from the same per-draw cells and kernel (`_cell_spreads`).
+    Every stratum of every sample needs n_h >= 2; the first stratum short
+    of that, an unsampled one included, is named.
+    """
     e = np.asarray(residuals, dtype=float)
     d = draw.design
     if isinstance(d, GivenProbabilities):
@@ -112,9 +122,13 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
         raise ValueError("variance needs n >= 2")
     if e.shape != draw.indices.shape:
         raise ValueError("residuals length must equal n")
-    value = stsi_variance({h: (Nh, take_rows(e, at))
-                           for h, Nh, at in draw.sample_strata}).value
-    return VarianceEstimate(value, d.closed_form)
+    labels = draw.strata[0].labels
+    short = (draw.pair_cells.count.reshape(-1, len(labels)) < 2).any(axis=0)
+    if short.any():
+        raise ValueError(f"variance needs n_h >= 2 in stratum {labels[short.argmax()]!r}")
+    cells, _, spread = _cell_spreads(draw, e)
+    value = (cells.spread_coef * spread).reshape(draw.replicates + (-1,)).sum(axis=-1)
+    return VarianceEstimate(as_scalar(value), d.closed_form)
 
 
 def population_asymptotic_variance(population, design, u_values, spec) -> float:
@@ -151,9 +165,16 @@ def normal_quantile(prob: float) -> float:
     return NormalDist().inv_cdf(prob)
 
 
+def check_level(level: float) -> None:
+    """Refuse a confidence level outside (0,1)."""
+    if not 0 < level < 1:
+        raise ValueError(f"confidence level must lie in (0,1), got {level!r}")
+
+
 def confidence_interval(estimate, variance, level: float = 0.95) -> tuple:
     """Normal-approximation interval: estimate +/- z * sqrt(variance); for a
-    stack, arrays of lower and upper ends."""
+    stack, arrays of lower and upper ends. `level` must lie in (0,1)."""
+    check_level(level)
     v = variance.value if isinstance(variance, VarianceEstimate) else variance
     if np.count_nonzero(v < 0):
         raise ValueError("negative variance estimate; interval undefined")

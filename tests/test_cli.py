@@ -488,6 +488,15 @@ def test_malformed_allocation_is_a_usage_error_before_loading(
     _usage_error(runner.invoke(main, args), message)
 
 
+@pytest.mark.parametrize("level", ["-0.5", "0", "1", "1.5", "nan"])
+def test_level_outside_the_unit_interval_is_a_usage_error_before_loading(
+        runner, population_csv, monkeypatch, level):
+    monkeypatch.setattr(cli.Population, "from_csv", _fail)
+    args = _command_args("estimate", population_csv) + ["--level", level]
+    _usage_error(runner.invoke(main, args),
+                 f"--level: confidence level must lie in (0,1), got {float(level)!r}")
+
+
 @pytest.mark.parametrize("command", ["estimate", "weights"])
 @pytest.mark.parametrize("n", ["0", "301"])
 def test_sample_size_outside_population_is_a_usage_error(runner, population_csv,

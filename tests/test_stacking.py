@@ -20,7 +20,9 @@ from splinesurvey import (
     Srswor,
     StratifiedSrswor,
     SynthConfig,
+    closed_form_variance,
     draw,
+    ht_variance_double_sum,
     replicate_seed,
     run_monte_carlo,
     synth_population,
@@ -61,16 +63,20 @@ class TestStackedDraw:
         assert np.array_equal(d.pi_full, want)
         assert np.array_equal(d.pi, want[d.indices])
 
-    def test_stacked_stratum_positions(self):
+    @pytest.mark.parametrize("design", [Srswor(40),
+                                        StratifiedSrswor({"h0": 10, "h1": 12, "h2": 9})])
+    def test_stacked_variances_row_by_row(self, design):
+        # both routes read the stack's cells; each row's value is, bit for
+        # bit, the value of its seed's draw alone
         pop = synth_population(SynthConfig(size=600, strata_count=3), 1)
-        design = StratifiedSrswor({"h0": 10, "h1": 12, "h2": 9})
         seeds = _seeds(2, 3)
         stack = draw(pop, design, seeds)
-        for r, seed in enumerate(seeds):
-            alone = draw(pop, design, seed).sample_strata
-            for (h, Nh, at), (g, Ng, want) in zip(stack.sample_strata, alone):
-                assert (h, Nh) == (g, Ng)
-                assert np.array_equal(at[r], want)
+        e = 3.0 + np.random.default_rng(8).standard_normal(stack.indices.shape)
+        for variance in (closed_form_variance, ht_variance_double_sum):
+            rows = variance(stack, e).value
+            for r, seed in enumerate(seeds):
+                alone = variance(draw(pop, design, seed), e[r]).value
+                assert float(rows[r]).hex() == alone.hex(), (variance.__name__, r)
 
 
 def design_size(design):

@@ -26,7 +26,6 @@ from splinesurvey import (
     replicate_seed,
     run_monte_carlo,
     srswor_variance,
-    stsi_variance,
 )
 from splinesurvey import simulate
 
@@ -50,15 +49,19 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="n >= 2"):
             srswor_variance(10, 1, [1.0])
 
-    def test_one_stratum_reduces_to_srswor(self):
-        e = np.array([1.0, -2.0, 0.5, 0.5])
-        a = stsi_variance({"only": (20, e)}).value
-        b = srswor_variance(20, 4, e).value
-        assert a == pytest.approx(b)
+    @pytest.mark.parametrize("n", [0, -1, 11, 20])
+    def test_impossible_sample_size_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"^sample size {n} out of range for N=10$"):
+            srswor_variance(10, n, np.arange(float(max(n, 0))))
 
-    def test_stratum_needs_two(self):
-        with pytest.raises(ValueError, match="n_h >= 2"):
-            stsi_variance({"a": (10, np.array([1.0]))})
+    def test_census_is_zero(self):
+        assert srswor_variance(10, 10, np.arange(10.0)).value == 0.0
+
+    def test_sign_flag_is_derived_not_given(self):
+        assert not VarianceEstimate(1.0, "x").negative
+        assert VarianceEstimate(np.array([1.0, -2.0]), "x").negative.tolist() == [False, True]
+        with pytest.raises(TypeError, match="negative"):
+            VarianceEstimate(1.0, "x", negative=True)
 
 
 class TestDoubleSum:
@@ -168,20 +171,24 @@ class TestDoubleSumInputs:
 
 
 class TestPairCellsOncePerDraw:
-    """The double sum's cells depend on the draw alone: every variance of a
-    draw reads one set, built by one `joint_groups` call."""
+    """The variances' cells depend on the draw alone: every variance of a
+    draw, closed form or double sum, reads one set, built by one
+    `joint_groups` call."""
 
     @staticmethod
-    def _plan(replicates):
+    def _plan(replicates, variance_method):
         return SimulationPlan(
             design=StratifiedSrswor({"a": 12, "b": 9, "c": 15}),
             estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
                         EstimatorSpec("BS", order=3, knots=2, lam=1.0)),
             parameters=(ParameterSpec("mean", "y"), ParameterSpec("gini", "y")),
-            replicates=replicates, master_seed=3, variance_method="double_sum")
+            replicates=replicates, master_seed=3, variance_method=variance_method)
 
+    @pytest.mark.parametrize("variance_method,route", [
+        ("double_sum", ht_variance_double_sum), ("closed", closed_form_variance)])
     @pytest.mark.parametrize("replicates,chunk_units", [(1, 8192), (7, 8192), (7, 72)])
-    def test_joint_groups_once_per_draw(self, monkeypatch, replicates, chunk_units):
+    def test_joint_groups_once_per_draw(self, monkeypatch, replicates, chunk_units,
+                                        variance_method, route):
         # one sample, one stack of 7, and stacks of 2, 2, 2 and 1
         pop = _pop(300, seed=4, strata=tuple("abc"[i % 3] for i in range(300)))
         grouped, summed = [], []
@@ -191,14 +198,14 @@ class TestPairCellsOncePerDraw:
             grouped.append(draw)
             return joint_groups(draw, *args)
 
-        def counted_double_sum(draw, residuals):
+        def counted_route(draw, residuals):
             summed.append(draw)
-            return ht_variance_double_sum(draw, residuals)
+            return route(draw, residuals)
 
         monkeypatch.setattr(SampleDraw, "joint_groups", counted_groups)
-        monkeypatch.setattr(simulate, "ht_variance_double_sum", counted_double_sum)
+        monkeypatch.setattr(simulate, route.__name__, counted_route)
         monkeypatch.setattr(simulate, "CHUNK_UNITS", chunk_units)
-        run_monte_carlo(self._plan(replicates), pop)
+        run_monte_carlo(self._plan(replicates, variance_method), pop)
         draws = list({id(d): d for d in summed}.values())
         assert len(draws) == -(-replicates // (chunk_units // 36))
         assert len(summed) == 6 * len(draws)
@@ -339,6 +346,19 @@ class TestOneStratum:
                                            SplineSpec(order=1, interior_knots=0))
 
 
+def test_closed_form_checks_every_sample_of_a_stack():
+    # row 0 holds the allocation, row 1 one unit of "b" and seven of "c"
+    strata = tuple("abc"[i % 3] for i in range(90))
+    full = draw_stratified(_pop(90, seed=3, strata=strata), {"a": 4, "b": 3, "c": 5}, 3)
+    members = {h: [k for k in range(90) if strata[k] == h] for h in "abc"}
+    short = np.sort(members["a"][:4] + members["b"][:1] + members["c"][:7])
+    indices = np.stack([full.indices, short])
+    d = SampleDraw(full.population, full.design, indices, pi=full.pi_full[indices])
+    with pytest.raises(ValueError, match="^variance needs n_h >= 2 in stratum 'b'$"):
+        closed_form_variance(d, np.ones(indices.shape))
+    assert np.isfinite(ht_variance_double_sum(d, np.ones(indices.shape)).value).all()
+
+
 def test_editing_the_allocation_after_a_draw_leaves_the_sample_unchanged():
     strata = tuple("ab"[i % 2] for i in range(100))
     pop = _pop(100, seed=5, strata=strata)
@@ -400,6 +420,14 @@ class TestConfidenceInterval:
 
     def test_degenerate(self):
         assert confidence_interval(5.0, 0.0, 0.95) == (5.0, 5.0)
+
+    @pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        message = rf"^confidence level must lie in \(0,1\), got {level!r}$"
+        with pytest.raises(ValueError, match=message):
+            confidence_interval(10.0, 4.0, level)
+        with pytest.raises(ValueError, match=message):
+            confidence_interval(np.array([10.0, 5.0]), np.array([4.0, 1.0]), level)
 
     def test_negative_variance_rejected(self):
         v = VarianceEstimate(-1.0, "double_sum")
