@@ -261,6 +261,10 @@ class CovariateSummary:
     nonnegative terms since c_b >= a; the partial blocks at either end of
     the interval are summed directly. (Prefix sums of raw powers would
     cancel, with an error growing like eps * N / width^(m-1).)
+
+    An order-1 function is the indicator of its interval, so order-1
+    totals are unit counts: a build costs one search per knot,
+    O(K log N). Orders m >= 2 cost O(K m^2 + N / block).
     """
 
     def __init__(self, z_values):
@@ -334,20 +338,26 @@ class CovariateSummary:
         Equals `basis_matrix(knots, m, z01).sum(axis=0)` up to rounding.
         Intervals follow `basis_matrix`: [t_j, t_{j+1}), so a unit at an
         interior knot counts in the interval to its right, and z = 1 in
-        the last one. On each interval the m nonzero basis functions are
-        recovered as polynomials in t = (z - a) / h from m evaluations.
+        the last one. An order-1 function is the indicator of its
+        interval, so its total is the interval's unit count, read off the
+        search. For m >= 2 the m nonzero basis functions on each interval
+        are recovered as polynomials in t = (z - a) / h from m evaluations.
         A stack of R knot vectors gives (R, q) totals in one pass, with one
         search of all their breakpoints.
         """
-        lead = knots.breakpoints().shape[:-1]
-        bp = knots.breakpoints().reshape(-1, knots.num_interior + 2)
-        left, width = bp[:, :-1], np.diff(bp, axis=-1)
-        J = left.shape[1]
+        breakpoints = knots.breakpoints()
+        lead = breakpoints.shape[:-1]
+        bp = breakpoints.reshape(-1, knots.num_interior + 2)
         cuts = np.zeros(bp.shape, dtype=np.intp)
         cuts[:, 1:-1] = np.searchsorted(self.z01, bp[:, 1:-1])
         cuts[:, -1] = self.z01.size
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        if m == 1:
+            return (hi - lo).astype(float).reshape(lead + (-1,))
+        left, width = bp[:, :-1], np.diff(bp, axis=-1)
+        J = left.shape[1]
         # each interval's left end and m - 1 Chebyshev points inside it
-        inner = (np.arange(m - 1) + 0.5) * np.pi / max(m - 1, 1)
+        inner = (np.arange(m - 1) + 0.5) * np.pi / (m - 1)
         nodes = np.concatenate(([0.0], 0.5 - 0.5 * np.cos(inner)))
         points = left[..., None] + width[..., None] * nodes
         values = basis_matrix(knots, m, points.reshape(lead + (J * m,)))
@@ -355,11 +365,11 @@ class CovariateSummary:
         # intervals too narrow to hold m distinct points in floating point
         narrow = (np.diff(points, axis=-1) <= 0).any(axis=-1) | (points[..., -1] >= bp[:, 1:])
         # piece coefficients of t^r on every interval; the constant term is
-        # the value at a
-        at = np.stack([values[:, j, :, j:j + m] for j in range(J)], axis=1)
+        # the value at a. Interval j carries basis functions j..j+m-1.
+        band = np.arange(J)[:, None] + np.arange(m)
+        at = np.take_along_axis(values, band[None, :, None, :], axis=-1)
         t = (points[..., 1:] - left[..., None]) / width[..., None]
         vandermonde = t[..., None] ** np.arange(1, m)
-        lo, hi = cuts[:, :-1], cuts[:, 1:]
         skip = (lo == hi) | narrow
         vandermonde[skip] = np.eye(m - 1)  # unused; kept regular
         pieces = np.concatenate((at[..., :1, :], np.linalg.solve(
@@ -367,16 +377,15 @@ class CovariateSummary:
         sums = self._power_sums(lo.ravel(), hi.ravel(), left.ravel(), width.ravel(), m)
         parts = (sums.reshape(lo.shape + (1, m)) @ pieces)[..., 0, :]
         parts[skip] = 0.0
-        totals = np.zeros((bp.shape[0], knots.num_interior + m))
-        for j in range(J):
-            totals[:, j:j + m] += parts[:, j]
-            for r in np.flatnonzero(narrow[:, j] & (lo[:, j] < hi[:, j])).tolist():
-                # sum the basis values over the distinct units instead
-                distinct, counts = np.unique(self.z01[lo[r, j]:hi[r, j]],
-                                             return_counts=True)
-                row = knots if not lead else knots.row(r)
-                totals[r, j:j + m] += counts @ basis_matrix(row, m, distinct)[:, j:j + m]
-        return totals.reshape(lead + totals.shape[1:])
+        for r, j in np.argwhere(narrow & (lo < hi)).tolist():
+            # sum the basis values over the distinct units instead
+            distinct, counts = np.unique(self.z01[lo[r, j]:hi[r, j]], return_counts=True)
+            row = knots if not lead else knots.row(r)
+            parts[r, j] = counts @ basis_matrix(row, m, distinct)[:, j:j + m]
+        # each total adds its intervals' parts in interval order, from zero
+        q = knots.num_interior + m
+        index = np.arange(bp.shape[0])[:, None, None] * q + band
+        return np.bincount(index.ravel(), parts.ravel(), bp.shape[0] * q).reshape(lead + (q,))
 
     def fixed_knot_totals(self, spec: SplineSpec) -> tuple[KnotVector, np.ndarray] | None:
         """Knots and read-only basis totals, built once per (order, K, rule),

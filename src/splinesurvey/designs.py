@@ -389,6 +389,8 @@ class SampleDraw:
         self.population = population
         self.design = design
         self.indices = np.asarray(indices, dtype=int)
+        if self.indices.size == 0:
+            raise ValueError("empty sample: the draw holds no sampled unit")
         if pi is None:
             pi_full = np.asarray(pi_full, dtype=float)
             _check_probabilities(pi_full)

@@ -78,7 +78,8 @@ class SplineSystem:
     variables whose residuals enter the variance (`WeightSet.system`).
     The population side comes from the population's cached
     `covariate_summary`, so a build costs O(K m^2 + N / block) there
-    instead of O(N m q), and nothing when the knots do not depend on the
+    instead of O(N m q), O(K log N) at order 1 (poststrata, whose totals
+    are the cell counts), and nothing when the knots do not depend on the
     sample (`CovariateSummary.fixed_knot_totals`).
 
     A stack of draws gives one system per sample, every array with a

@@ -17,20 +17,28 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from splinesurvey import designs, functionals  # noqa: E402
+from splinesurvey import basis, designs, functionals  # noqa: E402
 from splinesurvey import (  # noqa: E402
+    CovariateSummary,
     Ordering,
     Population,
     ParameterSpec,
     SampleDraw,
+    SplineSpec,
+    Srswor,
     StratifiedSrswor,
     WeightedMeasure,
+    basis_matrix,
+    bspline_weights,
+    build_knots,
     cdf_value,
     closed_form_variance,
     gini,
     ht_variance_double_sum,
     influence_oracle,
+    knot_groups,
     mean,
+    post_weights,
     poverty_rate,
     quantile,
     ratio,
@@ -427,3 +435,104 @@ def test_variance_routes_on_stratified_draws(case):
             Nh * (Nh - nh) / (nh * (nh - 1)) * (np.abs(e_h) @ np.abs(e_h - e_h.mean()))
             for e_h, Nh, nh in zip(parts, sizes, allocations))
         assert abs(closed[r] - want) <= 1e-12 * abs(want) + floor
+
+
+@st.composite
+def covariate_populations(draw):
+    """A population covariate of 1 to 700 units, so from under one moment
+    block to past five: few tied values, values heaped onto round numbers,
+    or spread values."""
+    N = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tied", "heaped", "spread"]))
+    if kind == "tied":
+        return rng.integers(0, draw(st.integers(1, 6)), N).astype(float)
+    z = rng.lognormal(3.0, 0.6, N)
+    return np.round(z, -1) if kind == "heaped" else z
+
+
+def _interval_counts(bp: np.ndarray, z01: np.ndarray) -> np.ndarray:
+    """Units in each [t_j, t_{j+1}), the last interval closed, by comparison."""
+    above = z01 >= bp[:-1, None]
+    below = np.vstack((z01 < bp[1:-1, None], np.ones((1, z01.size), dtype=bool)))
+    return (above & below).sum(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covariate_populations(), st.integers(1, 4), st.data())
+def test_basis_totals_sum_the_basis_over_the_population(z, m, data):
+    """`CovariateSummary.basis_totals` on knots that `knot_groups` places
+    on an (R, n) sample stack, collapsed rows included, and on the
+    population: order 1 gives each interval's unit count exactly, every
+    order the basis summed over the units to 1e-12 relative, and each row
+    of a stacked call the one-sample call on that row's knots.
+
+    A total below one unit's mass is held to 1e-12 absolute: it comes from
+    polynomial pieces whose rounding is relative to the interval's whole
+    mass (three units at 0, 0.99 and 1 give a cubic total of 2.7e-4 off by
+    2e-15, 8e-12 relative). The rows agree bit for bit up to order 2; from
+    order 3 the powers go through numpy's pow, whose vector and scalar
+    loops may round apart, and which loop runs depends on the width of the
+    stack's widest interval, so the rows agree to 1e-14 relative (an
+    order-3 total moved by 1 ulp, 8.9e-16, on a 501-unit population)."""
+    if np.ptp(z) == 0:
+        with pytest.raises(ValueError, match="degenerate covariate"):
+            CovariateSummary(z)
+        return
+    cs = CovariateSummary(z)
+    N = z.size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    R, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, N))
+    sample = cs.z01[np.stack([rng.choice(N, n, replace=False) for _ in range(R)])]
+    support = min(basis._distinct_count(np.sort(sample, axis=-1)).min(), cs.distinct_count)
+    K = data.draw(st.integers(0, min(5, support - 1)))
+    groups = [kv for _, kv in knot_groups(SplineSpec(m, K), sample)]
+    groups.append(build_knots(SplineSpec(m, K, "population_quantile"), cs))
+    for knots in groups:
+        totals = cs.basis_totals(knots, m)
+        bp = knots.breakpoints()
+        assert totals.shape == bp.shape[:-1] + (knots.num_interior + m,)
+        values = basis_matrix(knots, m, np.broadcast_to(cs.z01, bp.shape[:-1] + (N,)))
+        direct = np.ascontiguousarray(values.swapaxes(-1, -2)).sum(axis=-1)
+        assert np.max(np.abs(totals - direct) / np.maximum(np.abs(direct), 1.0)) <= 1e-12
+        rows = totals.reshape(-1, totals.shape[-1])
+        for r, row_bp in enumerate(bp.reshape(-1, bp.shape[-1])):
+            if m == 1:
+                assert np.array_equal(rows[r], _interval_counts(row_bp, cs.z01))
+            if bp.ndim == 2 and m <= 2:
+                assert rows[r].tobytes() == cs.basis_totals(knots.row(r), m).tobytes()
+            elif bp.ndim == 2:
+                np.testing.assert_allclose(rows[r], cs.basis_totals(knots.row(r), m),
+                                           rtol=1e-14, atol=1e-14)
+
+
+# A calibration case: population size, spline order, interior knots, the
+# number of strata (one: SRSWOR), units sampled per stratum, stack size
+# and seed. Strata of 40 units or more and 8 sampled units per interval
+# keep every knot interval of every sample nonempty.
+CALIBRATIONS = st.tuples(st.integers(120, 400), st.integers(1, 4), st.integers(0, 3),
+                         st.integers(1, 3), st.integers(8, 14), st.integers(1, 4),
+                         st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(CALIBRATIONS)
+def test_spline_weights_meet_their_calibration_totals(case):
+    """Unpenalized spline weights (POST at order 1) calibrate each sample of
+    a stack on the population basis totals: every calibration residual is
+    at most 1e-10, and, as the basis sums to one, the weights sum to N to
+    1e-10 relative."""
+    N, m, K, H, per_stratum, R, seed = case
+    rng = np.random.default_rng(seed)
+    labels = [f"h{h}" for h in range(H)]
+    pop = Population(ids=tuple(map(str, range(N))), z=rng.lognormal(3.0, 0.6, N),
+                     variables={}, strata=tuple(labels[k % H] for k in range(N)))
+    n = per_stratum * (K + 1)
+    design = Srswor(n) if H == 1 else StratifiedSrswor(dict.fromkeys(labels, n // H + 1))
+    d = designs.draw(pop, design, [seed + r for r in range(R)])
+    ws = (post_weights(d, K) if m == 1 else
+          bspline_weights(d, SplineSpec(m, K, "sample_quantile", lam=0.0)))
+    residuals = np.asarray(ws.diagnostics["calibration_residuals"])
+    assert residuals.shape == (R, K + m)
+    assert np.abs(residuals).max() <= 1e-10
+    np.testing.assert_allclose(ws.weights.sum(axis=-1), N, rtol=1e-10, atol=0)

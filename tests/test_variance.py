@@ -359,6 +359,22 @@ def test_closed_form_checks_every_sample_of_a_stack():
     assert np.isfinite(ht_variance_double_sum(d, np.ones(indices.shape)).value).all()
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_a_draw_with_no_sampled_unit_is_refused(shape):
+    """An empty sample, or a stack of empty samples, is refused where the
+    draw is made, whichever form its probabilities take, so neither
+    variance route sees it."""
+    pop = _pop(10)
+    indices = np.zeros(shape, dtype=int)
+    for make in (lambda: SampleDraw(pop, Srswor(2), indices, pi=np.zeros(shape)),
+                 lambda: SampleDraw(pop, Srswor(2), indices, np.full(10, 0.2))):
+        with pytest.raises(ValueError, match="^empty sample"):
+            make()
+        for variance in (closed_form_variance, ht_variance_double_sum):
+            with pytest.raises(ValueError, match="^empty sample"):
+                variance(make(), np.zeros(shape))
+
+
 def test_editing_the_allocation_after_a_draw_leaves_the_sample_unchanged():
     strata = tuple("ab"[i % 2] for i in range(100))
     pop = _pop(100, seed=5, strata=strata)
