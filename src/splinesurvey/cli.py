@@ -17,13 +17,13 @@ from click.core import ParameterSource
 from .basis import SplineSpec, basis_matrix, build_knots
 from .designs import Population, Srswor, StratifiedSrswor, draw
 from .simulate import (
+    FAMILIES,
     KINDS,
     EstimatorSpec,
     ParameterSpec,
     SampleData,
     SimulationPlan,
     SynthConfig,
-    family_weights,
     run_monte_carlo,
     synth_population,
 )
@@ -131,17 +131,24 @@ def _sample_and_weights(population, design, seed, family, spec):
     a singular system or a collinear design."""
     with _usage_errors():
         sample = draw(population, design, seed)
-        return sample, family_weights(sample, family.upper(), spec)
+        return sample, FAMILIES[family.upper()].weights(sample, spec)
 
 
-# Options each --family or --design value has no use for: HT and GREG take
-# no spline options at all, poststratification (order 1, unpenalized, sample
-# quantile cut points) uses only the knot count, SRSWOR takes no
-# --allocation and stratified SRSWOR no --n.
+# The --family values, and each spline option with the roster setting it
+# goes with. --knot-rule goes with the order: a family that takes the order
+# as given takes the knot rule too, and one that fixes its spline (order 1
+# at sample-quantile cut points for poststrata) ignores both.
+FAMILY_CHOICES = [name.lower() for name in FAMILIES]
+SPLINE_OPTIONS = {"order": "order", "knots": "knots", "knot_rule": "order",
+                  "lam": "lam", "penalty_order": "penalty_order"}
+
+# Options each --family or --design value has no use for: the spline
+# options whose setting the family does not read (FAMILIES), --allocation
+# under SRSWOR and --n under stratified SRSWOR.
 IGNORED_OPTIONS = {
-    "ht": ("order", "knots", "knot_rule", "lam", "penalty_order"),
-    "greg": ("order", "knots", "knot_rule", "lam", "penalty_order"),
-    "post": ("order", "knot_rule", "lam", "penalty_order"),
+    **{name.lower(): tuple(option for option, setting in SPLINE_OPTIONS.items()
+                           if setting not in family.settings)
+       for name, family in FAMILIES.items()},
     "srswor": ("allocation",),
     "stratified": ("n",),
 }
@@ -192,7 +199,7 @@ def basis(order, knots, knot_rule, lam, penalty_order, grid, output):
 @main.command()
 @click.option("--population", "pop_path", required=True, type=click.Path(exists=True))
 @click.option("--family", default="bs", show_default=True,
-              type=click.Choice(["ht", "greg", "post", "bs"]))
+              type=click.Choice(FAMILY_CHOICES))
 @_design_options
 @_spline_options
 @click.option("--output", "-o", type=click.Path(), default="-")
@@ -219,7 +226,7 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
 @main.command()
 @click.option("--population", "pop_path", required=True, type=click.Path(exists=True))
 @click.option("--family", default="bs", show_default=True,
-              type=click.Choice(["ht", "greg", "post", "bs"]))
+              type=click.Choice(FAMILY_CHOICES))
 @click.option("--parameter", "parameters", multiple=True, required=True,
               help="Parameter kind[:variable], e.g. gini:y or ratio:y/x.")
 @_design_options
@@ -311,6 +318,14 @@ def _parse_parameter(token: str, strict_poverty: bool) -> ParameterSpec:
         return ParameterSpec(kind, **names, strict=strict)
 
 
+# Each kind of plan entry: the spec it builds, the key that names its
+# family or kind, and the other keys that family or kind reads.
+PLAN_SPECS = {
+    "estimator": (EstimatorSpec, "family", lambda name: FAMILIES[name].settings),
+    "parameter": (ParameterSpec, "kind", lambda name: KINDS[name].reads + KINDS[name].settings),
+}
+
+
 @main.command()
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True),
               help="JSON plan: population, design, estimators, parameters.")
@@ -321,15 +336,15 @@ def simulate(plan_path, out_csv):
     with open(plan_path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     design = _make_design(cfg["design"])
-    for what, spec_type in (("estimator", EstimatorSpec), ("parameter", ParameterSpec)):
+    for what, (spec_type, _, _) in PLAN_SPECS.items():
         for entry in cfg[f"{what}s"]:
             _check_entry(what, entry, spec_type)
     replicates = cfg.get("replicates", 1000)
     if isinstance(replicates, bool) or not isinstance(replicates, int):
         raise click.UsageError(f"plan replicates {json.dumps(replicates)}: "
                                "not a whole number")
-    estimators = tuple(_plan_estimator(e) for e in cfg["estimators"])
-    parameters = tuple(_plan_parameter(p) for p in cfg["parameters"])
+    estimators, parameters = (tuple(_plan_spec(what, entry) for entry in cfg[f"{what}s"])
+                              for what in PLAN_SPECS)
     pop = _plan_population(cfg["population"])
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
@@ -369,26 +384,20 @@ def _check_entry(what: str, entry, spec_type, extra=()) -> None:
                                    f"key {min(keys)!r}")
 
 
-def _plan_estimator(entry: dict) -> EstimatorSpec:
-    """The estimator of a plan entry; what the spec refuses (an unknown
-    family, a value of the wrong type, spline settings `SplineSpec`
-    refuses) is a usage error naming the entry."""
-    with _usage_errors(f"plan estimator {json.dumps(entry)}"):
-        return EstimatorSpec(**entry)
-
-
-def _plan_parameter(entry: dict) -> ParameterSpec:
-    """The parameter of a plan entry. What the spec refuses (an unknown
-    kind, a level or fraction out of range, a value of the wrong type) and
-    a key the kind ignores are usage errors naming the entry."""
-    source = f"plan parameter {json.dumps(entry)}"
+def _plan_spec(what: str, entry: dict):
+    """The spec of a plan `what` entry ("estimator" or "parameter"). What
+    the spec refuses (an unknown family or kind, a value of the wrong type
+    or out of range) and a key that its family or kind ignores are usage
+    errors naming the entry."""
+    spec_type, key, reads = PLAN_SPECS[what]
+    source = f"plan {what} {json.dumps(entry)}"
     with _usage_errors(source):
-        spec = ParameterSpec(**entry)
-    kind = KINDS[spec.kind]
-    ignored = entry.keys() - {"kind", *kind.reads, *kind.settings}
+        spec = spec_type(**entry)
+    name = getattr(spec, key)
+    ignored = entry.keys() - {key, *reads(name)}
     if ignored:
         raise click.UsageError(f"{source}: key {min(ignored)!r} has no effect "
-                               f"on a {spec.kind} parameter")
+                               f"on a {name} {what}")
     return spec
 
 

@@ -391,7 +391,15 @@ def _unit_rank(alpha: float, n: int) -> int:
 
 
 def gini(measure: WeightedMeasure):
-    """Gini index of the weighted measure via the weak-CDF formula."""
+    """Gini index of the weighted measure via the weak-CDF formula,
+    G = sum_k w_k (2 F(y_k) - 1) y_k / t_y with F(y_k) the mass at or below
+    y_k over the total mass.
+
+    Under the weak CDF every unit of a tie reads the whole tie's mass, as
+    if it came last in the tie. A constant variable therefore has G = 1,
+    not 0: exactly on the census, to rounding at any weights. Heaped values
+    (incomes rounded to a coarse grid) inflate G.
+    """
     nhat = measure.total_mass
     ty = total(measure)
     if np.count_nonzero(nhat == 0) or np.count_nonzero(ty == 0):

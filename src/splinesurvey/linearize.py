@@ -117,7 +117,9 @@ def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
                 for level in (0.25, 0.75))
     spread = as_scalar(np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.349), sd))
     n_eff = as_scalar(total_w ** 2 / (weights**2).sum(axis=-1))
-    if np.count_nonzero(spread <= 0) or np.count_nonzero(n_eff <= 0):
+    # a constant sample's sd can round above zero
+    constant = ordering.sorted_values[..., 0] == ordering.sorted_values[..., -1]
+    if np.count_nonzero((spread <= 0) | constant) or np.count_nonzero(n_eff <= 0):
         raise ValueError("degenerate sample for bandwidth selection")
     return 0.9 * spread * n_eff ** (-0.2)
 

@@ -108,14 +108,52 @@ def synth_population(config: SynthConfig, seed) -> Population:
     return Population(ids=ids, z=z, variables=variables, strata=strata)
 
 
-FAMILIES = ("HT", "GREG", "POST", "BS")
+class EstimatorFamily(NamedTuple):
+    """How a family of estimators builds its weights.
+
+    `settings` names the `EstimatorSpec` fields it reads. `spline(spec)` is
+    the `SplineSpec` it calibrates on (None for no spline), and
+    `weights(sample, spline)` its weight set on a sample or a stack, given
+    that spline. `label(spec)` names a roster entry in the tables.
+    """
+
+    settings: tuple
+    spline: Callable
+    weights: Callable
+    label: Callable = lambda spec: spec.family
+
+
+def _bs_label(spec) -> str:
+    lam = f",lam={spec.lam:g}" if spec.lam else ""
+    if spec.lam and spec.penalty_order != 1:
+        lam += f",p={spec.penalty_order}"
+    return f"BS({spec.order},K={spec.knots}{lam})"
+
+
+# Family name -> EstimatorFamily. GREG and POST are the spline system's
+# order-2 case without interior knots and its order-1 case. The entries
+# look the weight functions up in this module when called, as KINDS does.
+FAMILIES = {
+    "HT": EstimatorFamily((), lambda e: None, lambda sample, spline: ht_weights(sample)),
+    "GREG": EstimatorFamily((), lambda e: SplineSpec(order=2, interior_knots=0),
+                            lambda sample, spline: greg_weights(sample)),
+    "POST": EstimatorFamily(("knots",), lambda e: SplineSpec(order=1, interior_knots=e.knots),
+                            lambda sample, spline: post_weights(sample, spline.interior_knots),
+                            lambda e: f"POST(K={e.knots})"),
+    "BS": EstimatorFamily(("order", "knots", "lam", "penalty_order"),
+                          lambda e: SplineSpec(order=e.order, interior_knots=e.knots,
+                                               lam=e.lam, penalty_order=e.penalty_order),
+                          lambda sample, spline: bspline_weights(sample, spline), _bs_label),
+}
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One entry of the estimator roster."""
+    """One entry of the estimator roster. Its family (a key of FAMILIES)
+    reads only some of the spline settings, but every one is range-checked
+    as given."""
 
-    family: str  # HT | GREG | POST | BS
+    family: str
     order: int = 2
     knots: int = 2
     lam: float = 0.0
@@ -126,41 +164,19 @@ class EstimatorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown estimator family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
-        self.spline_spec()  # refuse, here, what SplineSpec refuses
+        SplineSpec(order=self.order, interior_knots=self.knots, lam=self.lam,
+                   penalty_order=self.penalty_order)
 
     @property
     def label(self) -> str:
-        if self.family == "HT" or self.family == "GREG":
-            return self.family
-        if self.family == "POST":
-            return f"POST(K={self.knots})"
-        lam = f",lam={self.lam:g}" if self.lam else ""
-        if self.lam and self.penalty_order != 1:
-            lam += f",p={self.penalty_order}"
-        return f"BS({self.order},K={self.knots}{lam})"
+        return FAMILIES[self.family].label(self)
 
-    def spline_spec(self) -> SplineSpec:
-        order = 1 if self.family == "POST" else self.order
-        return SplineSpec(order=order, interior_knots=self.knots,
-                          knot_rule="sample_quantile", lam=self.lam,
-                          penalty_order=self.penalty_order)
+    def spline_spec(self) -> SplineSpec | None:
+        """The spline the family calibrates on (None: no spline)."""
+        return FAMILIES[self.family].spline(self)
 
     def build_weights(self, sample: SampleDraw) -> WeightSet:
-        return family_weights(sample, self.family, self.spline_spec())
-
-
-def family_weights(sample: SampleDraw, family: str, spec: SplineSpec) -> WeightSet:
-    """Weights of an estimator family (HT, GREG, POST or BS) on a sample.
-    Only BS reads the whole spec, POST its knot count, HT and GREG none."""
-    if family == "HT":
-        return ht_weights(sample)
-    if family == "GREG":
-        return greg_weights(sample)
-    if family == "POST":
-        return post_weights(sample, spec.interior_knots)
-    if family == "BS":
-        return bspline_weights(sample, spec)
-    raise ValueError(f"unknown estimator family {family!r}")
+        return FAMILIES[self.family].weights(sample, self.spline_spec())
 
 
 class ParameterKind(NamedTuple):

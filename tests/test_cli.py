@@ -195,6 +195,24 @@ def test_ht_and_greg_reject_spline_options(runner, population_csv, command,
     assert f"{flag} has no effect with --family {family}" in res.output
 
 
+def test_family_choices_and_ignored_options():
+    """The --family choices, and the options each --family or --design
+    value ignores, written out."""
+    for command in (cli.weights, cli.estimate):
+        family = next(p for p in command.params if p.name == "family")
+        assert list(family.type.choices) == ["ht", "greg", "post", "bs"]
+    spline = ("order", "knots", "knot_rule", "lam", "penalty_order")
+    expected = {
+        "ht": spline,
+        "greg": spline,
+        "post": ("order", "knot_rule", "lam", "penalty_order"),
+        "srswor": ("allocation",),
+        "stratified": ("n",),
+    }
+    for value in ("ht", "greg", "post", "bs", "srswor", "stratified"):
+        assert cli.IGNORED_OPTIONS.get(value, ()) == expected.get(value, ())
+
+
 def test_estimate_strict_poverty(runner, tmp_path):
     # the median is 20, so the threshold 0.6 * 20 = 12 carries whole units
     rng = np.random.default_rng(8)
@@ -640,6 +658,49 @@ def test_simulate_plan_entry_is_a_usage_error(runner, tmp_path, monkeypatch,
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
     _usage_error(res, f"plan {what} {json.dumps(entry)}: {message}")
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"family": "HT", "order": 9, "lam": 2.5}, "key 'lam' has no effect on a HT estimator"),
+    ({"family": "GREG", "knots": 7}, "key 'knots' has no effect on a GREG estimator"),
+    ({"family": "POST", "knots": 2, "order": 4},
+     "key 'order' has no effect on a POST estimator"),
+    ({"family": "POST", "knots": 2, "lam": 1.0},
+     "key 'lam' has no effect on a POST estimator"),
+], ids=["HT-order-lam", "GREG-knots", "POST-order", "POST-lam"])
+def test_simulate_plan_estimator_key_its_family_ignores_is_a_usage_error(
+        runner, tmp_path, monkeypatch, entry, message):
+    monkeypatch.setattr(cli, "_plan_population", _fail)
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 30},
+        "estimators": [{"family": "HT"}, entry],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, f"plan estimator {json.dumps(entry)}: {message}")
+
+
+def test_simulate_plan_takes_every_setting_of_a_bs_estimator(runner, tmp_path):
+    plan = {
+        "population": {"generator": {"size": 300, "seed": 5}},
+        "design": {"kind": "srswor", "n": 60},
+        "estimators": [{"family": "HT"}, {"family": "GREG"}, {"family": "POST", "knots": 2},
+                       {"family": "BS", "order": 3, "knots": 3, "lam": 1.0,
+                        "penalty_order": 2}],
+        "parameters": [{"kind": "mean"}],
+        "replicates": 2,
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    assert res.exit_code == 0, res.output
+    for label in ("HT", "GREG", "POST(K=2)", "BS(3,K=3,lam=1,p=2)"):
+        assert f"\n  {label} " in res.output
 
 
 @pytest.mark.parametrize("change,message", [

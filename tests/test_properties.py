@@ -20,9 +20,11 @@ from hypothesis import strategies as st  # noqa: E402
 from splinesurvey import basis, designs, functionals  # noqa: E402
 from splinesurvey import (  # noqa: E402
     CovariateSummary,
+    EstimatorSpec,
     Ordering,
     Population,
     ParameterSpec,
+    SampleData,
     SampleDraw,
     SplineSpec,
     Srswor,
@@ -536,3 +538,39 @@ def test_spline_weights_meet_their_calibration_totals(case):
     assert residuals.shape == (R, K + m)
     assert np.abs(residuals).max() <= 1e-10
     np.testing.assert_allclose(ws.weights.sum(axis=-1), N, rtol=1e-10, atol=0)
+
+
+# A constant study variable on a 400-unit population in three strata: every
+# family (BS at orders 2-4, unpenalized or at lambda 1), SRSWOR and
+# stratified SRSWOR, stacks of one to three samples, both variance methods.
+CONSTANT_Z = np.random.default_rng(21).lognormal(7.0, 0.5, 400)
+CONSTANT_ROSTER = st.sampled_from([EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                                   EstimatorSpec("POST", knots=2)]) | st.builds(
+    lambda m, lam: EstimatorSpec("BS", order=m, knots=2, lam=lam),
+    st.integers(2, 4), st.sampled_from([0.0, 1.0]))
+CONSTANT_DESIGNS = st.sampled_from([Srswor(60), StratifiedSrswor({"h0": 20, "h1": 15,
+                                                                  "h2": 25})])
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONSTANT_ROSTER, CONSTANT_DESIGNS,
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+       st.sampled_from(["closed", "double_sum"]),
+       st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3))
+def test_constant_study_variable(estimator, design, seeds, method, c):
+    """Every weight system is calibrated on N, so with y = c the mean is c
+    and the total cN, and their variances vanish to rounding. A constant
+    sample has no spread for the poverty rate's kernel bandwidth."""
+    N = CONSTANT_Z.size
+    pop = Population(ids=tuple(map(str, range(N))), z=CONSTANT_Z,
+                     variables={"y": np.full(N, c)},
+                     strata=tuple(f"h{k % 3}" for k in range(N)))
+    sample = designs.draw(pop, design, seeds)
+    ws = estimator.build_weights(sample)
+    data = SampleData(sample, (ParameterSpec("mean"), ParameterSpec("total")))
+    for parameter, want in ((ParameterSpec("mean"), c), (ParameterSpec("total"), c * N)):
+        est = data.estimate(ws, parameter, method, 0.95)
+        assert np.abs(est.point - want).max() <= 1e-14 * abs(want), parameter.label
+        assert (est.variance.value <= 1e-12 * est.point ** 2).all(), parameter.label
+    with pytest.raises(ValueError, match="degenerate sample for bandwidth selection"):
+        SampleData(sample, (ParameterSpec("poverty_rate"),))

@@ -21,7 +21,9 @@ from splinesurvey import (
     closed_form_variance,
     confidence_interval,
     draw,
+    greg_weights,
     ht_weights,
+    post_weights,
     replicate_seed,
     residual_fit,
     run_monte_carlo,
@@ -357,6 +359,56 @@ class TestParameterTruth:
                            parameters=(ParameterSpec("poverty_rate"),
                                        ParameterSpec("poverty_rate", strict=True)),
                            replicates=1)
+
+
+class TestFamilyTable:
+    """Each family's table entry builds what its weight function builds."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        pop = synth_population(SynthConfig(size=2000), 6)
+        return draw(pop, Srswor(200), [11, 12, 13]), draw(pop, Srswor(200), 14)
+
+    @pytest.mark.parametrize("spec,direct", [
+        (EstimatorSpec("HT"), ht_weights),
+        (EstimatorSpec("GREG"), greg_weights),
+        (EstimatorSpec("POST", knots=3), lambda d: post_weights(d, 3)),
+        (EstimatorSpec("BS", order=3, knots=4, lam=0.5, penalty_order=2),
+         lambda d: bspline_weights(d, SplineSpec(order=3, interior_knots=4, lam=0.5,
+                                                 penalty_order=2))),
+    ], ids=["HT", "GREG", "POST", "BS"])
+    def test_build_weights_is_the_family_function(self, samples, spec, direct):
+        """On a (3, n) stack and on one sample: the weights bit for bit, the
+        family tag and the diagnostics."""
+        for sample in samples:
+            got, want = spec.build_weights(sample), direct(sample)
+            assert got.weights.shape == sample.indices.shape
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert np.array_equal(got.indices, want.indices)
+            assert got.family == want.family
+            assert got.diagnostics == want.diagnostics
+
+    def test_spline_is_the_one_the_family_calibrates_on(self):
+        assert EstimatorSpec("HT").spline_spec() is None
+        assert EstimatorSpec("GREG").spline_spec() == SplineSpec(order=2, interior_knots=0)
+        assert (EstimatorSpec("POST", knots=3).spline_spec()
+                == SplineSpec(order=1, interior_knots=3))
+        assert (EstimatorSpec("BS", order=3, knots=4, lam=0.5, penalty_order=2).spline_spec()
+                == SplineSpec(order=3, interior_knots=4, lam=0.5, penalty_order=2))
+
+    def test_settings_are_range_checked_as_given(self):
+        """POST ignores the penalty, so a penalty beside the default order is
+        no contradiction; a setting out of range is refused whatever the
+        family reads."""
+        post = EstimatorSpec("POST", knots=2, lam=1.0)
+        assert post.label == "POST(K=2)"
+        assert post.spline_spec() == SplineSpec(order=1, interior_knots=2)
+        with pytest.raises(ValueError, match="interior knot count must be >= 0"):
+            EstimatorSpec("HT", knots=-1)
+        with pytest.raises(ValueError, match="penalty order must be below spline order"):
+            EstimatorSpec("GREG", order=1, lam=1.0)
+        with pytest.raises(ValueError, match="spline order must be >= 1"):
+            EstimatorSpec("POST", order=0)
 
 
 def _plan(**changes):
