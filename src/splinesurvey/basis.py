@@ -37,11 +37,6 @@ class SplineSpec:
         if self.lam > 0 and not (1 <= self.penalty_order <= self.order - 1):
             raise ValueError("penalty order must be below spline order")
 
-    @property
-    def dimension(self) -> int:
-        """Number of basis functions q = K + m."""
-        return self.interior_knots + self.order
-
 
 @dataclass(frozen=True)
 class KnotVector:

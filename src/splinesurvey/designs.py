@@ -298,7 +298,8 @@ class StratumCodes:
 
 
 # Srswor and StratifiedSrswor state their strata once, in `strata(population)`: the
-# partition and each stratum's sample size; `closed_form` names their closed form.
+# partition and each stratum's sample size; `closed_form` names their closed form
+# (None for Poisson sampling, which has none).
 
 @dataclass(frozen=True)
 class Srswor:
@@ -354,6 +355,7 @@ class GivenProbabilities:
     kept as a read-only copy."""
 
     pi: np.ndarray
+    closed_form = None
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=float)

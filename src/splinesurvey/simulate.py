@@ -299,7 +299,7 @@ class SimulationPlan:
         if self.variance_method not in ("closed", "double_sum"):
             raise ValueError(f"unknown variance method {self.variance_method!r}; "
                              "choose closed or double_sum")
-        if isinstance(self.design, GivenProbabilities) and self.variance_method == "closed":
+        if self.design.closed_form is None and self.variance_method == "closed":
             raise ValueError("Poisson sampling (GivenProbabilities) has no closed-form "
                              "variance; use variance_method='double_sum'")
         if not self.estimators:

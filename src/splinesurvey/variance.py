@@ -11,7 +11,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import GivenProbabilities, SampleDraw, Srswor
+from .designs import SampleDraw, Srswor
 from .functionals import as_scalar
 from .weights import SplineSystem
 
@@ -116,7 +116,7 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
     """
     e = np.asarray(residuals, dtype=float)
     d = draw.design
-    if isinstance(d, GivenProbabilities):
+    if d.closed_form is None:
         raise TypeError("no closed form for this design; use the double sum")
     if draw.size < 2:  # checked here: the per-stratum message names a stratum
         raise ValueError("variance needs n >= 2")
@@ -140,7 +140,7 @@ def population_asymptotic_variance(population, design, u_values, spec) -> float:
     population dispersion of the residuals, summed over the strata the
     design states (`design.strata`; SRSWOR is one stratum).
     """
-    if isinstance(design, GivenProbabilities):
+    if design.closed_form is None:
         raise TypeError("no closed form for this design")
     u = np.asarray(u_values, dtype=float)
     N = population.size

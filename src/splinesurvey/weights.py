@@ -25,6 +25,10 @@ from .functionals import as_scalar, matvec, row_dot
 RCOND_SINGULAR = 1e-12
 
 
+class SingularSystemError(ValueError):
+    """A spline system whose normal matrix is numerically singular."""
+
+
 @dataclass
 class WeightSet:
     """Weights w_ks for the sampled units, with provenance and diagnostics.
@@ -33,13 +37,13 @@ class WeightSet:
     one sample, (R, n) for a stack. `system` is the spline system the
     weights were built from (None for HT). It also serves the variance
     residual fits of every parameter estimated with these weights, so a
-    sample's system is built once per estimator.
+    sample's system is built once per estimator. `diagnostics` is computed
+    from the system and the weights when read.
     """
 
     indices: np.ndarray
     weights: np.ndarray
     family: str
-    diagnostics: dict = field(default_factory=dict)
     system: SplineSystem | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,6 +58,20 @@ class WeightSet:
     def total_mass(self):
         """Sum of the weights (of each sample of a stack)."""
         return as_scalar(self.weights.sum(axis=-1))
+
+    @property
+    def diagnostics(self) -> dict:
+        """The calibration residuals, negative-weight count, minimum weight
+        and rcond (one entry per sample of a stack); {} without a system."""
+        if self.system is None:
+            return {}
+        w = self.weights
+        return {
+            "calibration_residuals": self.system.calibration_residuals(w),
+            "negative_weight_count": np.sum(w < 0, axis=-1).tolist(),
+            "min_weight": w.min(axis=-1).tolist(),
+            "rcond": np.asarray(self.system.rcond).tolist(),
+        }
 
 
 def ht_weights(draw) -> WeightSet:
@@ -93,8 +111,7 @@ class SplineSystem:
     def __init__(self, draw, spec: SplineSpec):
         self.spec = spec
         covariate = draw.population.covariate_summary
-        self.scale = covariate.scale
-        z_s = self.scale.apply(draw.sample_z)
+        z_s = covariate.scale.apply(draw.sample_z)
         inv_pi = 1.0 / draw.pi
         fixed = covariate.fixed_knot_totals(spec)
         if fixed is None:
@@ -128,12 +145,6 @@ class SplineSystem:
     def knot_counts(self) -> str:
         """The effective interior knot count, or each group's, as text."""
         return "|".join(str(fit.knots.num_interior) for _, fit in self._groups)
-
-    def has_empty_cell(self) -> bool:
-        """Whether some sample has a basis function that no sampled unit
-        reaches."""
-        return any(np.count_nonzero((fit.basis_sample > 0).sum(axis=-2) == 0)
-                   for _, fit in self._groups)
 
     def _by_rows(self, method, *arrays) -> np.ndarray:
         if len(self._groups) == 1:
@@ -194,7 +205,7 @@ class _SplineFit:
         cond = np.linalg.cond(A)
         self.rcond = np.where(np.isfinite(cond) & (cond > 0), 1.0 / cond, 0.0)
         if (self.rcond < RCOND_SINGULAR).any():
-            raise ValueError("singular basis system: reduce K or set lambda>0")
+            raise SingularSystemError("singular basis system: reduce K or set lambda>0")
         self._weighted_basis = bw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -230,18 +241,19 @@ def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightS
     else:
         raise ValueError(f"unknown weight form {form!r}")
     tag = f"BS(m={spec.order},K={system.knot_counts()},lam={spec.lam:g})"
-    return _calibrated(draw, system, tag, w)
+    return WeightSet(draw.indices, w, tag, system=system)
 
 
 def post_weights(draw, K: int) -> WeightSet:
-    """Poststratified weights: order-1 unpenalized spline with K cut points."""
-    spec = SplineSpec(order=1, interior_knots=K, knot_rule="sample_quantile",
-                      lam=0.0)
-    system = SplineSystem(draw, spec)
-    if system.has_empty_cell():
-        raise ValueError("empty poststratum")
-    return _calibrated(draw, system, f"POST(K={system.knot_counts()})",
-                       system.weight_vector())
+    """Poststratified weights: order-1 unpenalized spline with K cut points.
+    Its normal matrix is diagonal, one cell's HT size per entry, so the
+    system's singular refusal is an empty poststratum."""
+    try:
+        system = SplineSystem(draw, SplineSpec(order=1, interior_knots=K))
+    except SingularSystemError as err:
+        raise ValueError("empty poststratum") from err
+    return WeightSet(draw.indices, system.weight_vector(),
+                     f"POST(K={system.knot_counts()})", system=system)
 
 
 def greg_weights(draw) -> WeightSet:
@@ -251,23 +263,9 @@ def greg_weights(draw) -> WeightSet:
         raise ValueError("collinear design: sample covariate is constant")
     try:
         system = SplineSystem(draw, SplineSpec(order=2, interior_knots=0))
-    except ValueError as err:  # with a nonconstant covariate: singular
+    except SingularSystemError as err:
         raise ValueError("collinear design") from err
-    return _calibrated(draw, system, "GREG", system.weight_vector())
-
-
-def _calibrated(draw, system: SplineSystem, family: str,
-                w: np.ndarray) -> WeightSet:
-    """The weight set of weights `w` built from a spline system, with the
-    calibration diagnostics (one entry per sample of a stack)."""
-    diagnostics = {
-        "calibration_residuals": system.calibration_residuals(w),
-        "negative_weight_count": np.sum(w < 0, axis=-1).tolist(),
-        "min_weight": w.min(axis=-1).tolist(),
-        "rcond": np.asarray(system.rcond).tolist(),
-    }
-    return WeightSet(draw.indices, w, family, diagnostics=diagnostics,
-                     system=system)
+    return WeightSet(draw.indices, system.weight_vector(), "GREG", system=system)
 
 
 def fit_coefficients(draw, spec: SplineSpec, values_on_sample) -> np.ndarray:

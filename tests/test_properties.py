@@ -540,6 +540,52 @@ def test_spline_weights_meet_their_calibration_totals(case):
     np.testing.assert_allclose(ws.weights.sum(axis=-1), N, rtol=1e-10, atol=0)
 
 
+# Weights on stratified samples with n_h = 1 strata: the family, the spline
+# order (BS reads it), interior knots, a stratum of 120 to 400 units holding
+# 8 to 14 sampled units per knot interval, one to three further strata of 1
+# to 30 units with one sampled unit each, stack size and seed.
+SINGLETON_CALIBRATIONS = st.tuples(
+    st.sampled_from(["HT", "GREG", "POST", "BS"]), st.integers(2, 4), st.integers(0, 3),
+    st.integers(120, 400), st.integers(8, 14),
+    st.lists(st.integers(1, 30), min_size=1, max_size=3),
+    st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SINGLETON_CALIBRATIONS)
+@example(("POST", 2, 2, 120, 8, [1, 1, 1], 3, 0))  # three strata of one unit, each a census
+def test_weights_on_strata_of_one_sampled_unit(case):
+    """HT weights give each stratum its size N_h, and the unpenalized GREG,
+    POST and BS weights meet their population basis totals to 1e-10, on
+    stacks whose samples hold strata of one sampled unit. A spline family's
+    diagnostics hold one entry per sample of the stack; HT has none."""
+    family, m, K, N0, per_interval, singletons, R, seed = case
+    sizes = [N0, *singletons]
+    labels = [f"h{h}" for h in range(len(sizes))]
+    N = sum(sizes)
+    pop = Population(ids=tuple(map(str, range(N))),
+                     z=np.random.default_rng(seed).lognormal(3.0, 0.6, N), variables={},
+                     strata=tuple(np.repeat(labels, sizes).tolist()))
+    allocations = [per_interval * (K + 1)] + [1] * len(singletons)
+    d = designs.draw(pop, StratifiedSrswor(dict(zip(labels, allocations))),
+                     [seed + r for r in range(R)])
+    ws = EstimatorSpec(family, order=m, knots=K).build_weights(d)
+    np.testing.assert_allclose(ws.weights.sum(axis=-1), N, rtol=1e-10, atol=0)
+    if family == "HT":
+        assert ws.diagnostics == {}
+        codes = pop.stratum_codes.codes[d.indices]
+        for h, Nh in enumerate(sizes):
+            np.testing.assert_allclose(np.where(codes == h, ws.weights, 0.0).sum(axis=-1),
+                                       Nh, rtol=1e-10, atol=0)
+        return
+    diagnostics = ws.diagnostics
+    assert all(len(entry) == R for entry in diagnostics.values())
+    residuals = np.asarray(diagnostics["calibration_residuals"])
+    assert residuals.shape == (R, ws.system.spec.interior_knots + ws.system.spec.order)
+    assert np.abs(residuals).max() <= 1e-10
+    assert diagnostics["min_weight"] == ws.weights.min(axis=-1).tolist()
+
+
 # A constant study variable on a 400-unit population in three strata: every
 # family (BS at orders 2-4, unpenalized or at lambda 1), SRSWOR and
 # stratified SRSWOR, stacks of one to three samples, both variance methods.

@@ -12,6 +12,7 @@ from splinesurvey import (
     SampleData,
     SimulationPlan,
     SplineSpec,
+    SplineSystem,
     Srswor,
     StratifiedSrswor,
     SynthConfig,
@@ -510,6 +511,28 @@ def test_census_truths_of_sums_and_poverty_rate_do_not_sort(monkeypatch):
         replicates=3, master_seed=5)
     run_monte_carlo(plan, pop)
     assert shapes == [(3, 500)]
+
+
+def test_monte_carlo_computes_no_weight_diagnostics(monkeypatch):
+    """The harness reads no weight diagnostics, so a run of the three
+    spline families computes no calibration residuals; reading a weight
+    set's diagnostics computes them once."""
+    shapes = []
+    residuals = SplineSystem.calibration_residuals
+    monkeypatch.setattr(SplineSystem, "calibration_residuals",
+                        lambda self, w: shapes.append(w.shape) or residuals(self, w))
+    pop = synth_population(SynthConfig(size=600), 4)
+    plan = SimulationPlan(
+        design=Srswor(60),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                    EstimatorSpec("POST", knots=2),
+                    EstimatorSpec("BS", order=2, knots=2)),
+        parameters=(ParameterSpec("mean"), ParameterSpec("gini")),
+        replicates=5, master_seed=3)
+    run_monte_carlo(plan, pop)
+    assert shapes == []
+    assert greg_weights(draw(pop, plan.design, [1, 2])).diagnostics["rcond"]
+    assert shapes == [(2, 60)]
 
 
 class TestTvProxyDistance:

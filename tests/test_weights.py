@@ -3,7 +3,9 @@ import pytest
 
 from splinesurvey import (
     Population,
+    SampleDraw,
     SplineSpec,
+    Srswor,
     basis_matrix,
     bspline_weights,
     draw_srswor,
@@ -15,7 +17,7 @@ from splinesurvey import (
     post_weights,
     weighted_total,
 )
-from splinesurvey.weights import SplineSystem
+from splinesurvey.weights import SingularSystemError, SplineSystem
 
 
 def _population(N, seed=0, strata=None):
@@ -173,6 +175,38 @@ class TestPostWeights:
                           knot_rule="population_quantile", lam=0.0)
         ws = bspline_weights(d, spec)
         assert np.allclose(np.sort(ws.weights), [2.0, 2.0, 2.0])
+
+
+def _heaped_population():
+    """One unit at z = 1, 500 at z = 5 and 500 spread above."""
+    z = np.concatenate([[1.0], np.full(500, 5.0), 5.0 + np.linspace(1.0, 100.0, 500)])
+    return Population(ids=tuple(map(str, range(z.size))), z=z, variables={"y": z})
+
+
+# 30 of 40 sampled units at z = 5 and none at z = 1: the two sample-quantile
+# cut points collapse onto z = 5, and the cell below it holds no sampled unit.
+HEAPED = np.concatenate([np.arange(1, 31), np.arange(501, 1001, 50)])
+
+
+class TestEmptyPoststratum:
+    def test_one_sample(self):
+        pop = _heaped_population()
+        d = SampleDraw(pop, Srswor(40), HEAPED, pi=np.full(40, 40 / pop.size))
+        with pytest.raises(ValueError, match="^empty poststratum$"):
+            post_weights(d, 2)
+        with pytest.raises(SingularSystemError,
+                           match=r"^singular basis system: reduce K or set lambda>0$"):
+            bspline_weights(d, SplineSpec(order=1, interior_knots=2))
+
+    def test_stack_holding_a_heaped_row(self):
+        pop = _heaped_population()
+        spread = np.linspace(0, 1000, 40).astype(int)
+        indices = np.stack([spread, HEAPED, spread[::-1]])
+        d = SampleDraw(pop, Srswor(40), indices, pi=np.full((3, 40), 40 / pop.size))
+        with pytest.raises(ValueError, match="^empty poststratum$"):
+            post_weights(d, 2)
+        ok = SampleDraw(pop, Srswor(40), indices[[0, 2]], pi=np.full((2, 40), 40 / pop.size))
+        assert post_weights(ok, 2).weights.shape == (2, 40)
 
 
 class TestGregWeights:
