@@ -14,11 +14,12 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .basis import SplineSpec, basis_matrix, build_knots
+from .basis import KNOT_RULES, SplineSpec, basis_matrix, build_knots
 from .designs import Population, Srswor, StratifiedSrswor, draw
 from .simulate import (
     FAMILIES,
     KINDS,
+    VARIANCE_METHODS,
     EstimatorSpec,
     ParameterSpec,
     SampleData,
@@ -40,34 +41,47 @@ from .variance import (  # noqa: F401
 from .weights import bspline_weights, greg_weights, ht_weights, post_weights  # noqa: F401
 
 
-def _spline_options(f):
-    f = click.option("--order", "-m", default=2, show_default=True,
-                     help="Spline order (degree + 1).")(f)
-    f = click.option("--knots", "-K", default=2, show_default=True,
-                     help="Number of interior knots.")(f)
-    f = click.option("--knot-rule", default="sample_quantile", show_default=True,
-                     type=click.Choice(["equidistant", "sample_quantile",
-                                        "population_quantile"]))(f)
-    f = click.option("--lam", "--lambda", "lam", default=0.0, show_default=True,
-                     help="Roughness penalty weight.")(f)
-    f = click.option("--penalty-order", "-p", default=1, show_default=True)(f)
+def _default(spec_type, name: str):
+    """The default of the field `name` of the dataclass `spec_type`."""
+    return next(f.default for f in fields(spec_type) if f.name == name)
+
+
+def _shape_options(f):
+    """The spline options that shape a basis: its order and interior knots."""
+    f = click.option("--order", "-m", default=_default(EstimatorSpec, "order"),
+                     show_default=True, help="Spline order (degree + 1).")(f)
+    f = click.option("--knots", "-K", default=_default(EstimatorSpec, "knots"),
+                     show_default=True, help="Number of interior knots.")(f)
     return f
+
+
+def _fit_options(f):
+    """The spline options that place the knots on a sample and penalize
+    the fit."""
+    f = click.option("--knot-rule", default=_default(SplineSpec, "knot_rule"),
+                     show_default=True, type=click.Choice(KNOT_RULES))(f)
+    f = click.option("--lam", "--lambda", "lam", default=_default(EstimatorSpec, "lam"),
+                     show_default=True, help="Roughness penalty weight.")(f)
+    f = click.option("--penalty-order", "-p",
+                     default=_default(EstimatorSpec, "penalty_order"), show_default=True)(f)
+    return f
+
+
+# Each design kind: the setting it needs (its plan key and command-line
+# option) and the design class that takes that setting.
+DESIGN_SETTINGS = {"srswor": ("n", "--n", Srswor),
+                   "stratified": ("allocations", "--allocation label=n", StratifiedSrswor)}
 
 
 def _design_options(f):
     f = click.option("--design", default="srswor", show_default=True,
-                     type=click.Choice(["srswor", "stratified"]))(f)
+                     type=click.Choice(list(DESIGN_SETTINGS)))(f)
     f = click.option("--n", default=200, show_default=True,
                      help="Sample size (srswor).")(f)
     f = click.option("--allocation", multiple=True,
                      help="Stratum allocation label=n (repeatable).")(f)
     f = click.option("--seed", default=0, show_default=True)(f)
     return f
-
-
-# The setting each design kind needs: its plan key and command-line option.
-DESIGN_SETTINGS = {"srswor": ("n", "--n"),
-                   "stratified": ("allocations", "--allocation label=n")}
 
 
 @contextmanager
@@ -80,28 +94,36 @@ def _usage_errors(source: str = ""):
         raise click.UsageError(f"{source}: {err}" if source else str(err)) from err
 
 
-def _make_design(config):
+def _make_design(config, source: str = ""):
     """The design a plan's "design" object describes. The --design, --n and
-    --allocation options reach it as the same object. A size that is not a
-    whole number is a usage error."""
-    kind = config.get("kind")
-    if kind not in DESIGN_SETTINGS:
-        raise click.UsageError(f"unknown design kind {kind!r}; choose from "
-                               f"{', '.join(DESIGN_SETTINGS)}")
-    key, option = DESIGN_SETTINGS[kind]
-    if key not in config:
-        raise click.UsageError(f"a {kind} design needs {key!r} in a plan, "
-                               f"{option} on the command line")
-    with _usage_errors():
-        if kind == "srswor":
-            return Srswor(config["n"])
-        return StratifiedSrswor(config["allocations"])
+    --allocation options reach it as the same object. A part that is not an
+    object, an unknown kind, a kind without its setting, a key the kind
+    does not read and a size that is not a whole number are usage errors,
+    after `source` when one is given; they are checked in that order."""
+    with _usage_errors(source):
+        if not isinstance(config, dict):
+            raise ValueError("not a JSON object")
+        kind = config.get("kind")
+        if kind not in DESIGN_SETTINGS:
+            raise ValueError(f"unknown design kind {kind!r}; choose from "
+                             f"{', '.join(DESIGN_SETTINGS)}")
+        key, option, design_type = DESIGN_SETTINGS[kind]
+        if key not in config:
+            raise ValueError(f"a {kind} design needs {key!r} in a plan, "
+                             f"{option} on the command line")
+        unknown = config.keys() - {"kind", key}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
+        return design_type(config[key])
 
 
 def _option_design(design, n, allocation):
     """The design of the --design, --n and --allocation options. Each
-    --allocation token reads label=n, and names a stratum at most once."""
-    config = {"kind": design, "n": n}
+    --allocation token reads label=n, and names a stratum at most once.
+    The options a design ignores are refused before this, so --n is the
+    setting when --allocation is not given: a stratified design without
+    --allocation is refused as lacking its allocations."""
+    config = {"kind": design}
     if allocation:
         allocations = config["allocations"] = {}
         for token in allocation:
@@ -114,13 +136,19 @@ def _option_design(design, n, allocation):
                 raise click.UsageError(f"--allocation {token}: stratum {label!r} "
                                        "is allocated twice")
             allocations[label] = int(count)
+    else:
+        config["n"] = n
     return _make_design(config)
 
 
 def _load_population(path, source: str) -> Population:
-    """`Population.from_csv(path)`; a file it refuses is a usage error."""
+    """`Population.from_csv(path)`; a file it refuses or cannot read is a
+    usage error naming it."""
     with _usage_errors(f"{source} {path}"):
-        return Population.from_csv(path)
+        try:
+            return Population.from_csv(path)
+        except OSError as err:
+            raise ValueError(err.strerror or str(err)) from err
 
 
 def _sample_and_weights(population, design, seed, family, spec):
@@ -170,8 +198,11 @@ def _reject_ignored_options() -> None:
 
 
 def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
-    return SplineSpec(order=order, interior_knots=knots, knot_rule=knot_rule,
-                      lam=lam, penalty_order=penalty_order)
+    """The spline of the spline options; a setting `SplineSpec` refuses is
+    a usage error naming the options' values."""
+    with _usage_errors(f"-m {order} -K {knots} --lam {lam:g} -p {penalty_order}"):
+        return SplineSpec(order=order, interior_knots=knots, knot_rule=knot_rule,
+                          lam=lam, penalty_order=penalty_order)
 
 
 @click.group()
@@ -180,15 +211,17 @@ def main():
 
 
 @main.command()
-@_spline_options
-@click.option("--grid", default=101, show_default=True,
+@_shape_options
+@click.option("--grid", default=101, show_default=True, type=click.IntRange(min=0),
               help="Number of evaluation points on [0,1].")
 @click.option("--output", "-o", type=click.Path(), default="-",
               help="CSV destination ('-' for stdout).")
-def basis(order, knots, knot_rule, lam, penalty_order, grid, output):
+def basis(order, knots, grid, output):
     """Evaluate the spline basis on a grid and emit CSV."""
-    # no sample at hand here, so quantile rules fall back to equidistant knots
-    spec = _make_spec(order, knots, "equidistant", lam, penalty_order)
+    # no sample at hand, so the knots follow the first rule, equidistant,
+    # which reads none
+    with _usage_errors(f"-m {order} -K {knots}"):
+        spec = SplineSpec(order=order, interior_knots=knots, knot_rule=KNOT_RULES[0])
     kv = build_knots(spec)
     z = np.linspace(0.0, 1.0, grid)
     B = basis_matrix(kv, order, z)
@@ -198,11 +231,13 @@ def basis(order, knots, knot_rule, lam, penalty_order, grid, output):
 
 
 @main.command()
-@click.option("--population", "pop_path", required=True, type=click.Path(exists=True))
+@click.option("--population", "pop_path", required=True, metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", default="bs", show_default=True,
               type=click.Choice(FAMILY_CHOICES))
 @_design_options
-@_spline_options
+@_fit_options
+@_shape_options
 @click.option("--output", "-o", type=click.Path(), default="-")
 @click.option("--diagnostics", type=click.Path(), default=None,
               help="Optional JSON file with calibration diagnostics.")
@@ -215,9 +250,8 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
     sample, ws = _sample_and_weights(pop, sampling, seed, family,
                                      _make_spec(order, knots, knot_rule, lam, penalty_order))
     rows = [["id", "pi", "weight", "family"]]
-    for idx, w in zip(ws.indices, ws.weights):
-        rows.append([pop.ids[idx], f"{sample.pi_of(idx):.10g}", f"{w:.12g}",
-                     ws.family])
+    for idx, pi, w in zip(ws.indices, sample.pi, ws.weights):
+        rows.append([pop.ids[idx], f"{pi:.10g}", f"{w:.12g}", ws.family])
     _write_csv(output, rows)
     if diagnostics:
         with open(diagnostics, "w", encoding="utf-8") as fh:
@@ -225,16 +259,18 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
 
 
 @main.command()
-@click.option("--population", "pop_path", required=True, type=click.Path(exists=True))
+@click.option("--population", "pop_path", required=True, metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", default="bs", show_default=True,
               type=click.Choice(FAMILY_CHOICES))
 @click.option("--parameter", "parameters", multiple=True, required=True,
               help="Parameter kind[:variable], e.g. gini:y or ratio:y/x.")
 @_design_options
-@_spline_options
-@click.option("--level", default=0.95, show_default=True)
-@click.option("--variance-method", default="closed", show_default=True,
-              type=click.Choice(["closed", "double_sum"]))
+@_fit_options
+@_shape_options
+@click.option("--level", default=_default(SimulationPlan, "level"), show_default=True)
+@click.option("--variance-method", default=_default(SimulationPlan, "variance_method"),
+              show_default=True, type=click.Choice(VARIANCE_METHODS))
 @click.option("--strict-poverty", is_flag=True,
               help="Use strict < at the low-income threshold.")
 @click.option("--emit-linearized", type=click.Path(), default=None,
@@ -328,24 +364,37 @@ PLAN_SPECS = {
 
 
 @main.command()
-@click.option("--plan", "plan_path", required=True, type=click.Path(exists=True),
+@click.option("--plan", "plan_path", required=True, metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False),
               help="JSON plan: population, design, estimators, parameters.")
 @click.option("--out-csv", type=click.Path(), default=None,
               help="Machine-readable per-cell metrics CSV.")
 def simulate(plan_path, out_csv):
     """Run the Monte Carlo protocol described by a plan file."""
-    with open(plan_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    design = _make_design(cfg["design"])
+    with _usage_errors(f"--plan {plan_path}"):
+        with open(plan_path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    _check_entry("plan", cfg, SimulationPlan, required=("population",))
+    design = _make_design(cfg["design"], f"plan design {json.dumps(cfg['design'])}")
     for what, (spec_type, _, _) in PLAN_SPECS.items():
-        for entry in cfg[f"{what}s"]:
-            _check_entry(what, entry, spec_type)
-    replicates = cfg.get("replicates", 1000)
-    if isinstance(replicates, bool) or not isinstance(replicates, int):
+        entries = cfg[f"{what}s"]
+        if not isinstance(entries, list):
+            raise click.UsageError(f"plan {what}s {json.dumps(entries)}: not a JSON array")
+        for entry in entries:
+            _check_entry(f"plan {what} {json.dumps(entry)}", entry, spec_type)
+    replicates = cfg.get("replicates")
+    if "replicates" in cfg and (isinstance(replicates, bool)
+                                or not isinstance(replicates, int)):
         raise click.UsageError(f"plan replicates {json.dumps(replicates)}: "
                                "not a whole number")
     estimators, parameters = (tuple(_plan_spec(what, entry) for entry in cfg[f"{what}s"])
                               for what in PLAN_SPECS)
+    # the plan's other keys are SimulationPlan's settings, as given
+    settings = {**cfg, "design": design, "estimators": estimators,
+                "parameters": parameters}
+    del settings["population"]
+    with _usage_errors("plan"):
+        plan = SimulationPlan(**settings)
     pop = _plan_population(cfg["population"])
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
@@ -353,16 +402,6 @@ def simulate(plan_path, out_csv):
     # population without strata, before the truths and the replicates
     with _usage_errors(f"plan design {json.dumps(cfg['design'])}"):
         design.strata(pop)
-    with _usage_errors("plan"):
-        plan = SimulationPlan(
-            design=design,
-            estimators=estimators,
-            parameters=parameters,
-            replicates=replicates,
-            level=cfg.get("level", 0.95),
-            master_seed=cfg.get("master_seed", 0),
-            variance_method=cfg.get("variance_method", "closed"),
-        )
     # a replicate's failure is not a usage error
     table = run_monte_carlo(plan, pop)
     click.echo(table.render())
@@ -370,19 +409,19 @@ def simulate(plan_path, out_csv):
         table.to_csv(out_csv)
 
 
-def _check_entry(what: str, entry, spec_type, extra=()) -> None:
-    """Refuse, as a usage error naming it, a plan entry that is not a JSON
-    object, or that has a key `spec_type` does not take (besides `extra`)
-    or lacks one it needs."""
+def _check_entry(source: str, entry, spec_type, optional=(), required=()) -> None:
+    """Refuse, as a usage error after `source`, a plan part that is not a
+    JSON object, that has a key other than the fields of `spec_type` and
+    the keys `optional` and `required`, or that lacks a field without a
+    default or a key of `required`."""
     if not isinstance(entry, dict):
-        raise click.UsageError(f"plan {what} {json.dumps(entry)}: not a JSON object")
-    names = {f.name for f in fields(spec_type)}.union(extra)
-    required = {f.name for f in fields(spec_type) if f.default is MISSING}
+        raise click.UsageError(f"{source}: not a JSON object")
+    names = {f.name for f in fields(spec_type)}.union(optional, required)
+    needed = {f.name for f in fields(spec_type) if f.default is MISSING}.union(required)
     for problem, keys in (("unknown", entry.keys() - names),
-                          ("missing", required - entry.keys())):
+                          ("missing", needed - entry.keys())):
         if keys:
-            raise click.UsageError(f"plan {what} {json.dumps(entry)}: {problem} "
-                                   f"key {min(keys)!r}")
+            raise click.UsageError(f"{source}: {problem} key {min(keys)!r}")
 
 
 def _plan_spec(what: str, entry: dict):
@@ -402,16 +441,32 @@ def _plan_spec(what: str, entry: dict):
     return spec
 
 
-def _plan_population(cfg) -> Population:
-    if "file" in cfg:
-        return _load_population(cfg["file"], "plan population file")
-    _check_entry("generator", cfg["generator"], SynthConfig, extra=("seed",))
-    gen = dict(cfg["generator"])
-    seed = gen.pop("seed", 0)
-    with _usage_errors(f"plan generator {json.dumps(cfg['generator'])}"):
+def _plan_population(part) -> Population:
+    """The population of a plan's "population" part: an object with exactly
+    one of "file", the path of a population CSV, and "generator",
+    `SynthConfig`'s settings and a seed. A part of another shape and a file
+    that cannot be read are usage errors naming them."""
+    with _usage_errors(f"plan population {json.dumps(part)}"):
+        if not isinstance(part, dict):
+            raise ValueError("not a JSON object")
+        unknown = part.keys() - {"file", "generator"}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
+        if len(part) != 1:
+            raise ValueError("needs exactly one of 'file' and 'generator'")
+        if "file" in part:
+            if not isinstance(part["file"], str):
+                raise ValueError(f"file must be a string, got {part['file']!r}")
+            return _load_population(part["file"], "plan population file")
+    generator = part["generator"]
+    source = f"plan generator {json.dumps(generator)}"
+    _check_entry(source, generator, SynthConfig, optional=("seed",))
+    settings = dict(generator)
+    seed = settings.pop("seed", 0)
+    with _usage_errors(source):
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"seed must be a whole number, got {seed!r}")
-        return synth_population(SynthConfig(**gen), seed)
+        return synth_population(SynthConfig(**settings), seed)
 
 
 def _write_csv(destination, rows) -> None:

@@ -26,7 +26,7 @@ TEXT_COLUMNS = ("id", "stratum")
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
     """Immutable finite universe: ids, auxiliary covariate z, study variables.
 
@@ -348,7 +348,7 @@ def _check_whole(what: str, size) -> None:
         raise ValueError(f"{what} is not a whole number: {size!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GivenProbabilities:
     """Poisson sampling: unit k enters independently with probability pi_k,
     so pi_kl = pi_k * pi_l. The probabilities are checked once, here, and
@@ -519,7 +519,7 @@ class SampleDraw:
         return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCells:
     """A draw's cells for its variances (`SampleDraw.pair_cells`), one per
     (sample, group), sample-major. With p the cell's first-order

@@ -29,7 +29,7 @@ from .functionals import (
 from .weights import SplineSystem, WeightSet
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearizedVariables:
     """Per-unit influence values for one functional."""
 
@@ -42,7 +42,7 @@ class LinearizedVariables:
             raise ValueError("linearized variables must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualFit:
     """Spline fit of linearized variables and its residuals on the sample."""
 

@@ -279,6 +279,11 @@ class ParameterSpec:
         return KINDS[self.kind].linearized(self, weights, ordering, *arrays).values
 
 
+# The variance routes `SampleData.estimate` takes: the design's closed form
+# and the Horvitz-Thompson double sum.
+VARIANCE_METHODS = ("closed", "double_sum")
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Full Monte Carlo protocol: design, roster, parameters, replication."""
@@ -286,19 +291,19 @@ class SimulationPlan:
     design: object
     estimators: tuple
     parameters: tuple
-    replicates: int
+    replicates: int = 1000
     level: float = 0.95
     master_seed: int = 0
-    variance_method: str = "closed"  # closed | double_sum
+    variance_method: str = "closed"  # one of VARIANCE_METHODS
 
     def __post_init__(self):
         _check_types(self)
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
         check_level(self.level)
-        if self.variance_method not in ("closed", "double_sum"):
+        if self.variance_method not in VARIANCE_METHODS:
             raise ValueError(f"unknown variance method {self.variance_method!r}; "
-                             "choose closed or double_sum")
+                             f"choose from {', '.join(VARIANCE_METHODS)}")
         if self.design.closed_form is None and self.variance_method == "closed":
             raise ValueError("Poisson sampling (GivenProbabilities) has no closed-form "
                              "variance; use variance_method='double_sum'")
@@ -372,7 +377,7 @@ class MetricsTable:
                              r.negative_variances, r.mean_runtime])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """One parameter estimated with one weight set on one sample, or on
     each sample of a stack (then every field has a leading replicate axis).
@@ -414,7 +419,7 @@ class SampleData:
                  variance_method: str, level: float) -> Estimate:
         """Point estimate with weights `ws`, variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
-        ("closed" or "double_sum"), and the normal interval at `level`."""
+        (one of VARIANCE_METHODS), and the normal interval at `level`."""
         point = parameter.evaluate(self.values, ws.weights, self.orderings)
         u = self.linearized[parameter.label]
         fitted = variance_fit(ws, u)

@@ -29,7 +29,7 @@ class SingularSystemError(ValueError):
     """A spline system whose normal matrix is numerically singular."""
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightSet:
     """Weights w_ks for the sampled units, with provenance and diagnostics.
 

@@ -881,3 +881,154 @@ def test_bench_span_hooks_resolve_and_restore():
             assert current(module, path) is not original, (module, path)
     for (module, path, _), original in zip(spans.HOOKS, originals):
         assert current(module, path) is original, (module, path)
+
+
+_PLAN = {
+    "population": {"generator": {"size": 300, "seed": 5}},
+    "design": {"kind": "srswor", "n": 30},
+    "estimators": [{"family": "HT"}],
+    "parameters": [{"kind": "mean"}],
+    "replicates": 2,
+}
+
+
+def _without(key):
+    return {k: v for k, v in _PLAN.items() if k != key}
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({**_PLAN, "replicate": 3}), "plan: unknown key 'replicate'"),
+    (json.dumps(_without("design")), "plan: missing key 'design'"),
+    (json.dumps(_without("estimators")), "plan: missing key 'estimators'"),
+    (json.dumps(_without("population")), "plan: missing key 'population'"),
+    (json.dumps({**_PLAN, "population": {}}),
+     "plan population {}: needs exactly one of 'file' and 'generator'"),
+    (json.dumps({**_PLAN, "population": {"file": "pop.csv", "generator": {}}}),
+     "needs exactly one of 'file' and 'generator'"),
+    (json.dumps({**_PLAN, "population": {"generator": {}, "seed": 3}}),
+     "unknown key 'seed'"),
+    (json.dumps({**_PLAN, "population": "pop.csv"}),
+     'plan population "pop.csv": not a JSON object'),
+    (json.dumps({**_PLAN, "population": {"file": 3}}),
+     'plan population {"file": 3}: file must be a string, got 3'),
+    (json.dumps([_PLAN]), "plan: not a JSON object"),
+    (json.dumps({**_PLAN, "design": 3}), "plan design 3: not a JSON object"),
+    (json.dumps({**_PLAN, "design": {"kind": "srswor", "n": 30,
+                                     "allocations": {"h0": 5}}}),
+     "unknown key 'allocations'"),
+    (json.dumps({**_PLAN, "estimators": {"family": "HT"}}),
+     'plan estimators {"family": "HT"}: not a JSON array'),
+    (json.dumps({**_PLAN, "parameters": "mean"}),
+     'plan parameters "mean": not a JSON array'),
+    (json.dumps(_PLAN)[:40], "plan.json: Expecting ',' delimiter"),
+], ids=["unknown-key", "no-design", "no-estimators", "no-population",
+        "empty-population", "file-and-generator", "population-unknown-key",
+        "population-not-an-object", "file-not-a-string", "plan-not-an-object",
+        "design-not-an-object", "design-key-its-kind-ignores",
+        "estimators-not-an-array", "parameters-not-an-array", "truncated"])
+def test_simulate_plan_part_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                             text, message):
+    """Every part of a plan is read against the spec that consumes it: a
+    malformed part is refused, naming it, before any replicate."""
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text)
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, message)
+    assert "Traceback" not in res.output
+
+
+def test_simulate_plan_population_file_missing_is_a_usage_error(runner, tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    missing = tmp_path / "missing.csv"
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({**_PLAN, "population": {"file": str(missing)}}))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, f"plan population file {missing}: No such file or directory")
+
+
+def test_simulate_plan_takes_the_plan_defaults(runner, tmp_path, monkeypatch):
+    """A plan without replicates, level, master_seed or variance_method
+    runs with `SimulationPlan`'s defaults."""
+    plans = []
+
+    def record(plan, population):
+        plans.append(plan)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(_without("replicates")))
+    assert runner.invoke(main, ["simulate", "--plan", str(plan_path)]).exit_code == 0
+    (plan,) = plans
+    assert (plan.replicates, plan.level, plan.master_seed, plan.variance_method) == (
+        1000, 0.95, 0, "closed")
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--parameter", "mean:y", "--population"],
+    ["weights", "--population"],
+    ["simulate", "--plan"],
+])
+def test_path_option_refuses_a_directory(runner, tmp_path, command):
+    res = runner.invoke(main, [*command, str(tmp_path)])
+    _usage_error(res, "is a directory")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("options,message", [
+    (["-m", "0"], "-m 0 -K 2: spline order must be >= 1"),
+    (["-K", "-1"], "-m 2 -K -1: interior knot count must be >= 0"),
+    (["--grid", "-1"], "Invalid value for '--grid'"),
+    (["-m", "2", "--lam", "1", "-p", "2"], "No such option '--lam'"),
+    (["--knot-rule", "population_quantile", "--lam", "5"],
+     "No such option '--knot-rule'"),
+    (["-p", "1"], "No such option '-p'"),
+], ids=["order-0", "knots-negative", "grid-negative", "lam", "knot-rule", "p"])
+def test_basis_refuses_bad_or_ignored_options(runner, options, message):
+    """`basis` takes only the options that shape a basis, and a value the
+    spline or the grid cannot take is a usage error."""
+    res = runner.invoke(main, ["basis", *options])
+    _usage_error(res, message)
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights"])
+@pytest.mark.parametrize("options,message", [
+    (["-m", "0"], "-m 0 -K 2 --lam 0 -p 1: spline order must be >= 1"),
+    (["-m", "3", "--lam", "1", "-p", "3"],
+     "-m 3 -K 2 --lam 1 -p 3: penalty order must be below spline order"),
+])
+def test_spline_options_the_spline_refuses_are_usage_errors(
+        runner, population_csv, monkeypatch, command, options, message):
+    monkeypatch.setattr(cli, "draw", _fail)
+    args = _command_args(command, population_csv) + ["--family", "bs", *options]
+    _usage_error(runner.invoke(main, args), message)
+
+
+def test_basis_output_is_unchanged(runner):
+    res = runner.invoke(main, ["basis", "-m", "2", "-K", "3", "--grid", "5"])
+    assert res.exit_code == 0, res.output
+    assert res.output == ("z,B1,B2,B3,B4,B5\n"
+                          "0,1,0,0,0,0\n"
+                          "0.25,0,1,0,0,0\n"
+                          "0.5,0,0,1,0,0\n"
+                          "0.75,0,0,0,1,0\n"
+                          "1,0,0,0,0,1\n")
+
+
+def test_option_choices_and_defaults_come_from_the_specs():
+    """The CLI states no choice list or default that a spec states."""
+    from splinesurvey.basis import KNOT_RULES
+
+    params = {p.name: p for p in cli.estimate.params}
+    assert tuple(params["knot_rule"].type.choices) == KNOT_RULES
+    assert tuple(params["variance_method"].type.choices) == simulate.VARIANCE_METHODS
+    assert tuple(params["design"].type.choices) == tuple(cli.DESIGN_SETTINGS)
+    spec = simulate.EstimatorSpec("BS")
+    assert (params["order"].default, params["knots"].default, params["lam"].default,
+            params["penalty_order"].default) == (spec.order, spec.knots, spec.lam,
+                                                 spec.penalty_order)
+    assert params["knot_rule"].default == SplineSpec(order=2, interior_knots=0).knot_rule
+    assert {p.name for p in cli.basis.params} == {"order", "knots", "grid", "output"}

@@ -549,3 +549,32 @@ class TestTvProxyDistance:
         m = WeightedMeasure([1.0])
         with pytest.raises(ValueError):
             tv_proxy_distance(m, m, grid_size=1)
+
+
+def test_array_holding_dataclasses_compare_by_identity(small_population):
+    """A dataclass that holds arrays compares and hashes by identity: `==`
+    gives a bool instead of numpy's ambiguous truth value, and a frozen one
+    is hashable."""
+    from splinesurvey import GivenProbabilities, linearized_total
+
+    sample = draw(small_population, Srswor(50), 3)
+    ws = greg_weights(sample)
+    p = ParameterSpec("mean")
+    u = linearized_total(sample.sample_values("y"))
+    instances = [
+        ws,
+        SampleData(sample, [p]).estimate(ws, p, "closed", 0.95),
+        u,
+        residual_fit(sample, SplineSpec(order=2, interior_knots=1), u.values),
+        sample.pair_cells,
+        small_population,
+        GivenProbabilities(np.full(small_population.size, 0.1)),
+    ]
+    assert [type(obj).__name__ for obj in instances] == [
+        "WeightSet", "Estimate", "LinearizedVariables", "ResidualFit", "PairCells",
+        "Population", "GivenProbabilities"]
+    for obj in instances:
+        assert (obj == obj) is True
+        assert (obj != obj) is False
+        assert isinstance(hash(obj), int)
+    assert (greg_weights(sample) == greg_weights(sample)) is False
