@@ -297,12 +297,11 @@ class CovariateSummary:
         """Sums of ((z - a) / h)^r for r < m over sorted units lo..hi-1, one
         row per (lo, hi, a, h)."""
         B = MOMENT_BLOCK
-        powers = np.arange(m)
         first = -(-lo // B)
         stop = np.maximum(first, hi // B)  # the full blocks inside: first..stop-1
         # the partial blocks at either end, low then high, zero-padded;
-        # powers along the units (as numpy's pow loop reads an exponent
-        # array), summed one unit after another as a column sum is
+        # powers along the units, summed one unit after another as a
+        # column sum is
         n_low = np.minimum(first * B, hi) - lo
         n_end = n_low + np.maximum(hi - stop * B, 0)
         at = np.arange(n_end.max(initial=0))
@@ -320,7 +319,7 @@ class CovariateSummary:
         index = np.where(at < blocks[:, None], first[:, None] + at, 0)
         shift = _powers((self.z01[index * B] - a[:, None]) / h[:, None], m)
         shift = np.ascontiguousarray(shift.swapaxes(-1, -2))
-        local = self._block_moments(m)[index, :m] / (h[:, None] ** powers)[:, None, :]
+        local = self._block_moments(m)[index, :m] / _powers(h[:, None], m)[:, None, :, 0]
         # [k, p]: sum_b ((c_b - a)/h)^k ((z - c_b)/h)^p, one product per row
         cross = np.stack([s[:b].T @ l[:b] for s, l, b in zip(shift, local, blocks)])
         for r in range(m):
@@ -364,7 +363,7 @@ class CovariateSummary:
         band = np.arange(J)[:, None] + np.arange(m)
         at = np.take_along_axis(values, band[None, :, None, :], axis=-1)
         t = (points[..., 1:] - left[..., None]) / width[..., None]
-        vandermonde = t[..., None] ** np.arange(1, m)
+        vandermonde = _powers(t, m)[..., 1:, :].swapaxes(-1, -2)
         skip = (lo == hi) | narrow
         vandermonde[skip] = np.eye(m - 1)  # unused; kept regular
         pieces = np.concatenate((at[..., :1, :], np.linalg.solve(
@@ -399,16 +398,14 @@ class CovariateSummary:
 
 def _powers(x: np.ndarray, m: int) -> np.ndarray:
     """x^r for r < m, with r on the second-last axis: (..., m, n) for x of
-    shape (..., n). x^0 = 1 and x^1 = x exactly; higher powers come from
-    numpy's general pow loop, given a full exponent array (a scalar
-    exponent 2 would take its square shortcut, which can differ from pow
-    in the last place)."""
+    shape (..., n). x^0 = 1 and x^1 = x exactly; each higher power is the
+    one below times x. Unlike numpy's pow, whose vector and scalar loops
+    round apart, a product does not depend on the array a value sits in,
+    so a value's powers are the same in a padded stack and alone."""
     out = np.empty(x.shape[:-1] + (m, x.shape[-1]))
     out[..., 0, :] = 1.0
-    out[..., 1:2, :] = x[..., None, :]
-    if m > 2:
-        exponents = np.repeat(np.arange(2, m)[:, None], x.shape[-1], axis=1)
-        out[..., 2:, :] = x[..., None, :] ** exponents
+    for r in range(1, m):
+        np.multiply(out[..., r - 1, :], x, out=out[..., r, :])
     return out
 
 

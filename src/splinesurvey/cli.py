@@ -205,6 +205,11 @@ def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
                           lam=lam, penalty_order=penalty_order)
 
 
+# An output file: a directory is refused before any work. The metavar
+# stays PATH, as `click.Path()` shows it.
+OUTPUT_PATH = click.Path(dir_okay=False)
+
+
 @click.group()
 def main():
     """Model-assisted survey estimation with penalized B-spline weights."""
@@ -214,7 +219,7 @@ def main():
 @_shape_options
 @click.option("--grid", default=101, show_default=True, type=click.IntRange(min=0),
               help="Number of evaluation points on [0,1].")
-@click.option("--output", "-o", type=click.Path(), default="-",
+@click.option("--output", "-o", type=OUTPUT_PATH, metavar="PATH", default="-",
               help="CSV destination ('-' for stdout).")
 def basis(order, knots, grid, output):
     """Evaluate the spline basis on a grid and emit CSV."""
@@ -238,8 +243,8 @@ def basis(order, knots, grid, output):
 @_design_options
 @_fit_options
 @_shape_options
-@click.option("--output", "-o", type=click.Path(), default="-")
-@click.option("--diagnostics", type=click.Path(), default=None,
+@click.option("--output", "-o", type=OUTPUT_PATH, metavar="PATH", default="-")
+@click.option("--diagnostics", type=OUTPUT_PATH, metavar="PATH", default=None,
               help="Optional JSON file with calibration diagnostics.")
 def weights(pop_path, family, design, n, allocation, seed, order, knots,
             knot_rule, lam, penalty_order, output, diagnostics):
@@ -273,9 +278,9 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
               show_default=True, type=click.Choice(VARIANCE_METHODS))
 @click.option("--strict-poverty", is_flag=True,
               help="Use strict < at the low-income threshold.")
-@click.option("--emit-linearized", type=click.Path(), default=None,
+@click.option("--emit-linearized", type=OUTPUT_PATH, metavar="PATH", default=None,
               help="CSV audit file of linearized values and residuals.")
-@click.option("--output", "-o", type=click.Path(), default="-")
+@click.option("--output", "-o", type=OUTPUT_PATH, metavar="PATH", default="-")
 def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              knots, knot_rule, lam, penalty_order, level, variance_method,
              strict_poverty, emit_linearized, output):
@@ -367,7 +372,7 @@ PLAN_SPECS = {
 @click.option("--plan", "plan_path", required=True, metavar="PATH",
               type=click.Path(exists=True, dir_okay=False),
               help="JSON plan: population, design, estimators, parameters.")
-@click.option("--out-csv", type=click.Path(), default=None,
+@click.option("--out-csv", type=OUTPUT_PATH, metavar="PATH", default=None,
               help="Machine-readable per-cell metrics CSV.")
 def simulate(plan_path, out_csv):
     """Run the Monte Carlo protocol described by a plan file."""

@@ -488,12 +488,18 @@ class SampleDraw:
         a[pairs] = (c - p[pairs] * p[pairs]) / c
         d = 1.0 - p
         occupied = count > 0
-        order = np.argsort(code, kind="stable")
+        # units already in cell order (every SRSWOR stack and Poisson draw)
+        # need no gather
+        if (code[1:] >= code[:-1]).all():
+            order = slice(None)
+        else:
+            order = np.argsort(code, kind="stable")
+            order.flags.writeable = False
         starts = np.cumsum(count[occupied]) - count[occupied]
-        arrays = (order, starts, count, occupied, d - a, d + (count - 1) * a)
+        arrays = (starts, count, occupied, d - a, d + (count - 1) * a)
         for x in arrays:
             x.flags.writeable = False
-        return PairCells(*arrays)
+        return PairCells(order, *arrays)
 
     def joint_prob(self, k: int, l: int) -> float:
         """Second-order inclusion probability pi_kl; pi_k on the diagonal."""
@@ -525,12 +531,13 @@ class PairCells:
     (sample, group), sample-major. With p the cell's first-order
     probability, d = 1 - p and a = (pi_kl - p^2) / pi_kl its pair
     coefficient (0 in a cell of fewer than two units): `order` is the
-    stable sort of the sampled units (flattened over a stack) by cell,
+    stable sort of the sampled units (flattened over a stack) by cell, or
+    the basic index `slice(None)` when they are already in cell order,
     `starts` where each nonempty cell's segment begins in that order (an
     empty cell has no segment), `count` the units per cell, `occupied`
     where count > 0, `spread_coef` d - a and `level_coef` d + (count - 1) a."""
 
-    order: np.ndarray
+    order: np.ndarray | slice
     starts: np.ndarray
     count: np.ndarray
     occupied: np.ndarray

@@ -25,6 +25,11 @@ Where a functional reads its masses, they are one shared read-only array
 of ones per shape, kept in a small bounded cache; its cumulative masses
 are the counts 0..n, and no ones are gathered.
 
+Every sum over the units is a numpy reduction along the row in a fixed
+order: pairwise (`np.add.reduce`), in unit order for totals and in sorted
+order for the Gini, or running (`np.cumsum`). No value depends on the
+BLAS thread count, and a row of a stack sums as that sample alone does.
+
 A measure holds one sample, (n,), or a stack of R samples, (R, n); the
 functionals then give one value per row, each computed as that sample's
 alone would be. The row-wise helpers below (`row_dot`, `matvec`,
@@ -43,7 +48,11 @@ import numpy as np
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, each the BLAS dot `a @ b` of 1-d rows."""
+    """Dot products of matching rows, each the BLAS dot `a @ b` of 1-d rows.
+
+    OpenBLAS splits a long dot (over 10 000 entries) across its threads,
+    which moves its last bits with the thread count; the functionals'
+    sums over the units are pairwise sums (`np.add.reduce`) instead."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -212,10 +221,10 @@ class WeightedMeasure:
     every unit has mass one (`unit_masses`): the quantile and the CDF at
     one point per row then select and count instead of sorting, N-hat is
     the unit count, and the cumulative masses are the counts 0..n. What
-    reads `masses` (the BLAS dots of `total` and `gini`, a strict poverty
-    rate, `with_extra_mass`, `implicit_solve`, a `ratio` with a weighted
-    partner) fetches one read-only array of ones, shared by every unit-mass
-    measure of the same shape.
+    reads `masses` (the sum of `gini`, `with_extra_mass`, `implicit_solve`,
+    a `ratio` with a weighted partner) fetches one read-only array of
+    ones, shared by every unit-mass measure of the same shape; `total`
+    sums the values alone.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -250,16 +259,21 @@ class WeightedMeasure:
         return self.ordering.sorted_values
 
     @cached_property
+    def _sorted_w(self) -> np.ndarray:
+        """The masses in sorted order, gathered once; ones need no gather."""
+        return self.masses if self.unit_masses else take_rows(self.masses, self._order)
+
+    @cached_property
     def _cum_w(self) -> np.ndarray:
         if self.unit_masses:  # the sums of k ones, exact (n < 2^53)
             return np.zeros(self.values.shape[:-1] + (1,)) + np.arange(self.size + 1.0)
-        return _cumsum0(take_rows(self.masses, self._order))
+        return _cumsum0(self._sorted_w)
 
     @cached_property
     def _cum_wy(self) -> np.ndarray:
         if self.unit_masses:  # 1.0 * y is y, down to the sign of zero
             return _cumsum0(self._sorted_y)
-        return _cumsum0(take_rows(self.masses, self._order) * self._sorted_y)
+        return _cumsum0(self._sorted_w * self._sorted_y)
 
     @property
     def size(self) -> int:
@@ -312,8 +326,11 @@ class WeightedMeasure:
 
 
 def total(measure: WeightedMeasure):
-    """Sum of w_k y_k."""
-    return as_scalar(row_dot(measure.masses, measure.values))
+    """Sum of w_k y_k in unit order; at unit masses the sum of the y_k,
+    which 1.0 * y_k leaves unchanged."""
+    if measure.unit_masses:
+        return as_scalar(np.add.reduce(measure.values, axis=-1))
+    return as_scalar(np.add.reduce(measure.masses * measure.values, axis=-1))
 
 
 def mean(measure: WeightedMeasure):
@@ -393,7 +410,8 @@ def _unit_rank(alpha: float, n: int) -> int:
 def gini(measure: WeightedMeasure):
     """Gini index of the weighted measure via the weak-CDF formula,
     G = sum_k w_k (2 F(y_k) - 1) y_k / t_y with F(y_k) the mass at or below
-    y_k over the total mass.
+    y_k over the total mass. The sum runs over the units in sorted order,
+    where F is read at each run's end without putting it back in unit order.
 
     Under the weak CDF every unit of a tie reads the whole tie's mass, as
     if it came last in the tie. A constant variable therefore has G = 1,
@@ -404,25 +422,21 @@ def gini(measure: WeightedMeasure):
     ty = total(measure)
     if np.count_nonzero(nhat == 0) or np.count_nonzero(ty == 0):
         raise ValueError("Gini undefined: zero mass or zero total")
-    F = measure.mass_at_most_own() / as_column(nhat)
-    return as_scalar(row_dot(measure.masses, (2.0 * F - 1.0) * measure.values)) / ty
+    F = take_rows(measure._cum_w, measure.ordering.run_end_at) / as_column(nhat)
+    terms = measure._sorted_w * ((2.0 * F - 1.0) * measure._sorted_y)
+    return as_scalar(np.add.reduce(terms, axis=-1)) / ty
 
 
 def poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
                  level: float = 0.5, strict: bool = False):
     """Share of mass at or below `fraction` times the `level`-quantile.
 
-    `strict` switches the threshold comparison from <= to <.
+    `strict` switches the threshold comparison from <= to <: the mass
+    below the threshold is the mass at or below the float just under it.
     """
     threshold = fraction * quantile(measure, level)
     if strict:
-        nhat = measure.total_mass
-        below = measure.mass_at_most(threshold)
-        hit = measure.values == as_column(threshold)
-        n = measure.size
-        at = np.array([m[h].sum() for m, h in
-                       zip(measure.masses.reshape(-1, n), hit.reshape(-1, n))])
-        return as_scalar((below - at.reshape(hit.shape[:-1])) / nhat)
+        threshold = np.nextafter(threshold, -np.inf)
     return cdf_value(measure, threshold)
 
 

@@ -197,8 +197,10 @@ class _SplineFit:
         self.basis_pop_total = basis_pop_total
         self.basis_sample = basis_matrix(knots, spec.order, z_s)
         self.inv_pi = inv_pi
-        bw = self.basis_sample * inv_pi[..., None]
-        A = self.basis_sample.swapaxes(-1, -2) @ bw
+        # the weighted basis with the units last, (..., q, n): its sums over
+        # the units are contiguous pairwise reductions
+        bw = np.multiply(self.basis_sample.swapaxes(-1, -2), inv_pi[..., None, :], order="C")
+        A = self.basis_sample.swapaxes(-1, -2) @ bw.swapaxes(-1, -2)
         if spec.lam > 0:
             A = A + spec.lam * penalty_matrix(spec, knots)
         self.normal_matrix = A
@@ -212,19 +214,19 @@ class _SplineFit:
         return np.linalg.solve(self.normal_matrix, rhs[..., None])[..., 0]
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
-        return self.solve(matvec(self._weighted_basis.swapaxes(-1, -2), v))
+        return self.solve(matvec(self._weighted_basis, v))
 
     def fitted(self, v: np.ndarray) -> np.ndarray:
         return matvec(self.basis_sample, self.coefficients(v))
 
     def weight_vector(self) -> np.ndarray:
-        gap = self._weighted_basis.sum(axis=-2) - self.basis_pop_total
-        return self.inv_pi - matvec(self._weighted_basis, self.solve(gap))
+        gap = self._weighted_basis.sum(axis=-1) - self.basis_pop_total
+        return self.inv_pi - matvec(self._weighted_basis.swapaxes(-1, -2), self.solve(gap))
 
     def projection_weight_vector(self) -> np.ndarray:
         totals = np.broadcast_to(self.basis_pop_total,
                                  self.normal_matrix.shape[:-1])
-        return matvec(self._weighted_basis, self.solve(totals))
+        return matvec(self._weighted_basis.swapaxes(-1, -2), self.solve(totals))
 
 
 def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightSet:

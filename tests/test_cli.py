@@ -977,6 +977,35 @@ def test_path_option_refuses_a_directory(runner, tmp_path, command):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command,option", [
+    (["basis"], "-o"),
+    (["weights", "--family", "ht"], "-o"),
+    (["weights", "--family", "ht"], "--diagnostics"),
+    (["estimate", "--family", "ht", "--parameter", "mean:y"], "-o"),
+    (["estimate", "--family", "ht", "--parameter", "mean:y"], "--emit-linearized"),
+    (["simulate"], "--out-csv"),
+])
+def test_output_path_refuses_a_directory_before_any_work(
+        runner, population_csv, tmp_path, monkeypatch, command, option):
+    """An output option naming a directory is a usage error before the
+    population is loaded and before any replicate runs."""
+    monkeypatch.setattr(cli.Population, "from_csv", _fail)
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    if command[0] == "simulate":
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "population": {"generator": {"size": 300, "seed": 5}},
+            "design": {"kind": "srswor", "n": 30}, "estimators": [{"family": "HT"}],
+            "parameters": [{"kind": "mean"}], "replicates": 50}))
+        command = [*command, "--plan", str(plan_path)]
+    elif command[0] != "basis":
+        command = [*command, "--population", str(population_csv)]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    res = runner.invoke(main, [*command, option, str(out_dir)])
+    _usage_error(res, f"'{out_dir}' is a directory")
+
+
 @pytest.mark.parametrize("options,message", [
     (["-m", "0"], "-m 0 -K 2: spline order must be >= 1"),
     (["-K", "-1"], "-m 2 -K -1: interior knot count must be >= 0"),

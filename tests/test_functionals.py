@@ -353,16 +353,17 @@ class TestLazySort:
 class SearchsortedReference:
     """The order functionals written out with a stable sort and a
     `searchsorted` of every point, as the library computed them before it
-    read run ends."""
+    read run ends. Sums over the units are pairwise (`np.add.reduce`): the
+    total in unit order, the Gini in sorted order."""
 
     def __init__(self, y, w):
         self.y, self.w = y, w
-        order = np.argsort(y, kind="stable")
+        self.order = order = np.argsort(y, kind="stable")
         self.s = y[order]
         self.cum_w = np.concatenate(([0.0], np.cumsum(w[order])))
         self.cum_wy = np.concatenate(([0.0], np.cumsum(w[order] * self.s)))
         self.nhat = float(w.sum())
-        self.ty = float(w @ y)
+        self.ty = float(np.add.reduce(w * y))
 
     def at_most(self, t):
         return self.cum_w[np.searchsorted(self.s, t, side="right")]
@@ -371,8 +372,8 @@ class SearchsortedReference:
         return self.cum_wy[np.searchsorted(self.s, t, side="left")]
 
     def gini(self):
-        F = self.at_most(self.y) / self.nhat
-        return float(self.w @ ((2.0 * F - 1.0) * self.y)) / self.ty
+        F = self.at_most(self.s) / self.nhat
+        return float(np.add.reduce(self.w[self.order] * ((2.0 * F - 1.0) * self.s))) / self.ty
 
     def quantile(self, alpha):
         # one support point per run of ties: its first unit in stable order
@@ -385,10 +386,8 @@ class SearchsortedReference:
 
     def poverty_rate(self, strict):
         threshold = 0.6 * self.quantile(0.5)
-        below = self.at_most(threshold)
-        if strict:
-            below = below - self.w[self.y == threshold].sum()
-        return float(below) / self.nhat
+        side = "left" if strict else "right"
+        return float(self.cum_w[np.searchsorted(self.s, threshold, side=side)]) / self.nhat
 
     def linearized_gini(self):
         G = self.gini()

@@ -40,6 +40,7 @@ from splinesurvey import (  # noqa: E402
     influence_oracle,
     knot_groups,
     mean,
+    penalty_matrix,
     post_weights,
     poverty_rate,
     quantile,
@@ -472,11 +473,10 @@ def test_basis_totals_sum_the_basis_over_the_population(z, m, data):
     A total below one unit's mass is held to 1e-12 absolute: it comes from
     polynomial pieces whose rounding is relative to the interval's whole
     mass (three units at 0, 0.99 and 1 give a cubic total of 2.7e-4 off by
-    2e-15, 8e-12 relative). The rows agree bit for bit up to order 2; from
-    order 3 the powers go through numpy's pow, whose vector and scalar
-    loops may round apart, and which loop runs depends on the width of the
-    stack's widest interval, so the rows agree to 1e-14 relative (an
-    order-3 total moved by 1 ulp, 8.9e-16, on a 501-unit population)."""
+    2e-15, 8e-12 relative). The rows agree bit for bit at every order: the
+    powers are products, which do not depend on the width of the stack's
+    widest interval, where numpy's pow would (its vector and scalar loops
+    round apart)."""
     if np.ptp(z) == 0:
         with pytest.raises(ValueError, match="degenerate covariate"):
             CovariateSummary(z)
@@ -501,11 +501,8 @@ def test_basis_totals_sum_the_basis_over_the_population(z, m, data):
         for r, row_bp in enumerate(bp.reshape(-1, bp.shape[-1])):
             if m == 1:
                 assert np.array_equal(rows[r], _interval_counts(row_bp, cs.z01))
-            if bp.ndim == 2 and m <= 2:
+            if bp.ndim == 2:
                 assert rows[r].tobytes() == cs.basis_totals(knots.row(r), m).tobytes()
-            elif bp.ndim == 2:
-                np.testing.assert_allclose(rows[r], cs.basis_totals(knots.row(r), m),
-                                           rtol=1e-14, atol=1e-14)
 
 
 # A calibration case: population size, spline order, interior knots, the
@@ -538,6 +535,46 @@ def test_spline_weights_meet_their_calibration_totals(case):
     assert residuals.shape == (R, K + m)
     assert np.abs(residuals).max() <= 1e-10
     np.testing.assert_allclose(ws.weights.sum(axis=-1), N, rtol=1e-10, atol=0)
+
+
+# A penalized calibration case: population size, spline order, interior
+# knots, lambda, the number of strata (one: SRSWOR), units sampled per knot
+# interval and stratum, stack size and seed.
+PENALIZED_CALIBRATIONS = st.tuples(
+    st.integers(120, 400), st.integers(2, 4), st.integers(1, 4),
+    st.sampled_from([0.1, 1.0, 10.0]), st.integers(1, 3), st.integers(8, 14),
+    st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PENALIZED_CALIBRATIONS)
+def test_penalized_weights_miss_their_totals_by_the_penalty(case):
+    """At lambda > 0 the weights w = d - (B_s * d) A^-1 (B_s' d - T) miss the
+    population basis totals T by exactly the penalty's share:
+    B_s' w - T = lambda D A^-1 (B_s' d - T), with A the system's normal
+    matrix B_s' diag(d) B_s + lambda D and D its penalty matrix. Checked on
+    each sample of a stack to 1e-10 relative to the largest total."""
+    N, m, K, lam, H, per_stratum, R, seed = case
+    rng = np.random.default_rng(seed)
+    labels = [f"h{h}" for h in range(H)]
+    pop = Population(ids=tuple(map(str, range(N))), z=rng.lognormal(3.0, 0.6, N),
+                     variables={}, strata=tuple(labels[k % H] for k in range(N)))
+    n = per_stratum * (K + 1)
+    design = Srswor(n) if H == 1 else StratifiedSrswor(dict.fromkeys(labels, n // H + 1))
+    d = designs.draw(pop, design, [seed + r for r in range(R)])
+    spec = SplineSpec(m, K, "sample_quantile", lam=lam)
+    system = bspline_weights(d, spec).system
+    fit = system._only
+    B, T, dw = fit.basis_sample, fit.basis_pop_total, 1.0 / d.pi
+    w = system.weight_vector()
+    lhs = np.einsum("rnq,rn->rq", B, w) - T
+    gap = np.einsum("rnq,rn->rq", B, dw) - T
+    D = penalty_matrix(spec, fit.knots)
+    rhs = lam * np.einsum("rqp,rp->rq", D, np.linalg.solve(fit.normal_matrix, gap[..., None])[..., 0])
+    assert lhs.shape == (R, K + m)
+    scale = np.abs(T).max(axis=-1, keepdims=True)
+    assert (np.abs(lhs - rhs) <= 1e-10 * scale).all()
+    assert (np.abs(lhs) > 1e-6 * scale).any()  # the penalty moves the totals
 
 
 # Weights on stratified samples with n_h = 1 strata: the family, the spline

@@ -8,6 +8,7 @@ fits fail, in some replicates and not in others.
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,3 +132,42 @@ def test_stacked_chunk_equals_runs_of_one(monkeypatch, case):
             assert row.negative_variances == other.negative_variances
     finally:
         logging.disable(logging.NOTSET)
+
+
+CHUNKING_POPULATION = synth_population(SynthConfig(size=3000, strata_count=3), 11)
+
+
+def _bits(table) -> dict:
+    """A table's truths and every field of its rows but the runtime, as
+    the bytes of each float."""
+    cells = {key: replace(row, mean_runtime=0.0) for key, row in table.rows.items()}
+    return {key: [np.float64(v).tobytes() if isinstance(v, float) else v
+                  for v in vars(row).values()] for key, row in cells.items()} | {
+        label: np.float64(t).tobytes() for label, t in table.truths.items()}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4), st.integers(0, 4), st.sampled_from([0.0, 1.0]),
+       st.sampled_from(["srswor", "stratified"]), st.integers(0, 1000))
+def test_tables_do_not_depend_on_the_chunk_size(monkeypatch, m, K, lam, kind, seed):
+    """Truths and tables are bit-identical at CHUNK_UNITS 500, 8 192 and
+    20 000: chunks of 2, 32 and 80 samples of 250 units, so 20 replicates
+    run as ten stacks, as two and as one. Every row of a stack is computed
+    as that sample alone is, down to the order of every sum. BS runs at
+    orders 1-4, penalized from order 2."""
+    design = (Srswor(250) if kind == "srswor"
+              else StratifiedSrswor({"h0": 80, "h1": 90, "h2": 80}))
+    plan = SimulationPlan(
+        design=design,
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"), EstimatorSpec("POST", knots=2),
+                    EstimatorSpec("BS", order=m, knots=K, lam=lam if m > 1 else 0.0)),
+        parameters=PARAMETERS + (ParameterSpec("poverty_rate", "x", strict=True),),
+        replicates=20, master_seed=seed)
+    tables = []
+    for units in (500, 8192, 20000):
+        monkeypatch.setattr(simulate, "CHUNK_UNITS", units)
+        tables.append(_bits(run_monte_carlo(plan, CHUNKING_POPULATION)))
+    monkeypatch.undo()
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
