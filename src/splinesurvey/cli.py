@@ -5,6 +5,7 @@ and the Monte Carlo simulation driver.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from contextlib import contextmanager
@@ -205,8 +206,8 @@ def _make_spec(order, knots, knot_rule, lam, penalty_order) -> SplineSpec:
                           lam=lam, penalty_order=penalty_order)
 
 
-# An output file: a directory is refused before any work. The metavar
-# stays PATH, as `click.Path()` shows it.
+# An output file, or '-' for standard output (`_write`): a directory is
+# refused before any work. The metavar stays PATH, as `click.Path()` shows it.
 OUTPUT_PATH = click.Path(dir_okay=False)
 
 
@@ -245,7 +246,7 @@ def basis(order, knots, grid, output):
 @_shape_options
 @click.option("--output", "-o", type=OUTPUT_PATH, metavar="PATH", default="-")
 @click.option("--diagnostics", type=OUTPUT_PATH, metavar="PATH", default=None,
-              help="Optional JSON file with calibration diagnostics.")
+              help="Optional JSON file with calibration diagnostics ('-' for stdout).")
 def weights(pop_path, family, design, n, allocation, seed, order, knots,
             knot_rule, lam, penalty_order, output, diagnostics):
     """Draw a sample and emit the weight vector as CSV."""
@@ -259,8 +260,7 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
         rows.append([pop.ids[idx], f"{pi:.10g}", f"{w:.12g}", ws.family])
     _write_csv(output, rows)
     if diagnostics:
-        with open(diagnostics, "w", encoding="utf-8") as fh:
-            json.dump(ws.diagnostics, fh, indent=2)
+        _write(diagnostics, json.dumps(ws.diagnostics, indent=2))
 
 
 @main.command()
@@ -279,7 +279,7 @@ def weights(pop_path, family, design, n, allocation, seed, order, knots,
 @click.option("--strict-poverty", is_flag=True,
               help="Use strict < at the low-income threshold.")
 @click.option("--emit-linearized", type=OUTPUT_PATH, metavar="PATH", default=None,
-              help="CSV audit file of linearized values and residuals.")
+              help="CSV audit file of linearized values and residuals ('-' for stdout).")
 @click.option("--output", "-o", type=OUTPUT_PATH, metavar="PATH", default="-")
 def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
              knots, knot_rule, lam, penalty_order, level, variance_method,
@@ -327,12 +327,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
                                        est.residuals):
                 audit_rows.append([pop.ids[idx], pspec.label, f"{uk:.12g}",
                                    f"{gk:.12g}", f"{ek:.12g}"])
-    text = json.dumps(reports, indent=2)
-    if output == "-":
-        click.echo(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write(output, json.dumps(reports, indent=2) + "\n")
     if emit_linearized:
         _write_csv(emit_linearized, audit_rows)
 
@@ -373,7 +368,7 @@ PLAN_SPECS = {
               type=click.Path(exists=True, dir_okay=False),
               help="JSON plan: population, design, estimators, parameters.")
 @click.option("--out-csv", type=OUTPUT_PATH, metavar="PATH", default=None,
-              help="Machine-readable per-cell metrics CSV.")
+              help="Machine-readable per-cell metrics CSV ('-' for stdout).")
 def simulate(plan_path, out_csv):
     """Run the Monte Carlo protocol described by a plan file."""
     with _usage_errors(f"--plan {plan_path}"):
@@ -411,7 +406,7 @@ def simulate(plan_path, out_csv):
     table = run_monte_carlo(plan, pop)
     click.echo(table.render())
     if out_csv:
-        table.to_csv(out_csv)
+        _write_csv(out_csv, table.csv_rows())
 
 
 def _check_entry(source: str, entry, spec_type, optional=(), required=()) -> None:
@@ -474,13 +469,22 @@ def _plan_population(part) -> Population:
         return synth_population(SynthConfig(**settings), seed)
 
 
-def _write_csv(destination, rows) -> None:
+def _write(destination, text: str) -> None:
+    """Write `text` to an output option's destination; '-' is standard
+    output, where the text ends on a line break."""
     if destination == "-":
-        for row in rows:
-            click.echo(",".join(str(c) for c in row))
+        click.echo(text, nl=not text.endswith("\n"))
         return
     with open(destination, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.write(text)
+
+
+def _write_csv(destination, rows) -> None:
+    """Write `rows` as CSV, quoted by `csv.writer`: with its CRLF line ends
+    to a file, with LF ones to standard output ('-')."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n" if destination == "-" else "\r\n").writerows(rows)
+    _write(destination, text.getvalue())
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ A measure built without masses (the census) has unit masses: its
 quantiles select the k-th smallest value and its CDF at a point counts,
 so of its order functionals only the Gini sorts. Both give the sorted
 path's results bit for bit, whose cumulative masses are then exact integers.
+`quantile` is the one weighted alpha-point of the estimates (the
+bandwidth's quartiles and the poverty line read it; knots keep their own
+rule), and a sample whose masses are all equal (the HT weights N/n of an
+SRSWOR sample) reads the census count k / n, so its quantile is the
+census quantile of its values at any scale.
 Where a functional reads its masses, they are one shared read-only array
 of ones per shape, kept in a small bounded cache; its cumulative masses
 are the counts 0..n, and no ones are gathered.
@@ -370,6 +375,11 @@ def quantile(measure: WeightedMeasure, alpha: float):
     Scans the support upward and returns the first point whose CDF reaches
     alpha; with signed masses the scan takes the first crossing. At unit
     masses that point is the k-th smallest value, selected without a sort.
+    A row of equal masses crosses where the census does: its CDF is read
+    as the count k / n, not as cumulative masses k c over n c, which round
+    and can miss alpha = k / n by one value (the median of 800 HT weights
+    19378 / 800 would be the 401st value). Other rows read their cumulative
+    masses over N-hat.
     """
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
@@ -386,9 +396,15 @@ def quantile(measure: WeightedMeasure, alpha: float):
             return as_scalar(kth[..., 0])
         return as_scalar(take_rows(y, (y == kth).argmax(axis=-1)[..., None])[..., 0])
     # every sorted position reads the CDF at its run's end; the first
-    # position that reaches alpha starts the first crossing run
+    # position that reaches alpha starts the first crossing run. A row of
+    # equal masses c reads the counts k / n, as the census does: its
+    # cumulative masses round, and k c / (n c) can miss k / n
     ordering = measure.ordering
-    crossed = take_rows(measure._cum_w, ordering.run_end_at) / as_column(nhat) >= alpha
+    w = measure.masses
+    equal = (w == w[..., :1]).all(axis=-1, keepdims=True)
+    cum = np.where(equal, np.arange(measure.size + 1.0), measure._cum_w)
+    share = take_rows(cum, ordering.run_end_at) / np.where(equal, measure.size, as_column(nhat))
+    crossed = share >= alpha
     first = crossed.argmax(axis=-1)[..., None]
     if not take_rows(crossed, first).all():
         raise ValueError("quantile undefined for this signed measure")

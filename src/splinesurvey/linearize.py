@@ -19,11 +19,11 @@ from .functionals import (
     WeightedMeasure,
     as_column,
     as_scalar,
+    cdf_value,
     gini,
     matvec,
     quantile,
     row_dot,
-    take_rows,
     total,
 )
 from .weights import SplineSystem, WeightSet
@@ -104,21 +104,21 @@ def linearized_gini(y, weights=None,
 
 def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
     """Rule-of-thumb kernel bandwidth for a weighted sample (for positive
-    weights). The quartiles are read in the stable order of `ordering`, an
-    `Ordering` of `y` shared with the sample's other order functionals."""
-    y = np.asarray(y, dtype=float)
-    ordering = Ordering(y) if ordering is None else ordering
+    weights): 0.9 min(sd, IQR / 1.349) n_eff^-0.2. The quartiles are
+    `quantile` of the weighted measure, read in the stable order of
+    `ordering`, an `Ordering` of `y` shared with the sample's other order
+    functionals."""
+    measure = WeightedMeasure(y, weights, ordering)
+    y = measure.values
     total_w = weights.sum(axis=-1)
     w = weights / as_column(total_w)
     mu = as_scalar(row_dot(w, y))
     sd = np.sqrt(np.maximum(row_dot(w, (y - as_column(mu)) ** 2), 0.0))
-    cum = np.cumsum(take_rows(w, ordering.order), axis=-1)
-    q25, q75 = (take_rows(ordering.sorted_values, (cum < level).sum(axis=-1)[..., None])[..., 0]
-                for level in (0.25, 0.75))
+    q25, q75 = (quantile(measure, level) for level in (0.25, 0.75))
     spread = as_scalar(np.where(q75 > q25, np.minimum(sd, (q75 - q25) / 1.349), sd))
     n_eff = as_scalar(total_w ** 2 / (weights**2).sum(axis=-1))
     # a constant sample's sd can round above zero
-    constant = ordering.sorted_values[..., 0] == ordering.sorted_values[..., -1]
+    constant = measure._sorted_y[..., 0] == measure._sorted_y[..., -1]
     if np.count_nonzero((spread <= 0) | constant) or np.count_nonzero(n_eff <= 0):
         raise ValueError("degenerate sample for bandwidth selection")
     return 0.9 * spread * n_eff ** (-0.2)
@@ -142,8 +142,9 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     threshold and at the quantile. The formula follows the standard
     linearization from the poverty-measurement literature, not a display
     in the source material for the rest of this package; reports flag it
-    accordingly. `ordering` is as in `linearized_gini`; the bandwidth's
-    quartiles read it too.
+    accordingly. The quantile is `quantile` and the proportion P is
+    `cdf_value` at the threshold, as in `poverty_rate`. `ordering` is as in
+    `linearized_gini`; the bandwidth's quartiles read it too.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1] < 10:
@@ -153,7 +154,7 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     nhat = measure.total_mass
     q = quantile(measure, level)
     t = fraction * q
-    P = measure.mass_at_most(t) / nhat
+    P = cdf_value(measure, t)
     h = silverman_bandwidth(y, w, measure.ordering)
     density = weighted_gaussian_density(np.stack([t, q], axis=-1), y, w, h)
     f_t, f_q = density[..., 0], density[..., 1]

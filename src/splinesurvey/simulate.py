@@ -363,18 +363,19 @@ class MetricsTable:
                              + str(r.negative_variances).rjust(9))
         return "\n".join(lines)
 
+    def csv_rows(self) -> list:
+        """The header and one row per (parameter, estimator), sorted."""
+        return [["parameter", "estimator", "truth", "rb_percent", "rrmse_percent",
+                 "coverage_percent", "negative_variances", "mean_runtime_s"]] + [
+            [p, e, self.truths[p], r.rb_percent, r.rrmse_percent, r.coverage_percent,
+             r.negative_variances, r.mean_runtime]
+            for (p, e), r in sorted(self.rows.items(), key=lambda kv: kv[0])]
+
     def to_csv(self, path) -> None:
         import csv
 
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["parameter", "estimator", "truth", "rb_percent",
-                         "rrmse_percent", "coverage_percent",
-                         "negative_variances", "mean_runtime_s"])
-            for (p, e), r in sorted(self.rows.items(), key=lambda kv: kv[0]):
-                wr.writerow([p, e, self.truths[p], r.rb_percent,
-                             r.rrmse_percent, r.coverage_percent,
-                             r.negative_variances, r.mean_runtime])
+            csv.writer(fh).writerows(self.csv_rows())
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ but HT calibrate on a spline system (`SplineSystem`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -137,21 +138,21 @@ class SplineSystem:
     @property
     def rcond(self):
         """Reciprocal condition number of the normal matrix, per sample."""
-        out = np.empty(self._shape[:-1])
-        for rows, fit in self._groups:
-            out[rows] = fit.rcond
-        return as_scalar(out)
+        return as_scalar(self._by_rows(attrgetter("rcond")))
 
     def knot_counts(self) -> str:
         """The effective interior knot count, or each group's, as text."""
         return "|".join(str(fit.knots.num_interior) for _, fit in self._groups)
 
     def _by_rows(self, method, *arrays) -> np.ndarray:
+        """`method` of each group on the group's rows of `arrays`, put
+        back in stack order."""
         if len(self._groups) == 1:
             return method(self._groups[0][1], *arrays)
-        out = np.empty(self._shape)
-        for rows, fit in self._groups:
-            out[rows] = method(fit, *(a[rows] for a in arrays))
+        parts = [(rows, method(fit, *(a[rows] for a in arrays))) for rows, fit in self._groups]
+        out = np.empty(self._shape[:1] + parts[0][1].shape[1:])
+        for rows, part in parts:
+            out[rows] = part
         return out
 
     def coefficients(self, values_on_sample) -> np.ndarray:
@@ -229,33 +230,44 @@ class _SplineFit:
         return matvec(self._weighted_basis.swapaxes(-1, -2), self.solve(totals))
 
 
+def _spline_weights(draw, spec: SplineSpec, tag: str, singular: str | None = None,
+                    vector=SplineSystem.weight_vector) -> WeightSet:
+    """The weights `vector` of the spline system of `spec` on `draw`,
+    tagged `tag` with the system's knot counts as {K}, the order as {m}
+    and the penalty as {lam}. `singular` renames the system's singular
+    refusal."""
+    try:
+        system = SplineSystem(draw, spec)
+    except SingularSystemError as err:
+        if singular is None:
+            raise
+        raise ValueError(singular) from err
+    tag = tag.format(K=system.knot_counts(), m=spec.order, lam=spec.lam)
+    return WeightSet(draw.indices, vector(system), tag, system=system)
+
+
+# The `SplineSystem` method behind each form of the B-spline weights.
+_FORMS = {"general": SplineSystem.weight_vector,
+          "projection": SplineSystem.projection_weight_vector}
+
+
 def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightSet:
     """Penalized B-spline calibration weights.
 
     `form` selects the general penalized expression or, at lambda = 0, the
     algebraically equivalent projection expression.
     """
-    system = SplineSystem(draw, spec)
-    if form == "general":
-        w = system.weight_vector()
-    elif form == "projection":
-        w = system.projection_weight_vector()
-    else:
+    if form not in _FORMS:
         raise ValueError(f"unknown weight form {form!r}")
-    tag = f"BS(m={spec.order},K={system.knot_counts()},lam={spec.lam:g})"
-    return WeightSet(draw.indices, w, tag, system=system)
+    return _spline_weights(draw, spec, "BS(m={m},K={K},lam={lam:g})", vector=_FORMS[form])
 
 
 def post_weights(draw, K: int) -> WeightSet:
     """Poststratified weights: order-1 unpenalized spline with K cut points.
     Its normal matrix is diagonal, one cell's HT size per entry, so the
     system's singular refusal is an empty poststratum."""
-    try:
-        system = SplineSystem(draw, SplineSpec(order=1, interior_knots=K))
-    except SingularSystemError as err:
-        raise ValueError("empty poststratum") from err
-    return WeightSet(draw.indices, system.weight_vector(),
-                     f"POST(K={system.knot_counts()})", system=system)
+    return _spline_weights(draw, SplineSpec(order=1, interior_knots=K), "POST(K={K})",
+                           "empty poststratum")
 
 
 def greg_weights(draw) -> WeightSet:
@@ -263,11 +275,8 @@ def greg_weights(draw) -> WeightSet:
     on the order-2 spline system without interior knots (it spans {1, z})."""
     if np.count_nonzero(np.ptp(draw.sample_z, axis=-1) == 0):
         raise ValueError("collinear design: sample covariate is constant")
-    try:
-        system = SplineSystem(draw, SplineSpec(order=2, interior_knots=0))
-    except SingularSystemError as err:
-        raise ValueError("collinear design") from err
-    return WeightSet(draw.indices, system.weight_vector(), "GREG", system=system)
+    return _spline_weights(draw, SplineSpec(order=2, interior_knots=0), "GREG",
+                           "collinear design")
 
 
 def fit_coefficients(draw, spec: SplineSpec, values_on_sample) -> np.ndarray:

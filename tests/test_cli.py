@@ -1061,3 +1061,51 @@ def test_option_choices_and_defaults_come_from_the_specs():
                                                  spec.penalty_order)
     assert params["knot_rule"].default == SplineSpec(order=2, interior_knots=0).knot_rule
     assert {p.name for p in cli.basis.params} == {"order", "knots", "grid", "output"}
+
+
+def test_weights_stdout_is_quoted_csv(runner, tmp_path):
+    """On standard output the B-spline family tag and ids holding a comma,
+    a quote or a line break stay one cell each, as `csv.reader` reads them."""
+    path = tmp_path / "odd.csv"
+    stems = ["u,3", 'say "hi"', "two\nlines"]
+    ids = [f"{stems[i % 3]}{i}" for i in range(40)]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["id", "z", "y"])
+        wr.writerows([uid, 1.0 + i, 2.0 + (7 * i) % 11] for i, uid in enumerate(ids))
+    res = runner.invoke(main, ["weights", "--population", str(path), "--n", "20",
+                               "--seed", "2"])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.reader(res.output.splitlines(keepends=True)))
+    assert rows[0] == ["id", "pi", "weight", "family"]
+    assert len(rows) == 21 and {len(row) for row in rows} == {4}
+    assert {row[3] for row in rows[1:]} == {"BS(m=2,K=2,lam=0)"}
+    assert {row[0] for row in rows[1:]} <= set(ids)
+    assert any("\n" in row[0] for row in rows) and any('"' in row[0] for row in rows)
+
+
+@pytest.mark.parametrize("command,option,marker", [
+    (["weights", "--family", "greg", "-o", "w.csv"], "--diagnostics",
+     '"calibration_residuals"'),
+    (["weights", "--family", "ht"], "-o", "id,pi,weight,family\n"),
+    (["estimate", "--family", "ht", "--parameter", "mean:y"], "--emit-linearized",
+     "id,parameter,u,fitted,residual\n"),
+    (["simulate"], "--out-csv", "parameter,estimator,truth,rb_percent"),
+])
+def test_dash_output_is_standard_output(runner, population_csv, tmp_path, monkeypatch,
+                                        command, option, marker):
+    """'-' names standard output for every output option: no file called
+    '-' appears."""
+    monkeypatch.chdir(tmp_path)
+    if command[0] == "simulate":
+        Path("plan.json").write_text(json.dumps({
+            "population": {"generator": {"size": 300, "seed": 5}},
+            "design": {"kind": "srswor", "n": 30}, "estimators": [{"family": "HT"}],
+            "parameters": [{"kind": "mean"}], "replicates": 3}))
+        command = [*command, "--plan", "plan.json"]
+    else:
+        command = [*command, "--population", str(population_csv), "--n", "30"]
+    res = runner.invoke(main, [*command, option, "-"])
+    assert res.exit_code == 0, res.output
+    assert marker in res.output
+    assert not Path("-").exists()

@@ -14,12 +14,13 @@ from splinesurvey import (
     linearized_poverty_rate,
     linearized_ratio,
     linearized_total,
+    quantile,
     ratio,
     residual_fit,
     srswor_variance,
 )
 from splinesurvey.designs import Population
-from splinesurvey.linearize import variance_fit
+from splinesurvey.linearize import silverman_bandwidth, variance_fit
 from splinesurvey.weights import WeightSet
 
 
@@ -129,6 +130,27 @@ class TestLinearizedPovertyRate:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 10"):
             linearized_poverty_rate(np.arange(1.0, 6.0))
+
+
+class TestSilvermanQuartiles:
+    @pytest.mark.parametrize("n,N,stack", [(800, 19378, False), (500, 19378, True),
+                                           (1200, 100000, False), (97, 1000, True)])
+    def test_quartiles_are_the_weighted_quantiles(self, n, N, stack):
+        """The bandwidth's quartiles are `quantile` of the same weighted
+        measure: heavy-tailed values make the interquartile range the
+        spread, so the bandwidth is 0.9 (q75 - q25) / 1.349 n_eff^-0.2."""
+        rng = np.random.default_rng(n)
+        shape = (3, n) if stack else (n,)
+        y = rng.lognormal(0.0, 1.5, shape)
+        w = np.full(shape, N / n)
+        if stack:
+            w[1] *= rng.uniform(0.5, 2.0, n)  # unequal masses in one row
+        q25, q75 = (np.atleast_1d(quantile(WeightedMeasure(y, w), a)) for a in (0.25, 0.75))
+        total_w = w.sum(axis=-1)
+        n_eff = total_w ** 2 / (w**2).sum(axis=-1)
+        assert ((q75 - q25) / 1.349 < y.std(axis=-1)).all()
+        want = 0.9 * ((q75 - q25) / 1.349) * n_eff ** (-0.2)
+        assert np.array_equal(np.atleast_1d(silverman_bandwidth(y, w)), want)
 
 
 class TestInfluenceOracle:

@@ -182,6 +182,44 @@ def same(a, b) -> bool:
     return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+# Equal masses: the HT weight N/n of an SRSWOR sample (N >= n) or any
+# positive real.
+EQUAL_MASS_SCALE = st.one_of(
+    st.integers(0, 10**6).map(lambda extra: ("population", extra)),
+    st.floats(min_value=0.0, exclude_min=True, max_value=1e300).map(lambda c: ("real", c)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 2000), scale=EQUAL_MASS_SCALE, rows=st.sampled_from([0, 2, 3]),
+       tied=st.booleans(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 1999),
+       other=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(n=800, scale=("population", 19378 - 800), rows=0, tied=False, seed=1, k=399,
+         other=0.25)
+@example(n=500, scale=("population", 19378 - 500), rows=2, tied=True, seed=2, k=374,
+         other=0.5)
+def test_equal_masses_give_the_census_quantile(n, scale, rows, tied, seed, k, other):
+    """A row of equal masses, at any scale, has the census quantile of its
+    values bit for bit, at levels with n * alpha whole and at others; a
+    row of unequal masses in the same stack has the quantile it has alone."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows == 0 else (rows, n)
+    y = (rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], shape) if tied
+         else np.round(rng.normal(0.0, 20.0, shape), 1))
+    kind, setting = scale
+    w = np.full(shape, (n + setting) / n if kind == "population" else setting)
+    equal = np.ones(rows or 1, dtype=bool)
+    if rows:
+        equal = rng.random(rows) < 0.5
+        w[~equal] *= rng.uniform(0.5, 3.0, (rows - int(equal.sum()), n))
+    measure = WeightedMeasure(y, w)
+    for alpha in ((k % (n - 1) + 1) / n, other, 0.25, 0.5, 0.75):
+        got = np.atleast_1d(quantile(measure, alpha))
+        for r, (row, masses) in enumerate(zip(y.reshape(-1, n), w.reshape(-1, n))):
+            alone = WeightedMeasure(row) if equal[r] else WeightedMeasure(row, masses)
+            assert same(float(got[r]), quantile(alone, alpha))
+
+
 @settings(max_examples=120, deadline=None)
 @given(census_values(), st.sampled_from([0.6, 1.0, 0.5]))
 def test_census_measure_equals_masses_of_one(y, fraction):
