@@ -379,7 +379,8 @@ def quantile(measure: WeightedMeasure, alpha: float):
     as the count k / n, not as cumulative masses k c over n c, which round
     and can miss alpha = k / n by one value (the median of 800 HT weights
     19378 / 800 would be the 401st value). Other rows read their cumulative
-    masses over N-hat.
+    masses over N-hat, and their top run always crosses: the CDF is 1
+    there, so every level in (0,1) has a quantile, a signed measure's too.
     """
     if not 0 < alpha < 1:
         raise ValueError("quantile level must lie in (0,1)")
@@ -404,10 +405,11 @@ def quantile(measure: WeightedMeasure, alpha: float):
     equal = (w == w[..., :1]).all(axis=-1, keepdims=True)
     cum = np.where(equal, np.arange(measure.size + 1.0), measure._cum_w)
     share = take_rows(cum, ordering.run_end_at) / np.where(equal, measure.size, as_column(nhat))
-    crossed = share >= alpha
+    # the top run's CDF is 1 in exact arithmetic, signed masses too, but
+    # its cumulative mass and N-hat are summed in different orders and its
+    # share can round below a level next to 1: it is read as crossed
+    crossed = (share >= alpha) | (ordering.run_end_at == measure.size)
     first = crossed.argmax(axis=-1)[..., None]
-    if not take_rows(crossed, first).all():
-        raise ValueError("quantile undefined for this signed measure")
     return as_scalar(take_rows(measure._sorted_y, take_rows(ordering.run_start_at, first))[..., 0])
 
 

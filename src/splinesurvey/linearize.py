@@ -3,7 +3,10 @@
 Nonlinear parameters are reduced to surrogate totals of per-unit linearized
 variables u_k; variance estimation then treats the residuals of u_k against
 a spline fit on the covariate as if they were the study variable. Every
-function takes one sample's values, (n,), or a stack's, (R, n), row by row.
+linearization takes the measure its functional is evaluated at (one
+`WeightedMeasure` of one weight set: the census at unit masses, a sample at
+its HT weights), of one sample, (n,), or of a stack, (R, n), row by row;
+the measure brings its masses and its sort, so nothing is rebuilt.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 
 from .basis import SplineSpec
 from .functionals import (
-    Ordering,
     WeightedMeasure,
     as_column,
     as_scalar,
@@ -56,15 +58,14 @@ def linearized_total(values) -> LinearizedVariables:
     return LinearizedVariables(np.asarray(values, dtype=float), "total")
 
 
-def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
-    """Influence values of the ratio of two totals: (y - R x) / t_x.
-
-    `weights` are the estimation weights for the embedded R and t_x (ones
-    for population-level evaluation, HT weights on a sample).
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+def linearized_ratio(measure_y: WeightedMeasure,
+                     measure_x: WeightedMeasure | None = None) -> LinearizedVariables:
+    """Influence values of the ratio of two totals: (y - R x) / t_x, with R
+    and t_x estimated at the masses of `measure_y` (ones for the census,
+    HT weights on a sample). `measure_x` holds x on the same masses;
+    without it x is 1, and the ratio is the mean."""
+    y, w = measure_y.values, measure_y.masses
+    x = np.ones_like(y) if measure_x is None else measure_x.values
     tx = as_scalar(row_dot(w, x))
     if np.count_nonzero(tx == 0):
         raise ValueError("ratio linearization undefined: zero denominator")
@@ -72,22 +73,19 @@ def linearized_ratio(y, x, weights=None) -> LinearizedVariables:
     return LinearizedVariables((y - as_column(R) * x) / as_column(tx), "ratio")
 
 
-def linearized_gini(y, weights=None,
-                    ordering: Ordering | None = None) -> LinearizedVariables:
+def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
     """Influence values of the Gini index under the weak-CDF convention.
 
     u_k = 2 F(y_k) (y_k - ybar_k) / t_y - y_k (1 + G) / t_y + (1 - G) / N
     with ybar_k the mass-weighted sum of values strictly below y_k divided
     by the mass weakly at or below y_k. That pairing (strict numerator,
     weak denominator) is the one validated against the finite-difference
-    influence oracle; see `influence_oracle`. `ordering`, an `Ordering`
-    built on the array `y`, shares its sort with other measures on `y`.
+    influence oracle; see `influence_oracle`. F and ybar are read off the
+    measure's sort, which the Gini itself reads.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] < 2:
+    y = measure.values
+    if measure.size < 2:
         raise ValueError("Gini undefined for a single atom")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     ty = total(measure)
     if np.count_nonzero(ty == 0) or np.count_nonzero(nhat == 0):
@@ -102,14 +100,11 @@ def linearized_gini(y, weights=None,
     return LinearizedVariables(u, "gini")
 
 
-def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
+def silverman_bandwidth(measure: WeightedMeasure):
     """Rule-of-thumb kernel bandwidth for a weighted sample (for positive
     weights): 0.9 min(sd, IQR / 1.349) n_eff^-0.2. The quartiles are
-    `quantile` of the weighted measure, read in the stable order of
-    `ordering`, an `Ordering` of `y` shared with the sample's other order
-    functionals."""
-    measure = WeightedMeasure(y, weights, ordering)
-    y = measure.values
+    `quantile` of the measure, read off its sort."""
+    y, weights = measure.values, measure.masses
     total_w = weights.sum(axis=-1)
     w = weights / as_column(total_w)
     mu = as_scalar(row_dot(w, y))
@@ -124,18 +119,18 @@ def silverman_bandwidth(y, weights, ordering: Ordering | None = None):
     return 0.9 * spread * n_eff ** (-0.2)
 
 
-def weighted_gaussian_density(y_points, y, weights, bandwidth) -> np.ndarray:
-    """Weighted Gaussian kernel density estimate at the given points (a
-    stack takes a row of points and a bandwidth per sample)."""
+def weighted_gaussian_density(y_points, measure: WeightedMeasure, bandwidth) -> np.ndarray:
+    """Weighted Gaussian kernel density estimate of the measure at the given
+    points (a stack takes a row of points and a bandwidth per sample)."""
+    y, weights = measure.values, measure.masses
     pts = np.atleast_1d(np.asarray(y_points, dtype=float))
     u = (pts[..., :, None] - y[..., None, :]) / as_column(as_column(bandwidth))
     kern = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
     return matvec(kern, weights) / as_column(weights.sum(axis=-1) * bandwidth)
 
 
-def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
-                            level: float = 0.5,
-                            ordering: Ordering | None = None) -> LinearizedVariables:
+def linearized_poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
+                            level: float = 0.5) -> LinearizedVariables:
     """Influence values of the low-income proportion.
 
     Accounts for the estimated threshold through a kernel density at the
@@ -143,20 +138,18 @@ def linearized_poverty_rate(y, weights=None, fraction: float = 0.6,
     linearization from the poverty-measurement literature, not a display
     in the source material for the rest of this package; reports flag it
     accordingly. The quantile is `quantile` and the proportion P is
-    `cdf_value` at the threshold, as in `poverty_rate`. `ordering` is as in
-    `linearized_gini`; the bandwidth's quartiles read it too.
+    `cdf_value` at the threshold, as in `poverty_rate`; the bandwidth and
+    the density read the same measure.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] < 10:
+    y = measure.values
+    if measure.size < 10:
         raise ValueError("poverty-rate linearization needs n >= 10")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    measure = WeightedMeasure(y, w, ordering)
     nhat = measure.total_mass
     q = quantile(measure, level)
     t = fraction * q
     P = cdf_value(measure, t)
-    h = silverman_bandwidth(y, w, measure.ordering)
-    density = weighted_gaussian_density(np.stack([t, q], axis=-1), y, w, h)
+    h = silverman_bandwidth(measure)
+    density = weighted_gaussian_density(np.stack([t, q], axis=-1), measure, h)
     f_t, f_q = density[..., 0], density[..., 1]
     if np.count_nonzero(f_q < 1e-12):
         raise ValueError("density too small at the quantile")

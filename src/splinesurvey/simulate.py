@@ -183,12 +183,13 @@ class ParameterKind(NamedTuple):
     """How a kind of parameter is computed from one weight system.
 
     `reads` names the `ParameterSpec` fields that hold the variables it
-    reads. `functional(spec, *measures)` is its value at the measures on
-    those variables, and `linearized(spec, w, ordering, *arrays)` its
-    linearized variable at weights `w` on their arrays, given the first
-    variable's `Ordering` (or None). `source` cites a linearization that
-    is taken from the literature rather than derived here. `settings`
-    names the other `ParameterSpec` fields it reads.
+    reads. Both halves take the measures of those variables at one weight
+    system, in that order: `functional(spec, *measures)` is the parameter
+    at the measures, and `linearized(spec, *measures)` its linearized
+    variable there (at the HT weights for a variance, at unit masses for
+    the census). `source` cites a linearization that is taken from the
+    literature rather than derived here. `settings` names the other
+    `ParameterSpec` fields it reads.
     """
 
     reads: tuple
@@ -198,23 +199,24 @@ class ParameterKind(NamedTuple):
     settings: tuple = ()
 
 
-# Kind name -> ParameterKind. The entries look `total`, `linearized_gini`
-# and the rest up in this module when called, so that a wrapper put on
-# one of these names (bench/spans.py) sees every call.
+# Kind name -> ParameterKind; each half reads the measures of the kind's
+# variables. The entries look `total`, `linearized_gini` and the rest up in
+# this module when called, so that a wrapper put on one of these names
+# (bench/spans.py) sees every call.
 KINDS = {
     "total": ParameterKind(("variable",), lambda p, m: total(m),
-                           lambda p, w, o, y: linearized_total(y)),
+                           lambda p, m: linearized_total(m.values)),
     # mean = ratio with a unit denominator variable
     "mean": ParameterKind(("variable",), lambda p, m: mean(m),
-                          lambda p, w, o, y: linearized_ratio(y, np.ones_like(y), w)),
+                          lambda p, m: linearized_ratio(m)),
     "ratio": ParameterKind(("variable", "denominator"), lambda p, my, mx: ratio(my, mx),
-                           lambda p, w, o, y, x: linearized_ratio(y, x, w)),
+                           lambda p, my, mx: linearized_ratio(my, mx)),
     "gini": ParameterKind(("variable",), lambda p, m: gini(m),
-                          lambda p, w, o, y: linearized_gini(y, w, o)),
+                          lambda p, m: linearized_gini(m)),
     "poverty_rate": ParameterKind(
         ("variable",),
         lambda p, m: poverty_rate(m, p.fraction, p.level, p.strict),
-        lambda p, w, o, y: linearized_poverty_rate(y, w, p.fraction, p.level, o),
+        lambda p, m: linearized_poverty_rate(m, p.fraction, p.level),
         "external literature (kernel-density threshold adjustment)",
         settings=("fraction", "level", "strict")),
 }
@@ -254,29 +256,31 @@ class ParameterSpec:
         a Monte Carlo run is keyed by the label, which joins them)."""
         return tuple(getattr(self, name) for name in KINDS[self.kind].reads)
 
+    def measures(self, values: dict, masses: np.ndarray | None,
+                 orderings: dict | None = None) -> list:
+        """The measures with `masses` (None: unit masses) on the sample
+        `values` (variable name -> array) of the variables the parameter
+        reads, in `reads` order. `orderings` maps variable names to an
+        `Ordering` built on the same arrays, so that every measure on one
+        sample shares one sort of each variable."""
+        return [WeightedMeasure(values[name], masses, (orderings or {}).get(name))
+                for name in self.variables]
+
     def evaluate(self, values: dict, masses: np.ndarray | None,
                  orderings: dict | None = None) -> float:
-        """The parameter at the measure with `masses` (None: unit masses) on
-        the sample `values` (variable name -> array): a float for one
-        sample, one value per row for an (R, n) stack. `orderings` maps
-        variable names to an `Ordering` built on the same arrays, so that
-        every estimator on one sample shares one sort of each variable."""
-        orderings = orderings or {}
-        measures = [WeightedMeasure(values[name], masses, orderings.get(name))
-                    for name in self.variables]
-        return KINDS[self.kind].functional(self, *measures)
+        """The parameter at its `measures`: a float for one sample, one
+        value per row for an (R, n) stack."""
+        return KINDS[self.kind].functional(self, *self.measures(values, masses, orderings))
 
     def truth(self, population: Population) -> float:
         """The parameter of the census: the measure at unit masses, whose
         quantiles and CDF values select and count instead of sorting."""
         return self.evaluate(population.variables, None)
 
-    def linearized(self, values: dict, weights: np.ndarray,
+    def linearized(self, values: dict, weights: np.ndarray | None,
                    orderings: dict | None = None) -> np.ndarray:
-        """Linearized variable on the sample; `orderings` as in `evaluate`."""
-        arrays = [np.asarray(values[name], dtype=float) for name in self.variables]
-        ordering = orderings.get(self.variable) if orderings else None
-        return KINDS[self.kind].linearized(self, weights, ordering, *arrays).values
+        """Linearized variable at its `measures` with masses `weights`."""
+        return KINDS[self.kind].linearized(self, *self.measures(values, weights, orderings)).values
 
 
 # The variance routes `SampleData.estimate` takes: the design's closed form
@@ -404,25 +408,41 @@ class Estimate:
 class SampleData:
     """What every estimator on one sample, or on each sample of a stack,
     shares: the sample values of the variables the parameters read, one
-    `Ordering` per variable (one sort of each, built on first use) and each
-    parameter's linearized variable at the HT weights."""
+    `Ordering` per variable (one sort of each, built on first use), and
+    one measure per variable and weight set. The measures at the HT
+    weights 1/pi give each parameter's linearized variable, and a weight
+    set equal to those weights (the HT estimator's) reads them too."""
 
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
         names = dict.fromkeys(name for p in parameters for name in p.variables)
         self.values = {name: sample.sample_values(name) for name in names}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
+        # (weights, {variable: measure}) at the HT weights, and at the last
+        # weight set estimated with, whose parameters all read its measures
         ht = 1.0 / sample.pi
-        self.linearized = {p.label: p.linearized(self.values, ht, self.orderings)
+        self._ht = self._last = (ht, self._measures(ht))
+        self.linearized = {p.label: KINDS[p.kind].linearized(p, *map(self._ht[1].get, p.variables))
                            for p in parameters}
+
+    def _measures(self, weights: np.ndarray) -> dict:
+        """{variable: its measure at `weights`, on its shared ordering}."""
+        return {name: WeightedMeasure(vals, weights, self.orderings[name])
+                for name, vals in self.values.items()}
 
     def estimate(self, ws: WeightSet, parameter: ParameterSpec,
                  variance_method: str, level: float) -> Estimate:
         """Point estimate with weights `ws`, variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
         (one of VARIANCE_METHODS), and the normal interval at `level`."""
-        point = parameter.evaluate(self.values, ws.weights, self.orderings)
-        u = self.linearized[parameter.label]
+        weights, measures = self._last
+        if ws.weights is not weights:  # a new weight set: measure it once
+            measures = (self._ht[1] if np.array_equal(ws.weights, self._ht[0])
+                        else self._measures(ws.weights))
+            self._last = (ws.weights, measures)
+        point = KINDS[parameter.kind].functional(parameter,
+                                                 *map(measures.get, parameter.variables))
+        u = self.linearized[parameter.label].values
         fitted = variance_fit(ws, u)
         resid = u - fitted
         if variance_method == "double_sum":

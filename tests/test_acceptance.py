@@ -184,14 +184,14 @@ def test_criterion_5_influence_oracle():
         worst_lin = max(worst_lin,
                         np.max(np.abs(u_tot - orc_tot)) / np.max(np.abs(u_tot)))
 
-        u_rat = linearized_ratio(y, x).values
+        u_rat = linearized_ratio(WeightedMeasure(y), WeightedMeasure(x)).values
         ty, tx = y.sum(), x.sum()
         eps = 1e-6
         orc_rat = ((ty + eps * y) / (tx + eps * x) - ty / tx) / eps
         worst_lin = max(worst_lin,
                         np.max(np.abs(u_rat - orc_rat)) / np.max(np.abs(u_rat)))
 
-        u_g = linearized_gini(y).values
+        u_g = linearized_gini(WeightedMeasure(y)).values
         orc_g = np.array([influence_oracle(gini, m, k, 1e-6) for k in range(N)])
         worst_gini = max(worst_gini,
                          np.max(np.abs(u_g - orc_g)) / np.max(np.abs(u_g)))
@@ -311,7 +311,7 @@ def test_criterion_11_first_linearization_surrogate(wage_population):
     pop = wage_population
     y = pop.variables["y"]
     x = pop.variables["x"]
-    u_pop = linearized_ratio(y, x).values
+    u_pop = linearized_ratio(WeightedMeasure(y), WeightedMeasure(x)).values
     spec = SplineSpec(order=2, interior_knots=2, lam=0.0)
     reps, n = 2000, 500
     plug = np.empty(reps)

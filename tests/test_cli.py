@@ -775,7 +775,7 @@ def test_a_new_kind_needs_only_a_table_entry(runner, population_csv, monkeypatch
     kind = simulate.ParameterKind(
         ("variable", "denominator"),
         lambda p, my, mx: functionals.total(my) - functionals.total(mx),
-        lambda p, w, o, y, x: simulate.linearized_total(y - x),
+        lambda p, my, mx: simulate.linearized_total(my.values - mx.values),
         "a test note")
     monkeypatch.setitem(simulate.KINDS, "difference", kind)
     args = ["estimate", "--population", str(population_csv), "--family", "ht",

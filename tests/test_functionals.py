@@ -401,8 +401,8 @@ class SearchsortedReference:
         q = self.quantile(0.5)
         t = 0.6 * q
         P = float(self.at_most(t)) / nhat
-        h = silverman_bandwidth(y, w)
-        f_t, f_q = weighted_gaussian_density([t, q], y, w, h)
+        h = silverman_bandwidth(WeightedMeasure(y, w))
+        f_t, f_q = weighted_gaussian_density([t, q], WeightedMeasure(y, w), h)
         if f_q < 1e-12:
             raise ValueError("density too small at the quantile")
         adj = 0.6 * f_t / f_q
@@ -438,8 +438,8 @@ class TestRunEndReads:
             ref = SearchsortedReference(y, w)
             m = WeightedMeasure(y, w)
             pairs = [(lambda: gini(m), ref.gini),
-                     (lambda: linearized_gini(y, w).values, ref.linearized_gini),
-                     (lambda: linearized_poverty_rate(y, w).values,
+                     (lambda: linearized_gini(WeightedMeasure(y, w)).values, ref.linearized_gini),
+                     (lambda: linearized_poverty_rate(WeightedMeasure(y, w)).values,
                       ref.linearized_poverty_rate)]
             pairs += [(lambda a=a: quantile(m, a), lambda a=a: ref.quantile(a))
                       for a in (0.1, 0.5, 0.9)]
@@ -465,8 +465,8 @@ class TestRunEndReads:
         for w in (np.ones(50), np.full(50, 2.5), np.linspace(-1.0, 3.0, 50)):
             m = WeightedMeasure(y, w, ordering)
             assert gini(m) == gini(WeightedMeasure(y, w))
-        linearized_gini(y, np.ones(50), ordering)
-        linearized_poverty_rate(y, np.ones(50), ordering=ordering)
+        linearized_gini(WeightedMeasure(y, np.ones(50), ordering))
+        linearized_poverty_rate(WeightedMeasure(y, np.ones(50), ordering))
         assert calls.count(50) == 1 + 3  # the shared sort, and one per unshared measure
 
     def test_ordering_of_other_values_is_refused(self):

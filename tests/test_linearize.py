@@ -51,23 +51,25 @@ class TestLinearizedTotal:
 class TestLinearizedRatio:
     def test_equal_variables_vanish(self):
         y = np.array([1.0, 4.0, 9.0])
-        assert np.allclose(linearized_ratio(y, y).values, 0.0)
+        assert np.allclose(linearized_ratio(WeightedMeasure(y), WeightedMeasure(y)).values, 0.0)
 
     def test_hand_example(self):
-        u = linearized_ratio(np.array([2.0, 4.0]), np.array([1.0, 3.0])).values
+        u = linearized_ratio(WeightedMeasure(np.array([2.0, 4.0])),
+                             WeightedMeasure(np.array([1.0, 3.0]))).values
         assert np.allclose(u, [0.125, -0.125])
 
     def test_population_sum_is_zero(self, rng):
         y = rng.uniform(1, 9, 60)
         x = rng.uniform(1, 9, 60)
-        assert np.sum(linearized_ratio(y, x).values) == pytest.approx(0.0, abs=1e-12)
+        assert (np.sum(linearized_ratio(WeightedMeasure(y), WeightedMeasure(x)).values)
+                == pytest.approx(0.0, abs=1e-12))
 
     def test_oracle_agreement(self, rng):
         for _ in range(10):
             N = int(rng.integers(5, 100))
             y = rng.uniform(1, 9, N)
             x = rng.uniform(1, 9, N)
-            u = linearized_ratio(y, x).values
+            u = linearized_ratio(WeightedMeasure(y), WeightedMeasure(x)).values
             # the perturbation adds mass at the bivariate point (y_k, x_k)
             tx, ty = x.sum(), y.sum()
             eps = 1e-6
@@ -81,7 +83,7 @@ class TestLinearizedGini:
             N = int(rng.integers(10, 100))
             y = np.unique(rng.uniform(1, 100, N))
             m = WeightedMeasure(y)
-            u = linearized_gini(y).values
+            u = linearized_gini(WeightedMeasure(y)).values
             orc = np.array([influence_oracle(gini, m, k, 1e-6)
                             for k in range(y.size)])
             scale = np.max(np.abs(u))
@@ -91,27 +93,27 @@ class TestLinearizedGini:
         y = np.unique(rng.uniform(1, 50, 40))
         w = rng.uniform(0.5, 3.0, y.size)
         m = WeightedMeasure(y, w)
-        u = linearized_gini(y, w).values
+        u = linearized_gini(WeightedMeasure(y, w)).values
         orc = np.array([influence_oracle(gini, m, k, 1e-6) for k in range(y.size)])
         assert np.max(np.abs(u - orc)) <= 1e-4 * np.max(np.abs(u))
 
     def test_scale_equivariance_via_oracle(self, rng):
         y = np.unique(rng.uniform(1, 20, 30))
-        u1 = linearized_gini(y).values
-        u2 = linearized_gini(2.0 * y).values
+        u1 = linearized_gini(WeightedMeasure(y)).values
+        u2 = linearized_gini(WeightedMeasure(2.0 * y)).values
         # Gini is scale free, so the variance ratio built on u is unchanged
         assert np.var(u1) == pytest.approx(np.var(u2) * 4.0, rel=1e-10) or True
         assert np.sum(u1) == pytest.approx(2.0 * np.sum(u2), rel=1e-8)
 
     def test_single_atom_rejected(self):
         with pytest.raises(ValueError, match="single atom"):
-            linearized_gini(np.array([3.0]))
+            linearized_gini(WeightedMeasure(np.array([3.0])))
 
 
 class TestLinearizedPovertyRate:
     def test_bounded_magnitude(self, rng):
         y = rng.lognormal(7.0, 0.5, 200)
-        lv = linearized_poverty_rate(y)
+        lv = linearized_poverty_rate(WeightedMeasure(y))
         u = lv.values
         assert np.all(np.isfinite(u))
         assert np.max(np.abs(u)) * y.size < 10.0  # of order 1/N
@@ -119,17 +121,17 @@ class TestLinearizedPovertyRate:
     def test_degenerate_threshold(self, rng):
         # threshold far below the support: indicator term vanishes
         y = rng.uniform(100.0, 101.0, 50)
-        u = linearized_poverty_rate(y, fraction=0.01).values
+        u = linearized_poverty_rate(WeightedMeasure(y), fraction=0.01).values
         assert np.all(np.isfinite(u))
 
     def test_variance_nonnegative(self, rng):
         y = rng.lognormal(7.0, 0.5, 100)
-        u = linearized_poverty_rate(y).values
+        u = linearized_poverty_rate(WeightedMeasure(y)).values
         assert srswor_variance(1000, 100, u).value >= 0.0
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 10"):
-            linearized_poverty_rate(np.arange(1.0, 6.0))
+            linearized_poverty_rate(WeightedMeasure(np.arange(1.0, 6.0)))
 
 
 class TestSilvermanQuartiles:
@@ -150,7 +152,7 @@ class TestSilvermanQuartiles:
         n_eff = total_w ** 2 / (w**2).sum(axis=-1)
         assert ((q75 - q25) / 1.349 < y.std(axis=-1)).all()
         want = 0.9 * ((q75 - q25) / 1.349) * n_eff ** (-0.2)
-        assert np.array_equal(np.atleast_1d(silverman_bandwidth(y, w)), want)
+        assert np.array_equal(np.atleast_1d(silverman_bandwidth(WeightedMeasure(y, w))), want)
 
 
 class TestInfluenceOracle:

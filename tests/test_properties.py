@@ -198,6 +198,10 @@ EQUAL_MASS_SCALE = st.one_of(
          other=0.25)
 @example(n=500, scale=("population", 19378 - 500), rows=2, tied=True, seed=2, k=374,
          other=0.5)
+# the unequal first row's top share rounds below 1 - 2**-53, the last level
+# before 1: its top run must still cross
+@example(n=114, scale=("population", 0), rows=2, tied=False, seed=0, k=1,
+         other=1 - 2**-53)
 def test_equal_masses_give_the_census_quantile(n, scale, rows, tied, seed, k, other):
     """A row of equal masses, at any scale, has the census quantile of its
     values bit for bit, at levels with n * alpha whole and at others; a

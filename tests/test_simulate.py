@@ -37,7 +37,7 @@ from splinesurvey import (
     tv_proxy_distance,
 )
 import splinesurvey
-from splinesurvey import functionals, simulate
+from splinesurvey import cli, functionals, linearize, simulate
 
 
 class TestSynthPopulation:
@@ -254,39 +254,67 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
     assert next(got, None) is None
 
 
+def _row(est: Estimate, r) -> Estimate:
+    """Row r of a stack's estimate; one sample's (r None) as it is."""
+    if r is None:
+        return est
+    v = est.variance
+    return Estimate(est.point[r], est.u[r], est.fitted[r],
+                    VarianceEstimate(v.value[r], v.method),
+                    (est.interval[0][r], est.interval[1][r]))
+
+
 class TestSampleData:
     PARAMETERS = (ParameterSpec("mean"), ParameterSpec("gini"),
                   ParameterSpec("ratio"), ParameterSpec("poverty_rate"))
 
-    @pytest.fixture(scope="class")
-    def sample(self):
-        pop = synth_population(SynthConfig(size=3000, strata_count=3), 4)
-        return draw(pop, StratifiedSrswor({"h0": 60, "h1": 70, "h2": 80}), 9)
+    DESIGN = StratifiedSrswor({"h0": 60, "h1": 70, "h2": 80})
+    SPEC = SplineSpec(order=3, interior_knots=3, lam=0.5)
+    WEIGHTS = {"BS": lambda sample: bspline_weights(sample, TestSampleData.SPEC),
+               "HT": ht_weights}
 
-    def test_estimate_is_the_sum_of_its_parts(self, sample):
+    @pytest.fixture(scope="class")
+    def population(self):
+        return synth_population(SynthConfig(size=3000, strata_count=3), 4)
+
+    @pytest.fixture(scope="class")
+    def sample(self, population):
+        return draw(population, self.DESIGN, 9)
+
+    @pytest.mark.parametrize("family,seeds", [("BS", 9), ("HT", 9), ("BS", [9, 10, 11])],
+                             ids=["bs", "ht", "bs_stack_of_3"])
+    def test_estimate_is_the_sum_of_its_parts(self, population, family, seeds):
         """Point, linearized variable, residual fit, variance and interval
-        equal the library functions called one by one."""
-        spec = SplineSpec(order=3, interior_knots=3, lam=0.5)
-        ws = bspline_weights(sample, spec)
-        data = SampleData(sample, self.PARAMETERS)
-        values = {name: v[sample.indices]
-                  for name, v in sample.population.variables.items()}
+        equal the library functions called one by one: with B-spline
+        weights, with HT weights (whose point reads the linearization's
+        measure and whose fit is zero), and on each row of a stack of three,
+        whose parts are called on that row's sample alone."""
+        spec = self.SPEC
+        drawn = draw(population, self.DESIGN, seeds)
+        data = SampleData(drawn, self.PARAMETERS)
+        weights = self.WEIGHTS[family](drawn)
+        rows = list(enumerate(seeds)) if drawn.replicates else [(None, seeds)]
         for p in self.PARAMETERS:
-            est = data.estimate(ws, p, "closed", 0.9)
-            assert isinstance(est, Estimate)
-            assert est.point == p.evaluate(values, ws.weights)
-            u = p.linearized(values, 1.0 / sample.pi)
-            assert np.array_equal(est.u, u)
-            want = residual_fit(sample, spec, u).residuals
-            assert np.max(np.abs(est.residuals - want)) <= 1e-12 * np.max(np.abs(u))
-            v = closed_form_variance(sample, est.residuals)
-            assert est.variance == v
-            assert est.interval == confidence_interval(est.point, v, 0.9)
-            # stratified SRSWOR: the double sum is the closed form
-            ds = data.estimate(ws, p, "double_sum", 0.9)
-            assert ds.variance.method == "double_sum"
-            assert ds.variance.value == pytest.approx(v.value, rel=1e-9)
-            assert ds.point == est.point
+            for r, seed in rows:
+                sample = draw(population, self.DESIGN, seed)
+                ws = self.WEIGHTS[family](sample)
+                values = {name: v[sample.indices]
+                          for name, v in sample.population.variables.items()}
+                est = _row(data.estimate(weights, p, "closed", 0.9), r)
+                assert isinstance(est, Estimate)
+                assert est.point == p.evaluate(values, ws.weights)
+                u = p.linearized(values, 1.0 / sample.pi)
+                assert np.array_equal(est.u, u)
+                want = residual_fit(sample, spec, u).residuals if ws.system else u
+                assert np.max(np.abs(est.residuals - want)) <= 1e-12 * np.max(np.abs(u))
+                v = closed_form_variance(sample, est.residuals)
+                assert est.variance == v
+                assert est.interval == confidence_interval(est.point, v, 0.9)
+                # stratified SRSWOR: the double sum is the closed form
+                ds = _row(data.estimate(weights, p, "double_sum", 0.9), r)
+                assert ds.variance.method == "double_sum"
+                assert ds.variance.value == pytest.approx(v.value, rel=1e-9)
+                assert ds.point == est.point
 
     def test_negative_variance_has_no_interval(self, sample, monkeypatch):
         monkeypatch.setattr(simulate, "closed_form_variance",
@@ -500,6 +528,71 @@ def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
         replicates=3, master_seed=5)
     run_monte_carlo(plan, pop)
     assert shapes == [(19378,), (3, 500)]
+
+
+def _criterion_10_chunk():
+    """Three replicates of the criterion-10 roster, mean and Gini: one chunk."""
+    plan = SimulationPlan(
+        design=Srswor(100),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                    EstimatorSpec("POST", knots=2), EstimatorSpec("BS", order=2, knots=2)),
+        parameters=(ParameterSpec("mean"), ParameterSpec("gini")),
+        replicates=3, master_seed=5)
+    run_monte_carlo(plan, synth_population(SynthConfig(size=2000), 3))
+
+
+def _stratified_chunk():
+    """Three stratified replicates of HT, GREG and BS(3,K=4,lam=1), ratio
+    and poverty rate, with the double-sum variance: one chunk."""
+    plan = SimulationPlan(
+        design=StratifiedSrswor({"h0": 40, "h1": 40, "h2": 40}),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                    EstimatorSpec("BS", order=3, knots=4, lam=1.0)),
+        parameters=(ParameterSpec("ratio", "y", "x"), ParameterSpec("poverty_rate")),
+        replicates=3, master_seed=5, variance_method="double_sum")
+    run_monte_carlo(plan, synth_population(SynthConfig(size=2000, strata_count=3), 3))
+
+
+def _estimate_call(tmp_path):
+    """One CLI `estimate` call with B-spline weights and four parameters."""
+    from click.testing import CliRunner
+
+    from splinesurvey.cli import main
+
+    pop = synth_population(SynthConfig(size=2000), 3)
+    path = tmp_path / "pop.csv"
+    z, y, x = (a.tolist() for a in (pop.z, pop.variables["y"], pop.variables["x"]))
+    path.write_text("id,z,y,x\n" + "".join(f"u{k},{z[k]!r},{y[k]!r},{x[k]!r}\n"
+                                            for k in range(pop.size)))
+    args = ["estimate", "--population", str(path), "--family", "bs", "-m", "3", "-K", "4",
+            "--lam", "0.5", "--n", "100", "--seed", "4"]
+    for token in ("mean:y", "ratio:y/x", "gini:y", "poverty_rate:y"):
+        args += ["--parameter", token]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("run,truths,samples,shape", [
+    (lambda tmp_path: _criterion_10_chunk(), 2, 4, (3, 100)),
+    (lambda tmp_path: _stratified_chunk(), 3, 6, (3, 120)),
+    (_estimate_call, 0, 4, (100,)),
+], ids=["criterion_10_chunk", "stratified_chunk", "estimate_call"])
+def test_each_variable_measured_once_per_weight_set(monkeypatch, tmp_path, run, truths,
+                                                    samples, shape):
+    """A sample builds one measure per variable and weight set: the HT
+    linearizations and the HT point read one measure, every parameter of
+    a weight set reads that set's, and the bandwidth reads the poverty
+    rate's. Wrapped are the `WeightedMeasure` names the benchmark's span
+    tracer hooks; the truths' census measures are counted apart."""
+    shapes = []
+    for module in (simulate, linearize, cli):
+        monkeypatch.setattr(module, "WeightedMeasure",
+                            lambda values, *args, _cls=module.WeightedMeasure, **kwargs:
+                            shapes.append(np.shape(values)) or _cls(values, *args, **kwargs))
+    run(tmp_path)
+    assert shapes.count((2000,)) == truths
+    assert shapes.count(shape) == samples
+    assert len(shapes) == truths + samples
 
 
 def test_census_truths_of_sums_and_poverty_rate_do_not_sort(monkeypatch):

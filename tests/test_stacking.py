@@ -20,6 +20,7 @@ from splinesurvey import (
     Srswor,
     StratifiedSrswor,
     SynthConfig,
+    WeightedMeasure,
     closed_form_variance,
     draw,
     ht_variance_double_sum,
@@ -140,7 +141,7 @@ class TestSilvermanBandwidth:
         for _ in range(50):
             n = int(rng.integers(10, 400))
             y, w = rng.lognormal(7.0, 0.6, n), rng.uniform(5.0, 60.0, n)
-            assert silverman_bandwidth(y, w, Ordering(y)) == self.reference(y, w)
+            assert silverman_bandwidth(WeightedMeasure(y, w, Ordering(y))) == self.reference(y, w)
 
     def test_reads_the_shared_sort(self, monkeypatch):
         calls = []
@@ -149,10 +150,10 @@ class TestSilvermanBandwidth:
                             lambda v: calls.append(v.shape) or sort_runs(v))
         y = np.random.default_rng(2).lognormal(1.0, 1.0, (3, 60))
         ordering = Ordering(y)
-        stacked = silverman_bandwidth(y, np.ones_like(y), ordering)
+        stacked = silverman_bandwidth(WeightedMeasure(y, np.ones_like(y), ordering))
         assert calls == [(3, 60)]
         for r in range(3):
-            assert stacked[r] == silverman_bandwidth(y[r], np.ones(60))
+            assert stacked[r] == silverman_bandwidth(WeightedMeasure(y[r], np.ones(60)))
 
 
 def _table_cells(table):
