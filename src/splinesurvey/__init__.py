@@ -12,13 +12,10 @@ from .basis import (
     KnotVector,
     SplineSpec,
     basis_matrix,
-    basis_row,
     build_knots,
     knot_groups,
     normalize_covariate,
     penalty_matrix,
-    truncated_power_matrix,
-    truncated_power_row,
 )
 from .designs import (
     GivenProbabilities,
@@ -46,12 +43,18 @@ from .functionals import (
 from .linearize import (
     LinearizedVariables,
     ResidualFit,
-    influence_oracle,
     linearized_gini,
     linearized_poverty_rate,
     linearized_ratio,
     linearized_total,
     residual_fit,
+)
+from .reference import (
+    influence_oracle,
+    joint_prob,
+    srswor_variance,
+    truncated_power_matrix,
+    tv_proxy_distance,
 )
 from .simulate import (
     Estimate,
@@ -63,7 +66,6 @@ from .simulate import (
     SynthConfig,
     run_monte_carlo,
     synth_population,
-    tv_proxy_distance,
 )
 from .variance import (
     VarianceEstimate,
@@ -72,13 +74,11 @@ from .variance import (
     ht_variance_double_sum,
     normal_quantile,
     population_asymptotic_variance,
-    srswor_variance,
 )
 from .weights import (
     SplineSystem,
     WeightSet,
     bspline_weights,
-    fit_coefficients,
     greg_weights,
     ht_weights,
     post_weights,

@@ -1,4 +1,4 @@
-"""B-spline and truncated-power bases on [0,1] with derivative penalty matrices."""
+"""B-spline bases on [0,1] with difference-type roughness penalty matrices."""
 
 from __future__ import annotations
 
@@ -409,16 +409,6 @@ def _powers(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def basis_row(knots: KnotVector, m: int, z: float) -> np.ndarray:
-    """Single basis evaluation; see `basis_matrix`."""
-    return basis_matrix(knots, m, [z])[0]
-
-
-def difference_operator(p: int, q: int) -> np.ndarray:
-    """p-th order forward difference operator as a (q-p) x q matrix."""
-    return np.diff(np.eye(q), n=p, axis=0)
-
-
 def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:
     """Difference-type roughness penalty K^(2p) * D_p' R D_p.
 
@@ -439,7 +429,7 @@ def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:
     q = K + m
     order_low = m - p
     gram = _gram_matrix(knots, order_low)
-    diff = difference_operator(p, q)
+    diff = np.diff(np.eye(q), n=p, axis=0)  # D_p, (q - p) x q
     scale = float(K) ** (2 * p) if K > 0 else 1.0
     D = scale * diff.T @ gram @ diff
     return 0.5 * (D + D.swapaxes(-1, -2))
@@ -472,28 +462,3 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
-
-
-def truncated_power_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
-    """Truncated-power basis 1, z, ..., z^(m-1), (z - knot)_+^(m-1).
-
-    Spans the same spline space as the B-spline basis; degree-0 truncations
-    are right-closed step indicators, matching the interval convention of
-    `basis_matrix`.
-    """
-    z = np.atleast_1d(np.asarray(z_values, dtype=float))
-    if z.size and (z.min() < 0.0 or z.max() > 1.0):
-        raise ValueError("covariate out of range")
-    deg = m - 1
-    cols = [z**r for r in range(m)]
-    for xi in knots.interior:
-        if deg == 0:
-            cols.append((z >= xi).astype(float))
-        else:
-            cols.append(np.where(z > xi, (z - xi) ** deg, 0.0))
-    return np.column_stack(cols)
-
-
-def truncated_power_row(knots: KnotVector, m: int, z: float) -> np.ndarray:
-    """Single truncated-power evaluation; see `truncated_power_matrix`."""
-    return truncated_power_matrix(knots, m, [z])[0]

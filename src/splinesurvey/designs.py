@@ -415,9 +415,6 @@ class SampleDraw:
         """Leading shape: () for one sample, (R,) for a stack."""
         return self.indices.shape[:-1]
 
-    def pi_of(self, k) -> float:
-        return float(self.pi_full[k])
-
     @cached_property
     def strata(self) -> tuple[StratumCodes, list]:
         """The design's strata on the population (`design.strata`)."""
@@ -500,18 +497,6 @@ class SampleDraw:
         for x in arrays:
             x.flags.writeable = False
         return PairCells(order, *arrays)
-
-    def joint_prob(self, k: int, l: int) -> float:
-        """Second-order inclusion probability pi_kl; pi_k on the diagonal."""
-        N = self.population.size
-        if not (0 <= k < N and 0 <= l < N):
-            raise ValueError("unknown unit")
-        if k == l:
-            return self.pi_of(k)
-        group, within = self.joint_groups([k, l])
-        if group[0] == group[1]:
-            return float(within[group[0]])
-        return self.pi_of(k) * self.pi_of(l)
 
     def joint_matrix(self, indices=None) -> np.ndarray:
         """Matrix of pi_kl over the given unit indices (default: the sample,

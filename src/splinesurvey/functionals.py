@@ -226,10 +226,10 @@ class WeightedMeasure:
     every unit has mass one (`unit_masses`): the quantile and the CDF at
     one point per row then select and count instead of sorting, N-hat is
     the unit count, and the cumulative masses are the counts 0..n. What
-    reads `masses` (the sum of `gini`, `with_extra_mass`, `implicit_solve`,
-    a `ratio` with a weighted partner) fetches one read-only array of
-    ones, shared by every unit-mass measure of the same shape; `total`
-    sums the values alone.
+    reads `masses` (the sum of `gini`, `implicit_solve`, a `ratio` with a
+    weighted partner, `linearized_ratio`, the poverty rate's bandwidth and
+    density) fetches one read-only array of ones, shared by every unit-mass
+    measure of the same shape; `total` sums the values alone.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -324,11 +324,6 @@ class WeightedMeasure:
         out.reshape(-1)[_flat(out, self._order)] = in_sorted_order
         return out
 
-    def with_extra_mass(self, y: float, eps: float) -> "WeightedMeasure":
-        """Copy with mass eps added at point y (influence perturbations)."""
-        return WeightedMeasure(np.append(self.values, y),
-                               np.append(self.masses, eps))
-
 
 def total(measure: WeightedMeasure):
     """Sum of w_k y_k in unit order; at unit masses the sum of the y_k,
@@ -346,11 +341,19 @@ def mean(measure: WeightedMeasure):
     return total(measure) / nhat
 
 
-def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
-    """Ratio of two weighted totals sharing one weight system."""
+def _common_weights(measure_y: WeightedMeasure, measure_x: WeightedMeasure) -> None:
+    """Refuse the two measures of a ratio unless they share one weight
+    system. Measures on one masses array (every weight set's measures in
+    `SampleData`) pass on identity, with no compare of the masses."""
     if not (measure_y.unit_masses and measure_x.unit_masses
+            or measure_y.masses is measure_x.masses
             or np.array_equal(measure_y.masses, measure_x.masses)):
         raise ValueError("ratio requires a common weight system")
+
+
+def ratio(measure_y: WeightedMeasure, measure_x: WeightedMeasure):
+    """Ratio of two weighted totals sharing one weight system."""
+    _common_weights(measure_y, measure_x)
     denom = total(measure_x)
     if np.count_nonzero(denom == 0):
         raise ValueError("ratio undefined: zero denominator total")

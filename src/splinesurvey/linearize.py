@@ -12,13 +12,13 @@ the measure brings its masses and its sort, so nothing is rebuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .basis import SplineSpec
 from .functionals import (
     WeightedMeasure,
+    _common_weights,
     as_column,
     as_scalar,
     cdf_value,
@@ -65,6 +65,8 @@ def linearized_ratio(measure_y: WeightedMeasure,
     HT weights on a sample). `measure_x` holds x on the same masses;
     without it x is 1, and the ratio is the mean."""
     y, w = measure_y.values, measure_y.masses
+    if measure_x is not None:
+        _common_weights(measure_y, measure_x)
     x = np.ones_like(y) if measure_x is None else measure_x.values
     tx = as_scalar(row_dot(w, x))
     if np.count_nonzero(tx == 0):
@@ -80,8 +82,8 @@ def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
     with ybar_k the mass-weighted sum of values strictly below y_k divided
     by the mass weakly at or below y_k. That pairing (strict numerator,
     weak denominator) is the one validated against the finite-difference
-    influence oracle; see `influence_oracle`. F and ybar are read off the
-    measure's sort, which the Gini itself reads.
+    influence value of the tests' references (`reference.influence_oracle`).
+    F and ybar are read off the measure's sort, which the Gini itself reads.
     """
     y = measure.values
     if measure.size < 2:
@@ -157,26 +159,6 @@ def linearized_poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
     t, q, P, adj = map(as_column, (t, q, P, adj))
     u = ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - level)) / as_column(nhat)
     return LinearizedVariables(u, "poverty_rate")
-
-
-def influence_oracle(functional: Callable[[WeightedMeasure], float],
-                     measure: WeightedMeasure, k: int, eps: float,
-                     richardson: bool = False) -> float:
-    """Finite-difference influence value: [T(M + eps*delta) - T(M)] / eps.
-
-    Ground truth for the analytic linearized variables. `richardson`
-    extrapolates the pair (eps, eps/2) to cancel the leading error term.
-    """
-    if eps <= 0:
-        raise ValueError("perturbation size must be positive")
-    base = functional(measure)
-
-    def diff(e: float) -> float:
-        return (functional(measure.with_extra_mass(measure.values[k], e)) - base) / e
-
-    if richardson:
-        return 2.0 * diff(eps / 2.0) - diff(eps)
-    return diff(eps)
 
 
 def residual_fit(draw, spec: SplineSpec, u_on_sample) -> ResidualFit:

@@ -1,5 +1,5 @@
-"""Monte Carlo harness: synthetic populations, estimator comparisons,
-relative bias / RRMSE / coverage tables, and measure-distance diagnostics.
+"""Monte Carlo harness: synthetic populations, estimator comparisons, and
+relative bias / RRMSE / coverage tables.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -256,31 +256,26 @@ class ParameterSpec:
         a Monte Carlo run is keyed by the label, which joins them)."""
         return tuple(getattr(self, name) for name in KINDS[self.kind].reads)
 
-    def measures(self, values: dict, masses: np.ndarray | None,
-                 orderings: dict | None = None) -> list:
+    def measures(self, values: dict, masses: np.ndarray | None) -> list:
         """The measures with `masses` (None: unit masses) on the sample
         `values` (variable name -> array) of the variables the parameter
-        reads, in `reads` order. `orderings` maps variable names to an
-        `Ordering` built on the same arrays, so that every measure on one
-        sample shares one sort of each variable."""
-        return [WeightedMeasure(values[name], masses, (orderings or {}).get(name))
-                for name in self.variables]
+        reads, in `reads` order. Each sorts its values on its own; the
+        measures of `SampleData` share one sort of each variable."""
+        return [WeightedMeasure(values[name], masses) for name in self.variables]
 
-    def evaluate(self, values: dict, masses: np.ndarray | None,
-                 orderings: dict | None = None) -> float:
+    def evaluate(self, values: dict, masses: np.ndarray | None) -> float:
         """The parameter at its `measures`: a float for one sample, one
         value per row for an (R, n) stack."""
-        return KINDS[self.kind].functional(self, *self.measures(values, masses, orderings))
+        return KINDS[self.kind].functional(self, *self.measures(values, masses))
 
     def truth(self, population: Population) -> float:
         """The parameter of the census: the measure at unit masses, whose
         quantiles and CDF values select and count instead of sorting."""
         return self.evaluate(population.variables, None)
 
-    def linearized(self, values: dict, weights: np.ndarray | None,
-                   orderings: dict | None = None) -> np.ndarray:
+    def linearized(self, values: dict, weights: np.ndarray | None) -> np.ndarray:
         """Linearized variable at its `measures` with masses `weights`."""
-        return KINDS[self.kind].linearized(self, *self.measures(values, weights, orderings)).values
+        return KINDS[self.kind].linearized(self, *self.measures(values, weights)).values
 
 
 # The variance routes `SampleData.estimate` takes: the design's closed form
@@ -565,21 +560,3 @@ def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -
 def _rmse(values: np.ndarray, theta: float) -> float:
     return float(np.sqrt(np.mean((values - theta) ** 2)))
 
-
-def tv_proxy_distance(measure_a: WeightedMeasure, measure_b: WeightedMeasure,
-                      grid_size: int = 200) -> float:
-    """Indicator-family lower bound on the total-variation distance.
-
-    Both measures are scaled by the total mass of the reference measure
-    (the second argument) and compared through half-line indicators with
-    cut points at quantiles of the pooled support.
-    """
-    if grid_size < 2:
-        raise ValueError("grid size must be >= 2")
-    ref_mass = measure_b.total_mass
-    if ref_mass == 0:
-        raise ValueError("reference measure has zero mass")
-    support = np.concatenate((measure_a.values, measure_b.values))
-    cuts = np.unique(np.quantile(support, np.linspace(0.0, 1.0, grid_size)))
-    gaps = measure_a.mass_at_most(cuts) - measure_b.mass_at_most(cuts)
-    return float(np.max(np.abs(gaps))) / abs(ref_mass)

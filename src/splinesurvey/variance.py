@@ -89,19 +89,6 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     return VarianceEstimate(as_scalar(value), "double_sum")
 
 
-def srswor_variance(N: int, n: int, residuals) -> VarianceEstimate:
-    """Closed form N^2 (1 - n/N) s^2 / n for SRSWOR of n from N units."""
-    e = np.asarray(residuals, dtype=float)
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size {n} out of range for N={N}")
-    if n < 2:
-        raise ValueError("variance needs n >= 2")
-    if e.shape[-1] != n:
-        raise ValueError("residuals length must equal n")
-    s2 = as_scalar(np.var(e, axis=-1, ddof=1))
-    return VarianceEstimate(N**2 * (1.0 - n / N) * s2 / n, "srswor_closed")
-
-
 def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
     """The SRSWOR closed form N_h^2 (1 - n_h/N_h) s_h^2 / n_h summed over the
     strata the draw's design states (`design.strata`; SRSWOR is one

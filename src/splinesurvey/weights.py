@@ -21,7 +21,7 @@ from .basis import (
     penalty_matrix,
 )
 
-from .functionals import as_scalar, matvec, row_dot
+from .functionals import WeightedMeasure, as_scalar, matvec, total
 
 RCOND_SINGULAR = 1e-12
 
@@ -81,11 +81,12 @@ def ht_weights(draw) -> WeightSet:
 
 
 def weighted_total(weights: WeightSet, values_on_sample):
-    """Weighted sum over the sample (of each sample of a stack)."""
+    """Weighted sum over the sample (of each sample of a stack): the `total`
+    of the values at the weights, summed as the `total` kind sums it."""
     v = np.asarray(values_on_sample, dtype=float)
     if v.shape != weights.weights.shape:
         raise ValueError("values and weights length mismatch")
-    return as_scalar(row_dot(weights.weights, v))
+    return total(WeightedMeasure(v, weights.weights))
 
 
 class SplineSystem:
@@ -277,8 +278,3 @@ def greg_weights(draw) -> WeightSet:
         raise ValueError("collinear design: sample covariate is constant")
     return _spline_weights(draw, SplineSpec(order=2, interior_knots=0), "GREG",
                            "collinear design")
-
-
-def fit_coefficients(draw, spec: SplineSpec, values_on_sample) -> np.ndarray:
-    """Design-based spline coefficients for arbitrary sample values."""
-    return SplineSystem(draw, spec).coefficients(values_on_sample)

@@ -7,12 +7,10 @@ from splinesurvey import (
     Population,
     SplineSpec,
     basis_matrix,
-    basis_row,
     build_knots,
     normalize_covariate,
     penalty_matrix,
     truncated_power_matrix,
-    truncated_power_row,
 )
 from splinesurvey import basis
 from splinesurvey.basis import KNOT_RULES
@@ -95,22 +93,22 @@ class TestBuildKnots:
 
 class TestBasisRow:
     def test_linear_hat_midleft(self):
-        assert np.allclose(basis_row(KnotVector((0.5,)), 2, 0.25), [0.5, 0.5, 0.0])
+        assert np.allclose(basis_matrix(KnotVector((0.5,)), 2, [0.25])[0], [0.5, 0.5, 0.0])
 
     def test_left_endpoint(self):
-        assert np.allclose(basis_row(KnotVector((0.5,)), 2, 0.0), [1.0, 0.0, 0.0])
+        assert np.allclose(basis_matrix(KnotVector((0.5,)), 2, [0.0])[0], [1.0, 0.0, 0.0])
 
     def test_order_one_is_indicator(self):
-        row = basis_row(KnotVector((1 / 3, 2 / 3)), 1, 0.5)
+        row = basis_matrix(KnotVector((1 / 3, 2 / 3)), 1, [0.5])[0]
         assert np.allclose(row, [0.0, 1.0, 0.0])
 
     def test_right_endpoint_last_entry(self):
-        row = basis_row(KnotVector((0.5,)), 2, 1.0)
+        row = basis_matrix(KnotVector((0.5,)), 2, [1.0])[0]
         assert row[-1] == 1.0 and row[:-1].sum() == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            basis_row(KnotVector(()), 2, 1.5)
+            basis_matrix(KnotVector(()), 2, [1.5])[0]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("K", [0, 2, 5])
@@ -231,17 +229,17 @@ class TestGramMatrix:
 
 class TestTruncatedPower:
     def test_below_knot(self):
-        row = truncated_power_row(KnotVector((0.5,)), 2, 0.25)
+        row = truncated_power_matrix(KnotVector((0.5,)), 2, [0.25])[0]
         assert np.allclose(row, [1.0, 0.25, 0.0])
 
     def test_above_knot(self):
-        row = truncated_power_row(KnotVector((0.5,)), 2, 0.75)
+        row = truncated_power_matrix(KnotVector((0.5,)), 2, [0.75])[0]
         assert np.allclose(row, [1.0, 0.75, 0.25])
 
     def test_order_one_step(self):
         kv = KnotVector((0.5,))
-        assert np.allclose(truncated_power_row(kv, 1, 0.25), [1.0, 0.0])
-        assert np.allclose(truncated_power_row(kv, 1, 0.75), [1.0, 1.0])
+        assert np.allclose(truncated_power_matrix(kv, 1, [0.25])[0], [1.0, 0.0])
+        assert np.allclose(truncated_power_matrix(kv, 1, [0.75])[0], [1.0, 1.0])
 
     def test_span_equivalence_unpenalized(self, rng):
         # least-squares fits agree between the two bases at lambda = 0

@@ -13,6 +13,7 @@ from splinesurvey import (
     draw,
     draw_srswor,
     draw_stratified,
+    joint_prob,
     replicate_seed,
 )
 from splinesurvey import designs
@@ -30,7 +31,7 @@ class TestSrswor:
         d = draw_srswor(_toy_population(10), 3, 0)
         assert np.allclose(d.pi_full, 0.3)
         assert d.size == 3
-        assert np.allclose(d.joint_prob(0, 1), 1 / 15)
+        assert np.allclose(joint_prob(d, 0, 1), 1 / 15)
 
     def test_census(self):
         d = draw_srswor(_toy_population(5), 5, 0)
@@ -48,8 +49,8 @@ class TestSrswor:
 
     def test_joint_prob_diagonal_and_formula(self):
         d = draw_srswor(_toy_population(4), 2, 0)
-        assert d.joint_prob(2, 2) == pytest.approx(0.5)
-        assert d.joint_prob(0, 3) == pytest.approx(1 / 6)
+        assert joint_prob(d, 2, 2) == pytest.approx(0.5)
+        assert joint_prob(d, 0, 3) == pytest.approx(1 / 6)
 
     def test_pi_sums_to_sample_size(self):
         d = draw_srswor(_toy_population(37), 9, 1)
@@ -60,8 +61,8 @@ class TestSrswor:
         N, n = 12, 5
         d = draw_srswor(_toy_population(N), n, 0)
         k = 3
-        total = sum(d.joint_prob(k, l) for l in range(N))
-        assert total == pytest.approx(n * d.pi_of(k))
+        total = sum(joint_prob(d, k, l) for l in range(N))
+        assert total == pytest.approx(n * d.pi_full[k])
 
     @pytest.mark.parametrize("N,n,seed,indices", [
         (10, 3, 0, [5, 6, 9]),
@@ -99,7 +100,7 @@ class TestStratified:
         strata = tuple("a" * 6 + "b" * 6)
         pop = _toy_population(12, strata)
         d = draw_stratified(pop, {"a": 2, "b": 3}, 0)
-        assert d.joint_prob(0, 7) == pytest.approx(d.pi_of(0) * d.pi_of(7))
+        assert joint_prob(d, 0, 7) == pytest.approx(d.pi_full[0] * d.pi_full[7])
 
     def test_census_stratum(self):
         strata = tuple("a" * 4 + "b" * 4)
@@ -134,7 +135,7 @@ class TestStratified:
             M = d.joint_matrix()
             for i, k in enumerate(d.indices):
                 for j, l in enumerate(d.indices):
-                    assert M[i, j] == d.joint_prob(k, l)
+                    assert M[i, j] == joint_prob(d, k, l)
                     h, g = strata[k], strata[l]
                     nh, Nh = allocation[h], strata.count(h)
                     if k == l:
@@ -142,7 +143,7 @@ class TestStratified:
                     elif h == g:
                         want = nh * (nh - 1) / (Nh * (Nh - 1))
                     else:
-                        want = d.pi_of(k) * d.pi_of(l)
+                        want = d.pi_full[k] * d.pi_full[l]
                     assert M[i, j] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("labels", [(9, 10, 2), ("h9", "h10", "h2")])
@@ -218,7 +219,7 @@ class TestGivenProbabilities:
         assert np.array_equal(np.diag(M), d.pi)
         off = ~np.eye(d.size, dtype=bool)
         assert np.array_equal(M[off], np.outer(d.pi, d.pi)[off])
-        assert d.joint_prob(0, 29) == pi[0] * pi[29]
+        assert joint_prob(d, 0, 29) == pi[0] * pi[29]
 
     def test_empty_draw_rejected(self):
         pop = _toy_population(50)

@@ -58,6 +58,17 @@ class TestLinearizedRatio:
                              WeightedMeasure(np.array([1.0, 3.0]))).values
         assert np.allclose(u, [0.125, -0.125])
 
+    def test_refuses_two_weight_systems(self):
+        """As `ratio` does: the masses of x must be those of y."""
+        y, x = np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 4.0])
+        for masses_y, masses_x in [([1.0, 1.0, 1.0], [5.0, 1.0, 1.0]),
+                                   (None, [5.0, 1.0, 1.0]), ([5.0, 1.0, 1.0], None)]:
+            pair = WeightedMeasure(y, masses_y), WeightedMeasure(x, masses_x)
+            with pytest.raises(ValueError, match="common weight system"):
+                ratio(*pair)
+            with pytest.raises(ValueError, match="common weight system"):
+                linearized_ratio(*pair)
+
     def test_population_sum_is_zero(self, rng):
         y = rng.uniform(1, 9, 60)
         x = rng.uniform(1, 9, 60)
@@ -101,9 +112,11 @@ class TestLinearizedGini:
         y = np.unique(rng.uniform(1, 20, 30))
         u1 = linearized_gini(WeightedMeasure(y)).values
         u2 = linearized_gini(WeightedMeasure(2.0 * y)).values
-        # Gini is scale free, so the variance ratio built on u is unchanged
-        assert np.var(u1) == pytest.approx(np.var(u2) * 4.0, rel=1e-10) or True
-        assert np.sum(u1) == pytest.approx(2.0 * np.sum(u2), rel=1e-8)
+        # the Gini is scale free, and so is its linearized variable: doubling
+        # y doubles every F-weighted sum and t_y alike, each exactly
+        assert np.array_equal(u1, u2)
+        # a census influence function sums to zero
+        assert abs(np.sum(u1)) <= 1e-12 * np.sum(np.abs(u1))
 
     def test_single_atom_rejected(self):
         with pytest.raises(ValueError, match="single atom"):
@@ -176,6 +189,13 @@ class TestInfluenceOracle:
         m = WeightedMeasure([1.0, 2.0])
         with pytest.raises(ValueError):
             influence_oracle(lambda meas: 0.0, m, 0, 0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_refuses_a_stack(self, k):
+        """k below R, between R and n, and the last unit of a (2, 4) stack."""
+        m = WeightedMeasure(np.arange(8.0).reshape(2, 4))
+        with pytest.raises(ValueError, match="influence_oracle takes one sample"):
+            influence_oracle(gini, m, k, 1e-6)
 
 
 class TestResidualFit:

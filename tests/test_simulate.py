@@ -649,6 +649,13 @@ class TestTvProxyDistance:
         with pytest.raises(ValueError):
             tv_proxy_distance(m, m, grid_size=1)
 
+    def test_refuses_a_stack(self):
+        one = WeightedMeasure([1.0, 2.0, 3.0])
+        stack = WeightedMeasure(np.arange(6.0).reshape(2, 3))
+        for a, b in [(stack, stack), (one, stack), (stack, one)]:
+            with pytest.raises(ValueError, match="tv_proxy_distance takes one sample"):
+                tv_proxy_distance(a, b)
+
 
 def test_array_holding_dataclasses_compare_by_identity(small_population):
     """A dataclass that holds arrays compares and hashes by identity: `==`

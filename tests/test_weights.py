@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from splinesurvey import (
+    ParameterSpec,
     Population,
     SampleDraw,
     SplineSpec,
     Srswor,
     basis_matrix,
     bspline_weights,
+    draw,
     draw_srswor,
     draw_stratified,
-    fit_coefficients,
     greg_weights,
     ht_weights,
     normalize_covariate,
@@ -75,6 +76,19 @@ class TestWeightedTotal:
         d = draw_srswor(_population(6), 3, 1)
         with pytest.raises(ValueError, match="mismatch"):
             weighted_total(ht_weights(d), [1.0, 2.0])
+
+    def test_sums_as_the_total_kind(self):
+        """Bit for bit the `total` parameter at the same weights, on single
+        samples and on a stack: a BLAS dot would move the last bits."""
+        pop = _population(5000, seed=4)
+        spec = SplineSpec(order=3, interior_knots=4)
+        total_kind = ParameterSpec("total")
+        for seeds in [*range(10), list(range(10, 16))]:
+            d = draw(pop, Srswor(500), seeds)
+            ws = bspline_weights(d, spec)
+            y = d.sample_values("y")
+            assert np.array_equal(weighted_total(ws, y),
+                                  total_kind.evaluate({"y": y}, ws.weights))
 
 
 class TestBsplineWeights:
@@ -286,7 +300,7 @@ class TestFitCoefficients:
         pop = _population(300, seed=8)
         d = draw_srswor(pop, 60, 12)
         spec = SplineSpec(order=1, interior_knots=1, lam=0.0)
-        theta = fit_coefficients(d, spec, d.sample_values("y"))
+        theta = SplineSystem(d, spec).coefficients(d.sample_values("y"))
         system = SplineSystem(d, spec)
         for j in range(2):
             members = system.basis_sample[:, j] > 0
@@ -298,7 +312,7 @@ class TestFitCoefficients:
         pop = _population(200, seed=8)
         d = draw_srswor(pop, 50, 2)
         spec = SplineSpec(order=3, interior_knots=3, lam=0.0)
-        theta = fit_coefficients(d, spec, np.full(50, 4.25))
+        theta = SplineSystem(d, spec).coefficients(np.full(50, 4.25))
         fitted = SplineSystem(d, spec).basis_sample @ theta
         assert np.allclose(fitted, 4.25)
 
@@ -310,6 +324,6 @@ class TestFitCoefficients:
         for lam in (0.0, 1.0, 10.0, 100.0):
             spec = SplineSpec(order=2, interior_knots=4,
                               knot_rule="equidistant", lam=lam, penalty_order=1)
-            theta = fit_coefficients(d, spec, y)
+            theta = SplineSystem(d, spec).coefficients(y)
             roughness.append(float(np.sum(np.diff(theta) ** 2)))
         assert all(a >= b for a, b in zip(roughness, roughness[1:]))
