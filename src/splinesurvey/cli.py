@@ -155,10 +155,11 @@ def _load_population(path, source: str) -> Population:
 def _sample_and_weights(population, design, seed, family, spec):
     """Draw a sample and build its `family` weights. What the population or
     the sample cannot support is a usage error with the library's message:
-    a sample size outside 1..N, a stratum without allocation, no strata,
-    too few distinct covariate values for the knots, an empty poststratum
-    (POST's singular system), a singular system or a collinear design
-    (GREG's). The weights' diagnostics are computed when read."""
+    a sample size outside 1..N, a stratum without allocation, an allocation
+    to a stratum the population lacks, no strata, too few distinct
+    covariate values for the knots, an empty poststratum (POST's singular
+    system), a singular system or a collinear design (GREG's). The
+    weights' diagnostics are computed when read."""
     with _usage_errors():
         sample = draw(population, design, seed)
         return sample, FAMILIES[family.upper()].weights(sample, spec)

@@ -284,12 +284,15 @@ class StratumCodes:
     def allocation(self, allocations: Mapping) -> list:
         """The sample size n_h of each stratum, in code order.
 
-        Every stratum needs an allocation with 1 <= n_h <= N_h; labels of
-        strata the population does not have are ignored.
+        Every stratum needs an allocation with 1 <= n_h <= N_h, and an
+        allocation to a stratum the population does not have is refused.
         """
         for h in self.labels:
             if h not in allocations:
                 raise ValueError(f"missing stratum allocation for {h!r}")
+        for h in allocations:
+            if h not in self.labels:
+                raise ValueError(f"allocation for stratum {h!r}, which the population lacks")
         out = [allocations[h] for h in self.labels]
         for h, nh, Nh in zip(self.labels, out, self.sizes.tolist()):
             if not 1 <= nh <= Nh:
@@ -376,10 +379,12 @@ class SampleDraw:
 
     `indices` holds the sampled units: shape (n,) for one sample, (R, n)
     for a stack of R samples of one design, one per row. `pi` has the same
-    shape. Either the caller gives `pi_full` over the whole universe, which
-    is checked whole, or `pi` at the sampled units (as `draw` does), which
-    is checked there; `pi_full` is then built from the design on first use,
-    so a draw does O(n) work past its random choice. The variances' cells
+    shape, and so do the design weights d_k = 1/pi_k (`design_weights`),
+    which every weight family and every `SampleData` reads. Either the
+    caller gives `pi_full` over the whole universe, which is checked whole,
+    or `pi` at the sampled units (as `draw` does), which is checked there;
+    `pi_full` is then built from the design on first use, so a draw does
+    O(n) work past its random choice. The variances' cells
     (`pair_cells`: the sampled units grouped by sample and joint group)
     depend on the draw alone, so they too are built on first use, once per
     draw, and every variance of the draw, closed form or double sum, shares
@@ -414,6 +419,15 @@ class SampleDraw:
     def replicates(self) -> tuple:
         """Leading shape: () for one sample, (R,) for a stack."""
         return self.indices.shape[:-1]
+
+    @cached_property
+    def design_weights(self) -> np.ndarray:
+        """The design weights 1/pi_k of the sampled units, read-only and
+        built once per draw: the HT weights, and the base every spline
+        system calibrates."""
+        d = 1.0 / self.pi
+        d.flags.writeable = False
+        return d
 
     @cached_property
     def strata(self) -> tuple[StratumCodes, list]:

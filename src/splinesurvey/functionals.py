@@ -143,17 +143,6 @@ class Ordering:
         whose value is <= the value there (broadcast over the rows)."""
         return self._runs[3]
 
-    @property
-    def run_starts(self) -> np.ndarray:
-        """Sorted position of the first unit of each run of tied values
-        (one sample)."""
-        return np.flatnonzero(self.run_start_at == np.arange(self.values.size))
-
-    @property
-    def run_ends(self) -> np.ndarray:
-        """Sorted position one past the last unit of each run (one sample)."""
-        return np.broadcast_to(self.run_end_at, self.values.shape)[self.run_starts]
-
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
     """Cumulative sums along the rows, led by a zero: entry i is the sum of

@@ -404,20 +404,22 @@ class SampleData:
     """What every estimator on one sample, or on each sample of a stack,
     shares: the sample values of the variables the parameters read, one
     `Ordering` per variable (one sort of each, built on first use), and
-    one measure per variable and weight set. The measures at the HT
-    weights 1/pi give each parameter's linearized variable, and a weight
-    set equal to those weights (the HT estimator's) reads them too."""
+    one measure per variable and weight set. The measures at the draw's
+    design weights (`SampleDraw.design_weights`) give each parameter's
+    linearized variable. A weight set is recognised by its weights array
+    alone: the HT estimator's is that very array, so it reads those
+    measures, which the next weight set's measures then replace."""
 
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
         names = dict.fromkeys(name for p in parameters for name in p.variables)
         self.values = {name: sample.sample_values(name) for name in names}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
-        # (weights, {variable: measure}) at the HT weights, and at the last
-        # weight set estimated with, whose parameters all read its measures
-        ht = 1.0 / sample.pi
-        self._ht = self._last = (ht, self._measures(ht))
-        self.linearized = {p.label: KINDS[p.kind].linearized(p, *map(self._ht[1].get, p.variables))
+        # (weights, {variable: measure}) of the last weight set estimated
+        # with, whose parameters all read its measures: first the design's
+        self._last = (sample.design_weights, self._measures(sample.design_weights))
+        measures = self._last[1]
+        self.linearized = {p.label: KINDS[p.kind].linearized(p, *map(measures.get, p.variables))
                            for p in parameters}
 
     def _measures(self, weights: np.ndarray) -> dict:
@@ -430,11 +432,9 @@ class SampleData:
         """Point estimate with weights `ws`, variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
         (one of VARIANCE_METHODS), and the normal interval at `level`."""
-        weights, measures = self._last
-        if ws.weights is not weights:  # a new weight set: measure it once
-            measures = (self._ht[1] if np.array_equal(ws.weights, self._ht[0])
-                        else self._measures(ws.weights))
-            self._last = (ws.weights, measures)
+        if ws.weights is not self._last[0]:  # a new weight set: measure it once
+            self._last = (ws.weights, self._measures(ws.weights))
+        measures = self._last[1]
         point = KINDS[parameter.kind].functional(parameter,
                                                  *map(measures.get, parameter.variables))
         u = self.linearized[parameter.label].values

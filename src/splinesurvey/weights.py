@@ -76,8 +76,9 @@ class WeightSet:
 
 
 def ht_weights(draw) -> WeightSet:
-    """Inverse inclusion-probability weights 1/pi_k."""
-    return WeightSet(draw.indices, 1.0 / draw.pi, "HT")
+    """Inverse inclusion-probability weights 1/pi_k: the draw's own
+    read-only `design_weights` array, not a copy."""
+    return WeightSet(draw.indices, draw.design_weights, "HT")
 
 
 def weighted_total(weights: WeightSet, values_on_sample):
@@ -93,7 +94,8 @@ class SplineSystem:
     """Sample spline system shared by weight building and coefficient fits.
 
     Holds the knots, the sample and population basis summaries, and the
-    factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p. The system
+    factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p, whose Pi^-1 is
+    the draw's `design_weights`, the array the HT weights are. The system
     behind a sample's weights also gives the fits of the linearized
     variables whose residuals enter the variance (`WeightSet.system`).
     The population side comes from the population's cached
@@ -114,7 +116,7 @@ class SplineSystem:
         self.spec = spec
         covariate = draw.population.covariate_summary
         z_s = covariate.scale.apply(draw.sample_z)
-        inv_pi = 1.0 / draw.pi
+        inv_pi = draw.design_weights
         fixed = covariate.fixed_knot_totals(spec)
         if fixed is None:
             groups = [(rows, knots, covariate.basis_totals(knots, spec.order))

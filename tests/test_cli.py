@@ -434,6 +434,9 @@ def test_simulate_plan_with_weak_and_strict_poverty_rate(runner, tmp_path):
      'plan design {"kind": "srswor", "n": 301}: sample size 301 out of range for N=300'),
     ({"design": {"kind": "stratified", "allocations": {"h0": 5}}},
      "population has no stratum labels"),
+    ({"population": {"generator": {"size": 300, "seed": 5, "strata_count": 2}},
+      "design": {"kind": "stratified", "allocations": {"h0": 5, "h1": 5, "h9": 3}}},
+     "allocation for stratum 'h9', which the population lacks"),
 ])
 def test_simulate_plan_fails_before_any_replicate(runner, tmp_path, monkeypatch,
                                                   plan_change, message):
@@ -527,6 +530,7 @@ def test_sample_size_outside_population_is_a_usage_error(runner, population_csv,
 @pytest.mark.parametrize("allocation,message", [
     (("h0=40",), "missing stratum allocation for 'h1'"),
     (("h0=40", "h1=40", "h2=101"), "allocation 101 out of range for stratum 'h2'"),
+    (("h0=2", "h1=5", "h2=4", "h9=3"), "allocation for stratum 'h9', which the population lacks"),
 ])
 def test_stratum_allocation_mismatch_is_a_usage_error(runner, stratified_csv,
                                                       command, allocation, message):

@@ -114,6 +114,13 @@ class TestStratified:
         with pytest.raises(ValueError, match="missing stratum allocation"):
             draw_stratified(pop, {"a": 2}, 0)
 
+    def test_allocation_to_an_absent_stratum(self):
+        """An allocation the population cannot place is refused, not
+        dropped from the sample size."""
+        pop = _toy_population(10, tuple("ab" * 5))
+        with pytest.raises(ValueError, match="stratum 'c', which the population lacks"):
+            draw_stratified(pop, {"a": 2, "b": 2, "c": 3}, 0)
+
     def test_no_labels_rejected(self):
         with pytest.raises(ValueError, match="stratum label"):
             draw_stratified(_toy_population(10), {"a": 2}, 0)

@@ -141,7 +141,8 @@ def test_ordering_is_the_stable_argsort(values):
     assert np.array_equal(ordering.order, stable)
     assert ordering.sorted_values.tobytes() == y[stable].tobytes()
     # runs tile the sorted positions, one run per distinct value
-    starts, ends = ordering.run_starts, ordering.run_ends
+    starts = np.flatnonzero(ordering.run_start_at == np.arange(y.size))
+    ends = ordering.run_end_at[starts]
     assert starts.size == ends.size == np.unique(y).size
     assert np.array_equal(starts[1:], ends[:-1])
     if y.size:

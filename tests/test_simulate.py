@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -254,6 +255,28 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
     assert next(got, None) is None
 
 
+@pytest.mark.parametrize("variance_method", ["closed", "double_sum"])
+def test_roster_order_does_not_change_the_cells(variance_method):
+    """With HT after another estimator, the HT point measures the design
+    weights again instead of reading the linearizations' measures: every
+    cell but the runtime equals the one of the roster with HT first."""
+    pop = synth_population(SynthConfig(size=1500, strata_count=3), 8)
+    plan = SimulationPlan(
+        design=StratifiedSrswor({"h0": 30, "h1": 40, "h2": 50}),
+        estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                    EstimatorSpec("BS", order=3, knots=3, lam=0.5)),
+        parameters=(ParameterSpec("mean"), ParameterSpec("gini"),
+                    ParameterSpec("ratio", "y", "x"), ParameterSpec("poverty_rate")),
+        replicates=7, master_seed=4, variance_method=variance_method)
+    first = run_monte_carlo(plan, pop)
+    est = plan.estimators
+    later = run_monte_carlo(replace(plan, estimators=(est[1], est[0], est[2])), pop)
+    assert later.truths == first.truths
+    assert later.rows.keys() == first.rows.keys()
+    for key, row in first.rows.items():
+        assert replace(later.rows[key], mean_runtime=0.0) == replace(row, mean_runtime=0.0)
+
+
 def _row(est: Estimate, r) -> Estimate:
     """Row r of a stack's estimate; one sample's (r None) as it is."""
     if r is None:
@@ -315,6 +338,23 @@ class TestSampleData:
                 assert ds.variance.method == "double_sum"
                 assert ds.variance.value == pytest.approx(v.value, rel=1e-9)
                 assert ds.point == est.point
+
+    def test_ht_measures_are_freed_by_the_next_weight_set(self, sample, monkeypatch):
+        """The measures at the design weights, which the linearizations and
+        the HT point read, are dropped when one estimate measures another
+        weight set: a sample keeps one weight set's measures at a time."""
+        built = []
+        monkeypatch.setattr(simulate, "WeightedMeasure",
+                            lambda *args, _cls=simulate.WeightedMeasure, **kwargs:
+                            built.append(_cls(*args, **kwargs)) or built[-1])
+        data = SampleData(sample, self.PARAMETERS)
+        data.estimate(ht_weights(sample), self.PARAMETERS[0], "closed", 0.95)
+        ht = [weakref.ref(m) for m in built]
+        assert len(ht) == 2
+        built.clear()
+        data.estimate(greg_weights(sample), self.PARAMETERS[2], "closed", 0.95)
+        assert len(built) == 2
+        assert [ref() for ref in ht] == [None, None]
 
     def test_negative_variance_has_no_interval(self, sample, monkeypatch):
         monkeypatch.setattr(simulate, "closed_form_variance",

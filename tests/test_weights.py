@@ -7,6 +7,8 @@ from splinesurvey import (
     SampleDraw,
     SplineSpec,
     Srswor,
+    StratifiedSrswor,
+    WeightSet,
     basis_matrix,
     bspline_weights,
     draw,
@@ -60,12 +62,25 @@ class TestHtWeights:
         d = draw_srswor(_population(10), 2, 0)
         assert np.allclose(ht_weights(d).weights, 5.0)
 
+    @pytest.mark.parametrize("seeds", [7, [7, 8, 9]], ids=["one", "stack"])
+    def test_weights_are_the_draws_design_weights(self, seeds):
+        """The HT weights are the draw's one read-only 1/pi array, for one
+        sample and for a stack, on unequal probabilities."""
+        pop = _population(90, seed=2, strata=tuple("ab"[i % 2] for i in range(90)))
+        d = draw(pop, StratifiedSrswor({"a": 5, "b": 20}), seeds)
+        ws = ht_weights(d)
+        assert ws.weights is d.design_weights
+        assert ws.weights.shape == d.pi.shape == d.indices.shape
+        assert not ws.weights.flags.writeable
+        assert ws.weights.tobytes() == (1.0 / d.pi).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            ws.weights[0] = 1.0
+
 
 class TestWeightedTotal:
     def test_ht_total(self):
         d = draw_srswor(_population(6), 3, 1)
-        ws = ht_weights(d)
-        ws.weights[:] = 2.0
+        ws = WeightSet(d.indices, np.full(3, 2.0), "HT")
         assert weighted_total(ws, [1.0, 2.0, 3.0]) == pytest.approx(12.0)
 
     def test_zero_values(self):
