@@ -26,6 +26,7 @@ from .simulate import (
     SampleData,
     SimulationPlan,
     SynthConfig,
+    check_double_sum,
     run_monte_carlo,
     synth_population,
 )
@@ -399,10 +400,13 @@ def simulate(plan_path, out_csv):
     pop = _plan_population(cfg["population"])
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
-    # a sample size outside 1..N_h, a stratum without allocation or a
-    # population without strata, before the truths and the replicates
+    # a sample size outside 1..N_h, a stratum without allocation, a
+    # population without strata or a double sum on a stratum of one sampled
+    # unit, before the truths and the replicates
     with _usage_errors(f"plan design {json.dumps(cfg['design'])}"):
-        design.strata(pop)
+        strata = design.strata(pop)
+        if plan.variance_method == "double_sum":
+            check_double_sum(*strata)
     # a replicate's failure is not a usage error
     table = run_monte_carlo(plan, pop)
     click.echo(table.render())

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -26,9 +28,53 @@ TEXT_COLUMNS = ("id", "stratum")
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
+class PositionalIds(Sequence):
+    """The ids "0", "1", ..., str(n - 1) of n units, as a read-only sequence
+    that formats each id when it is read instead of holding n strings.
+
+    It reads as the tuple `tuple(map(str, range(n)))` does: by int or numpy
+    integer index, negative ones included (IndexError past either end), by
+    slice (a tuple), by iteration, and it compares equal to that tuple.
+    """
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = operator.index(n)
+        if self._n < 0:
+            raise ValueError(f"unit count must be >= 0, got {n!r}")
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(str, range(self._n)[index]))
+        return str(range(self._n)[operator.index(index)])
+
+    def __iter__(self):
+        return map(str, range(self._n))
+
+    def __eq__(self, other):
+        if isinstance(other, PositionalIds):
+            return self._n == other._n
+        if isinstance(other, tuple):
+            return len(other) == self._n and tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PositionalIds({self._n})"
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """Immutable finite universe: ids, auxiliary covariate z, study variables.
+
+    `ids` may be any sequence of strings, one per unit: a tuple, or the
+    `PositionalIds` "0".."N-1" of a synthetic population, which holds no
+    string per unit. `strata`, when given, holds one stratum label per
+    unit; the populations this package builds (`from_csv`,
+    `synth_population`) repeat one string object per stratum.
 
     `z` and each study variable are kept as read-only views of the
     caller's arrays, not copies. The Population cannot write into them, but
@@ -37,7 +83,7 @@ class Population:
     would no longer describe `z`.
     """
 
-    ids: tuple
+    ids: Sequence[str]
     z: np.ndarray
     variables: Mapping[str, np.ndarray]
     strata: tuple | None = None
@@ -100,10 +146,13 @@ class Population:
         a quoted cell may hold commas, quotes or line breaks. The first row
         is the header, and its column names must be unique. Blank lines are
         skipped; every other row must have as many cells as the header. `id`
-        and `stratum` are kept as strings, and every other cell must be a
-        finite number as Python's `float` reads it (so not `nan`, `inf` or
-        `1e400`). A row of the wrong width, or a cell that is not a finite
-        number, raises a ValueError naming its file line.
+        and `stratum` are kept as strings: the ids as a tuple, and the
+        stratum labels as one string object per distinct label, repeated
+        for each of its units, so the strata cost no string per row. Every
+        other cell must be a finite number as Python's `float` reads it (so
+        not `nan`, `inf` or `1e400`). A row of the wrong width, or a cell
+        that is not a finite number, raises a ValueError naming its file
+        line.
 
         The rows are parsed in one pass by numpy's C reader (`np.loadtxt`),
         which converts a number with the same correctly rounded routine as
@@ -163,7 +212,9 @@ def _one_pass_columns(path) -> dict | None:
             return None
     columns = {}
     for name, field in zip(header, dtype.names):
-        if name in TEXT_COLUMNS:
+        if name == "stratum":
+            columns[name] = _one_object_per_label(table[field].tolist(), {})
+        elif name in TEXT_COLUMNS:
             columns[name] = tuple(table[field].tolist())
         else:
             columns[name] = table[field].copy()
@@ -176,17 +227,21 @@ def _chunked_columns(path) -> dict:
     """The columns of the population CSV at `path` read by the `csv` module,
     CSV_CHUNK_ROWS rows at a time, each numeric column converted by
     `float`'s rules; the first refused row or cell is named by its file
-    line."""
+    line. A chunk's stratum labels are replaced by the first string object
+    of each label as the chunk is read, so no more than one chunk holds a
+    string per row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader)
         pieces = [[] for _ in header]
+        labels = {}
         first_line = reader.line_num + 1
         while rows := list(islice(reader, CSV_CHUNK_ROWS)):
             columns = _chunk_columns(rows, header, first_line)
             _refuse_non_finite(rows, header, columns, first_line)
-            for piece, column in zip(pieces, columns):
-                piece.append(column)
+            for name, piece, column in zip(header, pieces, columns):
+                piece.append(_one_object_per_label(column, labels)
+                             if name == "stratum" else column)
             first_line = reader.line_num + 1
     # the leading empty array gives a file without rows empty columns
     return {
@@ -194,6 +249,13 @@ def _chunked_columns(path) -> dict:
                else np.concatenate([np.empty(0), *piece]))
         for name, piece in zip(header, pieces)
     }
+
+
+def _one_object_per_label(cells, labels: dict) -> tuple:
+    """`cells` as a tuple in which equal labels are one string object, the
+    first seen: `labels` maps each label to that object and grows with the
+    labels it had not seen."""
+    return tuple(map(labels.setdefault, cells, cells))
 
 
 def _chunk_columns(rows: list, header: list, first_line: int) -> list:

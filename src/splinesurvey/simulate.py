@@ -14,7 +14,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .basis import SplineSpec
-from .designs import GivenProbabilities, Population, SampleDraw, draw, replicate_seed
+from .designs import (
+    GivenProbabilities,
+    Population,
+    PositionalIds,
+    SampleDraw,
+    StratumCodes,
+    draw,
+    replicate_seed,
+)
 from .functionals import (
     Ordering,
     WeightedMeasure,
@@ -88,7 +96,11 @@ class SynthConfig:
 
 
 def synth_population(config: SynthConfig, seed) -> Population:
-    """Generate a deterministic synthetic population from the config."""
+    """Generate a deterministic synthetic population from the config.
+
+    Its ids are `PositionalIds`, "0".."N-1", and with `strata_count` > 1
+    each unit's stratum label "h0", "h1", ... is one shared string object
+    per stratum, so the population holds no string per unit."""
     rng = np.random.default_rng(seed)
     z = rng.lognormal(config.log_mean, config.log_sd, config.size)
     cap = np.percentile(z, config.truncate_percentile)
@@ -102,10 +114,11 @@ def synth_population(config: SynthConfig, seed) -> Population:
     variables = {"y": y, "x": x}
     strata = None
     if config.strata_count > 1:
-        labels = rng.integers(0, config.strata_count, config.size)
-        strata = tuple(f"h{int(v)}" for v in labels)
-    ids = tuple(str(i) for i in range(config.size))
-    return Population(ids=ids, z=z, variables=variables, strata=strata)
+        labels = [f"h{j}" for j in range(config.strata_count)]
+        codes = rng.integers(0, config.strata_count, config.size)
+        strata = tuple(map(labels.__getitem__, codes.tolist()))
+    return Population(ids=PositionalIds(config.size), z=z, variables=variables,
+                      strata=strata)
 
 
 class EstimatorFamily(NamedTuple):
@@ -283,6 +296,22 @@ class ParameterSpec:
 VARIANCE_METHODS = ("closed", "double_sum")
 
 
+def check_double_sum(strata: StratumCodes, sizes: list) -> None:
+    """Refuse the double-sum variance for a design whose strata (`strata`,
+    with sample sizes `sizes`, as `design.strata` gives them) include one
+    with a single sampled unit out of several (n_h = 1 < N_h), naming it.
+    No two units of such a stratum are ever sampled together (pi_kl = 0),
+    so no unbiased variance estimator exists and the HT double sum is
+    biased. A census stratum (n_h = N_h = 1) passes; Poisson sampling
+    states no strata and is not checked."""
+    for h, nh, Nh in zip(strata.labels, sizes, strata.sizes.tolist()):
+        if nh == 1 < Nh:
+            if h is None:
+                raise ValueError(f"double-sum variance needs n >= 2 (n = 1 of N = {Nh})")
+            raise ValueError(f"double-sum variance needs n_h >= 2 in stratum {h!r} "
+                             f"(n_h = 1 of N_h = {Nh})")
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Full Monte Carlo protocol: design, roster, parameters, replication."""
@@ -431,7 +460,12 @@ class SampleData:
                  variance_method: str, level: float) -> Estimate:
         """Point estimate with weights `ws`, variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
-        (one of VARIANCE_METHODS), and the normal interval at `level`."""
+        (one of VARIANCE_METHODS), and the normal interval at `level`. The
+        double sum is refused on a draw with a stratum of one sampled unit
+        out of several (`check_double_sum`)."""
+        if variance_method == "double_sum" and not isinstance(self.sample.design,
+                                                              GivenProbabilities):
+            check_double_sum(*self.sample.strata)
         if ws.weights is not self._last[0]:  # a new weight set: measure it once
             self._last = (ws.weights, self._measures(ws.weights))
         measures = self._last[1]
@@ -484,11 +518,15 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     RB, RRMSE, coverage and the negative-variance count reduce those rows.
     `mean_runtime` is each estimator's time per replicate, timed per chunk.
     """
-    # the design's strata check it against the population before the truths
+    # the design's strata check it against the population, and the
+    # double sum against a stratum of one sampled unit, before the truths
     if isinstance(plan.design, GivenProbabilities):
         per_chunk = 1
     else:
-        per_chunk = max(1, CHUNK_UNITS // sum(plan.design.strata(population)[1]))
+        strata, sizes = plan.design.strata(population)
+        if plan.variance_method == "double_sum":
+            check_double_sum(strata, sizes)
+        per_chunk = max(1, CHUNK_UNITS // sum(sizes))
     truths = {p.label: p.truth(population) for p in plan.parameters}
     est_labels = [e.label for e in plan.estimators]
     blocks = {(p.label, e): np.empty((4, plan.replicates))

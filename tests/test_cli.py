@@ -1113,3 +1113,33 @@ def test_dash_output_is_standard_output(runner, population_csv, tmp_path, monkey
     assert res.exit_code == 0, res.output
     assert marker in res.output
     assert not Path("-").exists()
+
+
+@pytest.mark.parametrize("method,message", [
+    ("double_sum", "double-sum variance needs n_h >= 2 in stratum 'h0' "
+                   "(n_h = 1 of N_h = 100)"),
+    ("closed", "variance needs n_h >= 2 in stratum 'h0'"),
+])
+def test_estimate_stratum_of_one_sampled_unit_is_a_usage_error(runner, stratified_csv,
+                                                                method, message):
+    """No variance is unbiased with one sampled unit of a stratum: both
+    methods refuse it, naming the stratum."""
+    args = ["estimate", "--population", str(stratified_csv), "--family", "ht",
+            "--design", "stratified", "--allocation", "h0=1", "--allocation", "h1=25",
+            "--allocation", "h2=30", "--parameter", "mean:y", "--variance-method", method]
+    _usage_error(runner.invoke(main, args), message)
+
+
+def test_plan_double_sum_on_a_stratum_of_one_sampled_unit_is_a_usage_error(
+        runner, stratified_csv, tmp_path, monkeypatch):
+    """Refused before the truths and the replicates."""
+    monkeypatch.setattr(cli, "run_monte_carlo", _fail)
+    design = {"kind": "stratified", "allocations": {"h0": 20, "h1": 1, "h2": 30}}
+    plan = {"population": {"file": str(stratified_csv)}, "design": design,
+            "estimators": [{"family": "HT"}], "parameters": [{"kind": "mean"}],
+            "replicates": 3, "variance_method": "double_sum"}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
+    _usage_error(res, f"plan design {json.dumps(design)}: double-sum variance needs "
+                      "n_h >= 2 in stratum 'h1' (n_h = 1 of N_h = 100)")

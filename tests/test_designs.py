@@ -463,6 +463,93 @@ def test_csv_load_peak_memory_is_bounded(tmp_path, rng):
     assert peak - before <= 3 * (retained - before)
 
 
+class TestPositionalIds:
+    """`PositionalIds(n)` reads as `tuple(map(str, range(n)))`."""
+
+    N = 7
+    TUPLE = tuple(map(str, range(N)))
+
+    def test_length_and_indexes(self):
+        ids = designs.PositionalIds(self.N)
+        assert len(ids) == self.N
+        for i in range(-self.N, self.N):
+            assert ids[i] == self.TUPLE[i]
+            assert ids[np.int64(i)] == self.TUPLE[i]
+            assert ids[np.intp(i)] == self.TUPLE[i]
+        for i in (self.N, -self.N - 1, np.int64(self.N)):
+            with pytest.raises(IndexError):
+                ids[i]
+        with pytest.raises(TypeError):
+            ids[1.0]
+
+    @pytest.mark.parametrize("part", [slice(None), slice(2, 5), slice(-3, None),
+                                      slice(None, None, -2), slice(5, 100), slice(4, 2)])
+    def test_slices_are_tuples(self, part):
+        got = designs.PositionalIds(self.N)[part]
+        assert type(got) is tuple
+        assert got == self.TUPLE[part]
+
+    def test_iteration_and_equality(self):
+        ids = designs.PositionalIds(self.N)
+        assert list(ids) == list(self.TUPLE)
+        assert list(reversed(ids)) == list(reversed(self.TUPLE))
+        assert ids == self.TUPLE and self.TUPLE == ids
+        assert ids == designs.PositionalIds(self.N)
+        assert ids != self.TUPLE[:-1] and ids != ("x",) * self.N
+        assert ids != list(self.TUPLE)
+        assert ids != designs.PositionalIds(self.N + 1)
+        assert "3" in ids and "03" not in ids and 3 not in ids
+        assert ids.index("4") == 4
+        assert designs.PositionalIds(0) == ()
+
+    def test_read_only_with_a_short_repr(self):
+        ids = designs.PositionalIds(10**9)
+        assert repr(ids) == "PositionalIds(1000000000)"
+        with pytest.raises(TypeError):
+            ids[0] = "a"
+        with pytest.raises(AttributeError):
+            ids.extra = 1
+
+    def test_written_csv_is_unchanged(self, tmp_path, rng):
+        """A population CSV written from positional ids, by iteration and by
+        numpy index, has the bytes it has from the tuple of strings."""
+        z = rng.lognormal(7.0, 0.4, 50)
+        texts = []
+        for ids in (designs.PositionalIds(z.size), tuple(map(str, range(z.size)))):
+            path = tmp_path / f"{type(ids).__name__}.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["id", "z"])
+                for uid, value in zip(ids, z.tolist()):
+                    writer.writerow([uid, repr(value)])
+                for k in np.arange(z.size)[::7]:
+                    writer.writerow([ids[k], repr(float(z[k]))])
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+
+
+class TestPopulationCsvLabels:
+    """Both readers keep one string object per stratum label."""
+
+    def _write(self, tmp_path, rng, bad_cell=False):
+        z = rng.lognormal(7.0, 0.4, 2 * CSV_CHUNK_ROWS + 50).tolist()
+        rows = [f"u{i},h{i % 3},{zk!r},{zk + 1.0!r}" for i, zk in enumerate(z)]
+        if bad_cell:  # read by `float` only: the csv reader reads the file
+            rows[-1] = "u_last,h1,1_000,2"
+        p = tmp_path / "pop.csv"
+        p.write_text("\n".join(["id,stratum,z,y", *rows]) + "\n", encoding="utf-8")
+        return p
+
+    @pytest.mark.parametrize("bad_cell", [False, True], ids=["one-pass", "csv-reader"])
+    def test_one_object_per_label(self, tmp_path, rng, bad_cell):
+        p = self._write(tmp_path, rng, bad_cell)
+        assert (designs._one_pass_columns(p) is None) == bad_cell
+        _assert_same_load(p)
+        pop = Population.from_csv(p)
+        assert len({id(h) for h in pop.strata}) == 3
+        assert type(pop.ids) is tuple and len(set(map(id, pop.ids))) == pop.size
+
+
 class TestPopulationArrays:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_study_value_rejected(self, bad):

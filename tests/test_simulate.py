@@ -3,7 +3,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from splinesurvey import (
     tv_proxy_distance,
 )
 import splinesurvey
-from splinesurvey import cli, functionals, linearize, simulate
+from splinesurvey import cli, designs, functionals, linearize, simulate
 
 
 class TestSynthPopulation:
@@ -61,6 +63,32 @@ class TestSynthPopulation:
         pop = synth_population(SynthConfig(size=300, strata_count=4), 3)
         assert len(pop.strata) == 300
         assert 1 < len(set(pop.strata)) <= 4
+
+    def test_ids_and_labels_are_unchanged(self):
+        """Positional ids and shared labels read as the tuples of strings
+        the generator made before them."""
+        pop = synth_population(SynthConfig(size=300, strata_count=4), 3)
+        assert isinstance(pop.ids, designs.PositionalIds)
+        assert pop.ids == tuple(map(str, range(300)))
+        assert pop.strata[:12] == ("h2", "h2", "h2", "h0", "h1", "h0",
+                                   "h2", "h0", "h0", "h0", "h1", "h1")
+        assert Counter(pop.strata) == {"h0": 83, "h1": 68, "h2": 80, "h3": 69}
+
+    def test_no_string_per_unit(self):
+        """A stratified population retains z, y, x and one label reference
+        per unit: 32 bytes, under 40, where a string id and a string label
+        per unit made 145."""
+        config = SynthConfig(size=100_000, strata_count=6)
+        synth_population(replace(config, size=100), 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pop = synth_population(config, 1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 40 * config.size
+        assert len({id(h) for h in pop.strata}) == 6
 
 
 class TestSimulationPlan:
@@ -125,6 +153,55 @@ class TestSimulationPlan:
 
 def _no_truth(*args):
     raise AssertionError("truth computed")
+
+
+def _one_unit_population(sizes=(1, 40, 40)):
+    """A population whose strata s0, s1, ... hold `sizes` units."""
+    strata = tuple(f"s{j}" for j, size in enumerate(sizes) for _ in range(size))
+    N = len(strata)
+    z = np.linspace(1.0, 2.0, N)
+    return Population(ids=tuple(map(str, range(N))), z=z,
+                      variables={"y": z ** 2 + np.cos(7.0 * z)}, strata=strata)
+
+
+class TestDoubleSumOfOneSampledUnit:
+    """n_h = 1 < N_h leaves no pair of the stratum ever sampled together:
+    the double sum is refused, naming the stratum, and a census stratum
+    of one unit is not."""
+
+    PLAN = {"estimators": (EstimatorSpec("HT"),), "parameters": (ParameterSpec("mean"),),
+            "replicates": 3, "variance_method": "double_sum"}
+
+    def test_monte_carlo_refuses_before_the_truths(self, monkeypatch):
+        monkeypatch.setattr(ParameterSpec, "truth", _no_truth)
+        plan = SimulationPlan(design=StratifiedSrswor({"s0": 1, "s1": 1, "s2": 5}),
+                              **self.PLAN)
+        with pytest.raises(ValueError, match=r"double-sum variance needs n_h >= 2 in "
+                                             r"stratum 's1' \(n_h = 1 of N_h = 40\)"):
+            run_monte_carlo(plan, _one_unit_population())
+
+    def test_srswor_of_one_unit_is_refused(self):
+        plan = SimulationPlan(design=Srswor(1), **self.PLAN)
+        with pytest.raises(ValueError, match=r"needs n >= 2 \(n = 1 of N = 81\)"):
+            run_monte_carlo(plan, _one_unit_population())
+
+    def test_census_stratum_of_one_unit_is_allowed(self):
+        pop = _one_unit_population()
+        plan = SimulationPlan(design=StratifiedSrswor({"s0": 1, "s1": 5, "s2": 6}),
+                              **self.PLAN)
+        table = run_monte_carlo(plan, pop)
+        assert np.isfinite(table.row("mean(y)", "HT").rrmse_percent)
+
+    def test_sample_data_refuses_the_double_sum_only(self):
+        pop = _one_unit_population()
+        sample = draw(pop, StratifiedSrswor({"s0": 1, "s1": 5, "s2": 1}), [3, 4])
+        ws = ht_weights(sample)
+        data = SampleData(sample, (ParameterSpec("mean"),))
+        with pytest.raises(ValueError, match="n_h >= 2 in stratum 's2'"):
+            data.estimate(ws, ParameterSpec("mean"), "double_sum", 0.95)
+        # the closed form refuses the census stratum too
+        with pytest.raises(ValueError, match="^variance needs n_h >= 2 in stratum 's0'"):
+            data.estimate(ws, ParameterSpec("mean"), "closed", 0.95)
 
 
 class TestEstimatorLabels:
