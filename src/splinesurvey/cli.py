@@ -26,11 +26,10 @@ from .simulate import (
     SampleData,
     SimulationPlan,
     SynthConfig,
-    check_double_sum,
     run_monte_carlo,
     synth_population,
 )
-from .variance import check_level
+from .variance import check_level, check_variance
 
 # Kept only because bench/spans.py hooks them on this module, as it hooks
 # `draw`; ROADMAP item 1 re-points or drops those hooks.
@@ -401,12 +400,10 @@ def simulate(plan_path, out_csv):
     _require_variables(pop, [(f"plan parameter {json.dumps(entry)}", spec)
                              for entry, spec in zip(cfg["parameters"], parameters)])
     # a sample size outside 1..N_h, a stratum without allocation, a
-    # population without strata or a double sum on a stratum of one sampled
+    # population without strata or a variance on a stratum of one sampled
     # unit, before the truths and the replicates
     with _usage_errors(f"plan design {json.dumps(cfg['design'])}"):
-        strata = design.strata(pop)
-        if plan.variance_method == "double_sum":
-            check_double_sum(*strata)
+        check_variance(plan.variance_method, *design.strata(pop))
     # a replicate's failure is not a usage error
     table = run_monte_carlo(plan, pop)
     click.echo(table.render())

@@ -19,7 +19,6 @@ from .designs import (
     Population,
     PositionalIds,
     SampleDraw,
-    StratumCodes,
     draw,
     replicate_seed,
 )
@@ -43,11 +42,13 @@ from .linearize import (
 from .variance import (
     VarianceEstimate,
     check_level,
+    check_variance,
     closed_form_variance,
     confidence_interval,
     ht_variance_double_sum,
 )
-from .weights import WeightSet, bspline_weights, greg_weights, ht_weights, post_weights
+from .weights import (WeightSet, bspline_weights, greg_spline, greg_weights, ht_weights,
+                      post_spline, post_weights)
 
 # Annotation of a spec field -> (the types its value may have, its name in
 # a message). A bool is neither a whole number nor a number here.
@@ -144,13 +145,14 @@ def _bs_label(spec) -> str:
 
 
 # Family name -> EstimatorFamily. GREG and POST are the spline system's
-# order-2 case without interior knots and its order-1 case. The entries
-# look the weight functions up in this module when called, as KINDS does.
+# order-2 case without interior knots and its order-1 case (`greg_spline`,
+# `post_spline`). The entries look the weight functions up in this module
+# when called, as KINDS does.
 FAMILIES = {
     "HT": EstimatorFamily((), lambda e: None, lambda sample, spline: ht_weights(sample)),
-    "GREG": EstimatorFamily((), lambda e: SplineSpec(order=2, interior_knots=0),
+    "GREG": EstimatorFamily((), lambda e: greg_spline(),
                             lambda sample, spline: greg_weights(sample)),
-    "POST": EstimatorFamily(("knots",), lambda e: SplineSpec(order=1, interior_knots=e.knots),
+    "POST": EstimatorFamily(("knots",), lambda e: post_spline(e.knots),
                             lambda sample, spline: post_weights(sample, spline.interior_knots),
                             lambda e: f"POST(K={e.knots})"),
     "BS": EstimatorFamily(("order", "knots", "lam", "penalty_order"),
@@ -296,22 +298,6 @@ class ParameterSpec:
 VARIANCE_METHODS = ("closed", "double_sum")
 
 
-def check_double_sum(strata: StratumCodes, sizes: list) -> None:
-    """Refuse the double-sum variance for a design whose strata (`strata`,
-    with sample sizes `sizes`, as `design.strata` gives them) include one
-    with a single sampled unit out of several (n_h = 1 < N_h), naming it.
-    No two units of such a stratum are ever sampled together (pi_kl = 0),
-    so no unbiased variance estimator exists and the HT double sum is
-    biased. A census stratum (n_h = N_h = 1) passes; Poisson sampling
-    states no strata and is not checked."""
-    for h, nh, Nh in zip(strata.labels, sizes, strata.sizes.tolist()):
-        if nh == 1 < Nh:
-            if h is None:
-                raise ValueError(f"double-sum variance needs n >= 2 (n = 1 of N = {Nh})")
-            raise ValueError(f"double-sum variance needs n_h >= 2 in stratum {h!r} "
-                             f"(n_h = 1 of N_h = {Nh})")
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     """Full Monte Carlo protocol: design, roster, parameters, replication."""
@@ -372,10 +358,7 @@ class MetricsTable:
 
     def render(self) -> str:
         params = sorted({p for p, _ in self.rows})
-        ests = []
-        for _, e in self.rows:
-            if e not in ests:
-                ests.append(e)
+        ests = list(dict.fromkeys(e for _, e in self.rows))
         width = max(len(e) for e in ests) + 2
         lines = [f"replicates: {self.replicates}"]
         for p in params:
@@ -460,12 +443,11 @@ class SampleData:
                  variance_method: str, level: float) -> Estimate:
         """Point estimate with weights `ws`, variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
-        (one of VARIANCE_METHODS), and the normal interval at `level`. The
-        double sum is refused on a draw with a stratum of one sampled unit
-        out of several (`check_double_sum`)."""
-        if variance_method == "double_sum" and not isinstance(self.sample.design,
-                                                              GivenProbabilities):
-            check_double_sum(*self.sample.strata)
+        (one of VARIANCE_METHODS), and the normal interval at `level`.
+        Either method is refused on a draw with a stratum of one sampled
+        unit out of several (`check_variance`)."""
+        if not isinstance(self.sample.design, GivenProbabilities):
+            check_variance(variance_method, *self.sample.strata)
         if ws.weights is not self._last[0]:  # a new weight set: measure it once
             self._last = (ws.weights, self._measures(ws.weights))
         measures = self._last[1]
@@ -519,13 +501,12 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     `mean_runtime` is each estimator's time per replicate, timed per chunk.
     """
     # the design's strata check it against the population, and the
-    # double sum against a stratum of one sampled unit, before the truths
+    # variance against a stratum of one sampled unit, before the truths
     if isinstance(plan.design, GivenProbabilities):
         per_chunk = 1
     else:
         strata, sizes = plan.design.strata(population)
-        if plan.variance_method == "double_sum":
-            check_double_sum(strata, sizes)
+        check_variance(plan.variance_method, strata, sizes)
         per_chunk = max(1, CHUNK_UNITS // sum(sizes))
     truths = {p.label: p.truth(population) for p in plan.parameters}
     est_labels = [e.label for e in plan.estimators]

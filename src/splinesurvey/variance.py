@@ -11,7 +11,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import SampleDraw, Srswor
+from .designs import SampleDraw, Srswor, StratumCodes
 from .functionals import as_scalar
 from .weights import SplineSystem
 
@@ -98,24 +98,50 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
     joint group whose level coefficient d + (n_h - 1) a is zero, so the
     closed form is the spread term alone, the sum over the draw's cells of
     (d - a) R, from the same per-draw cells and kernel (`_cell_spreads`).
-    Every stratum of every sample needs n_h >= 2; the first stratum short
-    of that, an unsampled one included, is named.
+    Every stratum of every sample needs n_h >= 2 or to be a census
+    (n_h = N_h), the rule `check_variance` applies to a design; the first
+    stratum short of that, an unsampled one included, is named. A census
+    stratum adds 0, since its finite-population factor 1 - n_h/N_h is 0.
     """
     e = np.asarray(residuals, dtype=float)
     d = draw.design
     if d.closed_form is None:
         raise TypeError("no closed form for this design; use the double sum")
-    if draw.size < 2:  # checked here: the per-stratum message names a stratum
+    # checked here: the per-stratum message names a stratum
+    if draw.size < 2 and draw.size < draw.population.size:
         raise ValueError("variance needs n >= 2")
     if e.shape != draw.indices.shape:
         raise ValueError("residuals length must equal n")
-    labels = draw.strata[0].labels
-    short = (draw.pair_cells.count.reshape(-1, len(labels)) < 2).any(axis=0)
+    strata = draw.strata[0]
+    count = draw.pair_cells.count.reshape(-1, len(strata.labels))
+    short = ((count < 2) & (count < strata.sizes)).any(axis=0)
     if short.any():
-        raise ValueError(f"variance needs n_h >= 2 in stratum {labels[short.argmax()]!r}")
+        raise ValueError(f"variance needs n_h >= 2 in stratum "
+                         f"{strata.labels[short.argmax()]!r}")
     cells, _, spread = _cell_spreads(draw, e)
     value = (cells.spread_coef * spread).reshape(draw.replicates + (-1,)).sum(axis=-1)
     return VarianceEstimate(as_scalar(value), d.closed_form)
+
+
+# How each variance route (`simulate.VARIANCE_METHODS`) names itself when refused.
+_REFUSED_AS = {"closed": "variance", "double_sum": "double-sum variance"}
+
+
+def check_variance(method: str, strata: StratumCodes, sizes: list) -> None:
+    """Refuse the variance `method` for a design whose strata (`strata`,
+    with sample sizes `sizes`, as `design.strata` gives them) include one
+    with a single sampled unit out of several (n_h = 1 < N_h), naming it.
+    No two units of such a stratum are ever sampled together (pi_kl = 0),
+    so no variance estimator is unbiased: the closed form has no s_h^2 and
+    the HT double sum is biased. Every other stratum has n_h >= 2 or is a
+    census (n_h = N_h), which adds 0 to either route. Poisson sampling
+    states no strata and is not checked."""
+    for h, nh, Nh in zip(strata.labels, sizes, strata.sizes.tolist()):
+        if nh < 2 and nh < Nh:
+            if h is None:
+                raise ValueError(f"{_REFUSED_AS[method]} needs n >= 2 (n = {nh} of N = {Nh})")
+            raise ValueError(f"{_REFUSED_AS[method]} needs n_h >= 2 in stratum {h!r} "
+                             f"(n_h = {nh} of N_h = {Nh})")
 
 
 def population_asymptotic_variance(population, design, u_values, spec) -> float:

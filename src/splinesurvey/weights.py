@@ -265,18 +265,29 @@ def bspline_weights(draw, spec: SplineSpec, *, form: str = "general") -> WeightS
     return _spline_weights(draw, spec, "BS(m={m},K={K},lam={lam:g})", vector=_FORMS[form])
 
 
+# The splines of poststratification and GREG, which `post_weights`,
+# `greg_weights` and their `simulate.FAMILIES` entries all read.
+
+def post_spline(K: int) -> SplineSpec:
+    """The order-1 unpenalized spline with K cut points."""
+    return SplineSpec(order=1, interior_knots=K)
+
+
+def greg_spline() -> SplineSpec:
+    """The order-2 spline without interior knots: it spans {1, z}."""
+    return SplineSpec(order=2, interior_knots=0)
+
+
 def post_weights(draw, K: int) -> WeightSet:
-    """Poststratified weights: order-1 unpenalized spline with K cut points.
-    Its normal matrix is diagonal, one cell's HT size per entry, so the
-    system's singular refusal is an empty poststratum."""
-    return _spline_weights(draw, SplineSpec(order=1, interior_knots=K), "POST(K={K})",
-                           "empty poststratum")
+    """Poststratified weights on `post_spline(K)`. Its normal matrix is
+    diagonal, one cell's HT size per entry, so the system's singular
+    refusal is an empty poststratum."""
+    return _spline_weights(draw, post_spline(K), "POST(K={K})", "empty poststratum")
 
 
 def greg_weights(draw) -> WeightSet:
     """Linear-model calibration on (1, z): Sum w = N and Sum w z = Sum_U z,
-    on the order-2 spline system without interior knots (it spans {1, z})."""
+    on the spline system of `greg_spline()`."""
     if np.count_nonzero(np.ptp(draw.sample_z, axis=-1) == 0):
         raise ValueError("collinear design: sample covariate is constant")
-    return _spline_weights(draw, SplineSpec(order=2, interior_knots=0), "GREG",
-                           "collinear design")
+    return _spline_weights(draw, greg_spline(), "GREG", "collinear design")

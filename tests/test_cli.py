@@ -1130,16 +1130,18 @@ def test_estimate_stratum_of_one_sampled_unit_is_a_usage_error(runner, stratifie
     _usage_error(runner.invoke(main, args), message)
 
 
+@pytest.mark.parametrize("method,refused", [("double_sum", "double-sum variance"),
+                                            ("closed", "variance")])
 def test_plan_double_sum_on_a_stratum_of_one_sampled_unit_is_a_usage_error(
-        runner, stratified_csv, tmp_path, monkeypatch):
-    """Refused before the truths and the replicates."""
+        runner, stratified_csv, tmp_path, monkeypatch, method, refused):
+    """Refused before the truths and the replicates, whichever the method."""
     monkeypatch.setattr(cli, "run_monte_carlo", _fail)
     design = {"kind": "stratified", "allocations": {"h0": 20, "h1": 1, "h2": 30}}
     plan = {"population": {"file": str(stratified_csv)}, "design": design,
             "estimators": [{"family": "HT"}], "parameters": [{"kind": "mean"}],
-            "replicates": 3, "variance_method": "double_sum"}
+            "replicates": 3, "variance_method": method}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     res = runner.invoke(main, ["simulate", "--plan", str(plan_path)])
-    _usage_error(res, f"plan design {json.dumps(design)}: double-sum variance needs "
+    _usage_error(res, f"plan design {json.dumps(design)}: {refused} needs "
                       "n_h >= 2 in stratum 'h1' (n_h = 1 of N_h = 100)")

@@ -166,17 +166,19 @@ def _one_unit_population(sizes=(1, 40, 40)):
 
 class TestDoubleSumOfOneSampledUnit:
     """n_h = 1 < N_h leaves no pair of the stratum ever sampled together:
-    the double sum is refused, naming the stratum, and a census stratum
+    both variances are refused, naming the stratum, and a census stratum
     of one unit is not."""
 
     PLAN = {"estimators": (EstimatorSpec("HT"),), "parameters": (ParameterSpec("mean"),),
             "replicates": 3, "variance_method": "double_sum"}
 
-    def test_monte_carlo_refuses_before_the_truths(self, monkeypatch):
+    @pytest.mark.parametrize("method,refused", [("double_sum", "double-sum variance"),
+                                                ("closed", "variance")])
+    def test_monte_carlo_refuses_before_the_truths(self, monkeypatch, method, refused):
         monkeypatch.setattr(ParameterSpec, "truth", _no_truth)
         plan = SimulationPlan(design=StratifiedSrswor({"s0": 1, "s1": 1, "s2": 5}),
-                              **self.PLAN)
-        with pytest.raises(ValueError, match=r"double-sum variance needs n_h >= 2 in "
+                              **{**self.PLAN, "variance_method": method})
+        with pytest.raises(ValueError, match=rf"^{refused} needs n_h >= 2 in "
                                              r"stratum 's1' \(n_h = 1 of N_h = 40\)"):
             run_monte_carlo(plan, _one_unit_population())
 
@@ -187,10 +189,17 @@ class TestDoubleSumOfOneSampledUnit:
 
     def test_census_stratum_of_one_unit_is_allowed(self):
         pop = _one_unit_population()
-        plan = SimulationPlan(design=StratifiedSrswor({"s0": 1, "s1": 5, "s2": 6}),
-                              **self.PLAN)
-        table = run_monte_carlo(plan, pop)
-        assert np.isfinite(table.row("mean(y)", "HT").rrmse_percent)
+        design = StratifiedSrswor({"s0": 1, "s1": 5, "s2": 6})
+        for method in simulate.VARIANCE_METHODS:
+            plan = SimulationPlan(design=design, **{**self.PLAN, "variance_method": method})
+            table = run_monte_carlo(plan, pop)
+            assert np.isfinite(table.row("mean(y)", "HT").rrmse_percent)
+        sample = draw(pop, design, [3, 4])
+        ws = ht_weights(sample)
+        data = SampleData(sample, (ParameterSpec("mean"),))
+        closed, double = (data.estimate(ws, ParameterSpec("mean"), method, 0.95).variance.value
+                          for method in simulate.VARIANCE_METHODS)
+        np.testing.assert_allclose(closed, double, rtol=1e-12, atol=0)
 
     def test_sample_data_refuses_the_double_sum_only(self):
         pop = _one_unit_population()
@@ -199,8 +208,8 @@ class TestDoubleSumOfOneSampledUnit:
         data = SampleData(sample, (ParameterSpec("mean"),))
         with pytest.raises(ValueError, match="n_h >= 2 in stratum 's2'"):
             data.estimate(ws, ParameterSpec("mean"), "double_sum", 0.95)
-        # the closed form refuses the census stratum too
-        with pytest.raises(ValueError, match="^variance needs n_h >= 2 in stratum 's0'"):
+        # the closed form refuses it too, and passes the census stratum 's0'
+        with pytest.raises(ValueError, match="^variance needs n_h >= 2 in stratum 's2'"):
             data.estimate(ws, ParameterSpec("mean"), "closed", 0.95)
 
 

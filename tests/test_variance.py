@@ -335,6 +335,23 @@ class TestOneStratum:
             population_asymptotic_variance(pop, Srswor(31), pop.variables["y"],
                                            SplineSpec(order=1, interior_knots=0))
 
+    def test_census_stratum_of_one_unit_adds_nothing(self):
+        """n_h = N_h = 1: the finite-population factor is 0, so the closed
+        form is stratum 'b's alone, as the double sum is."""
+        pop = _pop(31, strata=("a",) + ("b",) * 30)
+        d = draw(pop, StratifiedSrswor({"a": 1, "b": 4}), [5, 6])
+        e = np.random.default_rng(2).standard_normal(d.indices.shape)
+        closed = closed_form_variance(d, e).value
+        np.testing.assert_allclose(closed, ht_variance_double_sum(d, e).value,
+                                   rtol=1e-12, atol=0)
+        for r in range(2):
+            b = pop.stratum_codes.codes[d.indices[r]] == 1
+            assert closed[r] == pytest.approx(srswor_variance(30, 4, e[r][b]).value,
+                                              rel=1e-12)
+        # a population of one unit is a census of one too
+        d = draw(_pop(1), Srswor(1), 0)
+        assert closed_form_variance(d, np.ones(1)).value == 0.0
+
     def test_given_probabilities_have_no_closed_form(self):
         pop = _pop(40)
         d = draw(pop, GivenProbabilities(np.full(40, 0.5)), 2)
