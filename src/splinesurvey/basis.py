@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -110,14 +110,30 @@ def normalize_covariate(z_values) -> tuple[np.ndarray, CovariateScale]:
     return scale.apply(z_values), scale
 
 
+class SortedReference(NamedTuple):
+    """Knot reference values in [0,1] sorted row by row (`z01`) and each
+    row's number of distinct values: what `knot_groups` reads of a
+    reference, so a caller can sort one reference for several specs."""
+
+    z01: np.ndarray
+    distinct_count: int | np.ndarray
+
+
+def sorted_reference(values) -> SortedReference:
+    """The values sorted row by row, with each row's distinct count."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=-1)
+    return SortedReference(ordered, _distinct_count(ordered))
+
+
 def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
     """Place interior knots per the spec's rule.
 
     `reference` holds values in [0,1] used by the quantile rules: sampled
     covariates for `sample_quantile`, population covariates for
     `population_quantile`. A `CovariateSummary` may stand for the
-    population; its sorted values and distinct count are then used as they
-    are, so a build does no O(N) work. Quantiles are type-1 (inverted CDF,
+    population, and a `SortedReference` for sorted values; their sorted
+    values and distinct counts are then used as they are, so a build sorts
+    nothing and does no O(N) work. Quantiles are type-1 (inverted CDF,
     no interpolation, as numpy's `method="inverted_cdf"`) at levels
     i/(K+1). Duplicate or boundary-touching knots are collapsed with a
     warning, reducing the effective knot count. This is the one-sample
@@ -142,11 +158,9 @@ def knot_groups(spec: SplineSpec, reference=None) -> list:
         return [(..., KnotVector(()))]
     if spec.knot_rule == "equidistant":
         return [(..., KnotVector(tuple((np.arange(1, K + 1) / (K + 1)).tolist())))]
-    if isinstance(reference, CovariateSummary):
-        ordered, distinct = reference.z01, reference.distinct_count
-    else:
-        ordered = np.sort(np.asarray(reference, dtype=float), axis=-1)
-        distinct = _distinct_count(ordered)
+    if not isinstance(reference, (CovariateSummary, SortedReference)):
+        reference = sorted_reference(reference)
+    ordered, distinct = reference.z01, reference.distinct_count
     if ordered.shape[-1] == 0:
         raise ValueError("quantile knot rule needs a nonempty reference")
     if np.count_nonzero(distinct < K + 1):

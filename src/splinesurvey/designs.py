@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import CovariateSummary
+from .basis import CovariateSummary, SortedReference, sorted_reference
 
 # When numpy's reader refuses a population CSV, `Population.from_csv` reads
 # it again with the `csv` module, this many rows at a time: it holds one
@@ -442,7 +442,9 @@ class SampleDraw:
     `indices` holds the sampled units: shape (n,) for one sample, (R, n)
     for a stack of R samples of one design, one per row. `pi` has the same
     shape, and so do the design weights d_k = 1/pi_k (`design_weights`),
-    which every weight family and every `SampleData` reads. Either the
+    which every weight family and every `SampleData` reads, and the sampled
+    covariates on the population's [0,1] scale (`scaled_z`, with its one
+    row-wise sort `sorted_scaled_z`), which every spline system reads. Either the
     caller gives `pi_full` over the whole universe, which is checked whole,
     or `pi` at the sampled units (as `draw` does), which is checked there;
     `pi_full` is then built from the design on first use, so a draw does
@@ -490,6 +492,22 @@ class SampleDraw:
         d = 1.0 / self.pi
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def scaled_z(self) -> np.ndarray:
+        """The sampled covariates on the population's [0,1] scale
+        (`covariate_summary.scale`), read-only and built once per draw:
+        every spline system on the draw evaluates its basis there."""
+        z = self.population.covariate_summary.scale.apply(self.sample_z)
+        z.flags.writeable = False
+        return z
+
+    @cached_property
+    def sorted_scaled_z(self) -> SortedReference:
+        """`scaled_z` sorted row by row, with each row's distinct count,
+        built once per draw: the reference of every sample-quantile knot
+        rule on the draw, so POST and BS read one sort."""
+        return sorted_reference(self.scaled_z)
 
     @cached_property
     def strata(self) -> tuple[StratumCodes, list]:

@@ -17,10 +17,15 @@ can share one, and the values are sorted once. At the units' own values
 and on the support, the distribution function is read at the run ends; only
 arbitrary points are searched. Totals, means and ratios never sort.
 
-A measure built without masses (the census) has unit masses: its
-quantiles select the k-th smallest value and its CDF at a point counts,
-so of its order functionals only the Gini sorts. Both give the sorted
-path's results bit for bit, whose cumulative masses are then exact integers.
+A measure built without masses (the census) has unit masses. It checks
+its entries are finite by its row sums (a NaN or infinite entry makes its
+row's sum non-finite; only a sum that overflows is checked again entry by
+entry), and those sums are its total, which `total`, `mean`, `ratio` and
+`gini` read. Its quantiles select the k-th smallest value and its CDF at
+a point counts, so of its order functionals only the Gini sorts, and it
+sorts the values alone (`np.sort`): no sort order, no gather. All give
+the sorted path's results bit for bit, whose cumulative masses are then
+exact integers.
 `quantile` is the one weighted alpha-point of the estimates (the
 bandwidth's quartiles and the poverty line read it; knots keep their own
 rule), and a sample whose masses are all equal (the HT weights N/n of an
@@ -96,14 +101,33 @@ def _sort_runs(values: np.ndarray) -> tuple:
     starts = np.ones(values.shape, dtype=bool)
     starts[..., 1:] = new_run
     run_start = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
-    ends = np.ones(values.shape, dtype=bool)
-    ends[..., :-1] = new_run
-    run_end = np.minimum.accumulate(np.where(ends, position + 1, n)[..., ::-1],
-                                    axis=-1)[..., ::-1]
+    run_end = _run_ends(new_run)
     run_key = run_start.astype(np.int64) * n
     order = np.sort(run_key + order, axis=-1) - run_key
     sorted_y = take_rows(values, order)  # a run may hold -0.0 and 0.0
     return order, sorted_y, run_start, run_end
+
+
+def _run_ends(new_run: np.ndarray) -> np.ndarray:
+    """Per sorted position, the end of its run of tied values, from
+    `new_run`, the (..., n - 1) flags of a sorted row's value changes."""
+    n = new_run.shape[-1] + 1
+    ends = np.ones(new_run.shape[:-1] + (n,), dtype=bool)
+    ends[..., :-1] = new_run
+    return np.minimum.accumulate(np.where(ends, np.arange(1, n + 1), n)[..., ::-1],
+                                 axis=-1)[..., ::-1]
+
+
+def _value_runs(values: np.ndarray) -> tuple:
+    """(sorted values, run end) of float values, row by row, from one sort
+    of the values alone (`np.sort`): no positions are sorted or gathered.
+    The run ends are those of `_sort_runs`; only the order of -0.0 and 0.0
+    inside a run of zeros may differ from the stable sort's."""
+    sorted_y = np.sort(values, axis=-1)
+    new_run = sorted_y[..., 1:] != sorted_y[..., :-1]
+    if new_run.all():  # no ties: every run one unit
+        return sorted_y, np.arange(1, values.shape[-1] + 1)
+    return sorted_y, _run_ends(new_run)
 
 
 class Ordering:
@@ -212,13 +236,15 @@ class WeightedMeasure:
     The sort order and the runs of tied values come from `ordering`, which
     a caller may pass in to share one sort between measures on the same
     values array; by default the measure makes its own. Without `masses`
-    every unit has mass one (`unit_masses`): the quantile and the CDF at
-    one point per row then select and count instead of sorting, N-hat is
-    the unit count, and the cumulative masses are the counts 0..n. What
-    reads `masses` (the sum of `gini`, `implicit_solve`, a `ratio` with a
-    weighted partner, `linearized_ratio`, the poverty rate's bandwidth and
-    density) fetches one read-only array of ones, shared by every unit-mass
-    measure of the same shape; `total` sums the values alone.
+    every unit has mass one (`unit_masses`): the entries are checked
+    finite by the row sums, which are kept as the total; the quantile and
+    the CDF at one point per row select and count instead of sorting; the
+    Gini sorts the values alone, not their positions; N-hat is the unit
+    count, and the cumulative masses are the counts 0..n. What reads
+    `masses` (`implicit_solve`, a `ratio` with a weighted partner,
+    `linearized_ratio`, the poverty rate's bandwidth and density) fetches
+    one read-only array of ones, shared by every unit-mass measure of the
+    same shape; `total` and `gini` read no masses.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -227,7 +253,15 @@ class WeightedMeasure:
         if (w is not None and y.shape != w.shape) or y.ndim not in (1, 2):
             raise ValueError("values and masses must be matching 1-d arrays, "
                              "or (R, n) arrays for a stack")
-        if not (np.isfinite(y).all() and (w is None or np.isfinite(w).all())):
+        if w is None:
+            # a NaN or infinite entry makes its row's sum non-finite; only
+            # a sum that overflows is checked again entry by entry
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._row_sums = np.add.reduce(y, axis=-1)
+            finite = np.isfinite(self._row_sums).all() or np.isfinite(y).all()
+        else:
+            finite = np.isfinite(y).all() and np.isfinite(w).all()
+        if not finite:
             raise ValueError("measure entries must be finite")
         if ordering is None:
             ordering = Ordering(y)
@@ -316,9 +350,10 @@ class WeightedMeasure:
 
 def total(measure: WeightedMeasure):
     """Sum of w_k y_k in unit order; at unit masses the sum of the y_k,
-    which 1.0 * y_k leaves unchanged."""
+    which 1.0 * y_k leaves unchanged: the row sums the measure checked its
+    entries by when it was built."""
     if measure.unit_masses:
-        return as_scalar(np.add.reduce(measure.values, axis=-1))
+        return as_scalar(measure._row_sums)
     return as_scalar(np.add.reduce(measure.masses * measure.values, axis=-1))
 
 
@@ -427,13 +462,23 @@ def gini(measure: WeightedMeasure):
     if it came last in the tie. A constant variable therefore has G = 1,
     not 0: exactly on the census, to rounding at any weights. Heaped values
     (incomes rounded to a coarse grid) inflate G.
+
+    At unit masses F(y_k) is the run end over n, and the terms need only
+    the sorted values: they are sorted by value (`np.sort`), with no sort
+    order and no gather. Tied values share one bit pattern but for -0.0
+    and 0.0, whose order inside a run only moves zero terms, so the sum is
+    the sorted path's bit for bit.
     """
     nhat = measure.total_mass
     ty = total(measure)
     if np.count_nonzero(nhat == 0) or np.count_nonzero(ty == 0):
         raise ValueError("Gini undefined: zero mass or zero total")
-    F = take_rows(measure._cum_w, measure.ordering.run_end_at) / as_column(nhat)
-    terms = measure._sorted_w * ((2.0 * F - 1.0) * measure._sorted_y)
+    if measure.unit_masses:  # the masses' F and terms: k / n over N-hat = n, and 1.0 * x is x
+        sorted_y, run_end = _value_runs(measure.values)
+        terms = (2.0 * (run_end / measure.size) - 1.0) * sorted_y
+    else:
+        F = take_rows(measure._cum_w, measure.ordering.run_end_at) / as_column(nhat)
+        terms = measure._sorted_w * ((2.0 * F - 1.0) * measure._sorted_y)
     return as_scalar(np.add.reduce(terms, axis=-1)) / ty
 
 

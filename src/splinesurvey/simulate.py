@@ -283,14 +283,33 @@ class ParameterSpec:
         value per row for an (R, n) stack."""
         return KINDS[self.kind].functional(self, *self.measures(values, masses))
 
-    def truth(self, population: Population) -> float:
-        """The parameter of the census: the measure at unit masses, whose
-        quantiles and CDF values select and count instead of sorting."""
-        return self.evaluate(population.variables, None)
+    def truth(self, population: Population, census: dict | None = None) -> float:
+        """The parameter of the census: the functional at the unit-mass
+        measures of the variables it reads, taken from `census` (variable
+        name -> measure, as `census_measures` builds it) or built here.
+        Their quantiles and CDF values select and count instead of
+        sorting, and a Gini sorts the values, not their positions."""
+        if census is None:
+            census = census_measures(population, (self,))
+        return KINDS[self.kind].functional(self, *map(census.get, self.variables))
 
     def linearized(self, values: dict, weights: np.ndarray | None) -> np.ndarray:
         """Linearized variable at its `measures` with masses `weights`."""
         return KINDS[self.kind].linearized(self, *self.measures(values, weights)).values
+
+
+def _variables(parameters: Sequence) -> dict:
+    """The variables the parameters read, each once, in order of first use
+    (a dict with no values)."""
+    return dict.fromkeys(name for p in parameters for name in p.variables)
+
+
+def census_measures(population: Population, parameters: Sequence) -> dict:
+    """{variable: its unit-mass measure on the census}, one per variable the
+    parameters read. Each checks its entries finite by its row sum, which
+    is its total, and sorts nothing until a Gini sorts its values."""
+    return {name: WeightedMeasure(population.variables[name])
+            for name in _variables(parameters)}
 
 
 # The variance routes `SampleData.estimate` takes: the design's closed form
@@ -424,8 +443,7 @@ class SampleData:
 
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
-        names = dict.fromkeys(name for p in parameters for name in p.variables)
-        self.values = {name: sample.sample_values(name) for name in names}
+        self.values = {name: sample.sample_values(name) for name in _variables(parameters)}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
         # (weights, {variable: measure}) of the last weight set estimated
         # with, whose parameters all read its measures: first the design's
@@ -491,9 +509,12 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     the first failing replicate raises alone.
 
     Each variable is sorted once per chunk, row by row: every estimator on
-    a chunk shares its `SampleData`. The truths sort no census for totals,
-    means, ratios and the poverty rate (unit-mass quantiles select and the
-    CDF at a point counts); a Gini truth sorts its variable once. Each cell
+    a chunk shares its `SampleData`. The truths read one unit-mass census
+    measure per variable (`census_measures`), dropped before the first
+    chunk; each checks its entries finite by its row sum, which is its
+    total. They sort no census for totals, means, ratios and the poverty
+    rate (unit-mass quantiles select and the CDF at a point counts); a Gini
+    truth sorts its variable once, by value, with no positions. Each cell
     keeps a (4, replicates) block whose rows are the point, the variance
     and the interval's lower and upper ends (NaN where the variance is
     negative), one column per replicate, written chunk by chunk by slice;
@@ -508,7 +529,9 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
         strata, sizes = plan.design.strata(population)
         check_variance(plan.variance_method, strata, sizes)
         per_chunk = max(1, CHUNK_UNITS // sum(sizes))
-    truths = {p.label: p.truth(population) for p in plan.parameters}
+    census = census_measures(population, plan.parameters)
+    truths = {p.label: p.truth(population, census) for p in plan.parameters}
+    del census  # not held through the replicates
     est_labels = [e.label for e in plan.estimators]
     blocks = {(p.label, e): np.empty((4, plan.replicates))
               for p in plan.parameters for e in est_labels}

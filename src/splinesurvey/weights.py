@@ -95,7 +95,10 @@ class SplineSystem:
 
     Holds the knots, the sample and population basis summaries, and the
     factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p, whose Pi^-1 is
-    the draw's `design_weights`, the array the HT weights are. The system
+    the draw's `design_weights`, the array the HT weights are. The basis
+    is evaluated at the draw's `scaled_z`, and sample-quantile knots are
+    placed on its one sort of them (`sorted_scaled_z`), which every system
+    on the draw shares. The system
     behind a sample's weights also gives the fits of the linearized
     variables whose residuals enter the variance (`WeightSet.system`).
     The population side comes from the population's cached
@@ -115,12 +118,12 @@ class SplineSystem:
     def __init__(self, draw, spec: SplineSpec):
         self.spec = spec
         covariate = draw.population.covariate_summary
-        z_s = covariate.scale.apply(draw.sample_z)
+        z_s = draw.scaled_z
         inv_pi = draw.design_weights
         fixed = covariate.fixed_knot_totals(spec)
         if fixed is None:
             groups = [(rows, knots, covariate.basis_totals(knots, spec.order))
-                      for rows, knots in knot_groups(spec, z_s)]
+                      for rows, knots in knot_groups(spec, draw.sorted_scaled_z)]
         else:
             groups = [(..., *fixed)]
         self._shape = inv_pi.shape

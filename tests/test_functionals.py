@@ -205,9 +205,9 @@ def _hex(values) -> list:
 
 
 class TestUnitMassesOnFirstUse:
-    """A census measure makes its array of ones only for what reads it (the
-    BLAS dots of `total` and `gini`), and every number equals the measure
-    with masses of one bit for bit."""
+    """A census measure makes its array of ones only for what reads it
+    (neither `total`, `gini`, the quantile nor the CDF does), and every
+    number equals the measure with masses of one bit for bit."""
 
     TIED = np.round(np.random.default_rng(8).standard_normal(1001) * 3)
     # the median is a zero: the first unit's, -0.0, in both measures
@@ -223,6 +223,28 @@ class TestUnitMassesOnFirstUse:
         assert "masses" not in vars(m)
         total(m)
         assert np.array_equal(m.masses, np.ones(y.size))
+
+    @pytest.mark.parametrize("y", [TIED, SIGNED_ZERO_MEDIAN])
+    def test_total_and_gini_read_no_masses_and_no_order(self, y):
+        m = unit_measure(y)
+        assert _hex(total(m)) == _hex(np.add.reduce(y))
+        mean(m)
+        gini(m)
+        assert "masses" not in vars(m)
+        assert "_runs" not in vars(m.ordering)  # the Gini sorted values only
+
+    def test_entries_are_checked_by_their_row_sums(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for y in ([1.0, bad, 2.0], [[1.0, 2.0], [bad, 0.0]], [bad, -bad]):
+                with pytest.raises(ValueError, match="measure entries must be finite"):
+                    unit_measure(y)
+        # a row sum that overflows is checked entry by entry: finite entries
+        # pass, and the total is the overflowed sum, as the sum gives it
+        m = unit_measure([1e308, 1e308])
+        assert total(m) == np.inf
+        assert total(unit_measure([[-1e308, -1e308], [1.0, 2.0]])).tolist() == [-np.inf, 3.0]
+        with pytest.raises(ValueError, match="measure entries must be finite"):
+            unit_measure([[1e308, 1e308], [np.nan, 1.0]])
 
     @pytest.mark.parametrize("y", [TIED, SIGNED_ZERO_MEDIAN])
     def test_truths_equal_masses_of_one(self, y):

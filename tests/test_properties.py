@@ -242,6 +242,41 @@ def test_census_measure_equals_masses_of_one(y, fraction):
         assert same(unit.mass_at_most(point), ones.mass_at_most(point))
 
 
+@st.composite
+def gini_values(draw):
+    """Values of one census (n,) or of a stack (R, n) for the Gini: few
+    distinct values with both signed zeros, incomes heaped onto a coarse
+    grid, or signed values rounded to one, so that -0.0 and 0.0 share a
+    run; sizes past the small-array cutoffs of numpy's sorts."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    kind = draw(st.sampled_from(["tied", "heaped", "signed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n,) if rows is None else (rows, n)
+    if kind == "tied":
+        return rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], shape)
+    if kind == "heaped":
+        return np.round(rng.lognormal(4.0, 1.5, shape), -2)
+    return np.round(rng.normal(0.0, 2.0, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gini_values())
+@example(np.array([3.0, -0.0, -1.0, 0.0, -0.0, 2.0, 0.0]))
+@example(np.array([[0.0, -0.0, 5.0], [-0.0, -0.0, 1.0]]))
+def test_census_gini_equals_masses_of_one(y):
+    """The census Gini sorts the values alone; it equals the Gini of masses
+    of one, on the stable sort order, bit for bit, or both refuse."""
+    unit, ones = WeightedMeasure(y), WeightedMeasure(y, np.ones_like(y))
+    try:
+        want = gini(ones)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            gini(unit)
+        return
+    assert same(gini(unit), want)
+
+
 # Points to rank: both signed zeros, values of census_values' pools, and
 # values between or beyond them, infinities included.
 RANK_POINTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.5, 0.25, -60.0, 60.0,

@@ -633,17 +633,26 @@ def test_kinds_look_their_functions_up_on_the_module(monkeypatch):
         assert called == [kind, linearization]
 
 
+def _record_sorts(monkeypatch) -> list:
+    """The shapes of the value arrays sorted from now on, by the sort of
+    positions (`_sort_runs`) or of values alone (`_value_runs`)."""
+    shapes = []
+    for name in ("_sort_runs", "_value_runs"):
+        monkeypatch.setattr(functionals, name,
+                            lambda v, _sort=getattr(functionals, name):
+                            shapes.append(v.shape) or _sort(v))
+    return shapes
+
+
 @pytest.mark.parametrize("kinds", [("mean", "gini"),
                                    ("mean", "gini", "poverty_rate", "ratio", "total")])
 def test_each_variable_sorted_once_per_replicate(monkeypatch, kinds):
     """On the criterion-10 plan, y is sorted once for the truths and once
     per replicate: the replicates of a chunk are sorted together, row by
     row, and every estimator's measure and the HT linearization share that
-    sort, and totals, means and ratios never sort."""
-    shapes = []
-    sort_runs = functionals._sort_runs
-    monkeypatch.setattr(functionals, "_sort_runs",
-                        lambda v: shapes.append(v.shape) or sort_runs(v))
+    sort, and totals, means and ratios never sort. The Gini truth sorts
+    the values alone, and the census measure of y is shared."""
+    shapes = _record_sorts(monkeypatch)
     pop = synth_population(SynthConfig(size=19378), 3)
     plan = SimulationPlan(
         design=Srswor(500),
@@ -699,8 +708,8 @@ def _estimate_call(tmp_path):
 
 
 @pytest.mark.parametrize("run,truths,samples,shape", [
-    (lambda tmp_path: _criterion_10_chunk(), 2, 4, (3, 100)),
-    (lambda tmp_path: _stratified_chunk(), 3, 6, (3, 120)),
+    (lambda tmp_path: _criterion_10_chunk(), 1, 4, (3, 100)),
+    (lambda tmp_path: _stratified_chunk(), 2, 6, (3, 120)),
     (_estimate_call, 0, 4, (100,)),
 ], ids=["criterion_10_chunk", "stratified_chunk", "estimate_call"])
 def test_each_variable_measured_once_per_weight_set(monkeypatch, tmp_path, run, truths,
@@ -709,7 +718,8 @@ def test_each_variable_measured_once_per_weight_set(monkeypatch, tmp_path, run, 
     linearizations and the HT point read one measure, every parameter of
     a weight set reads that set's, and the bandwidth reads the poverty
     rate's. Wrapped are the `WeightedMeasure` names the benchmark's span
-    tracer hooks; the truths' census measures are counted apart."""
+    tracer hooks; the truths' census measures are counted apart: one per
+    variable the run's parameters read, shared by every truth."""
     shapes = []
     for module in (simulate, linearize, cli):
         monkeypatch.setattr(module, "WeightedMeasure",
@@ -721,13 +731,41 @@ def test_each_variable_measured_once_per_weight_set(monkeypatch, tmp_path, run, 
     assert len(shapes) == truths + samples
 
 
+def test_truths_share_one_census_measure_per_variable(monkeypatch):
+    """A run builds one unit-mass census measure per variable its
+    parameters read; every truth reads those measures and equals the truth
+    computed alone, and the measures are gone before the first draw."""
+    pop = synth_population(SynthConfig(size=3000), 3)
+    census = []
+
+    def measure(values, *args, _cls=simulate.WeightedMeasure, **kwargs):
+        m = _cls(values, *args, **kwargs)
+        if m.unit_masses:
+            census.append((m.values, weakref.ref(m)))
+        return m
+
+    def first_draw(*args, _draw=simulate.draw, **kwargs):
+        assert all(ref() is None for _, ref in census), "census measure held"
+        return _draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "WeightedMeasure", measure)
+    monkeypatch.setattr(simulate, "draw", first_draw)
+    parameters = (ParameterSpec("mean"), ParameterSpec("gini"), ParameterSpec("ratio", "y", "x"),
+                  ParameterSpec("poverty_rate"), ParameterSpec("total", "x"),
+                  ParameterSpec("ratio", "x", "y"))
+    plan = SimulationPlan(design=Srswor(100), estimators=(EstimatorSpec("HT"),),
+                          parameters=parameters, replicates=3, master_seed=5)
+    table = run_monte_carlo(plan, pop)
+    assert len(census) == 2
+    assert all(values is pop.variables[name] for (values, _), name in zip(census, "yx"))
+    monkeypatch.undo()
+    assert table.truths == {p.label: p.truth(pop) for p in parameters}
+
+
 def test_census_truths_of_sums_and_poverty_rate_do_not_sort(monkeypatch):
     """A ratio and a poverty rate need no census sort: the truth's median
     is selected and its CDF counted, so only the (R, n) chunks are sorted."""
-    shapes = []
-    sort_runs = functionals._sort_runs
-    monkeypatch.setattr(functionals, "_sort_runs",
-                        lambda v: shapes.append(v.shape) or sort_runs(v))
+    shapes = _record_sorts(monkeypatch)
     pop = synth_population(SynthConfig(size=19378), 3)
     plan = SimulationPlan(
         design=Srswor(500),

@@ -342,3 +342,29 @@ class TestFitCoefficients:
             theta = SplineSystem(d, spec).coefficients(y)
             roughness.append(float(np.sum(np.diff(theta) ** 2)))
         assert all(a >= b for a, b in zip(roughness, roughness[1:]))
+
+
+@pytest.mark.parametrize("seeds", [7, [1, 2, 3]], ids=["one", "stack"])
+def test_spline_systems_share_the_draws_scaled_sorted_covariate(monkeypatch, small_population,
+                                                                seeds):
+    """The draw scales its covariates once and sorts them once: POST and BS
+    place their quantile knots on that one sort, and every system, GREG's
+    too, evaluates its basis at the draw's read-only scaled covariates."""
+    from splinesurvey import designs, weights
+
+    sorted_, evaluated = [], []
+    monkeypatch.setattr(designs, "sorted_reference",
+                        lambda v, _sort=designs.sorted_reference: sorted_.append(v) or _sort(v))
+    monkeypatch.setattr(weights, "basis_matrix",
+                        lambda knots, m, z, _eval=weights.basis_matrix:
+                        evaluated.append(z) or _eval(knots, m, z))
+    sample = draw(small_population, Srswor(80), seeds)
+    post_weights(sample, 2)
+    bspline_weights(sample, SplineSpec(order=3, interior_knots=4, lam=0.5))
+    greg_weights(sample)
+    scaled = sample.scaled_z
+    assert not scaled.flags.writeable
+    expected = small_population.covariate_summary.scale.apply(sample.sample_z)
+    assert scaled.tobytes() == expected.tobytes()
+    assert len(sorted_) == 1 and sorted_[0] is scaled
+    assert len(evaluated) == 3 and all(np.shares_memory(z, scaled) for z in evaluated)
