@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -110,19 +110,16 @@ def normalize_covariate(z_values) -> tuple[np.ndarray, CovariateScale]:
     return scale.apply(z_values), scale
 
 
-class SortedReference(NamedTuple):
+class SortedReference:
     """Knot reference values in [0,1] sorted row by row (`z01`) and each
     row's number of distinct values: what `knot_groups` reads of a
     reference, so a caller can sort one reference for several specs."""
 
-    z01: np.ndarray
-    distinct_count: int | np.ndarray
+    __slots__ = ("z01", "distinct_count")
 
-
-def sorted_reference(values) -> SortedReference:
-    """The values sorted row by row, with each row's distinct count."""
-    ordered = np.sort(np.asarray(values, dtype=float), axis=-1)
-    return SortedReference(ordered, _distinct_count(ordered))
+    def __init__(self, values):
+        self.z01 = np.sort(np.asarray(values, dtype=float), axis=-1)
+        self.distinct_count = _distinct_count(self.z01)
 
 
 def build_knots(spec: SplineSpec, reference=None) -> KnotVector:
@@ -159,7 +156,7 @@ def knot_groups(spec: SplineSpec, reference=None) -> list:
     if spec.knot_rule == "equidistant":
         return [(..., KnotVector(tuple((np.arange(1, K + 1) / (K + 1)).tolist())))]
     if not isinstance(reference, (CovariateSummary, SortedReference)):
-        reference = sorted_reference(reference)
+        reference = SortedReference(reference)
     ordered, distinct = reference.z01, reference.distinct_count
     if ordered.shape[-1] == 0:
         raise ValueError("quantile knot rule needs a nonempty reference")

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import CovariateSummary, SortedReference, sorted_reference
+from .basis import CovariateSummary, SortedReference
 
 # When numpy's reader refuses a population CSV, `Population.from_csv` reads
 # it again with the `csv` module, this many rows at a time: it holds one
@@ -442,13 +442,13 @@ class SampleDraw:
     `indices` holds the sampled units: shape (n,) for one sample, (R, n)
     for a stack of R samples of one design, one per row. `pi` has the same
     shape, and so do the design weights d_k = 1/pi_k (`design_weights`),
-    which every weight family and every `SampleData` reads, and the sampled
-    covariates on the population's [0,1] scale (`scaled_z`, with its one
-    row-wise sort `sorted_scaled_z`), which every spline system reads. Either the
-    caller gives `pi_full` over the whole universe, which is checked whole,
-    or `pi` at the sampled units (as `draw` does), which is checked there;
-    `pi_full` is then built from the design on first use, so a draw does
-    O(n) work past its random choice. The variances' cells
+    which every weight family and every `SampleData` reads, and so do the
+    sampled covariates on the population's [0,1] scale (`scaled_z`, with
+    its one row-wise sort `sorted_scaled_z`), which every spline system
+    reads. Either the caller gives `pi_full` over the whole universe, which
+    is checked whole, or `pi` at the sampled units (as `draw` does), which
+    is checked there; `pi_full` is then built from the design on first use,
+    so a draw does O(n) work past its random choice. The variances' cells
     (`pair_cells`: the sampled units grouped by sample and joint group)
     depend on the draw alone, so they too are built on first use, once per
     draw, and every variance of the draw, closed form or double sum, shares
@@ -507,7 +507,7 @@ class SampleDraw:
         """`scaled_z` sorted row by row, with each row's distinct count,
         built once per draw: the reference of every sample-quantile knot
         rule on the draw, so POST and BS read one sort."""
-        return sorted_reference(self.scaled_z)
+        return SortedReference(self.scaled_z)
 
     @cached_property
     def strata(self) -> tuple[StratumCodes, list]:

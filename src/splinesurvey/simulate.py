@@ -286,9 +286,11 @@ class ParameterSpec:
     def truth(self, population: Population, census: dict | None = None) -> float:
         """The parameter of the census: the functional at the unit-mass
         measures of the variables it reads, taken from `census` (variable
-        name -> measure, as `census_measures` builds it) or built here.
-        Their quantiles and CDF values select and count instead of
-        sorting, and a Gini sorts the values, not their positions."""
+        name -> measure, one per variable as `census_measures` builds it,
+        which `run_monte_carlo` shares among its truths) or built here.
+        Each measure checked its entries finite by its row sum, which is
+        its total; its quantiles and CDF values select and count instead
+        of sorting, and a Gini sorts the values, not their positions."""
         if census is None:
             census = census_measures(population, (self,))
         return KINDS[self.kind].functional(self, *map(census.get, self.variables))

@@ -97,10 +97,10 @@ class SplineSystem:
     factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p, whose Pi^-1 is
     the draw's `design_weights`, the array the HT weights are. The basis
     is evaluated at the draw's `scaled_z`, and sample-quantile knots are
-    placed on its one sort of them (`sorted_scaled_z`), which every system
-    on the draw shares. The system
-    behind a sample's weights also gives the fits of the linearized
-    variables whose residuals enter the variance (`WeightSet.system`).
+    placed on the draw's one sort of them (`sorted_scaled_z`), which every
+    system on the draw shares. The system behind a sample's weights also
+    gives the fits of the linearized variables whose residuals enter the
+    variance (`WeightSet.system`).
     The population side comes from the population's cached
     `covariate_summary`, so a build costs O(K m^2 + N / block) there
     instead of O(N m q), O(K log N) at order 1 (poststrata, whose totals

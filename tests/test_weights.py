@@ -353,8 +353,8 @@ def test_spline_systems_share_the_draws_scaled_sorted_covariate(monkeypatch, sma
     from splinesurvey import designs, weights
 
     sorted_, evaluated = [], []
-    monkeypatch.setattr(designs, "sorted_reference",
-                        lambda v, _sort=designs.sorted_reference: sorted_.append(v) or _sort(v))
+    monkeypatch.setattr(designs, "SortedReference",
+                        lambda v, _sort=designs.SortedReference: sorted_.append(v) or _sort(v))
     monkeypatch.setattr(weights, "basis_matrix",
                         lambda knots, m, z, _eval=weights.basis_matrix:
                         evaluated.append(z) or _eval(knots, m, z))
