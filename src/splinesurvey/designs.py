@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
 from types import MappingProxyType
 from typing import Mapping
 
@@ -18,10 +18,6 @@ import numpy as np
 
 from .basis import CovariateSummary, SortedReference
 
-# When numpy's reader refuses a population CSV, `Population.from_csv` reads
-# it again with the `csv` module, this many rows at a time: it holds one
-# chunk of rows as lists of strings, next to the columns converted so far.
-CSV_CHUNK_ROWS = 4096
 TEXT_COLUMNS = ("id", "stratum")
 # ASCII file, group, record and unit separators: numpy strips them around a
 # number as whitespace, while `float` refuses them.
@@ -143,27 +139,29 @@ class Population:
         and the study variables, in any order.
 
         The file is read as UTF-8 by the `csv` module's default dialect, so
-        a quoted cell may hold commas, quotes or line breaks. The first row
-        is the header, and its column names must be unique. Blank lines are
-        skipped; every other row must have as many cells as the header. `id`
-        and `stratum` are kept as strings: the ids as a tuple, and the
-        stratum labels as one string object per distinct label, repeated
-        for each of its units, so the strata cost no string per row. Every
-        other cell must be a finite number as Python's `float` reads it (so
-        not `nan`, `inf` or `1e400`). A row of the wrong width, or a cell
-        that is not a finite number, raises a ValueError naming its file
-        line.
+        a quoted cell may hold commas, quotes or line breaks; a leading
+        byte-order mark, which Excel's "CSV UTF-8" export writes, is
+        dropped. The first row is the header, and its column names must be
+        unique. Blank lines are skipped; every other row must have as many
+        cells as the header. `id` and `stratum` are kept as strings: the
+        ids as a tuple, and the stratum labels as one string object per
+        distinct label, repeated for each of its units, so the strata cost
+        no string per row. Every other cell must be a finite number as
+        Python's `float` reads it (so not `nan`, `inf` or `1e400`). The
+        first row of the wrong width, or holding a cell that is not a
+        finite number, raises a ValueError naming its file line, and for a
+        cell the row's first such cell from left to right.
 
         The rows are parsed in one pass by numpy's C reader (`np.loadtxt`),
         which converts a number with the same correctly rounded routine as
         `float`. When it refuses a row or a cell, or reads a number that is
-        not finite, the `csv` module reads the file again, CSV_CHUNK_ROWS
-        rows at a time: that reader names the refused line, and it accepts
-        the numbers only `float` reads, such as `1_000` or non-ASCII digits.
+        not finite, the `csv` module reads the file again, one row at a
+        time: that reader names the refused line, and it accepts the
+        numbers only `float` reads, such as `1_000` or non-ASCII digits.
         """
         columns = _one_pass_columns(path)
         if columns is None:
-            columns = _chunked_columns(path)
+            columns = _row_columns(path)
         return cls(
             ids=columns.pop("id"),
             z=columns.pop("z"),
@@ -197,7 +195,7 @@ def _one_pass_columns(path) -> dict | None:
         data = fh.read()
     if any(separator in data for separator in _ASCII_SEPARATORS):
         return None
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         header = _csv_header(csv.reader(fh))
         dtype = np.dtype([(f"c{j}", object if name in TEXT_COLUMNS else np.float64)
                           for j, name in enumerate(header)])
@@ -213,7 +211,7 @@ def _one_pass_columns(path) -> dict | None:
     columns = {}
     for name, field in zip(header, dtype.names):
         if name == "stratum":
-            columns[name] = _one_object_per_label(table[field].tolist(), {})
+            columns[name] = _one_object_per_label(table[field].tolist())
         elif name in TEXT_COLUMNS:
             columns[name] = tuple(table[field].tolist())
         else:
@@ -223,98 +221,50 @@ def _one_pass_columns(path) -> dict | None:
     return columns
 
 
-def _chunked_columns(path) -> dict:
-    """The columns of the population CSV at `path` read by the `csv` module,
-    CSV_CHUNK_ROWS rows at a time, each numeric column converted by
-    `float`'s rules; the first refused row or cell is named by its file
-    line. A chunk's stratum labels are replaced by the first string object
-    of each label as the chunk is read, so no more than one chunk holds a
-    string per row."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _row_columns(path) -> dict:
+    """The columns of the population CSV at `path` read by the `csv` module
+    one row at a time, each numeric cell converted by `float`. The first
+    refused row is named by its first file line: a row of the wrong width,
+    or its first cell, from left to right, that `float` refuses or reads as
+    a number that is not finite (`nan`, `inf` or an overflow such as
+    `1e400`). The numbers go to one float array per column, and each
+    stratum label is kept as the first string object read for it, so the
+    strata hold no string per row."""
+    from array import array  # here, so that importing the package loads no more
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader)
-        pieces = [[] for _ in header]
+        columns = [[] if name in TEXT_COLUMNS else array("d") for name in header]
         labels = {}
-        first_line = reader.line_num + 1
-        while rows := list(islice(reader, CSV_CHUNK_ROWS)):
-            columns = _chunk_columns(rows, header, first_line)
-            _refuse_non_finite(rows, header, columns, first_line)
-            for name, piece, column in zip(header, pieces, columns):
-                piece.append(_one_object_per_label(column, labels)
-                             if name == "stratum" else column)
-            first_line = reader.line_num + 1
-    # the leading empty array gives a file without rows empty columns
-    return {
-        name: (tuple(chain.from_iterable(piece)) if name in TEXT_COLUMNS
-               else np.concatenate([np.empty(0), *piece]))
-        for name, piece in zip(header, pieces)
-    }
+        line = reader.line_num + 1
+        for row in reader:
+            if row and len(row) != len(header):
+                raise ValueError(f"population CSV line {line}: {len(row)} cells, "
+                                 f"but the header has {len(header)}")
+            for name, column, cell in zip(header, columns, row):
+                if name in TEXT_COLUMNS:
+                    column.append(labels.setdefault(cell, cell) if name == "stratum" else cell)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as err:
+                    raise ValueError(f"population CSV line {line}, column {name!r}: "
+                                     f"{err}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"population CSV line {line}, column {name!r}: "
+                                     f"not a finite number: {cell!r}")
+                column.append(value)
+            line = reader.line_num + 1
+    return {name: tuple(column) if name in TEXT_COLUMNS else np.frombuffer(column)
+            for name, column in zip(header, columns)}
 
 
-def _one_object_per_label(cells, labels: dict) -> tuple:
+def _one_object_per_label(cells) -> tuple:
     """`cells` as a tuple in which equal labels are one string object, the
-    first seen: `labels` maps each label to that object and grows with the
-    labels it had not seen."""
+    first seen."""
+    labels = {}
     return tuple(map(labels.setdefault, cells, cells))
-
-
-def _chunk_columns(rows: list, header: list, first_line: int) -> list:
-    """The columns of one chunk of CSV rows: tuples of strings for the text
-    columns and float arrays for the rest. Blank rows are skipped; a row
-    that is not as wide as the header, or a cell that is not a number, is
-    refused with its file line (`first_line` is the line rows[0] starts on).
-    """
-    width = len(header)
-    widths = set(map(len, rows))
-    if widths != {width}:
-        bad = next((i for i, row in enumerate(rows) if row and len(row) != width), None)
-        if bad is not None:
-            raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:bad])}: "
-                             f"{len(rows[bad])} cells, but the header has {width}")
-    cells = list(filter(None, rows)) if 0 in widths else rows
-    columns = list(zip(*cells)) or [()] * width
-    for j, name in enumerate(header):
-        if name in TEXT_COLUMNS:
-            continue
-        try:
-            columns[j] = np.array(columns[j], dtype=float)
-        except ValueError:
-            _refuse_cell(rows, j, name, first_line)
-            raise
-    return columns
-
-
-def _refuse_non_finite(rows: list, header: list, columns: list, first_line: int) -> None:
-    """Refuse, naming its file line, the first cell of a converted chunk
-    (`_chunk_columns`) that is a number but not a finite one: `nan`, `inf`
-    or an overflow such as `1e400`."""
-    for j, name in enumerate(header):
-        if name not in TEXT_COLUMNS and not np.isfinite(columns[j]).all():
-            _refuse_cell(rows, j, name, first_line)
-
-
-def _refuse_cell(rows: list, j: int, name: str, first_line: int) -> None:
-    """Raise a ValueError naming the file line, column and text of the
-    first cell of column `j` in `rows` that is not a finite number."""
-    for i, row in enumerate(rows):
-        if not row:
-            continue
-        try:
-            if np.isfinite(np.array(row[j], dtype=float)):
-                continue
-            problem = f"not a finite number: {row[j]!r}"
-        except ValueError as err:
-            problem = str(err)
-        raise ValueError(f"population CSV line {first_line + _lines_spanned(rows[:i])}, "
-                         f"column {name!r}: {problem}")
-
-
-def _lines_spanned(rows: list) -> int:
-    """File lines the csv reader read to produce `rows`: one per row, plus
-    each line break inside a quoted cell."""
-    breaks = sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n")
-                 for row in rows for cell in row)
-    return len(rows) + breaks
 
 
 def _read_only(values) -> np.ndarray:

@@ -31,9 +31,10 @@ bandwidth's quartiles and the poverty line read it; knots keep their own
 rule), and a sample whose masses are all equal (the HT weights N/n of an
 SRSWOR sample) reads the census count k / n, so its quantile is the
 census quantile of its values at any scale.
-Where a functional reads its masses, they are one shared read-only array
-of ones per shape, kept in a small bounded cache; its cumulative masses
-are the counts 0..n, and no ones are gathered.
+What reads a unit-mass measure's masses or sorted summaries (a census
+linearization, `tv_proxy_distance`, `implicit_solve`) reads an array of
+ones built on first read, through the weighted path: the cumulative
+masses are then the exact counts 0..n, and 1.0 * y is y.
 
 Every sum over the units is a numpy reduction along the row in a fixed
 order: pairwise (`np.add.reduce`), in unit order for totals and in sorted
@@ -51,7 +52,7 @@ stacked arrays too.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -216,15 +217,6 @@ def _points(y) -> np.ndarray:
     return y
 
 
-@lru_cache(maxsize=4)
-def _ones(shape: tuple) -> np.ndarray:
-    """One read-only array of ones per shape: the masses every unit-mass
-    measure of that shape reads."""
-    ones = np.ones(shape)
-    ones.flags.writeable = False
-    return ones
-
-
 class WeightedMeasure:
     """Point masses (y_k, w_k), of one sample (n,) or of a stack (R, n),
     one measure per row; the functionals then give one value per row.
@@ -240,11 +232,11 @@ class WeightedMeasure:
     finite by the row sums, which are kept as the total; the quantile and
     the CDF at one point per row select and count instead of sorting; the
     Gini sorts the values alone, not their positions; N-hat is the unit
-    count, and the cumulative masses are the counts 0..n. What reads
-    `masses` (`implicit_solve`, a `ratio` with a weighted partner,
-    `linearized_ratio`, the poverty rate's bandwidth and density) fetches
-    one read-only array of ones, shared by every unit-mass measure of the
-    same shape; `total` and `gini` read no masses.
+    count. What reads `masses` (`implicit_solve`, a `ratio` with a
+    weighted partner, `linearized_ratio`, the poverty rate's bandwidth and
+    density) or the sorted summaries builds an array of ones on first
+    read and takes the weighted path, whose cumulative masses are then the
+    exact counts 0..n; `total` and `gini` read no masses.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -275,8 +267,8 @@ class WeightedMeasure:
 
     @cached_property
     def masses(self) -> np.ndarray:
-        """The masses; at unit masses the shared read-only array of ones."""
-        return _ones(self.values.shape)
+        """The masses; at unit masses an array of ones, built on first read."""
+        return np.ones(self.values.shape)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -288,19 +280,15 @@ class WeightedMeasure:
 
     @cached_property
     def _sorted_w(self) -> np.ndarray:
-        """The masses in sorted order, gathered once; ones need no gather."""
-        return self.masses if self.unit_masses else take_rows(self.masses, self._order)
+        """The masses in sorted order, gathered once."""
+        return take_rows(self.masses, self._order)
 
     @cached_property
     def _cum_w(self) -> np.ndarray:
-        if self.unit_masses:  # the sums of k ones, exact (n < 2^53)
-            return np.zeros(self.values.shape[:-1] + (1,)) + np.arange(self.size + 1.0)
         return _cumsum0(self._sorted_w)
 
     @cached_property
     def _cum_wy(self) -> np.ndarray:
-        if self.unit_masses:  # 1.0 * y is y, down to the sign of zero
-            return _cumsum0(self._sorted_y)
         return _cumsum0(self._sorted_w * self._sorted_y)
 
     @property

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import tracemalloc
 import warnings
@@ -17,7 +18,6 @@ from splinesurvey import (
     replicate_seed,
 )
 from splinesurvey import designs
-from splinesurvey.designs import CSV_CHUNK_ROWS, _chunk_columns
 
 
 def _toy_population(N, strata=None):
@@ -307,17 +307,50 @@ class TestPopulationCsvColumns:
         p.write_bytes(text.encode("utf-8"))
         _assert_same_load(p)
 
-    def test_same_as_per_cell_reader_over_many_chunks(self, tmp_path, rng):
+    def test_same_as_per_cell_reader_over_many_rows(self, tmp_path, rng):
         p = tmp_path / "pop.csv"
-        lines = ["id,z,y", *_many_rows(rng, 2 * CSV_CHUNK_ROWS + 1234)]
+        lines = ["id,z,y", *_many_rows(rng, 9426)]
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_same_load(p)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "nan", "NaN", "-nan",
                                       "1e400", "2.4703282292062327e-324"])
-    def test_cell_converts_as_float(self, cell):
-        column = _chunk_columns([["u1", cell]], ["id", "z"], 2)[1]
-        assert column.view(np.int64)[0] == np.float64(float(cell)).view(np.int64)
+    def test_cell_converts_as_float(self, tmp_path, cell):
+        # the `1_0` of column y sends the file to the csv reader
+        p = tmp_path / "pop.csv"
+        p.write_text(f"id,z,y\nu1,{cell},1_0\n", encoding="utf-8")
+        assert designs._one_pass_columns(p) is None
+        value = float(cell)
+        if np.isfinite(value):
+            pop = Population.from_csv(p)
+            assert pop.z.view(np.int64)[0] == np.float64(value).view(np.int64)
+            return
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == ("population CSV line 2, column 'z': "
+                                   f"not a finite number: {cell!r}")
+
+
+class TestPopulationCsvByteOrderMark:
+    """A file led by a UTF-8 byte-order mark, as Excel's "CSV UTF-8" export
+    writes it, loads on either reader as the same file without the mark."""
+
+    @pytest.mark.parametrize("text", [
+        # y first: the mark leads a study variable's name
+        "y,id,stratum,z\n2.5,u1,h1,1.5\n3,u2,h2,2.5\n",
+        "id,stratum,z,y\r\nu1,h1,1_0,2.5\r\n\"u\n2\",h2,2.5,3\r\n",
+    ], ids=["one-pass", "csv-reader"])
+    def test_loads_as_without_the_mark(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert (designs._one_pass_columns(marked) is None) == ("1_0" in text)
+        _assert_same_load(plain)
+        want, got = Population.from_csv(plain), Population.from_csv(marked)
+        assert (got.ids, got.strata, list(got.variables)) == (want.ids, want.strata,
+                                                              list(want.variables))
+        for a, b in zip((got.z, *got.variables.values()), (want.z, *want.variables.values())):
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
 class TestPopulationCsvOnePass:
@@ -328,7 +361,7 @@ class TestPopulationCsvOnePass:
     def no_csv_reader(self, monkeypatch):
         def _fail(*args):
             raise AssertionError("the csv reader read the file again")
-        monkeypatch.setattr(designs, "_chunk_columns", _fail)
+        monkeypatch.setattr(designs, "_row_columns", _fail)
 
     @pytest.mark.parametrize("text", [
         'id,z,"y\nnew"\nu1,1.5,2.5\n"u\r\n2",2,3\n',
@@ -343,7 +376,7 @@ class TestPopulationCsvOnePass:
 
     def test_many_rows_without_the_csv_reader(self, tmp_path, rng, no_csv_reader):
         p = tmp_path / "pop.csv"
-        lines = ["id,z,y", *_many_rows(rng, 2 * CSV_CHUNK_ROWS + 1234)]
+        lines = ["id,z,y", *_many_rows(rng, 9426)]
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_same_load(p)
 
@@ -369,15 +402,16 @@ class TestPopulationCsvOnePass:
 
 class TestPopulationCsvErrors:
     """A row or cell the loader refuses is named by its file line, also
-    past the first chunk and after quoted cells spanning several lines."""
+    thousands of rows into the file and after quoted cells spanning several
+    lines; of several, the first is named."""
 
     def _write(self, tmp_path, rng, bad_line):
         # line 1 is the header; one quoted id spanning two lines opens the
-        # first chunk, and another comes before the bad line in the second
-        lines = ["id,z,y", '"multi\nline",1,2', *_many_rows(rng, CSV_CHUNK_ROWS + 500)]
-        lines.insert(CSV_CHUNK_ROWS + 100, '"multi\r\nline",1,2')
-        lines.insert(CSV_CHUNK_ROWS + 200, bad_line)
-        line = 2 + sum(item.count("\n") + 1 for item in lines[1:CSV_CHUNK_ROWS + 200])
+        # rows, and another comes a few rows before the bad line
+        lines = ["id,z,y", '"multi\nline",1,2', *_many_rows(rng, 4596)]
+        lines.insert(4196, '"multi\r\nline",1,2')
+        lines.insert(4296, bad_line)
+        line = 2 + sum(item.count("\n") + 1 for item in lines[1:4296])
         p = tmp_path / "pop.csv"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return p, line
@@ -414,6 +448,23 @@ class TestPopulationCsvErrors:
                                              "number: 'NaN'"):
             Population.from_csv(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("id,z,y\nu1,1,abc\nu2,xyz,1\n",
+         "line 2, column 'y': could not convert string to float: 'abc'"),
+        ("id,z,y\nu1,abc,1\nu2,1\n",
+         "line 2, column 'z': could not convert string to float: 'abc'"),
+        ("id,z,y\nu1,1,2\nu2,3\nu3,nan,abc\n", "line 3: 2 cells, but the header has 3"),
+        ("id,z,y\r\n\r\n\"u\r\n1\",nan,abc\r\nu2,1\r\n",
+         "line 3, column 'z': not a finite number: 'nan'"),
+    ], ids=["cell-then-earlier-column", "cell-then-short-row", "short-row-then-cells",
+            "non-finite-then-bad-cell"])
+    def test_first_refused_line_is_named(self, tmp_path, text, message):
+        p = tmp_path / "pop.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == f"population CSV {message}"
+
     @pytest.mark.parametrize("bad_line,cells", [("v1,3.5", 2), ("v1,3.5,2,7", 4)])
     def test_short_or_long_row_names_its_line(self, tmp_path, rng, bad_line, cells):
         p, line = self._write(tmp_path, rng, bad_line)
@@ -442,15 +493,21 @@ class TestPopulationCsvErrors:
             Population.from_csv(p)
 
 
-def test_csv_load_peak_memory_is_bounded(tmp_path, rng):
-    """Reading in chunks keeps the load's peak within 3x what the
-    population retains; holding every row of the file at once would not."""
+@pytest.mark.parametrize("bad_cell", [False, True], ids=["one-pass", "csv-reader"])
+def test_csv_load_peak_memory_is_bounded(tmp_path, rng, bad_cell):
+    """Either reader keeps the load's peak within 3x what the population
+    retains: numpy's holds the rows as one table, and the csv reader
+    holds one row at a time next to the columns read so far. Holding every
+    row of the file as lists of strings at once would not."""
     p = tmp_path / "pop.csv"
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "z", "y", "x"])
         for i, values in enumerate(rng.lognormal(7.0, 0.4, (20_000, 3))):
             writer.writerow([f"u{i}", *map(repr, values.tolist())])
+        if bad_cell:  # read by `float` only: the csv reader reads the file
+            writer.writerow(["u_last", "1_000", "2", "3"])
+    assert (designs._one_pass_columns(p) is None) == bad_cell
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -459,7 +516,7 @@ def test_csv_load_peak_memory_is_bounded(tmp_path, rng):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pop.size == 20_000
+    assert pop.size == 20_000 + bad_cell
     assert peak - before <= 3 * (retained - before)
 
 
@@ -532,7 +589,7 @@ class TestPopulationCsvLabels:
     """Both readers keep one string object per stratum label."""
 
     def _write(self, tmp_path, rng, bad_cell=False):
-        z = rng.lognormal(7.0, 0.4, 2 * CSV_CHUNK_ROWS + 50).tolist()
+        z = rng.lognormal(7.0, 0.4, 8242).tolist()
         rows = [f"u{i},h{i % 3},{zk!r},{zk + 1.0!r}" for i, zk in enumerate(z)]
         if bad_cell:  # read by `float` only: the csv reader reads the file
             rows[-1] = "u_last,h1,1_000,2"

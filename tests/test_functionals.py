@@ -285,19 +285,11 @@ class TestUnitMassesOnFirstUse:
 
 
 class TestSharedUnitMasses:
-    """Every unit-mass measure of one shape reads one read-only array of
-    ones, and its sorted summaries gather none: each equals those of
-    explicit masses of one bit for bit."""
+    """A unit-mass measure's sorted summaries equal those of explicit
+    masses of one bit for bit."""
 
     STACK = np.round(np.random.default_rng(9).standard_normal((5, 40)) * 2) + 0.0
     STACK[1, :7] = -0.0  # a row whose ties hold both signed zeros
-
-    def test_one_array_per_length(self):
-        first, second = unit_measure(np.arange(6.0)), unit_measure(np.ones(6))
-        assert first.masses is second.masses
-        assert unit_measure(np.arange(7.0)).masses.shape == (7,)
-        with pytest.raises(ValueError, match="read-only"):
-            first.masses[0] = 2.0
 
     @pytest.mark.parametrize("y", [TestUnitMassesOnFirstUse.TIED,
                                    TestUnitMassesOnFirstUse.SIGNED_ZERO_MEDIAN, STACK])
@@ -308,7 +300,6 @@ class TestSharedUnitMasses:
             if callable(got):
                 got, want = got(), want()
             assert got.shape == want.shape and _hex(got) == _hex(want), name
-        assert "masses" not in vars(unit)
 
 
 def _fail_compare(a, b):

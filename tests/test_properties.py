@@ -8,6 +8,7 @@ Values and masses are small integers (ties are common) and scale factors
 are powers of two, so every sum is exact and the checks are equalities.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -427,7 +428,7 @@ def _load_outcome(path):
 @given(csv_texts())
 def test_population_csv_loads_as_the_csv_module_reads_it(tmp_path_factory, text):
     """`from_csv` gives what a per-cell `csv.DictReader` and `float` reader
-    gives, or raises the message the chunked `csv` reader raises."""
+    gives, or raises the message the `csv` row reader raises."""
     path = tmp_path_factory.getbasetemp() / "population.csv"
     path.write_bytes(text.encode("utf-8"))
     outcome = _load_outcome(path)
@@ -439,6 +440,109 @@ def test_population_csv_loads_as_the_csv_module_reads_it(tmp_path_factory, text)
     assert outcome[:2] == (texts["id"], texts.get("stratum"))
     assert outcome[2] == {name: numbers[name].view(np.int64).tolist()
                           for name in ("z", "y")}
+
+
+# A population CSV as rows of cell values, each row written with its own
+# line end, then up to three defects: a short or long row, a cell `float`
+# refuses, or a number that is not finite.
+ID_CHARS = st.sampled_from(["a", "7", ",", '"', " ", "\n", "\r\n"])
+GOOD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", "1_000", "-0", "\uff11\uff12", "2.5e-3"]))
+BAD_CELLS = st.sampled_from(["abc", "", "1e", "0x10", "nan", "inf", "-inf", "1e400"])
+
+
+@st.composite
+def defective_csv_texts(draw):
+    """(text, rows, names): a population CSV text, its rows as cell values
+    with the file line each starts on (None for a blank line), and its
+    header names."""
+    names = draw(st.permutations(["id", "z", "y", *draw(st.sampled_from([[], ["stratum"]]))]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(None)
+            continue
+        rows.append([draw(st.lists(ID_CHARS, max_size=4).map("".join)) if name == "id"
+                     else draw(st.sampled_from(["h0", "h,1"])) if name == "stratum"
+                     else draw(GOOD_NUMBERS) for name in names])
+    cells = [(i, j) for i, row in enumerate(rows) if row
+             for j, name in enumerate(names) if name not in ("id", "stratum")]
+    for _ in range(draw(st.integers(0, 3))):
+        if not cells:
+            break
+        i, j = draw(st.sampled_from(cells))
+        kind = draw(st.sampled_from(["short", "long", "cell"]))
+        if kind == "short" and len(rows[i]) > 2:  # one bare empty cell is a blank line
+            rows[i] = rows[i][:-1]
+        elif kind == "long":
+            rows[i] = rows[i] + ["7"]
+        elif j < len(rows[i]):
+            rows[i][j] = draw(BAD_CELLS)
+    lines, starts, line = [",".join(names)], [], 2
+    for row in rows:
+        starts.append(line)
+        if row is None:
+            lines.append("")
+            line += 1
+            continue
+        lines.append(",".join('"' + cell.replace('"', '""') + '"' if draw(st.booleans())
+                              or any(c in cell for c in ',"\r\n') else cell
+                              for cell in row))
+        line += 1 + sum(cell.count("\n") for cell in row)
+    text = "".join(item + draw(st.sampled_from(["\n", "\r\n"])) for item in lines)
+    return text, list(zip(starts, rows)), names
+
+
+def _first_refusal(rows, names):
+    """The message of the first refused row of `rows`, in row order and
+    then column order, that of a file without units, or None when the
+    file loads."""
+    for line, row in rows:
+        if row is None:
+            continue
+        if len(row) != len(names):
+            return f"population CSV line {line}: {len(row)} cells, but the header has {len(names)}"
+        for name, cell in zip(names, row):
+            if name in ("id", "stratum"):
+                continue
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:
+                return (f"population CSV line {line}, column {name!r}: "
+                        f"could not convert string to float: {cell!r}")
+            if not finite:
+                return (f"population CSV line {line}, column {name!r}: "
+                        f"not a finite number: {cell!r}")
+    if all(row is None for _, row in rows):
+        return "population must contain at least one unit"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(defective_csv_texts())
+@example(("id,z,y\nu1,1,abc\nu2,xyz,1\n", [(2, ["u1", "1", "abc"]), (3, ["u2", "xyz", "1"])],
+          ["id", "z", "y"]))
+@example(("id,z,y\nu1,abc,1\nu2,1\n", [(2, ["u1", "abc", "1"]), (3, ["u2", "1"])],
+          ["id", "z", "y"]))
+def test_population_csv_names_its_first_refused_line(tmp_path_factory, case):
+    """`from_csv` on a file with up to three defects gives what a per-cell
+    `csv.DictReader` and `float` reader gives, bit for bit, or raises the
+    message of the first refused line as a per-row oracle computes it."""
+    text, rows, names = case
+    path = tmp_path_factory.getbasetemp() / "population.csv"
+    path.write_bytes(text.encode("utf-8"))
+    refusal = _first_refusal(rows, names)
+    if refusal is not None:
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(path)
+        assert str(info.value) == refusal
+        return
+    texts, numbers = _reference_load(path)
+    pop = Population.from_csv(path)
+    assert pop.ids == texts["id"] and pop.strata == texts.get("stratum")
+    for name, v in (("z", pop.z), ("y", pop.variables["y"])):
+        assert v.view(np.int64).tolist() == numbers[name].view(np.int64).tolist(), name
 
 
 # A stratified SRSWOR draw, as (N_h, n_h) per stratum (n_h is clipped to
