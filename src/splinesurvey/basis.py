@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -249,28 +248,46 @@ def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
     return np.ascontiguousarray(B.swapaxes(-1, -2))
 
 
-# Consecutive sorted population units per block of a `CovariateSummary`.
-MOMENT_BLOCK = 128
+# Sorted population units between the stride points of a `CovariateSummary`,
+# and per block (a multiple of STRIDE): an interval end sums fewer than
+# STRIDE units directly, and an interval walks its interior in blocks.
+STRIDE = 16
+MOMENT_BLOCK = 1024
 
 
 class CovariateSummary:
-    """Population covariate summary giving basis totals at O(N / block) cost.
+    """Population covariate summary giving basis totals at O(1) work per
+    knot interval end plus one step per block inside the interval.
 
-    Holds the min-max `scale`, the covariate mapped onto [0,1] and sorted
-    (`z01`), and, for each block of MOMENT_BLOCK consecutive sorted units,
-    the power sums of (z - c_b)^r about the block's first value c_b.
+    Holds the min-max `scale` and the covariate mapped onto [0,1] and
+    sorted (`z01`). The sorted units fall into blocks of MOMENT_BLOCK, and
+    at every STRIDE-th unit, a stride point s, the summary keeps two power
+    sums of r < m, built once per order: the suffix sum of (z - z_s)^r from
+    s to its block's end, about the stride point's own value z_s, and the
+    prefix sum of (z - c_b)^r from its block's first unit to s, about that
+    unit's value c_b. A block's suffix sum at its first unit is the
+    block's own sum. That is O(N / STRIDE * m) floats.
 
     An order-m B-spline is a polynomial of degree m - 1 on each knot
     interval (de Boor, A Practical Guide to Splines), so its population
     total is a combination of the interval's power sums about its left
-    end a. Full blocks are shifted from c_b to a binomially, with only
-    nonnegative terms since c_b >= a; the partial blocks at either end of
-    the interval are summed directly. (Prefix sums of raw powers would
-    cancel, with an error growing like eps * N / width^(m-1).)
+    end a. An interval's units are the fewer than STRIDE at each end
+    before and after its first and last stride point, summed directly;
+    the suffix sum at the first stride point; the blocks after that one;
+    and the prefix sum at the last stride point. Each sum is shifted from
+    its point to a binomially, with only nonnegative terms, since every
+    point lies at or right of a. An interval whose stride points lie in
+    one block is summed directly, fewer than MOMENT_BLOCK + 2 * STRIDE
+    units. No sum is the difference of two cumulative sums: prefix sums
+    of raw powers over the population would cancel, with an error growing
+    like eps * N / width^(m-1).
 
     An order-1 function is the indicator of its interval, so order-1
     totals are unit counts: a build costs one search per knot,
-    O(K log N). Orders m >= 2 cost O(K m^2 + N / block).
+    O(K log N). Orders m >= 2 cost O(K (m^3 + STRIDE m) + m^2 N /
+    MOMENT_BLOCK) per knot vector, plus fewer than MOMENT_BLOCK + 2 STRIDE
+    units for an interval inside one block. The stride sums cost O(N m)
+    once per order, in passes of a bounded number of blocks.
     """
 
     def __init__(self, z_values):
@@ -279,7 +296,8 @@ class CovariateSummary:
         z01 -= self.scale.low
         z01 /= self.scale.high - self.scale.low
         self.z01 = z01
-        self._moments = np.zeros((z01.size // MOMENT_BLOCK, 0))
+        self._sums = np.zeros((0, 0))
+        self._anchors = np.zeros(0)
         self._fixed: dict = {}
 
     @cached_property
@@ -287,54 +305,96 @@ class CovariateSummary:
         """Number of distinct values of the covariate."""
         return _distinct_count(self.z01)
 
-    def _block_moments(self, m: int) -> np.ndarray:
-        """Sums of (z - c_b)^r for r < m (at least), one row per full block."""
-        if self._moments.shape[1] < m:
-            B, blocks = MOMENT_BLOCK, self._moments.shape[0]
-            moments = np.empty((blocks, m))
-            step = 64  # blocks per pass, bounding the temporaries
-            for b in range(0, blocks, step):
-                chunk = self.z01[b * B:min(b + step, blocks) * B].reshape(-1, B)
-                offset = chunk - chunk[:, :1]
-                power = np.ones_like(offset)
-                for r in range(m):
-                    moments[b:b + chunk.shape[0], r] = power.sum(axis=1)
+    def _stride_sums(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The power sums of r < m (at least), one row per r, and the values
+        they are taken about: columns 0..P-1 the suffix sums at the
+        P = N // STRIDE + 1 stride points, columns P..2P-1 their prefix
+        sums."""
+        if self._sums.shape[0] < m:
+            z, S, per = self.z01, STRIDE, MOMENT_BLOCK // STRIDE
+            N = z.size
+            points = N // S + 1
+            # a stride point past the last unit (N a multiple of STRIDE)
+            # has empty sums; its value is the last unit's
+            first = np.minimum(np.arange(points) * S, N - 1)
+            anchors = np.concatenate((z[first], z[first // MOMENT_BLOCK * MOMENT_BLOCK]))
+            sums = np.empty((m, 2 * points))
+            step = 64 * per  # stride points per pass, bounding the temporaries
+            for s0 in range(0, points, step):
+                s1 = min(s0 + step, points)
+                blocks = -(-(s1 - s0) // per)
+                # the stride groups s0..s1-1, padded to whole blocks by empty
+                # groups valued as the last unit; offsets from each group's
+                # first value, zero past the last unit
+                values = np.full(blocks * per, z[-1])
+                values[:s1 - s0] = anchors[s0:s1]
+                units = min(s1 * S, N) - s0 * S
+                offset = np.zeros((blocks * per, S))
+                offset.reshape(-1)[:units] = z[s0 * S:s0 * S + units]
+                offset -= values[:, None]
+                offset.reshape(-1)[units:] = 0.0
+                group = np.empty((m, blocks * per))
+                group[0] = np.clip(N - np.arange(s0, s0 + blocks * per) * S, 0, S)
+                power = offset.copy()
+                for r in range(1, m):
+                    group[r] = power.sum(axis=1)
                     power *= offset
-            self._moments = moments
-        return self._moments
+                values = values.reshape(blocks, per)
+                group = group.reshape(m, blocks, per)
+                # suffix sums: each stride point adds the sums 1, 2, 4, ...
+                # groups on, shifted back to its own value
+                suffix = group.copy()
+                span = 1
+                while span < per:
+                    suffix[..., :-span] += _shift(suffix[..., span:].copy(),
+                                                  values[:, span:] - values[:, :-span])
+                    span *= 2
+                # prefix sums: the groups before the point, about the block's
+                # first value, added one after another
+                prefix = np.zeros_like(group)
+                np.cumsum(_shift(group[..., :-1], values[:, :-1] - values[:, :1]),
+                          axis=-1, out=prefix[..., 1:])
+                sums[:, s0:s1] = suffix.reshape(m, -1)[:, :s1 - s0]
+                sums[:, points + s0:points + s1] = prefix.reshape(m, -1)[:, :s1 - s0]
+            self._sums, self._anchors = sums, anchors
+        return self._sums, self._anchors
 
     def _power_sums(self, lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
                     h: np.ndarray, m: int) -> np.ndarray:
         """Sums of ((z - a) / h)^r for r < m over sorted units lo..hi-1, one
-        row per (lo, hi, a, h)."""
-        B = MOMENT_BLOCK
-        first = -(-lo // B)
-        stop = np.maximum(first, hi // B)  # the full blocks inside: first..stop-1
-        # the partial blocks at either end, low then high, zero-padded;
-        # powers along the units, summed one unit after another as a
-        # column sum is
-        n_low = np.minimum(first * B, hi) - lo
-        n_end = n_low + np.maximum(hi - stop * B, 0)
-        at = np.arange(n_end.max(initial=0))
-        units = np.where(at < n_low[:, None], lo[:, None] + at,
-                         (stop * B - n_low)[:, None] + at)
-        valid = at < n_end[:, None]
-        units[~valid] = 0
-        ends = _powers((self.z01[units] - a[:, None]) / h[:, None], m)
-        ends *= valid[:, None, :]
-        sums = np.zeros((lo.size, m)) if not at.size else np.cumsum(ends, axis=-1)[..., -1]
-        blocks = stop - first
-        if not blocks.any():
+        column per (lo, hi, a, h): (m, intervals)."""
+        S, per = STRIDE, MOMENT_BLOCK // STRIDE
+        first, last = -(-lo // S), hi // S  # the interval's first and last stride points
+        spans = (first <= last) & (first // per < last // per)
+        # the units summed directly: lo..low_end-1 and high_start..hi-1
+        low_end = np.where(spans, first * S, hi)
+        high_start = np.where(spans, last * S, hi)
+        n_low = low_end - lo
+        units = _ragged(n_low + hi - high_start)
+        sums = np.zeros((m, lo.size))
+        if units is not None:
+            owner, at, starts, nonempty = units
+            index = np.where(at < n_low[owner], lo[owner] + at,
+                             high_start[owner] - n_low[owner] + at)
+            t = (self.z01[index] - a[owner]) / h[owner]
+            sums[:, nonempty] = np.add.reduceat(_powers(t, m), starts, axis=1)
+        # the table sums: the suffix at the first stride point, each later
+        # block's suffix at its first unit, and the prefix at the last
+        # stride point unless it starts a block (an empty sum)
+        n_suffix = np.where(spans, last // per - first // per, 0)
+        prefix = spans & (last % per != 0)
+        rows = _ragged(n_suffix + prefix)
+        if rows is None:
             return sums
-        at = np.arange(blocks.max())
-        index = np.where(at < blocks[:, None], first[:, None] + at, 0)
-        shift = _powers((self.z01[index * B] - a[:, None]) / h[:, None], m)
-        shift = np.ascontiguousarray(shift.swapaxes(-1, -2))
-        local = self._block_moments(m)[index, :m] / _powers(h[:, None], m)[:, None, :, 0]
-        # [k, p]: sum_b ((c_b - a)/h)^k ((z - c_b)/h)^p, one product per row
-        cross = np.stack([s[:b].T @ l[:b] for s, l, b in zip(shift, local, blocks)])
-        for r in range(m):
-            sums[:, r] += sum(comb(r, p) * cross[:, r - p, p] for p in range(r + 1))
+        owner, at, starts, nonempty = rows
+        table, anchors = self._stride_sums(m)
+        index = np.where(at == 0, first[owner], (first[owner] // per + at) * per)
+        index = np.where(at == n_suffix[owner], table.shape[1] // 2 + last[owner], index)
+        # sums of x^r over a row's units, x = (z - point) / h, shifted to
+        # sums of (x + d)^r, d = (point - a) / h >= 0
+        scaled = table[:m, index] / _powers(h[owner], m)
+        _shift(scaled, (anchors[index] - a[owner]) / h[owner])
+        sums[:, nonempty] += np.add.reduceat(scaled, starts, axis=1)
         return sums
 
     def basis_totals(self, knots: KnotVector, m: int) -> np.ndarray:
@@ -346,49 +406,33 @@ class CovariateSummary:
         the last one. An order-1 function is the indicator of its
         interval, so its total is the interval's unit count, read off the
         search. For m >= 2 the m nonzero basis functions on each interval
-        are recovered as polynomials in t = (z - a) / h from m evaluations.
-        A stack of R knot vectors gives (R, q) totals in one pass, with one
-        search of all their breakpoints.
+        are polynomials in t = (z - a) / h, whose coefficients the Cox-de
+        Boor recursion gives (`_interval_pieces`); each total adds its
+        intervals' coefficients times the power sums of t. A stack of R
+        knot vectors gives (R, q) totals in one pass, with one search of
+        all their breakpoints.
         """
-        breakpoints = knots.breakpoints()
-        lead = breakpoints.shape[:-1]
-        bp = breakpoints.reshape(-1, knots.num_interior + 2)
+        K = knots.num_interior
+        extended = knots.extended(m)
+        lead = extended.shape[:-1]
+        extended = extended.reshape(-1, K + 2 * m)
+        bp = extended[:, m - 1:K + m + 1]
         cuts = np.zeros(bp.shape, dtype=np.intp)
         cuts[:, 1:-1] = np.searchsorted(self.z01, bp[:, 1:-1])
         cuts[:, -1] = self.z01.size
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         if m == 1:
             return (hi - lo).astype(float).reshape(lead + (-1,))
-        left, width = bp[:, :-1], np.diff(bp, axis=-1)
-        J = left.shape[1]
-        # each interval's left end and m - 1 Chebyshev points inside it
-        inner = (np.arange(m - 1) + 0.5) * np.pi / (m - 1)
-        nodes = np.concatenate(([0.0], 0.5 - 0.5 * np.cos(inner)))
-        points = left[..., None] + width[..., None] * nodes
-        values = basis_matrix(knots, m, points.reshape(lead + (J * m,)))
-        values = values.reshape(bp.shape[0], J, m, -1)
-        # intervals too narrow to hold m distinct points in floating point
-        narrow = (np.diff(points, axis=-1) <= 0).any(axis=-1) | (points[..., -1] >= bp[:, 1:])
-        # piece coefficients of t^r on every interval; the constant term is
-        # the value at a. Interval j carries basis functions j..j+m-1.
-        band = np.arange(J)[:, None] + np.arange(m)
-        at = np.take_along_axis(values, band[None, :, None, :], axis=-1)
-        t = (points[..., 1:] - left[..., None]) / width[..., None]
-        vandermonde = _powers(t, m)[..., 1:, :].swapaxes(-1, -2)
-        skip = (lo == hi) | narrow
-        vandermonde[skip] = np.eye(m - 1)  # unused; kept regular
-        pieces = np.concatenate((at[..., :1, :], np.linalg.solve(
-            vandermonde, at[..., 1:, :] - at[..., :1, :])), axis=-2)
+        left, width = bp[:, :-1], bp[:, 1:] - bp[:, :-1]
         sums = self._power_sums(lo.ravel(), hi.ravel(), left.ravel(), width.ravel(), m)
-        parts = (sums.reshape(lo.shape + (1, m)) @ pieces)[..., 0, :]
-        parts[skip] = 0.0
-        for r, j in np.argwhere(narrow & (lo < hi)).tolist():
-            # sum the basis values over the distinct units instead
-            distinct, counts = np.unique(self.z01[lo[r, j]:hi[r, j]], return_counts=True)
-            row = knots if not lead else knots.row(r)
-            parts[r, j] = counts @ basis_matrix(row, m, distinct)[:, j:j + m]
+        pieces = _interval_pieces(extended, m).reshape(-1, m, m)
+        # [interval, function]: sum_r sums[r] * coefficient of t^r
+        parts = sums[0, :, None] * pieces[:, 0]
+        for r in range(1, m):
+            parts += sums[r, :, None] * pieces[:, r]
         # each total adds its intervals' parts in interval order, from zero
-        q = knots.num_interior + m
+        q = K + m
+        band = np.arange(K + 1)[:, None] + np.arange(m)
         index = np.arange(bp.shape[0])[:, None, None] * q + band
         return np.bincount(index.ravel(), parts.ravel(), bp.shape[0] * q).reshape(lead + (q,))
 
@@ -418,6 +462,67 @@ def _powers(x: np.ndarray, m: int) -> np.ndarray:
     for r in range(1, m):
         np.multiply(out[..., r - 1, :], x, out=out[..., r, :])
     return out
+
+
+def _shift(sums: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Shift power sums, r < m along the first axis, to a point d below the
+    one they are taken about, in place: sum (x + d)^r =
+    sum_k C(r, k) d^(r-k) sum x^k, by m (m - 1) / 2 steps of Taylor's
+    shift. With d >= 0 and x >= 0 every term is nonnegative."""
+    for i in range(1, sums.shape[0]):
+        for r in range(sums.shape[0] - 1, i - 1, -1):
+            sums[r] += d * sums[r - 1]
+    return sums
+
+
+def _ragged(counts: np.ndarray):
+    """Items 0..counts[i]-1 of every row i, laid end to end: each item's row
+    (`owner`) and place in it (`at`), and the first item of each nonempty
+    row (`starts`) with the mask of those rows (`nonempty`); None when
+    there is no item."""
+    total = int(counts.sum())
+    if not total:
+        return None
+    nonempty = counts > 0
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(counts.size), counts)
+    at = np.arange(total) - (ends - counts)[owner]
+    return owner, at, (ends - counts)[nonempty], nonempty
+
+
+def _interval_pieces(extended: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of the m order-m B-splines (m >= 2) nonzero on each knot
+    interval [a, a + h) as polynomials in t = (z - a) / h, one set per row
+    of extended knot vectors: (rows, J, m, m), the coefficient of t^r of
+    function f of interval j at [.., j, r, f]. Function f of interval j is
+    basis function j + f.
+
+    The Cox-de Boor recursion (de Boor's BSPLVB) on coefficient arrays,
+    over every row and interval at once. The order-2 pieces are 1 - t and
+    t; from the order-k functions N_r nonzero on interval e, with
+    x = a + h t, N'_r gains (t_{e+r+1} - x) N_r / d_r and N'_{r+1} gains
+    (x - t_{e-k+r+1}) N_r / d_r, where d_r = t_{e+r+1} - t_{e-k+r+1} > 0
+    on a nonempty interval."""
+    J = extended.shape[-1] - 2 * m + 1
+    # knots t_{j+i}, i < 2m, around interval j, whose left end is i = m - 1
+    window = extended[:, np.arange(J)[:, None] + np.arange(2 * m)]
+    a = window[..., m - 1:m]
+    h = (window[..., m] - window[..., m - 1])[..., None, None]
+    to_right = (window[..., m:] - a)[..., None, :]
+    from_left = (a - window[..., :m])[..., None, :]
+    pieces = np.zeros(a.shape[:-1] + (m, 2))
+    pieces[..., 0, 0] = pieces[..., 1, 1] = 1.0
+    pieces[..., 1, 0] = -1.0
+    for k in range(2, m):
+        scaled = pieces / (window[..., m:m + k] - window[..., m - k:m])[..., None, :]
+        step = h * scaled[..., :-1, :]
+        grown = np.zeros(a.shape[:-1] + (m, k + 1))
+        grown[..., :k] = to_right[..., :k] * scaled
+        grown[..., 1:, :k] -= step
+        grown[..., 1:] += from_left[..., m - k:] * scaled
+        grown[..., 1:, 1:] += step
+        pieces = grown
+    return pieces
 
 
 def penalty_matrix(spec: SplineSpec, knots: KnotVector) -> np.ndarray:

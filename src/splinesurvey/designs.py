@@ -170,10 +170,24 @@ class Population:
         )
 
 
-def _csv_header(reader) -> list:
-    """The header row of a population CSV `reader`, checked for an `id` and
-    a `z` column and for repeated names."""
-    header = next(reader, None)
+def _csv_rows(reader):
+    """The rows of a population CSV's `csv.reader`. A row the `csv` module
+    refuses, such as one holding a cell past its field size limit, raises
+    a ValueError naming the file line the reader reached."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise ValueError(f"population CSV line {reader.line_num}: {err}") from None
+        yield row
+
+
+def _csv_header(rows) -> list:
+    """The header row of a population CSV's `rows` (`_csv_rows`), checked
+    for an `id` and a `z` column and for repeated names."""
+    header = next(rows, None)
     if header is None or "id" not in header:
         raise ValueError("population CSV needs a header with an 'id' column")
     if "z" not in header:
@@ -196,7 +210,7 @@ def _one_pass_columns(path) -> dict | None:
     if any(separator in data for separator in _ASCII_SEPARATORS):
         return None
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
-        header = _csv_header(csv.reader(fh))
+        header = _csv_header(_csv_rows(csv.reader(fh)))
         dtype = np.dtype([(f"c{j}", object if name in TEXT_COLUMNS else np.float64)
                           for j, name in enumerate(header)])
         try:
@@ -234,11 +248,12 @@ def _row_columns(path) -> dict:
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = _csv_header(reader)
+        rows = _csv_rows(reader)
+        header = _csv_header(rows)
         columns = [[] if name in TEXT_COLUMNS else array("d") for name in header]
         labels = {}
         line = reader.line_num + 1
-        for row in reader:
+        for row in rows:
             if row and len(row) != len(header):
                 raise ValueError(f"population CSV line {line}: {len(row)} cells, "
                                  f"but the header has {len(header)}")

@@ -102,10 +102,12 @@ class SplineSystem:
     gives the fits of the linearized variables whose residuals enter the
     variance (`WeightSet.system`).
     The population side comes from the population's cached
-    `covariate_summary`, so a build costs O(K m^2 + N / block) there
-    instead of O(N m q), O(K log N) at order 1 (poststrata, whose totals
-    are the cell counts), and nothing when the knots do not depend on the
-    sample (`CovariateSummary.fixed_knot_totals`).
+    `covariate_summary`, so a build costs O(K (m^3 + STRIDE m) +
+    m^2 N / MOMENT_BLOCK) there instead of O(N m q): a few table reads and
+    fewer than STRIDE units per knot interval end, and one step per block
+    of 1 024 units inside an interval. It costs O(K log N) at order 1
+    (poststrata, whose totals are the cell counts), and nothing when the
+    knots do not depend on the sample (`CovariateSummary.fixed_knot_totals`).
 
     A stack of draws gives one system per sample, every array with a
     leading replicate axis, factored and solved as one batch. Samples

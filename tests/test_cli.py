@@ -299,6 +299,17 @@ def test_bad_population_csv_is_usage_error(runner, population_csv, command,
     assert "Traceback" not in res.output
 
 
+def test_population_cell_past_the_csv_field_limit_is_usage_error(runner, tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("id,z,y\n" + "u" * 140_000 + ",1_0,2\nu2,2,3\nu3,3,4\n")
+    res = runner.invoke(main, ["estimate", "--population", str(path), "--family", "ht",
+                               "--parameter", "mean:y", "--n", "2"])
+    assert res.exit_code == 2
+    assert (f"Error: --population {path}: population CSV line 2: field larger "
+            f"than field limit ({csv.field_size_limit()})") in res.output
+    assert "Traceback" not in res.output
+
+
 def test_bad_plan_population_file_is_usage_error(runner, population_csv, tmp_path):
     path = _bad_population_csv(population_csv, "u4,1.5,2.5,3.5,4.5")
     plan = {

@@ -465,6 +465,15 @@ class TestPopulationCsvErrors:
             Population.from_csv(p)
         assert str(info.value) == f"population CSV {message}"
 
+    def test_cell_past_the_csv_field_limit_names_its_line(self, tmp_path):
+        # numpy's pass refuses the `1_0` cell, and the csv module the id
+        p = tmp_path / "pop.csv"
+        p.write_text("id,z,y\nu1,1,2\n" + "u" * 140_000 + ",1_0,3\n")
+        with pytest.raises(ValueError) as info:
+            Population.from_csv(p)
+        assert str(info.value) == ("population CSV line 3: field larger than "
+                                   f"field limit ({csv.field_size_limit()})")
+
     @pytest.mark.parametrize("bad_line,cells", [("v1,3.5", 2), ("v1,3.5,2,7", 4)])
     def test_short_or_long_row_names_its_line(self, tmp_path, rng, bad_line, cells):
         p, line = self._write(tmp_path, rng, bad_line)

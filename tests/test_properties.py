@@ -687,6 +687,90 @@ def test_basis_totals_sum_the_basis_over_the_population(z, m, data):
                 assert rows[r].tobytes() == cs.basis_totals(knots.row(r), m).tobytes()
 
 
+@st.composite
+def stride_populations(draw):
+    """A population covariate of 2 to 6 000 units, so from under one block
+    of a `CovariateSummary`'s stride sums to past five, its size often a
+    multiple of the stride or of the block: values tied onto a few
+    integers, heaped onto round numbers, heavy-tailed or spread."""
+    N = draw(st.one_of(st.integers(2, 6000),
+                       st.integers(1, 6000 // basis.STRIDE).map(lambda k: k * basis.STRIDE),
+                       st.integers(1, 6000 // basis.MOMENT_BLOCK).map(
+                           lambda k: k * basis.MOMENT_BLOCK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tied", "heaped", "heavy", "spread"]))
+    if kind == "tied":
+        return rng.integers(0, draw(st.integers(2, 40)), N).astype(float)
+    if kind == "heavy":
+        return rng.pareto(1.1, N)
+    z = rng.lognormal(3.0, 0.6, N)
+    return np.round(z, -1) if kind == "heaped" else z
+
+
+# How a row's interior knots are placed among the population's distinct
+# values in (0, 1): at evenly spaced ranks, at random, or within a window of
+# at most one block's worth of values (intervals inside one block), each
+# either on a value or one ulp right of it.
+KNOT_PLACEMENTS = st.tuples(st.sampled_from(["quantiles", "random", "close"]),
+                            st.booleans())
+
+
+def _placed_knots(inner: np.ndarray, K: int, placement, rng) -> np.ndarray:
+    rule, nudge = placement
+    if rule == "quantiles":
+        knots = inner[(np.arange(1, K + 1) * inner.size) // (K + 1)]
+    elif rule == "random":
+        knots = np.sort(rng.choice(inner, K, replace=False))
+    else:
+        span = int(rng.integers(K, min(inner.size, basis.MOMENT_BLOCK) + 1))
+        start = int(rng.integers(0, inner.size - span + 1))
+        knots = inner[start + np.sort(rng.choice(span, K, replace=False))]
+    if nudge and K and np.nextafter(knots[-1], 1.0) < 1.0:
+        knots = np.nextafter(knots, 1.0)
+    return knots
+
+
+@settings(max_examples=100, deadline=None)
+@given(stride_populations(), st.integers(2, 4), st.integers(0, 6),
+       st.lists(KNOT_PLACEMENTS, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+@example(np.random.default_rng(7).lognormal(3.0, 0.6, 20_000), 3, 4,
+         [("quantiles", False), ("close", False)], 0)
+def test_basis_totals_from_the_stride_sums(z, m, K, placements, seed):
+    """`CovariateSummary.basis_totals` of orders 2-4 on (R, K) stacks of
+    knots placed so that intervals end at N, lie inside one block of the
+    summary's stride sums, or span several blocks: every total is the
+    basis summed over the units to 1e-12 relative (a total below one
+    unit's mass to 1e-12 absolute, as in
+    `test_basis_totals_sum_the_basis_over_the_population`), each row of
+    the stack is bit for bit the one-sample call on that row's knots, and
+    a summary whose sums were first built for order 4 gives the same bits.
+
+    The example is a population of 20 000 units, a multiple of the stride
+    but not of the block, whose last interval ends at N on a stride point
+    past the last block's first unit: its prefix sum is that of the last,
+    partial block."""
+    hypothesis.assume(np.ptp(z) > 0)
+    cs = CovariateSummary(z)
+    distinct = np.unique(cs.z01)
+    inner = distinct[(distinct > 0.0) & (distinct < 1.0)]
+    hypothesis.assume(inner.size >= K)
+    rng = np.random.default_rng(seed)
+    knots = basis.KnotVector(np.stack([_placed_knots(inner, K, placement, rng)
+                                       for placement in placements]))
+    totals = cs.basis_totals(knots, m)
+    R, N = len(placements), z.size
+    assert totals.shape == (R, K + m)
+    values = basis_matrix(knots, m, np.broadcast_to(cs.z01, (R, N)))
+    direct = np.ascontiguousarray(values.swapaxes(-1, -2)).sum(axis=-1)
+    assert np.max(np.abs(totals - direct) / np.maximum(np.abs(direct), 1.0)) <= 1e-12
+    for r in range(R):
+        assert totals[r].tobytes() == cs.basis_totals(knots.row(r), m).tobytes()
+    # sums built for a higher order give the same bits
+    higher = CovariateSummary(z)
+    higher.basis_totals(knots, 4)
+    assert higher.basis_totals(knots, m).tobytes() == totals.tobytes()
+
+
 # A calibration case: population size, spline order, interior knots, the
 # number of strata (one: SRSWOR), units sampled per stratum, stack size
 # and seed. Strata of 40 units or more and 8 sampled units per interval
