@@ -32,9 +32,17 @@ rule), and a sample whose masses are all equal (the HT weights N/n of an
 SRSWOR sample) reads the census count k / n, so its quantile is the
 census quantile of its values at any scale.
 What reads a unit-mass measure's masses or sorted summaries (a census
-linearization, `tv_proxy_distance`, `implicit_solve`) reads an array of
-ones built on first read, through the weighted path: the cumulative
-masses are then the exact counts 0..n, and 1.0 * y is y.
+Gini or poverty-rate linearization, `tv_proxy_distance`,
+`implicit_solve`) reads an array of ones built on first read, through the
+weighted path: the cumulative masses are then the exact counts 0..n, and
+1.0 * y is y. A census mean or ratio linearization reads the totals and
+N-hat alone, so it builds no ones.
+
+A measure computes each of its summaries once, on first use, and keeps
+it: N-hat (`total_mass`), which the functionals, the linearizations and
+the poverty rate's bandwidth and density read, and the distribution
+function at each sorted position's run end (`_cdf`), which the weighted
+Gini, the weighted quantile and the Gini's linearization read.
 
 Every sum over the units is a numpy reduction along the row in a fixed
 order: pairwise (`np.add.reduce`), in unit order for totals and in sorted
@@ -61,6 +69,7 @@ import numpy as np
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows, each the BLAS dot `a @ b` of 1-d rows.
 
+    Its one caller is `silverman_bandwidth` (the mean and the sd).
     OpenBLAS splits a long dot (over 10 000 entries) across its threads,
     which moves its last bits with the thread count; the functionals'
     sums over the units are pairwise sums (`np.add.reduce`) instead."""
@@ -233,10 +242,12 @@ class WeightedMeasure:
     the CDF at one point per row select and count instead of sorting; the
     Gini sorts the values alone, not their positions; N-hat is the unit
     count. What reads `masses` (`implicit_solve`, a `ratio` with a
-    weighted partner, `linearized_ratio`, the poverty rate's bandwidth and
-    density) or the sorted summaries builds an array of ones on first
-    read and takes the weighted path, whose cumulative masses are then the
-    exact counts 0..n; `total` and `gini` read no masses.
+    weighted partner, the poverty rate's bandwidth and density) or the
+    sorted summaries builds an array of ones on first read and takes the
+    weighted path, whose cumulative masses are then the exact counts
+    0..n; `total`, `gini` and the mean and ratio linearizations read no
+    masses. N-hat and the distribution function at the run ends (`_cdf`)
+    are each computed once and cached.
     """
 
     def __init__(self, values, masses=None, ordering: Ordering | None = None):
@@ -295,13 +306,20 @@ class WeightedMeasure:
     def size(self) -> int:
         return self.values.shape[-1]
 
-    @property
+    @cached_property
     def total_mass(self):
-        """Estimated population size N-hat; at unit masses the unit count n
-        per row, which the sum of n ones gives exactly (n < 2^53)."""
+        """Estimated population size N-hat, summed once; at unit masses the
+        unit count n per row, which the sum of n ones gives exactly
+        (n < 2^53)."""
         if self.unit_masses:
             return as_scalar(np.full(self.values.shape[:-1], float(self.size)))
         return as_scalar(self.masses.sum(axis=-1))
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Per sorted position, the distribution function at the value
+        there: the cumulative mass at its run's end over N-hat."""
+        return take_rows(self._cum_w, self.ordering.run_end_at) / as_column(self.total_mass)
 
     def mass_at_most(self, y) -> np.ndarray:
         """Unnormalized CDF: total mass on {y_k <= y}. At unit masses and
@@ -418,8 +436,7 @@ def quantile(measure: WeightedMeasure, alpha: float):
     ordering = measure.ordering
     w = measure.masses
     equal = (w == w[..., :1]).all(axis=-1, keepdims=True)
-    cum = np.where(equal, np.arange(measure.size + 1.0), measure._cum_w)
-    share = take_rows(cum, ordering.run_end_at) / np.where(equal, measure.size, as_column(nhat))
+    share = np.where(equal, ordering.run_end_at / measure.size, measure._cdf)
     # the top run's CDF is 1 in exact arithmetic, signed masses too, but
     # its cumulative mass and N-hat are summed in different orders and its
     # share can round below a level next to 1: it is read as crossed
@@ -465,8 +482,7 @@ def gini(measure: WeightedMeasure):
         sorted_y, run_end = _value_runs(measure.values)
         terms = (2.0 * (run_end / measure.size) - 1.0) * sorted_y
     else:
-        F = take_rows(measure._cum_w, measure.ordering.run_end_at) / as_column(nhat)
-        terms = measure._sorted_w * ((2.0 * F - 1.0) * measure._sorted_y)
+        terms = measure._sorted_w * ((2.0 * measure._cdf - 1.0) * measure._sorted_y)
     return as_scalar(np.add.reduce(terms, axis=-1)) / ty
 
 

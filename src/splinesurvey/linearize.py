@@ -63,16 +63,18 @@ def linearized_ratio(measure_y: WeightedMeasure,
     """Influence values of the ratio of two totals: (y - R x) / t_x, with R
     and t_x estimated at the masses of `measure_y` (ones for the census,
     HT weights on a sample). `measure_x` holds x on the same masses;
-    without it x is 1, and the ratio is the mean."""
-    y, w = measure_y.values, measure_y.masses
-    if measure_x is not None:
+    without it x is 1, and the ratio is the mean. R and t_x are the
+    `ratio` and `mean` functionals' own sums: `total` of each measure, and
+    N-hat for the mean, so R is the point estimate's R bit for bit."""
+    if measure_x is None:
+        x, tx = 1.0, measure_y.total_mass
+    else:
         _common_weights(measure_y, measure_x)
-    x = np.ones_like(y) if measure_x is None else measure_x.values
-    tx = as_scalar(row_dot(w, x))
+        x, tx = measure_x.values, total(measure_x)
     if np.count_nonzero(tx == 0):
         raise ValueError("ratio linearization undefined: zero denominator")
-    R = as_scalar(row_dot(w, y)) / tx
-    return LinearizedVariables((y - as_column(R) * x) / as_column(tx), "ratio")
+    R = total(measure_y) / tx
+    return LinearizedVariables((measure_y.values - as_column(R) * x) / as_column(tx), "ratio")
 
 
 def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
@@ -83,7 +85,8 @@ def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
     by the mass weakly at or below y_k. That pairing (strict numerator,
     weak denominator) is the one validated against the finite-difference
     influence value of the tests' references (`reference.influence_oracle`).
-    F and ybar are read off the measure's sort, which the Gini itself reads.
+    F is the measure's `_cdf`, which the Gini itself reads, and ybar is
+    read off the same sort.
     """
     y = measure.values
     if measure.size < 2:
@@ -94,7 +97,7 @@ def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
         raise ValueError("Gini linearization undefined: zero total")
     G = as_column(gini(measure))
     nhat, ty = as_column(nhat), as_column(ty)
-    F = measure.mass_at_most_own() / nhat
+    F = measure._unsort(measure._cdf)
     below = measure.weighted_sum_below_own() / nhat
     u = (2.0 * (F * y - below) / ty
          - y * (1.0 + G) / ty
@@ -105,9 +108,9 @@ def linearized_gini(measure: WeightedMeasure) -> LinearizedVariables:
 def silverman_bandwidth(measure: WeightedMeasure):
     """Rule-of-thumb kernel bandwidth for a weighted sample (for positive
     weights): 0.9 min(sd, IQR / 1.349) n_eff^-0.2. The quartiles are
-    `quantile` of the measure, read off its sort."""
-    y, weights = measure.values, measure.masses
-    total_w = weights.sum(axis=-1)
+    `quantile` of the measure, read off its sort, and the weights' total
+    is its N-hat."""
+    y, weights, total_w = measure.values, measure.masses, measure.total_mass
     w = weights / as_column(total_w)
     mu = as_scalar(row_dot(w, y))
     sd = np.sqrt(np.maximum(row_dot(w, (y - as_column(mu)) ** 2), 0.0))
@@ -128,7 +131,7 @@ def weighted_gaussian_density(y_points, measure: WeightedMeasure, bandwidth) -> 
     pts = np.atleast_1d(np.asarray(y_points, dtype=float))
     u = (pts[..., :, None] - y[..., None, :]) / as_column(as_column(bandwidth))
     kern = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    return matvec(kern, weights) / as_column(weights.sum(axis=-1) * bandwidth)
+    return matvec(kern, weights) / as_column(measure.total_mass * bandwidth)
 
 
 def linearized_poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
@@ -146,7 +149,6 @@ def linearized_poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
     y = measure.values
     if measure.size < 10:
         raise ValueError("poverty-rate linearization needs n >= 10")
-    nhat = measure.total_mass
     q = quantile(measure, level)
     t = fraction * q
     P = cdf_value(measure, t)
@@ -156,8 +158,8 @@ def linearized_poverty_rate(measure: WeightedMeasure, fraction: float = 0.6,
     if np.count_nonzero(f_q < 1e-12):
         raise ValueError("density too small at the quantile")
     adj = fraction * f_t / f_q
-    t, q, P, adj = map(as_column, (t, q, P, adj))
-    u = ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - level)) / as_column(nhat)
+    t, q, P, adj, nhat = map(as_column, (t, q, P, adj, measure.total_mass))
+    u = ((y <= t).astype(float) - P - adj * ((y <= q).astype(float) - level)) / nhat
     return LinearizedVariables(u, "poverty_rate")
 
 

@@ -271,17 +271,22 @@ class ParameterSpec:
         a Monte Carlo run is keyed by the label, which joins them)."""
         return tuple(getattr(self, name) for name in KINDS[self.kind].reads)
 
-    def measures(self, values: dict, masses: np.ndarray | None) -> list:
-        """The measures with `masses` (None: unit masses) on the sample
-        `values` (variable name -> array) of the variables the parameter
-        reads, in `reads` order. Each sorts its values on its own; the
-        measures of `SampleData` share one sort of each variable."""
-        return [WeightedMeasure(values[name], masses) for name in self.variables]
+    def at(self, measures: dict):
+        """The parameter at `measures` ({variable: measure}, one for each
+        variable it reads, all at one weight system): a float for one
+        sample, one value per row for an (R, n) stack."""
+        return KINDS[self.kind].functional(self, *map(measures.get, self.variables))
+
+    def influence(self, measures: dict) -> np.ndarray:
+        """The parameter's linearized variable at `measures`, as `at`
+        reads them."""
+        return KINDS[self.kind].linearized(self, *map(measures.get, self.variables)).values
 
     def evaluate(self, values: dict, masses: np.ndarray | None) -> float:
-        """The parameter at its `measures`: a float for one sample, one
-        value per row for an (R, n) stack."""
-        return KINDS[self.kind].functional(self, *self.measures(values, masses))
+        """The parameter at the measures with `masses` (None: unit masses)
+        on the sample `values` (variable name -> array); each measure sorts
+        its values on its own."""
+        return self.at(measure_map(values, masses, self.variables))
 
     def truth(self, population: Population, census: dict | None = None) -> float:
         """The parameter of the census: the functional at the unit-mass
@@ -293,11 +298,11 @@ class ParameterSpec:
         of sorting, and a Gini sorts the values, not their positions."""
         if census is None:
             census = census_measures(population, (self,))
-        return KINDS[self.kind].functional(self, *map(census.get, self.variables))
+        return self.at(census)
 
     def linearized(self, values: dict, weights: np.ndarray | None) -> np.ndarray:
-        """Linearized variable at its `measures` with masses `weights`."""
-        return KINDS[self.kind].linearized(self, *self.measures(values, weights)).values
+        """Linearized variable at the measures `evaluate` builds."""
+        return self.influence(measure_map(values, weights, self.variables))
 
 
 def _variables(parameters: Sequence) -> dict:
@@ -306,12 +311,20 @@ def _variables(parameters: Sequence) -> dict:
     return dict.fromkeys(name for p in parameters for name in p.variables)
 
 
+def measure_map(values: dict, masses: np.ndarray | None, names,
+                orderings: dict | None = None) -> dict:
+    """{name: the measure with `masses` (None: unit masses) on values[name]}
+    for each of `names`, on orderings[name] when `orderings` is given."""
+    return {name: WeightedMeasure(values[name], masses,
+                                  None if orderings is None else orderings[name])
+            for name in names}
+
+
 def census_measures(population: Population, parameters: Sequence) -> dict:
     """{variable: its unit-mass measure on the census}, one per variable the
     parameters read. Each checks its entries finite by its row sum, which
     is its total, and sorts nothing until a Gini sorts its values."""
-    return {name: WeightedMeasure(population.variables[name])
-            for name in _variables(parameters)}
+    return measure_map(population.variables, None, _variables(parameters))
 
 
 # The variance routes `SampleData.estimate` takes: the design's closed form
@@ -450,14 +463,11 @@ class SampleData:
         # (weights, {variable: measure}) of the last weight set estimated
         # with, whose parameters all read its measures: first the design's
         self._last = (sample.design_weights, self._measures(sample.design_weights))
-        measures = self._last[1]
-        self.linearized = {p.label: KINDS[p.kind].linearized(p, *map(measures.get, p.variables))
-                           for p in parameters}
+        self.linearized = {p.label: p.influence(self._last[1]) for p in parameters}
 
     def _measures(self, weights: np.ndarray) -> dict:
         """{variable: its measure at `weights`, on its shared ordering}."""
-        return {name: WeightedMeasure(vals, weights, self.orderings[name])
-                for name, vals in self.values.items()}
+        return measure_map(self.values, weights, self.values, self.orderings)
 
     def estimate(self, ws: WeightSet, parameter: ParameterSpec,
                  variance_method: str, level: float) -> Estimate:
@@ -470,21 +480,17 @@ class SampleData:
             check_variance(variance_method, *self.sample.strata)
         if ws.weights is not self._last[0]:  # a new weight set: measure it once
             self._last = (ws.weights, self._measures(ws.weights))
-        measures = self._last[1]
-        point = KINDS[parameter.kind].functional(parameter,
-                                                 *map(measures.get, parameter.variables))
-        u = self.linearized[parameter.label].values
+        point = parameter.at(self._last[1])
+        u = self.linearized[parameter.label]
         fitted = variance_fit(ws, u)
         resid = u - fitted
         if variance_method == "double_sum":
             v = ht_variance_double_sum(self.sample, resid)
         else:
             v = closed_form_variance(self.sample, resid)
-        if not getattr(v.value, "ndim", 0):
-            interval = None if v.negative else confidence_interval(point, v, level)
-        else:
-            interval = confidence_interval(point, np.where(v.negative, np.nan, v.value),
-                                           level)
+        interval = confidence_interval(point, np.where(v.negative, np.nan, v.value), level)
+        if not getattr(v.value, "ndim", 0) and v.negative:  # one sample: no interval
+            interval = None
         return Estimate(point, u, fitted, v, interval)
 
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from splinesurvey import (
     linearized_poverty_rate,
     linearized_ratio,
     linearized_total,
+    mean,
     quantile,
     ratio,
     residual_fit,
     srswor_variance,
+    total,
 )
 from splinesurvey.designs import Population
 from splinesurvey.linearize import silverman_bandwidth, variance_fit
@@ -86,6 +90,45 @@ class TestLinearizedRatio:
             eps = 1e-6
             orc = ((ty + eps * y) / (tx + eps * x) - ty / tx) / eps
             assert np.max(np.abs(u - orc)) <= 1e-6 * np.max(np.abs(u))
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestRatioLinearizationReadsTheFunctionalSums:
+    """R and t_x inside the ratio's and the mean's linearized variable are
+    the `ratio` and `mean` functionals' own pairwise sums, and a measure
+    computes N-hat and its distribution function once."""
+
+    def test_census_linearizations_make_no_masses(self, rng):
+        y, x = rng.lognormal(7.0, 0.5, 300), rng.lognormal(7.0, 0.5, 300)
+        for pair in [(WeightedMeasure(y),), (WeightedMeasure(y), WeightedMeasure(x))]:
+            linearized_ratio(*pair)
+            for m in pair:
+                assert "masses" not in vars(m)
+
+    def test_equals_the_point_estimates_sums_bit_for_bit(self, rng):
+        y, x = rng.lognormal(7.0, 0.5, (2, 4, 700))
+        w = rng.uniform(5.0, 60.0, (4, 700))
+        my, mx = WeightedMeasure(y, w), WeightedMeasure(x, w)
+        want = (y - ratio(my, mx)[:, None] * x) / total(mx)[:, None]
+        assert _hex(linearized_ratio(my, mx).values) == _hex(want)
+        want = (y - mean(my)[:, None]) / w.sum(axis=-1)[:, None]
+        assert _hex(linearized_ratio(my).values) == _hex(want)
+
+    def test_poverty_rate_sums_nhat_and_its_cdf_once(self, rng, monkeypatch):
+        calls = []
+        for name in ("total_mass", "_cdf"):
+            build = getattr(WeightedMeasure, name).func
+            counted = cached_property(lambda m, build=build, name=name:
+                                      calls.append(name) or build(m))
+            counted.__set_name__(WeightedMeasure, name)
+            monkeypatch.setattr(WeightedMeasure, name, counted)
+        y = rng.lognormal(7.0, 0.5, (3, 200))
+        measure = WeightedMeasure(y, rng.uniform(5.0, 60.0, y.shape))
+        linearized_poverty_rate(measure)
+        assert sorted(calls) == ["_cdf", "total_mass"]
 
 
 class TestLinearizedGini:

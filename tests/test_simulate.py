@@ -889,3 +889,40 @@ def test_numbers_do_not_depend_on_the_blas_thread_count():
         outputs.append(json.loads(done.stdout))
     assert len(outputs[0]["truths"]) == 4 and len(outputs[0]["rows"]) == 16
     assert outputs[0] == outputs[1]
+
+
+# Estimates the mean and the ratio on one SRSWOR sample of 15 000 units,
+# longer than a dot OpenBLAS keeps on one thread, and prints each point and
+# variance as its hex string.
+LARGE_SAMPLE_SCRIPT = """
+import json
+from splinesurvey import (EstimatorSpec, ParameterSpec, SampleData, Srswor, SynthConfig,
+                          draw, synth_population)
+sample = draw(synth_population(SynthConfig(size=40000), 4), Srswor(15000), 11)
+parameters = (ParameterSpec("mean"), ParameterSpec("ratio", "y", "x"))
+data = SampleData(sample, parameters)
+out = {}
+for est in (EstimatorSpec("HT"), EstimatorSpec("BS", order=2, knots=2)):
+    ws = est.build_weights(sample)
+    for p in parameters:
+        e = data.estimate(ws, p, "closed", 0.95)
+        out[p.label + " " + est.label] = [e.point.hex(), e.variance.value.hex()]
+print(json.dumps(out))
+"""
+
+
+def test_large_sample_linearizations_do_not_depend_on_the_blas_thread_count():
+    """On a sample of more than 10 000 units the mean's and the ratio's
+    linearized variables read the functionals' pairwise sums, not BLAS
+    dots, so their points and variances are bit-identical at 1 and 2
+    OpenBLAS threads, each in its own process."""
+    src = str(Path(splinesurvey.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", LARGE_SAMPLE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(json.loads(done.stdout))
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
