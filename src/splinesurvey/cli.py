@@ -299,8 +299,7 @@ def estimate(pop_path, family, parameters, design, n, allocation, seed, order,
     # what the sample cannot support (a poverty rate on fewer than 10 units,
     # a variance on one) is a usage error with the library's message
     with _usage_errors():
-        data = SampleData(sample, pspecs)
-        estimates = [data.estimate(ws, pspec, variance_method, level) for pspec in pspecs]
+        estimates = SampleData(sample, pspecs).estimate(ws, variance_method, level)
     reports = []
     audit_rows = [["id", "parameter", "u", "fitted", "residual"]]
     for pspec, est in zip(pspecs, estimates):

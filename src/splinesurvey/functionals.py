@@ -339,11 +339,6 @@ class WeightedMeasure:
         rows = index.reshape(cumulative.shape[:-1] + (-1,))
         return take_rows(cumulative, rows).reshape(index.shape)
 
-    def mass_at_most_own(self) -> np.ndarray:
-        """`mass_at_most` at each unit's own value, in unit order: the
-        cumulative mass at the end of the unit's run, without a search."""
-        return self._unsort(take_rows(self._cum_w, self.ordering.run_end_at))
-
     def weighted_sum_below_own(self) -> np.ndarray:
         """`weighted_sum_below` at each unit's own value, in unit order."""
         return self._unsort(take_rows(self._cum_wy, self.ordering.run_start_at))

@@ -25,6 +25,7 @@ from .designs import (
 from .functionals import (
     Ordering,
     WeightedMeasure,
+    as_scalar,
     gini,
     mean,
     poverty_rate,
@@ -416,17 +417,12 @@ class MetricsTable:
              r.negative_variances, r.mean_runtime]
             for (p, e), r in sorted(self.rows.items(), key=lambda kv: kv[0])]
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(self.csv_rows())
-
 
 @dataclass(frozen=True, eq=False)
 class Estimate:
     """One parameter estimated with one weight set on one sample, or on
-    each sample of a stack (then every field has a leading replicate axis).
+    each sample of a stack (then every field has a leading replicate axis),
+    as one entry of `SampleData.estimate`.
 
     `u` is the parameter's linearized variable at the HT weights and
     `fitted` its fit on the weights' spline system; the variance is that
@@ -448,50 +444,51 @@ class Estimate:
 
 class SampleData:
     """What every estimator on one sample, or on each sample of a stack,
-    shares: the sample values of the variables the parameters read, one
-    `Ordering` per variable (one sort of each, built on first use), and
-    one measure per variable and weight set. The measures at the draw's
-    design weights (`SampleDraw.design_weights`) give each parameter's
-    linearized variable. A weight set is recognised by its weights array
-    alone: the HT estimator's is that very array, so it reads those
-    measures, which the next weight set's measures then replace."""
+    shares: the parameters, the sample values of the variables they read,
+    one `Ordering` per variable (one sort of each, built on first use), the
+    measures at the draw's design weights (`SampleDraw.design_weights`),
+    and the parameters' linearized variables there, stacked as one
+    (P, *R, n) array in the parameters' order (`linearized`). The HT weight
+    set is that very design-weights array, recognised by identity, so it
+    reads those measures; any other weight set is measured once in its
+    `estimate` call."""
 
     def __init__(self, sample: SampleDraw, parameters: Sequence):
         self.sample = sample
+        self.parameters = tuple(parameters)
         self.values = {name: sample.sample_values(name) for name in _variables(parameters)}
         self.orderings = {name: Ordering(vals) for name, vals in self.values.items()}
-        # (weights, {variable: measure}) of the last weight set estimated
-        # with, whose parameters all read its measures: first the design's
-        self._last = (sample.design_weights, self._measures(sample.design_weights))
-        self.linearized = {p.label: p.influence(self._last[1]) for p in parameters}
+        self.design_measures = self._measures(sample.design_weights)
+        self.linearized = np.stack([p.influence(self.design_measures) for p in parameters])
 
     def _measures(self, weights: np.ndarray) -> dict:
         """{variable: its measure at `weights`, on its shared ordering}."""
         return measure_map(self.values, weights, self.values, self.orderings)
 
-    def estimate(self, ws: WeightSet, parameter: ParameterSpec,
-                 variance_method: str, level: float) -> Estimate:
-        """Point estimate with weights `ws`, variance of the residuals of the
+    def estimate(self, ws: WeightSet, variance_method: str, level: float) -> list:
+        """One `Estimate` per parameter, in the parameters' order: the point
+        estimate with weights `ws`, the variance of the residuals of the
         linearized variable on the weights' own fit by `variance_method`
-        (one of VARIANCE_METHODS), and the normal interval at `level`.
-        Either method is refused on a draw with a stratum of one sampled
-        unit out of several (`check_variance`)."""
+        (one of VARIANCE_METHODS), and the normal interval at `level`. The
+        parameters go through one fit, one variance and one interval on
+        their stacked linearized variables, each parameter's row computed
+        as it would be alone. Either method is refused on a draw with a
+        stratum of one sampled unit out of several (`check_variance`)."""
         if not isinstance(self.sample.design, GivenProbabilities):
             check_variance(variance_method, *self.sample.strata)
-        if ws.weights is not self._last[0]:  # a new weight set: measure it once
-            self._last = (ws.weights, self._measures(ws.weights))
-        point = parameter.at(self._last[1])
-        u = self.linearized[parameter.label]
+        measures = (self.design_measures if ws.weights is self.sample.design_weights
+                    else self._measures(ws.weights))
+        points = [p.at(measures) for p in self.parameters]
+        u = self.linearized
         fitted = variance_fit(ws, u)
-        resid = u - fitted
-        if variance_method == "double_sum":
-            v = ht_variance_double_sum(self.sample, resid)
-        else:
-            v = closed_form_variance(self.sample, resid)
-        interval = confidence_interval(point, np.where(v.negative, np.nan, v.value), level)
-        if not getattr(v.value, "ndim", 0) and v.negative:  # one sample: no interval
-            interval = None
-        return Estimate(point, u, fitted, v, interval)
+        v = (ht_variance_double_sum if variance_method == "double_sum"
+             else closed_form_variance)(self.sample, u - fitted)
+        lower, upper = confidence_interval(np.array(points),
+                                           np.where(v.negative, np.nan, v.value), level)
+        # one sample with a negative variance has no interval
+        return [Estimate(point, u[i], fitted[i], VarianceEstimate(as_scalar(v.value[i]), v.method),
+                         None if np.ndim(point) == 0 and v.negative[i] else (lower[i], upper[i]))
+                for i, point in enumerate(points)]
 
 
 # Bound on the units of one stacked chunk of replicates (R * n): 16
@@ -517,13 +514,14 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     the first failing replicate raises alone.
 
     Each variable is sorted once per chunk, row by row: every estimator on
-    a chunk shares its `SampleData`. The truths read one unit-mass census
-    measure per variable (`census_measures`), dropped before the first
-    chunk; each checks its entries finite by its row sum, which is its
-    total. They sort no census for totals, means, ratios and the poverty
-    rate (unit-mass quantiles select and the CDF at a point counts); a Gini
-    truth sorts its variable once, by value, with no positions. Each cell
-    keeps a (4, replicates) block whose rows are the point, the variance
+    a chunk shares its `SampleData`, and each estimator's weight set is
+    one `SampleData.estimate` pass for all the parameters. The truths read
+    one unit-mass census measure per variable (`census_measures`), dropped
+    before the first chunk; each checks its entries finite by its row sum,
+    which is its total. They sort no census for totals, means, ratios and
+    the poverty rate (unit-mass quantiles select and the CDF at a point
+    counts); a Gini truth sorts its variable once, by value, with no
+    positions. Each cell keeps a (4, replicates) block whose rows are the point, the variance
     and the interval's lower and upper ends (NaN where the variance is
     negative), one column per replicate, written chunk by chunk by slice;
     RB, RRMSE, coverage and the negative-variance count reduce those rows.
@@ -591,17 +589,16 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
 
 def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -> tuple:
     """Draw the samples of `seeds` as one (R, n) stack, R = len(seeds) >= 1,
-    and estimate every cell: ({(parameter, estimator): stacked Estimate},
-    {estimator: seconds})."""
+    and estimate every cell, one `SampleData.estimate` call per estimator:
+    ({(parameter, estimator): stacked Estimate}, {estimator: seconds})."""
     sample = draw(population, plan.design, seeds)
     data = SampleData(sample, plan.parameters)
     cells, times = {}, {}
     for est in plan.estimators:
         tic = time.perf_counter()
         ws = est.build_weights(sample)
-        for p in plan.parameters:
-            cells[(p.label, est.label)] = data.estimate(ws, p, plan.variance_method,
-                                                        plan.level)
+        estimates = data.estimate(ws, plan.variance_method, plan.level)
+        cells.update(zip([(p.label, est.label) for p in plan.parameters], estimates))
         del ws  # free this system before the next one is built
         times[est.label] = time.perf_counter() - tic
     return cells, times

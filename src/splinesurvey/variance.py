@@ -1,7 +1,9 @@
 """Design-based variance estimation and normal-approximation intervals.
 
 Residuals come as one sample's, (n,), or a stack's, (R, n); the estimates
-are then one float, or one value per sample.
+are then one float, or one value per sample. Leading axes before those
+(the residuals of several variables, (P, n) or (P, R, n)) lead the
+estimates, one row per variable, each computed as that row alone.
 """
 
 from __future__ import annotations
@@ -34,16 +36,19 @@ def _cell_spreads(draw: SampleDraw, e: np.ndarray) -> tuple:
     (`SampleDraw.pair_cells`) and, per cell, the mean tbar of t = e / pi
     over its units and their spread R = sum (t - tbar)^2, both 0 in an
     empty cell. Each nonempty cell is one segment of the units sorted by
-    cell, so each sum is one `np.add.reduceat` over the segments."""
+    cell, so each sum is one `np.add.reduceat` over the segments. Axes of
+    `e` before the draw's (several variables' residuals) lead tbar and R,
+    and each row's sums are that row's alone."""
     cells = draw.pair_cells
-    t = (e / draw.pi).reshape(-1)[cells.order]
+    t = (e / draw.pi).reshape(e.shape[:-draw.indices.ndim] + (-1,))
+    if not isinstance(cells.order, slice):  # `take` is numpy's fast gather along an axis
+        t = t.take(cells.order, axis=-1)
     size = cells.count[cells.occupied]
-    mean = np.add.reduceat(t, cells.starts) / size
-    r = t - np.repeat(mean, size)
-    tbar = np.zeros(cells.count.size)
-    spread = np.zeros(cells.count.size)
-    tbar[cells.occupied] = mean
-    spread[cells.occupied] = np.add.reduceat(r * r, cells.starts)
+    mean = np.add.reduceat(t, cells.starts, axis=-1) / size
+    r = t - np.repeat(mean, size, axis=-1)
+    tbar, spread = np.zeros((2, *t.shape[:-1], cells.count.size))
+    tbar[..., cells.occupied] = mean
+    spread[..., cells.occupied] = np.add.reduceat(r * r, cells.starts, axis=-1)
     return cells, tbar, spread
 
 
@@ -81,11 +86,11 @@ def ht_variance_double_sum(draw: SampleDraw, residuals) -> VarianceEstimate:
     flagged, never clipped.
     """
     e = np.asarray(residuals, dtype=float)
-    if e.shape != draw.indices.shape:
+    if e.shape[-draw.indices.ndim:] != draw.indices.shape:
         raise ValueError("residuals length must match the sample size")
     cells, tbar, spread = _cell_spreads(draw, e)
     terms = cells.spread_coef * spread + cells.count * tbar * tbar * cells.level_coef
-    value = terms.reshape(draw.replicates + (-1,)).sum(axis=-1)
+    value = terms.reshape(e.shape[:-1] + (-1,)).sum(axis=-1)
     return VarianceEstimate(as_scalar(value), "double_sum")
 
 
@@ -110,7 +115,7 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
     # checked here: the per-stratum message names a stratum
     if draw.size < 2 and draw.size < draw.population.size:
         raise ValueError("variance needs n >= 2")
-    if e.shape != draw.indices.shape:
+    if e.shape[-draw.indices.ndim:] != draw.indices.shape:
         raise ValueError("residuals length must equal n")
     strata = draw.strata[0]
     count = draw.pair_cells.count.reshape(-1, len(strata.labels))
@@ -119,7 +124,7 @@ def closed_form_variance(draw: SampleDraw, residuals) -> VarianceEstimate:
         raise ValueError(f"variance needs n_h >= 2 in stratum "
                          f"{strata.labels[short.argmax()]!r}")
     cells, _, spread = _cell_spreads(draw, e)
-    value = (cells.spread_coef * spread).reshape(draw.replicates + (-1,)).sum(axis=-1)
+    value = (cells.spread_coef * spread).reshape(e.shape[:-1] + (-1,)).sum(axis=-1)
     return VarianceEstimate(as_scalar(value), d.closed_form)
 
 

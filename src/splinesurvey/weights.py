@@ -8,7 +8,6 @@ but HT calibrate on a spline system (`SplineSystem`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -146,7 +145,8 @@ class SplineSystem:
     @property
     def rcond(self):
         """Reciprocal condition number of the normal matrix, per sample."""
-        return as_scalar(self._by_rows(attrgetter("rcond")))
+        # a units axis of length one puts the replicate axis where `_by_rows` reads it
+        return as_scalar(self._by_rows(lambda fit: fit.rcond[..., None])[..., 0])
 
     def knot_counts(self) -> str:
         """The effective interior knot count, or each group's, as text."""
@@ -154,13 +154,15 @@ class SplineSystem:
 
     def _by_rows(self, method, *arrays) -> np.ndarray:
         """`method` of each group on the group's rows of `arrays`, put
-        back in stack order."""
+        back in stack order. The replicate axis is the one before the
+        units, so leading axes (several variables) pass through."""
         if len(self._groups) == 1:
             return method(self._groups[0][1], *arrays)
-        parts = [(rows, method(fit, *(a[rows] for a in arrays))) for rows, fit in self._groups]
-        out = np.empty(self._shape[:1] + parts[0][1].shape[1:])
+        parts = [(rows, method(fit, *(a[..., rows, :] for a in arrays)))
+                 for rows, fit in self._groups]
+        out = np.empty(parts[0][1].shape[:-2] + self._shape[:1] + parts[0][1].shape[-1:])
         for rows, part in parts:
-            out[rows] = part
+            out[..., rows, :] = part
         return out
 
     def coefficients(self, values_on_sample) -> np.ndarray:

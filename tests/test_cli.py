@@ -109,8 +109,9 @@ def test_estimate_json_report(runner, population_csv, tmp_path):
 ])
 def test_estimate_residuals_match_residual_fit(runner, population_csv, tmp_path,
                                                monkeypatch, family, options, spec):
-    """The residuals entering the variance, and the emitted audit columns,
-    equal a fresh `residual_fit` with the weights' spec."""
+    """The residuals entering the variance, one row per parameter of its
+    one call, and the emitted audit columns equal a fresh `residual_fit`
+    with the weights' spec."""
     seen = []
 
     def recording(sample, residuals):
@@ -134,10 +135,11 @@ def test_estimate_residuals_match_residual_fit(runner, population_csv, tmp_path,
         values = {name: v[sample.indices] for name, v in pop.variables.items()}
         with open(audit, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert len(seen) == 1 and seen[0].shape == (len(params), 80)
         for k, p in enumerate(params):
             u = p.linearized(values, 1.0 / sample.pi)
             want = residual_fit(sample, spec, u).residuals
-            assert np.max(np.abs(seen[k] - want)) <= 1e-12 * np.max(np.abs(u))
+            assert np.max(np.abs(seen[0][k] - want)) <= 1e-12 * np.max(np.abs(u))
             emitted = np.array([float(r["residual"]) for r in rows
                                 if r["parameter"] == p.label])
             # the audit file prints 12 significant digits

@@ -295,7 +295,7 @@ class TestSharedUnitMasses:
                                    TestUnitMassesOnFirstUse.SIGNED_ZERO_MEDIAN, STACK])
     def test_sorted_summaries_equal_masses_of_one(self, y):
         unit, ones = unit_measure(y), WeightedMeasure(y, np.ones(y.shape))
-        for name in ("_cum_w", "_cum_wy", "mass_at_most_own", "weighted_sum_below_own"):
+        for name in ("_cum_w", "_cum_wy", "_cdf", "weighted_sum_below_own"):
             got, want = getattr(unit, name), getattr(ones, name)
             if callable(got):
                 got, want = got(), want()
@@ -462,7 +462,6 @@ class TestRunEndReads:
             pairs += [(lambda: m.mass_at_most(points), lambda: ref.at_most(points)),
                       (lambda: m.weighted_sum_below(points),
                        lambda: ref.below(points)),
-                      (m.mass_at_most_own, lambda: ref.at_most(y)),
                       (m.weighted_sum_below_own, lambda: ref.below(y))]
             for got, want in pairs:
                 assert _outcome(got) == _outcome(want)

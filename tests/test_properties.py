@@ -916,9 +916,9 @@ def test_constant_study_variable(estimator, design, seeds, method, c):
                      strata=tuple(f"h{k % 3}" for k in range(N)))
     sample = designs.draw(pop, design, seeds)
     ws = estimator.build_weights(sample)
-    data = SampleData(sample, (ParameterSpec("mean"), ParameterSpec("total")))
-    for parameter, want in ((ParameterSpec("mean"), c), (ParameterSpec("total"), c * N)):
-        est = data.estimate(ws, parameter, method, 0.95)
+    parameters = (ParameterSpec("mean"), ParameterSpec("total"))
+    estimates = SampleData(sample, parameters).estimate(ws, method, 0.95)
+    for parameter, want, est in zip(parameters, (c, c * N), estimates):
         assert np.abs(est.point - want).max() <= 1e-14 * abs(want), parameter.label
         assert (est.variance.value <= 1e-12 * est.point ** 2).all(), parameter.label
     with pytest.raises(ValueError, match="degenerate sample for bandwidth selection"):

@@ -197,7 +197,7 @@ class TestDoubleSumOfOneSampledUnit:
         sample = draw(pop, design, [3, 4])
         ws = ht_weights(sample)
         data = SampleData(sample, (ParameterSpec("mean"),))
-        closed, double = (data.estimate(ws, ParameterSpec("mean"), method, 0.95).variance.value
+        closed, double = (data.estimate(ws, method, 0.95)[0].variance.value
                           for method in simulate.VARIANCE_METHODS)
         np.testing.assert_allclose(closed, double, rtol=1e-12, atol=0)
 
@@ -207,10 +207,10 @@ class TestDoubleSumOfOneSampledUnit:
         ws = ht_weights(sample)
         data = SampleData(sample, (ParameterSpec("mean"),))
         with pytest.raises(ValueError, match="n_h >= 2 in stratum 's2'"):
-            data.estimate(ws, ParameterSpec("mean"), "double_sum", 0.95)
+            data.estimate(ws, "double_sum", 0.95)
         # the closed form refuses it too, and passes the census stratum 's0'
         with pytest.raises(ValueError, match="^variance needs n_h >= 2 in stratum 's2'"):
-            data.estimate(ws, ParameterSpec("mean"), "closed", 0.95)
+            data.estimate(ws, "closed", 0.95)
 
 
 class TestEstimatorLabels:
@@ -284,22 +284,21 @@ class TestRunMonteCarlo:
         _, _, table = result
         assert table.row("mean(y)", "BS(2,K=2)").rrmse_percent < 100.0
 
-    def test_render_and_csv(self, result, tmp_path):
+    def test_render_and_csv(self, result):
         _, _, table = result
         text = table.render()
         assert "RRMSE (RB)" in text
-        out = tmp_path / "metrics.csv"
-        table.to_csv(out)
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("parameter,estimator")
+        header = table.csv_rows()[0]
+        assert header[:2] == ["parameter", "estimator"]
 
 
 def test_variance_residuals_match_residual_fit(monkeypatch):
     """The residuals entering each variance equal a fresh `residual_fit`
     with the estimator's spec (order 2, K = 0 for GREG; u itself for HT),
     over a few replicates of the criterion-10 plan. The replicates are
-    stacked: each variance call covers the whole chunk, one row per
-    replicate, and each row is checked against that replicate drawn alone."""
+    stacked and so are the parameters: each estimator's one variance call
+    covers the whole chunk, one row per parameter and replicate, and each
+    row is checked against that replicate drawn alone."""
     pop = synth_population(SynthConfig(), 10)
     plan = SimulationPlan(
         design=Srswor(500),
@@ -323,9 +322,9 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
                for i in range(plan.replicates)]
     got = iter(seen)
     for est in plan.estimators:
-        for p in plan.parameters:
-            indices, residuals = next(got)
-            assert residuals.shape == (plan.replicates, 500)
+        indices, stacked = next(got)
+        assert stacked.shape == (len(plan.parameters), plan.replicates, 500)
+        for p, residuals in zip(plan.parameters, stacked):
             for i, sample in enumerate(samples):
                 assert np.array_equal(indices[i], sample.indices)
                 values = {name: v[sample.indices] for name, v in pop.variables.items()}
@@ -343,9 +342,9 @@ def test_variance_residuals_match_residual_fit(monkeypatch):
 
 @pytest.mark.parametrize("variance_method", ["closed", "double_sum"])
 def test_roster_order_does_not_change_the_cells(variance_method):
-    """With HT after another estimator, the HT point measures the design
-    weights again instead of reading the linearizations' measures: every
-    cell but the runtime equals the one of the roster with HT first."""
+    """With HT after another estimator, the HT point still reads the
+    linearizations' measures at the design weights: every cell but the
+    runtime equals the one of the roster with HT first."""
     pop = synth_population(SynthConfig(size=1500, strata_count=3), 8)
     plan = SimulationPlan(
         design=StratifiedSrswor({"h0": 30, "h1": 40, "h2": 50}),
@@ -403,13 +402,15 @@ class TestSampleData:
         data = SampleData(drawn, self.PARAMETERS)
         weights = self.WEIGHTS[family](drawn)
         rows = list(enumerate(seeds)) if drawn.replicates else [(None, seeds)]
-        for p in self.PARAMETERS:
+        closed = data.estimate(weights, "closed", 0.9)
+        double = data.estimate(weights, "double_sum", 0.9)
+        for p, stacked, stacked_ds in zip(self.PARAMETERS, closed, double, strict=True):
             for r, seed in rows:
                 sample = draw(population, self.DESIGN, seed)
                 ws = self.WEIGHTS[family](sample)
                 values = {name: v[sample.indices]
                           for name, v in sample.population.variables.items()}
-                est = _row(data.estimate(weights, p, "closed", 0.9), r)
+                est = _row(stacked, r)
                 assert isinstance(est, Estimate)
                 assert est.point == p.evaluate(values, ws.weights)
                 u = p.linearized(values, 1.0 / sample.pi)
@@ -420,48 +421,72 @@ class TestSampleData:
                 assert est.variance == v
                 assert est.interval == confidence_interval(est.point, v, 0.9)
                 # stratified SRSWOR: the double sum is the closed form
-                ds = _row(data.estimate(weights, p, "double_sum", 0.9), r)
+                ds = _row(stacked_ds, r)
                 assert ds.variance.method == "double_sum"
                 assert ds.variance.value == pytest.approx(v.value, rel=1e-9)
                 assert ds.point == est.point
 
-    def test_ht_measures_are_freed_by_the_next_weight_set(self, sample, monkeypatch):
-        """The measures at the design weights, which the linearizations and
-        the HT point read, are dropped when one estimate measures another
-        weight set: a sample keeps one weight set's measures at a time."""
+    def test_ht_reads_the_design_weight_measures(self, sample, monkeypatch):
+        """On the roster (BS, HT), HT reads the measures at the design
+        weights built with the `SampleData`, which the linearizations read,
+        and measures nothing again; BS measures its weights once in its
+        call, and those measures are dropped when the call returns."""
         built = []
         monkeypatch.setattr(simulate, "WeightedMeasure",
                             lambda *args, _cls=simulate.WeightedMeasure, **kwargs:
                             built.append(_cls(*args, **kwargs)) or built[-1])
         data = SampleData(sample, self.PARAMETERS)
-        data.estimate(ht_weights(sample), self.PARAMETERS[0], "closed", 0.95)
-        ht = [weakref.ref(m) for m in built]
-        assert len(ht) == 2
+        assert len(built) == 2 and all(m.masses is sample.design_weights for m in built)
         built.clear()
-        data.estimate(greg_weights(sample), self.PARAMETERS[2], "closed", 0.95)
-        assert len(built) == 2
-        assert [ref() for ref in ht] == [None, None]
+        data.estimate(self.WEIGHTS["BS"](sample), "closed", 0.95)
+        bs = [weakref.ref(m) for m in built]
+        assert len(bs) == 2
+        built.clear()
+        ht = data.estimate(ht_weights(sample), "closed", 0.95)
+        assert built == []
+        assert [ref() for ref in bs] == [None, None]
+        assert [e.point for e in ht] == [p.at(data.design_measures) for p in self.PARAMETERS]
+
+    @pytest.mark.parametrize("method", simulate.VARIANCE_METHODS)
+    def test_one_fit_variance_and_interval_per_weight_set(self, population, monkeypatch,
+                                                         method):
+        """A chunk of two parameters and four estimators makes one fit, one
+        variance and one interval per estimator, 4 of each rather than 8,
+        and still returns one estimate per (parameter, estimator) cell."""
+        route = {"closed": "closed_form_variance", "double_sum": "ht_variance_double_sum"}
+        calls = Counter()
+        for name in ("variance_fit", route[method], "confidence_interval"):
+            monkeypatch.setattr(simulate, name,
+                                lambda *args, _f=getattr(simulate, name), _n=name:
+                                calls.update([_n]) or _f(*args))
+        plan = SimulationPlan(
+            design=self.DESIGN,
+            estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                        EstimatorSpec("POST", knots=2), EstimatorSpec("BS", order=2, knots=2)),
+            parameters=(ParameterSpec("mean"), ParameterSpec("gini")),
+            replicates=3, variance_method=method)
+        cells, times = simulate._estimate_chunk(plan, population, [1, 2, 3])
+        assert calls == {"variance_fit": 4, route[method]: 4, "confidence_interval": 4}
+        assert len(cells) == 8 and len(times) == 4
+        assert all(e.point.shape == (3,) for e in cells.values())
 
     def test_negative_variance_has_no_interval(self, sample, monkeypatch):
         monkeypatch.setattr(simulate, "closed_form_variance",
-                            lambda sample, residuals: VarianceEstimate(-1.0, "closed"))
+                            lambda sample, residuals: VarianceEstimate(
+                                np.full(residuals.shape[:-1], -1.0), "closed"))
         data = SampleData(sample, self.PARAMETERS)
-        est = data.estimate(ht_weights(sample), self.PARAMETERS[0],
-                            "closed", 0.95)
-        assert est.variance.negative
-        assert est.interval is None
+        for est in data.estimate(ht_weights(sample), "closed", 0.95):
+            assert est.variance.negative is True
+            assert est.interval is None
 
     def test_monte_carlo_counts_negative_variances(self, monkeypatch):
         """A replicate whose variance is negative counts in the negative
         variances and leaves the coverage; with none left it is NaN."""
-        calls = []
-
-        def every_other(sample, residuals):
-            calls.append(None)
+        def mean_negated(sample, residuals):
             v = closed_form_variance(sample, residuals)
-            return VarianceEstimate(-v.value if len(calls) % 2 else v.value, v.method)
+            return VarianceEstimate(v.value * np.array([[-1.0], [1.0]]), v.method)
 
-        monkeypatch.setattr(simulate, "closed_form_variance", every_other)
+        monkeypatch.setattr(simulate, "closed_form_variance", mean_negated)
         pop = synth_population(SynthConfig(size=1000), 2)
         plan = SimulationPlan(design=Srswor(100),
                               estimators=(EstimatorSpec("HT"),),
@@ -469,7 +494,8 @@ class TestSampleData:
                                           ParameterSpec("total")),
                               replicates=4, master_seed=3)
         table = run_monte_carlo(plan, pop)
-        # calls alternate mean, total, so every mean variance is negated
+        # one call per chunk, its rows mean and total: every mean variance
+        # is negated
         mean_row, total_row = table.row("mean(y)", "HT"), table.row("total(y)", "HT")
         assert mean_row.negative_variances == 4
         assert np.isnan(mean_row.coverage_percent)
@@ -833,7 +859,7 @@ def test_array_holding_dataclasses_compare_by_identity(small_population):
     u = linearized_total(sample.sample_values("y"))
     instances = [
         ws,
-        SampleData(sample, [p]).estimate(ws, p, "closed", 0.95),
+        SampleData(sample, [p]).estimate(ws, "closed", 0.95)[0],
         u,
         residual_fit(sample, SplineSpec(order=2, interior_knots=1), u.values),
         sample.pair_cells,
@@ -903,9 +929,7 @@ parameters = (ParameterSpec("mean"), ParameterSpec("ratio", "y", "x"))
 data = SampleData(sample, parameters)
 out = {}
 for est in (EstimatorSpec("HT"), EstimatorSpec("BS", order=2, knots=2)):
-    ws = est.build_weights(sample)
-    for p in parameters:
-        e = data.estimate(ws, p, "closed", 0.95)
+    for p, e in zip(parameters, data.estimate(est.build_weights(sample), "closed", 0.95)):
         out[p.label + " " + est.label] = [e.point.hex(), e.variance.value.hex()]
 print(json.dumps(out))
 """

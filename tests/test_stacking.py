@@ -328,6 +328,32 @@ class TestStackedSystems:
         with pytest.raises(ValueError, match="knot counts differ"):
             system.knots  # noqa: B018
 
+    @pytest.mark.parametrize("method", ["closed", "double_sum"])
+    def test_stacked_parameters_on_collapsed_groups_equal_single_samples(self, method):
+        """One estimate call of four parameters on a stack whose quantile
+        knots collapse into several groups gives, parameter by parameter
+        and row by row, the one-sample call's numbers bit for bit."""
+        pop = synth_population(SynthConfig(size=3000), 9)
+        pop = Population(ids=pop.ids, z=np.round(pop.z / 500.0), variables=pop.variables)
+        params = (ParameterSpec("mean"), ParameterSpec("gini"),
+                  ParameterSpec("ratio", "y", "x"), ParameterSpec("total", "x"))
+        est = EstimatorSpec("BS", order=2, knots=4)
+        seeds = _seeds(3, 12)
+        stack = draw(pop, Srswor(40), seeds)
+        ws = est.build_weights(stack)
+        assert len(ws.system.knot_counts().split("|")) > 1
+        stacked = SampleData(stack, params).estimate(ws, method, 0.9)
+        for r, seed in enumerate(seeds):
+            sample = draw(pop, Srswor(40), seed)
+            single = SampleData(sample, params).estimate(est.build_weights(sample), method, 0.9)
+            for e, alone in zip(stacked, single, strict=True):
+                for got, want in ((e.point[r], alone.point), (e.u[r], alone.u),
+                                  (e.fitted[r], alone.fitted),
+                                  (e.variance.value[r], alone.variance.value),
+                                  (e.interval[0][r], alone.interval[0]),
+                                  (e.interval[1][r], alone.interval[1])):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_sample_data_rows_equal_single_samples(self):
         pop = synth_population(SynthConfig(size=4000), 2)
         params = (ParameterSpec("mean"), ParameterSpec("gini"),
@@ -338,13 +364,13 @@ class TestStackedSystems:
         data = SampleData(stack, params)
         est = EstimatorSpec("BS", order=3, knots=3, lam=1.0)
         ws = est.build_weights(stack)
-        for p in params:
-            for method in ("closed", "double_sum"):
-                e = data.estimate(ws, p, method, 0.9)
-                for r, seed in enumerate(seeds):
-                    sample = draw(pop, Srswor(150), seed)
-                    alone = SampleData(sample, params).estimate(
-                        est.build_weights(sample), p, method, 0.9)
+        for method in ("closed", "double_sum"):
+            stacked = data.estimate(ws, method, 0.9)
+            for r, seed in enumerate(seeds):
+                sample = draw(pop, Srswor(150), seed)
+                single = SampleData(sample, params).estimate(
+                    est.build_weights(sample), method, 0.9)
+                for e, alone in zip(stacked, single, strict=True):
                     assert e.point[r] == alone.point
                     assert e.variance.value[r] == alone.variance.value
                     assert (e.interval[0][r], e.interval[1][r]) == alone.interval

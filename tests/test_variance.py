@@ -208,7 +208,8 @@ class TestPairCellsOncePerDraw:
         run_monte_carlo(self._plan(replicates, variance_method), pop)
         draws = list({id(d): d for d in summed}.values())
         assert len(draws) == -(-replicates // (chunk_units // 36))
-        assert len(summed) == 6 * len(draws)
+        # one variance per estimator and draw, for both parameters
+        assert len(summed) == 3 * len(draws)
         assert [id(d) for d in grouped] == [id(d) for d in draws]
 
     def test_cells_are_read_only_and_shared(self):
