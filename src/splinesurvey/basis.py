@@ -213,7 +213,10 @@ def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
     Uses the stable order-recursion starting from interval indicators, with
     the final interval closed on the right so z = 1 is handled. For a
     stack of knot vectors, z has one row per knot vector, (R, n), and the
-    result is (R, n, q).
+    result is (R, n, q). The result is a view with the units last in
+    memory, the recursion's own (..., q, n) array transposed, not a copy:
+    its `swapaxes(-1, -2)` reads each basis function's values over the
+    units as one contiguous row.
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim == 0:
@@ -245,7 +248,7 @@ def basis_matrix(knots: KnotVector, m: int, z_values) -> np.ndarray:
         term *= B[..., a + 1:b + 1, :]
         Bn[..., a:b, :] += term
         B = Bn
-    return np.ascontiguousarray(B.swapaxes(-1, -2))
+    return B.swapaxes(-1, -2)
 
 
 # Sorted population units between the stride points of a `CovariateSummary`,

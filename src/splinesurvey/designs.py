@@ -618,34 +618,35 @@ def draw(population: Population, design, rng_seed) -> SampleDraw:
     A list of seeds draws an (R, n) stack, R >= 1: row r is the sample
     drawn from its own stream `rng_seed[r]`, unit for unit the sample
     `draw` gives that seed alone. Poisson samples vary in size, so a
-    Poisson list holds one seed: a stack of one.
+    Poisson list holds one seed: a stack of one. The strata, their order
+    and their rates are found once per call, for every seed.
     """
-    if isinstance(rng_seed, list):
-        if isinstance(design, GivenProbabilities) and len(rng_seed) > 1:
-            raise ValueError("Poisson samples vary in size and cannot be stacked")
-        rows = [_draw_units(population, design, seed) for seed in rng_seed]
-        indices = np.stack([units for units, _ in rows])
-        return SampleDraw(population, design, indices,
-                          pi=np.stack([pi for _, pi in rows]))
-    indices, pi = _draw_units(population, design, rng_seed)
+    seeds = rng_seed if isinstance(rng_seed, list) else [rng_seed]
+    if not seeds:
+        raise ValueError("draw needs at least one seed: the seed list is empty")
+    poisson = isinstance(design, GivenProbabilities)
+    if poisson and len(seeds) > 1:
+        raise ValueError("Poisson samples vary in size and cannot be stacked")
+    if not poisson:
+        strata, sizes = design.strata(population)
+        rates = _stratum_rates(strata, sizes)
+        ordered = [(strata.members[j], sizes[j])
+                   for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j]))]
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        if poisson:
+            units = np.flatnonzero(rng.random(design.pi.size) < design.pi)
+            if units.size == 0:
+                raise ValueError("empty sample: the Poisson draw selected no unit")
+        else:
+            units = np.sort(np.concatenate(
+                [members[rng.choice(members.size, size=nh, replace=False)]
+                 for members, nh in ordered]))
+        rows.append(units)
+    indices = np.stack(rows) if isinstance(rng_seed, list) else rows[0]
+    pi = design.pi[indices] if poisson else rates[strata.codes[indices]]
     return SampleDraw(population, design, indices, pi=pi)
-
-
-def _draw_units(population: Population, design, rng_seed) -> tuple:
-    """The sampled units of one draw, ascending, and their pi_k."""
-    rng = np.random.default_rng(rng_seed)
-    if isinstance(design, GivenProbabilities):
-        indices = np.flatnonzero(rng.random(design.pi.size) < design.pi)
-        if indices.size == 0:
-            raise ValueError("empty sample: the Poisson draw selected no unit")
-        return indices, design.pi[indices]
-    strata, sizes = design.strata(population)
-    chosen = []
-    for j in sorted(range(len(strata.labels)), key=lambda j: str(strata.labels[j])):
-        members = strata.members[j]
-        chosen.append(members[rng.choice(members.size, size=sizes[j], replace=False)])
-    indices = np.sort(np.concatenate(chosen))
-    return indices, _stratum_rates(strata, sizes)[strata.codes[indices]]
 
 
 def _stratum_rates(strata: StratumCodes, sizes: list) -> np.ndarray:

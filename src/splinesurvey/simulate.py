@@ -392,6 +392,9 @@ class MetricsTable:
         return self.rows[(parameter, estimator)]
 
     def render(self) -> str:
+        """The table as text, one block per parameter: RRMSE and, in
+        parentheses, RB in percent, or "abs" and the absolute bias where
+        the truth is 0 (`absolute_bias_flag`)."""
         params = sorted({p for p, _ in self.rows})
         ests = list(dict.fromkeys(e for _, e in self.rows))
         width = max(len(e) for e in ests) + 2
@@ -403,7 +406,9 @@ class MetricsTable:
                          + "neg-var".rjust(9))
             for e in ests:
                 r = self.rows[(p, e)]
-                cell = f"{r.rrmse_percent:.0f} ({r.rb_percent:.1f})"
+                # a truth of 0 has an absolute bias, not a percent
+                rb = f"abs {r.rb_percent:.3g}" if r.absolute_bias_flag else f"{r.rb_percent:.1f}"
+                cell = f"{r.rrmse_percent:.0f} ({rb})"
                 lines.append("  " + e.ljust(width) + cell.rjust(16)
                              + f"{r.coverage_percent:.1f}".rjust(10)
                              + str(r.negative_variances).rjust(9))
@@ -521,10 +526,12 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     which is its total. They sort no census for totals, means, ratios and
     the poverty rate (unit-mass quantiles select and the CDF at a point
     counts); a Gini truth sorts its variable once, by value, with no
-    positions. Each cell keeps a (4, replicates) block whose rows are the point, the variance
-    and the interval's lower and upper ends (NaN where the variance is
-    negative), one column per replicate, written chunk by chunk by slice;
-    RB, RRMSE, coverage and the negative-variance count reduce those rows.
+    positions. Every cell is written, chunk by chunk by slice, into one
+    (parameters, estimators, 4, replicates) array whose third axis holds
+    the point, the variance and the interval's lower and upper ends (NaN
+    where the variance is negative); RB, RRMSE, coverage and the
+    negative-variance counts reduce it over all cells at once
+    (`_metric_rows`).
     `mean_runtime` is each estimator's time per replicate, timed per chunk.
     """
     # the design's strata check it against the population, and the
@@ -539,8 +546,9 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
     truths = {p.label: p.truth(population, census) for p in plan.parameters}
     del census  # not held through the replicates
     est_labels = [e.label for e in plan.estimators]
-    blocks = {(p.label, e): np.empty((4, plan.replicates))
-              for p in plan.parameters for e in est_labels}
+    at_cell = {(p.label, e): (i, j) for i, p in enumerate(plan.parameters)
+               for j, e in enumerate(est_labels)}
+    table = np.empty((len(plan.parameters), len(est_labels), 4, plan.replicates))
     runtime: dict = {e: 0.0 for e in est_labels}
 
     for start in range(0, plan.replicates, per_chunk):
@@ -555,36 +563,46 @@ def run_monte_carlo(plan: SimulationPlan, population: Population) -> MetricsTabl
                       for r, seed in enumerate(seeds)]
         for at, (cells, times) in chunks:
             for key, e in cells.items():
-                blocks[key][:, at:at + len(e.point)] = e.point, e.variance.value, *e.interval
+                table[at_cell[key] + (slice(None), slice(at, at + len(e.point)))] = (
+                    e.point, e.variance.value, *e.interval)
             for label, seconds in times.items():
                 runtime[label] += seconds
+    return MetricsTable(_metric_rows(table, truths, est_labels, runtime),
+                        truths, plan.replicates)
 
-    rows: dict = {}
-    for p in plan.parameters:
-        theta = truths[p.label]
-        rmse_ht = _rmse(blocks[p.label, "HT"][0], theta)
-        for e in est_labels:
-            point, variance, lower, upper = blocks[p.label, e]
-            negatives = int(np.count_nonzero(variance < 0))
-            covered = np.count_nonzero((lower <= theta) & (theta <= upper))
-            if theta != 0:
-                rb = 100.0 * float(np.mean(point - theta)) / theta
-                abs_flag = False
-            else:
-                rb = float(np.mean(point - theta))
-                abs_flag = True
-            rrmse = 100.0 * (_rmse(point, theta) / rmse_ht) if rmse_ht > 0 else np.nan
-            intervals = plan.replicates - negatives
-            cov = 100.0 * covered / intervals if intervals else np.nan
-            rows[p.label, e] = MetricRow(
-                rb_percent=rb,
-                rrmse_percent=float(rrmse),
-                coverage_percent=float(cov),
-                negative_variances=negatives,
-                mean_runtime=runtime[e] / plan.replicates,
-                absolute_bias_flag=abs_flag,
-            )
-    return MetricsTable(rows, truths, plan.replicates)
+
+def _metric_rows(table: np.ndarray, truths: dict, estimators: list, runtime: dict) -> dict:
+    """{(parameter, estimator): MetricRow} from the (P, E, 4, R) `table` of
+    a run: for the parameters in the order of `truths` and the `estimators`
+    (labels, "HT" among them), the point, the variance and the interval's
+    lower and upper ends (NaN where the variance is negative) of each of R
+    replicates. Every metric is reduced over all cells at once, each cell's
+    numbers as the cell alone gives them: RB is the mean error over the
+    truth in percent, or the mean error itself when the truth is 0 (then
+    `absolute_bias_flag`); RRMSE is the RMSE over HT's in percent (NaN when
+    HT's is 0); coverage is over the replicates with a nonnegative variance
+    (NaN when there are none). `runtime` holds each estimator's seconds."""
+    R = table.shape[-1]
+    theta = np.array(list(truths.values()))[:, None]
+    point, variance, lower, upper = (table[:, :, k] for k in range(4))
+    error = point - theta[..., None]
+    bias = np.add.reduce(error, axis=-1) / R
+    rmse = np.sqrt(np.add.reduce(error ** 2, axis=-1) / R)
+    negatives = np.add.reduce(variance < 0, axis=-1)
+    covered = np.add.reduce((lower <= theta[..., None]) & (theta[..., None] <= upper), axis=-1)
+    intervals = R - negatives
+    rmse_ht = rmse[:, estimators.index("HT"), None]
+    # each quotient only where its divisor is nonzero: else the mean error
+    # itself (a truth of 0) or NaN
+    rb = np.divide(100.0 * bias, theta, out=bias, where=theta != 0)
+    rrmse = 100.0 * np.divide(rmse, rmse_ht, out=np.full(rmse.shape, np.nan), where=rmse_ht > 0)
+    coverage = np.divide(100.0 * covered, intervals, out=np.full(rmse.shape, np.nan),
+                         where=intervals > 0)
+    absolute = np.broadcast_to(theta == 0, rb.shape)
+    keys = [(p, e) for p in truths for e in estimators]
+    cells = zip(*(a.ravel().tolist() for a in (rb, rrmse, coverage, negatives, absolute)))
+    return {(p, e): MetricRow(b, rr, c, neg, runtime[e] / R, flag)
+            for (p, e), (b, rr, c, neg, flag) in zip(keys, cells)}
 
 
 def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -> tuple:
@@ -602,8 +620,3 @@ def _estimate_chunk(plan: SimulationPlan, population: Population, seeds: list) -
         del ws  # free this system before the next one is built
         times[est.label] = time.perf_counter() - tic
     return cells, times
-
-
-def _rmse(values: np.ndarray, theta: float) -> float:
-    return float(np.sqrt(np.mean((values - theta) ** 2)))
-

@@ -93,8 +93,11 @@ class SplineSystem:
     """Sample spline system shared by weight building and coefficient fits.
 
     Holds the knots, the sample and population basis summaries, and the
-    factor-ready normal matrix B_s' Pi^-1 B_s + lambda D_p, whose Pi^-1 is
-    the draw's `design_weights`, the array the HT weights are. The basis
+    normal matrix B_s' Pi^-1 B_s + lambda D_p, whose Pi^-1 is the draw's
+    `design_weights`, the array the HT weights are, factored once by one
+    symmetric eigendecomposition per group (`_SplineFit`): `rcond` is its
+    exact 2-norm reciprocal condition number, and the weights and the fits
+    solve through it as matrix products. The basis
     is evaluated at the draw's `scaled_z`, and sample-quantile knots are
     placed on the draw's one sort of them (`sorted_scaled_z`), which every
     system on the draw shares. The system behind a sample's weights also
@@ -144,7 +147,8 @@ class SplineSystem:
 
     @property
     def rcond(self):
-        """Reciprocal condition number of the normal matrix, per sample."""
+        """Reciprocal 2-norm condition number of the normal matrix, per
+        sample: min |lambda| / max |lambda| over its eigenvalues."""
         # a units axis of length one puts the replicate axis where `_by_rows` reads it
         return as_scalar(self._by_rows(lambda fit: fit.rcond[..., None])[..., 0])
 
@@ -201,28 +205,44 @@ class SplineSystem:
 
 class _SplineFit:
     """One group of a `SplineSystem`: knots shared in shape, arrays with the
-    group's leading axes (none for one sample)."""
+    group's leading axes (none for one sample).
+
+    The normal matrix A = B_s' Pi^-1 B_s + lambda D_p is symmetric, so one
+    eigendecomposition A = V diag(lambda) V' (`np.linalg.eigh`) per group
+    gives its 2-norm reciprocal condition number, min |lambda| / max
+    |lambda|, and every solve, A^-1 b = V (V' b / lambda), as matrix
+    products. The basis is stored with the units last (`basis_matrix`), so
+    the weighted basis and the normal matrix read contiguous rows.
+    """
 
     def __init__(self, spec: SplineSpec, knots, basis_pop_total, z_s, inv_pi):
         self.knots = knots
         self.basis_pop_total = basis_pop_total
         self.basis_sample = basis_matrix(knots, spec.order, z_s)
         self.inv_pi = inv_pi
-        # the weighted basis with the units last, (..., q, n): its sums over
-        # the units are contiguous pairwise reductions
-        bw = np.multiply(self.basis_sample.swapaxes(-1, -2), inv_pi[..., None, :], order="C")
-        A = self.basis_sample.swapaxes(-1, -2) @ bw.swapaxes(-1, -2)
+        # the basis and the weighted basis with the units last, (..., q, n),
+        # as `basis_matrix` stores them: the normal matrix's product reads
+        # contiguous rows, and the sums over the units are contiguous
+        # pairwise reductions
+        basis = self.basis_sample.swapaxes(-1, -2)
+        bw = basis * inv_pi[..., None, :]
+        A = basis @ bw.swapaxes(-1, -2)
         if spec.lam > 0:
             A = A + spec.lam * penalty_matrix(spec, knots)
         self.normal_matrix = A
-        cond = np.linalg.cond(A)
-        self.rcond = np.where(np.isfinite(cond) & (cond > 0), 1.0 / cond, 0.0)
+        self._values, self._vectors = np.linalg.eigh(A)
+        size = np.abs(self._values)
+        largest = size.max(axis=-1)
+        # a zero matrix has rcond 0
+        self.rcond = np.divide(size.min(axis=-1), largest,
+                               out=np.zeros(largest.shape), where=largest > 0)
         if (self.rcond < RCOND_SINGULAR).any():
             raise SingularSystemError("singular basis system: reduce K or set lambda>0")
         self._weighted_basis = bw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.normal_matrix, rhs[..., None])[..., 0]
+        V = self._vectors
+        return matvec(V, matvec(V.swapaxes(-1, -2), rhs) / self._values)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         return self.solve(matvec(self._weighted_basis, v))

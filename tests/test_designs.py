@@ -47,6 +47,13 @@ class TestSrswor:
         with pytest.raises(ValueError):
             draw_srswor(_toy_population(4), 5, 0)
 
+    @pytest.mark.parametrize("design", [Srswor(3), GivenProbabilities(np.full(10, 0.5))],
+                             ids=["srswor", "poisson"])
+    def test_empty_seed_list_refused(self, design):
+        with pytest.raises(ValueError, match="^draw needs at least one seed: "
+                                             "the seed list is empty$"):
+            draw(_toy_population(10), design, [])
+
     def test_joint_prob_diagonal_and_formula(self):
         d = draw_srswor(_toy_population(4), 2, 0)
         assert joint_prob(d, 2, 2) == pytest.approx(0.5)

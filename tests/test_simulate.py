@@ -292,6 +292,142 @@ class TestRunMonteCarlo:
         assert header[:2] == ["parameter", "estimator"]
 
 
+def _cell_by_cell_rows(table, truths, estimators):
+    """The reference for `simulate._metric_rows`: each (parameter,
+    estimator) cell of the (P, E, 4, R) table reduced on its own, as
+    `run_monte_carlo` reduced its cells one at a time. `mean_runtime` is
+    left out."""
+
+    def rmse(values, theta):
+        return float(np.sqrt(np.mean((values - theta) ** 2)))
+
+    rows = {}
+    for i, (p, theta) in enumerate(truths.items()):
+        rmse_ht = rmse(table[i, estimators.index("HT"), 0], theta)
+        for j, e in enumerate(estimators):
+            point, variance, lower, upper = table[i, j]
+            negatives = int(np.count_nonzero(variance < 0))
+            covered = np.count_nonzero((lower <= theta) & (theta <= upper))
+            if theta != 0:
+                rb = 100.0 * float(np.mean(point - theta)) / theta
+                abs_flag = False
+            else:
+                rb = float(np.mean(point - theta))
+                abs_flag = True
+            rrmse = 100.0 * (rmse(point, theta) / rmse_ht) if rmse_ht > 0 else np.nan
+            intervals = table.shape[-1] - negatives
+            cov = 100.0 * covered / intervals if intervals else np.nan
+            rows[p, e] = (rb, float(rrmse), float(cov), negatives, abs_flag)
+    return rows
+
+
+def _bits(row) -> tuple:
+    """A metric row's fields but `mean_runtime`, floats as their bits."""
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in
+                 (row.rb_percent, row.rrmse_percent, row.coverage_percent,
+                  row.negative_variances, row.absolute_bias_flag))
+
+
+class TestOnePassTable:
+    """`run_monte_carlo` reduces its (P, E, 4, R) table over all cells at
+    once; every field but `mean_runtime` equals the cell-by-cell reduction
+    bit for bit."""
+
+    ESTIMATORS = ["HT", "GREG", "BS(2,K=2)"]
+
+    @staticmethod
+    def _table(rng, P=3, E=3, R=13):
+        point = rng.normal(1.0, 0.2, (P, E, R))
+        variance = rng.gamma(2.0, 0.01, (P, E, R))
+        half = 1.96 * np.sqrt(variance)
+        return np.stack([point, variance, point - half, point + half], axis=2)
+
+    def _check(self, table, truths):
+        runtime = {e: 0.5 for e in self.ESTIMATORS}
+        got = simulate._metric_rows(table, truths, self.ESTIMATORS, runtime)
+        want = _cell_by_cell_rows(table, truths, self.ESTIMATORS)
+        assert list(got) == list(want)
+        for key, row in got.items():
+            assert _bits(row) == _bits(simulate.MetricRow(*want[key][:4], 0.0, want[key][4])), key
+            assert row.mean_runtime == 0.5 / table.shape[-1]
+        return got
+
+    @staticmethod
+    def _negative(table, cell, replicates):
+        table[cell + (1, replicates)] = -0.01
+        table[cell + (2, replicates)] = table[cell + (3, replicates)] = np.nan
+
+    def test_random_cells(self, rng):
+        self._check(self._table(rng), {"a": 1.1, "b": -0.9, "c": 1e-3})
+
+    def test_truth_of_zero_gives_an_absolute_bias(self, rng):
+        rows = self._check(self._table(rng), {"a": 1.0, "b": 0.0, "c": -0.0})
+        assert all(rows[p, e].absolute_bias_flag == (p != "a")
+                   for p in "abc" for e in self.ESTIMATORS)
+
+    def test_negative_variances(self, rng):
+        table = self._table(rng)
+        self._negative(table, (1, 2), [0, 4, 5])
+        rows = self._check(table, {"a": 1.0, "b": 1.0, "c": 1.0})
+        assert rows["b", "BS(2,K=2)"].negative_variances == 3
+
+    def test_all_variances_negative_leave_no_coverage(self, rng):
+        table = self._table(rng)
+        self._negative(table, (0, 1), slice(None))
+        rows = self._check(table, {"a": 1.0, "b": 1.0, "c": 1.0})
+        assert np.isnan(rows["a", "GREG"].coverage_percent)
+        assert rows["a", "GREG"].negative_variances == table.shape[-1]
+
+    def test_ht_rmse_of_zero_leaves_no_rrmse(self, rng):
+        table = self._table(rng)
+        table[2, 0, 0] = 0.75
+        rows = self._check(table, {"a": 1.0, "b": 1.0, "c": 0.75})
+        assert all(np.isnan(rows["c", e].rrmse_percent) for e in self.ESTIMATORS)
+
+    def test_run_equals_its_cells_reduced_one_at_a_time(self):
+        pop = synth_population(SynthConfig(size=1200), 2)
+        plan = SimulationPlan(
+            design=Srswor(100),
+            estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG"),
+                        EstimatorSpec("POST", knots=2)),
+            parameters=(ParameterSpec("mean"), ParameterSpec("poverty_rate")),
+            replicates=12, master_seed=8)
+        table = run_monte_carlo(plan, pop)
+        cells, _ = simulate._estimate_chunk(
+            plan, pop, [replicate_seed(plan.master_seed, i) for i in range(plan.replicates)])
+        labels = [e.label for e in plan.estimators]
+        blocks = np.array([[[cells[p.label, e].point, cells[p.label, e].variance.value,
+                             *cells[p.label, e].interval] for e in labels]
+                           for p in plan.parameters])
+        want = _cell_by_cell_rows(blocks, table.truths, labels)
+        for key, row in table.rows.items():
+            assert _bits(row) == _bits(simulate.MetricRow(*want[key][:4], 0.0, want[key][4])), key
+
+
+def test_render_marks_an_absolute_bias():
+    """A truth of 0 gives an absolute bias, which `render` marks "abs"
+    under "RRMSE (RB)" instead of showing it as a percent; the CSV columns
+    stay as they are."""
+    rng = np.random.default_rng(3)
+    z = rng.uniform(1.0, 2.0, 2000)
+    pop = Population(ids=tuple(map(str, range(z.size))), z=z,
+                     variables={"y": 110.0 + 11.0 * (z - 1.0)})
+    plan = SimulationPlan(design=Srswor(200),
+                          estimators=(EstimatorSpec("HT"), EstimatorSpec("GREG")),
+                          parameters=(ParameterSpec("mean"), ParameterSpec("poverty_rate")),
+                          replicates=5, master_seed=1)
+    table = run_monte_carlo(plan, pop)
+    assert table.truths["poverty_rate(y)"] == 0.0
+    lines = table.render().splitlines()
+    block = lines[lines.index("poverty_rate(y)  (truth 0)"):]
+    assert [line.split()[0] for line in block[2:4]] == ["HT", "GREG"]
+    assert all("(abs 0)" in line for line in block[2:4])
+    assert not any("abs" in line for line in lines[:lines.index(block[0])])
+    assert table.csv_rows()[0] == ["parameter", "estimator", "truth", "rb_percent",
+                                   "rrmse_percent", "coverage_percent",
+                                   "negative_variances", "mean_runtime_s"]
+
+
 def test_variance_residuals_match_residual_fit(monkeypatch):
     """The residuals entering each variance equal a fresh `residual_fit`
     with the estimator's spec (order 2, K = 0 for GREG; u itself for HT),
@@ -917,18 +1053,21 @@ def test_numbers_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-# Estimates the mean and the ratio on one SRSWOR sample of 15 000 units,
-# longer than a dot OpenBLAS keeps on one thread, and prints each point and
+# Estimates the mean, the ratio, the Gini and the poverty rate with HT, GREG
+# and two B-spline estimators on one SRSWOR sample of 15 000 units, longer
+# than a dot OpenBLAS keeps on one thread, and prints each point and
 # variance as its hex string.
 LARGE_SAMPLE_SCRIPT = """
 import json
 from splinesurvey import (EstimatorSpec, ParameterSpec, SampleData, Srswor, SynthConfig,
                           draw, synth_population)
 sample = draw(synth_population(SynthConfig(size=40000), 4), Srswor(15000), 11)
-parameters = (ParameterSpec("mean"), ParameterSpec("ratio", "y", "x"))
+parameters = (ParameterSpec("mean"), ParameterSpec("ratio", "y", "x"),
+              ParameterSpec("gini"), ParameterSpec("poverty_rate"))
 data = SampleData(sample, parameters)
 out = {}
-for est in (EstimatorSpec("HT"), EstimatorSpec("BS", order=2, knots=2)):
+for est in (EstimatorSpec("HT"), EstimatorSpec("GREG"), EstimatorSpec("BS", order=2, knots=2),
+            EstimatorSpec("BS", order=3, knots=4, lam=1.0)):
     for p, e in zip(parameters, data.estimate(est.build_weights(sample), "closed", 0.95)):
         out[p.label + " " + est.label] = [e.point.hex(), e.variance.value.hex()]
 print(json.dumps(out))
@@ -939,7 +1078,9 @@ def test_large_sample_linearizations_do_not_depend_on_the_blas_thread_count():
     """On a sample of more than 10 000 units the mean's and the ratio's
     linearized variables read the functionals' pairwise sums, not BLAS
     dots, so their points and variances are bit-identical at 1 and 2
-    OpenBLAS threads, each in its own process."""
+    OpenBLAS threads, each in its own process; so are the Gini's and the
+    poverty rate's, and those of GREG and of a penalized cubic spline,
+    whose systems solve through one eigendecomposition."""
     src = str(Path(splinesurvey.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -948,5 +1089,5 @@ def test_large_sample_linearizations_do_not_depend_on_the_blas_thread_count():
         done = subprocess.run([sys.executable, "-c", LARGE_SAMPLE_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outputs.append(json.loads(done.stdout))
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == 16
     assert outputs[0] == outputs[1]

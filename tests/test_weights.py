@@ -20,7 +20,7 @@ from splinesurvey import (
     post_weights,
     weighted_total,
 )
-from splinesurvey.weights import SingularSystemError, SplineSystem
+from splinesurvey.weights import SingularSystemError, SplineSystem, greg_spline, post_spline
 
 
 def _population(N, seed=0, strata=None):
@@ -308,6 +308,46 @@ class TestGregWeights:
         d = draw_srswor(pop, 4, 0)
         with pytest.raises(ValueError, match="collinear"):
             greg_weights(d)
+
+
+SINGULAR = r"^singular basis system: reduce K or set lambda>0$"
+
+
+class TestRcondFromTheEigenvalues:
+    """The spline system factors its normal matrix once, by `eigh`: its
+    rcond, min |lambda| / max |lambda|, is numpy's 2-norm reciprocal
+    condition number (an SVD) to rounding, and a singular system is
+    refused with the same message as before."""
+
+    SPECS = {"GREG": greg_spline(), "POST": post_spline(2),
+             "BS": SplineSpec(order=3, interior_knots=4),
+             "BS penalized": SplineSpec(order=3, interior_knots=4, lam=1.0)}
+
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]], ids=["one", "stack"])
+    @pytest.mark.parametrize("family", list(SPECS))
+    def test_equals_the_reciprocal_condition_number(self, family, seeds):
+        d = draw(_population(900, seed=21), Srswor(120), seeds)
+        system = SplineSystem(d, self.SPECS[family])
+        want = 1.0 / np.linalg.cond(system._only.normal_matrix)
+        assert np.shape(system.rcond) == np.shape(seeds)
+        np.testing.assert_allclose(system.rcond, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seeds", [3, [4, 3, 5]], ids=["one", "stack"])
+    def test_starved_knots_are_singular(self, seeds):
+        # K too large for a small sample starves knot spans
+        d = draw(_population(300, seed=1), Srswor(8), seeds)
+        spec = SplineSpec(order=3, interior_knots=6, knot_rule="population_quantile")
+        with pytest.raises(SingularSystemError, match=SINGULAR):
+            SplineSystem(d, spec)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_empty_poststratum_is_singular(self, stacked):
+        pop = _heaped_population()
+        spread = np.linspace(0, 1000, 40).astype(int)
+        indices = np.stack([spread, HEAPED, spread[::-1]]) if stacked else HEAPED
+        d = SampleDraw(pop, Srswor(40), indices, pi=np.full(indices.shape, 40 / pop.size))
+        with pytest.raises(SingularSystemError, match=SINGULAR):
+            SplineSystem(d, post_spline(2))
 
 
 class TestFitCoefficients:
